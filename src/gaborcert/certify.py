@@ -17,9 +17,9 @@ from typing import Optional
 import numpy as np
 
 from .errors import HopNotFound, HypothesisViolated, TooCloseToForbiddenRatio
-from .lattice import (LatticeParams, anchor_block, build_Mx, epsilon, is_good,
-                      separator_row, size_bound, structure_breakpoints,
-                      structure_fingerprint)
+from .lattice import (BlockSpec, LatticeParams, anchor_block, build_Mx, epsilon,
+                      int_range, separator_row, size_bound,
+                      structure_breakpoints, structure_fingerprint)
 from .linalg import svdvals_accurate
 from .window import Window, evaluate, inv_sup_on_core, sup_norm
 
@@ -173,34 +173,27 @@ def scan_determinant(params: LatticeParams, w: Window,
                               fps, np.array(gaps), bps)
 
 
+def _runs(mask, groups=None) -> list:
+    """(start, stop) of each maximal run of True in mask, also split wherever
+    the group label changes."""
+    change = mask[1:] != mask[:-1]
+    if groups is not None:
+        change |= groups[1:] != groups[:-1]
+    bounds = [0, *(np.flatnonzero(change) + 1).tolist(), len(mask)]
+    return [(i, j) for i, j in zip(bounds, bounds[1:]) if j > i and mask[i]]
+
+
 def find_certified_interval(profile: DeterminantProfile,
                             delta_floor: float) -> Optional[CertifiedInterval]:
     """Widest run of >= 3 consecutive samples in one gap with |det| >= delta_floor."""
-    best = None
-    absdet = profile.abs_det
-    n = len(absdet)
-    i = 0
-    while i < n:
-        if absdet[i] < delta_floor:
-            i += 1
-            continue
-        j = i
-        while (j + 1 < n and absdet[j + 1] >= delta_floor
-               and profile.gap_index[j + 1] == profile.gap_index[i]):
-            j += 1
-        if j - i + 1 >= 3:
-            lo, hi = float(profile.x_samples[i]), float(profile.x_samples[j])
-            if best is None or hi - lo > best.hi - best.lo:
-                best = CertifiedInterval(lo, hi, float(np.min(absdet[i:j + 1])))
-        i = j + 1
-    return best
-
-
-def _landing_ms(params: LatticeParams, base: float, lo: float, hi: float):
-    """Integers m with lo < base + m/beta < hi."""
-    m_lo = math.floor(params.beta * (lo - base)) + 1
-    m_hi = math.ceil(params.beta * (hi - base)) - 1
-    return [m for m in range(m_lo, m_hi + 1) if lo < base + m * params.inv_beta < hi]
+    absdet, xs = profile.abs_det, profile.x_samples
+    runs = [(i, j) for i, j in _runs(absdet >= delta_floor, profile.gap_index)
+            if j - i >= 3]
+    if not runs:
+        return None
+    i, j = max(runs, key=lambda r: xs[r[1] - 1] - xs[r[0]])
+    return CertifiedInterval(float(xs[i]), float(xs[j - 1]),
+                             float(np.min(absdet[i:j])))
 
 
 def _separators(params: LatticeParams, w: Window, x: float, col_lo: int,
@@ -222,6 +215,41 @@ def _separators(params: LatticeParams, w: Window, x: float, col_lo: int,
     return seps
 
 
+def _hop(params: LatticeParams, w: Window, x: float, interval: tuple,
+         extent: int, hop_bound: int, edge: DecompBlock, step: int):
+    """Next anchor block landing in the interval past edge, below and to the
+    right for step +1, above and to the left for step -1, with the separators
+    glueing the two; the blocks come in row order.
+
+    Returns None once edge or the candidate rows reach past +-extent.
+    """
+    row = edge.row_hi if step > 0 else edge.row_lo
+    if step * row >= extent:
+        return None
+    for nt in range(row + step, row + step * (hop_bound + 1), step):
+        if step * nt > extent:
+            return None
+        base = x - params.alpha * nt
+        for mt in int_range(base, params.inv_beta, *interval):
+            spec = anchor_block(params, w, base + mt * params.inv_beta)
+            col0, size = mt + spec.anchor_m, spec.size
+            # last row and column of the upper block, first of the lower one
+            if step > 0:
+                r0, c0, r1, c1 = edge.row_hi, edge.col_hi, nt, col0
+            else:
+                r0, c0 = nt + size - 1, col0 + size - 1
+                r1, c1 = edge.row_lo, edge.col_lo
+            if r1 <= r0 or c1 <= c0:
+                continue
+            seps = _separators(params, w, x, c0 + 1, c1 - 1, r0, r1)
+            if seps is not None:
+                mat = build_Mx(params, w, BlockSpec(nt, col0, size, x))
+                block = DecompBlock("anchor", nt, col0, mat)
+                return seps + [block] if step > 0 else [block] + seps
+    direction = "forward" if step > 0 else "backward"
+    raise HopNotFound(f"no {direction} landing in the interval within hop_bound")
+
+
 def build_block_decomposition(params: LatticeParams, w: Window, x: float,
                               extent: int, interval: tuple,
                               hop_bound: int = 10_000) -> BlockDecomposition:
@@ -237,74 +265,10 @@ def build_block_decomposition(params: LatticeParams, w: Window, x: float,
         raise ValueError("x must lie in the certified interval")
     spec0 = anchor_block(params, w, x)
     blocks = [DecompBlock("anchor", 0, spec0.anchor_m, build_Mx(params, w, spec0))]
-
-    # forward: next anchor strictly below and to the right
-    last = blocks[-1]
-    while last.row_hi < extent:
-        placed = False
-        for nt in range(last.row_hi + 1, last.row_hi + 1 + hop_bound):
-            if nt > extent:
-                break
-            base = x - params.alpha * nt
-            for mt in _landing_ms(params, base, lo, hi):
-                xt = base + mt * params.inv_beta
-                spec = anchor_block(params, w, xt)
-                col0 = mt + spec.anchor_m
-                if col0 <= last.col_hi:
-                    continue
-                seps = _separators(params, w, x, last.col_hi + 1, col0 - 1,
-                                   last.row_hi, nt)
-                if seps is None:
-                    continue
-                idx = np.arange(spec.size)
-                mat = evaluate(w, x - params.alpha * (nt + idx)[:, None]
-                               + (col0 + idx)[None, :] * params.inv_beta)
-                blocks.extend(seps)
-                blocks.append(DecompBlock("anchor", nt, col0, mat))
-                placed = True
-                break
-            if placed:
-                break
-        else:
-            raise HopNotFound("no forward landing in the interval within hop_bound")
-        if not placed:
-            break
-        last = blocks[-1]
-
-    # backward: previous anchor strictly above and to the left
-    first = blocks[0]
-    while first.row_lo > -extent:
-        placed = False
-        for nt in range(first.row_lo - 1, first.row_lo - 1 - hop_bound, -1):
-            if nt < -extent:
-                break
-            base = x - params.alpha * nt
-            for mt in _landing_ms(params, base, lo, hi):
-                xt = base + mt * params.inv_beta
-                spec = anchor_block(params, w, xt)
-                col0 = mt + spec.anchor_m
-                if nt + spec.size - 1 >= first.row_lo:
-                    continue
-                if col0 + spec.size - 1 >= first.col_lo:
-                    continue
-                seps = _separators(params, w, x, col0 + spec.size,
-                                   first.col_lo - 1, nt + spec.size - 1,
-                                   first.row_lo)
-                if seps is None:
-                    continue
-                idx = np.arange(spec.size)
-                mat = evaluate(w, x - params.alpha * (nt + idx)[:, None]
-                               + (col0 + idx)[None, :] * params.inv_beta)
-                blocks = [DecompBlock("anchor", nt, col0, mat)] + seps + blocks
-                placed = True
-                break
-            if placed:
-                break
-        else:
-            raise HopNotFound("no backward landing in the interval within hop_bound")
-        if not placed:
-            break
-        first = blocks[0]
+    for step in (1, -1):
+        while hop := _hop(params, w, x, interval, extent, hop_bound,
+                          blocks[-1] if step > 0 else blocks[0], step):
+            blocks = blocks + hop if step > 0 else hop + blocks
 
     used = set()
     for b in blocks:
@@ -449,22 +413,12 @@ def rational_analysis(params: LatticeParams, w: Window, samples: int = 4096,
                        for x in xs])
 
     below = absdet < config.zero_tol
-    zero_count = int(np.count_nonzero(np.diff(below.astype(int)) == 1)
-                     + (1 if below[0] else 0))
+    zero_count = len(_runs(below))
+    runs = _runs(~below)
     sub = None
-    best_len = -1
-    i = 0
-    while i < samples:
-        if below[i]:
-            i += 1
-            continue
-        j = i
-        while j + 1 < samples and not below[j + 1]:
-            j += 1
-        if j - i > best_len:
-            best_len = j - i
-            sub = (float(xs[i]), float(xs[j]))
-        i = j + 1
+    if runs:
+        i, j = max(runs, key=lambda r: r[1] - r[0])
+        sub = (float(xs[i]), float(xs[j - 1]))
 
     threshold = (zero_count + 1) / (params.alpha * (j_hi - j_lo))
 

@@ -117,8 +117,11 @@ def parse_window(spec: str) -> window.Window:
                    "(expected bump|oddbump|char|polybump|gevrey:N|<file.csv>)")
 
 
-def parse_config(path) -> dict:
-    """``key = value`` lines; '#' comments; errors carry line numbers."""
+def parse_config(path, keys=None) -> dict:
+    """``key = value`` lines; '#' comments; errors carry line numbers.
+
+    With ``keys``, a key outside that set is an error.
+    """
     out = {}
     try:
         with open(path, encoding="utf-8") as fh:
@@ -135,7 +138,10 @@ def parse_config(path) -> dict:
         key, value = key.strip(), value.strip()
         if not key or not value:
             raise CliError(f"{path}:{ln}: empty key or value")
-        out[key.replace("-", "_")] = value
+        key = key.replace("-", "_")
+        if keys is not None and key not in keys:
+            raise CliError(f"{path}:{ln}: unknown key {key!r}")
+        out[key] = value
     return out
 
 
@@ -229,36 +235,39 @@ def cmd_certify(args) -> int:
 
     profile_path = _resolve(args, "det_profile", None)
     if profile_path:
-        w2 = parse_window(wspec)
-        params = lattice.lattice_params(alpha, beta)
-        profile = certify.scan_determinant(params, w2, config.samples_per_gap)
         ids, rows = {}, ["x,abs_det,fingerprint_id"]
-        for x, ad, fp in zip(profile.x_samples, profile.abs_det,
-                             profile.fingerprints):
-            fid = ids.setdefault(fp, len(ids))
-            rows.append(f"{fmt(x)},{fmt(ad)},{fid}")
+        # a failed hypothesis leaves the profile header-only
+        if all(cert.hypothesis_report.values()):
+            params = lattice.lattice_params(alpha, beta)
+            profile = certify.scan_determinant(params, w, config.samples_per_gap)
+            for x, ad, fp in zip(profile.x_samples, profile.abs_det,
+                                 profile.fingerprints):
+                fid = ids.setdefault(fp, len(ids))
+                rows.append(f"{fmt(x)},{fmt(ad)},{fid}")
         _write_text(profile_path, "\n".join(rows) + "\n")
     return EXIT_CERTIFIED if cert.certified else EXIT_NOT_CERTIFIED
 
 
 def _scan_point(task):
-    """One (alpha, beta) grid point; returns a finished CSV row.
+    """One (alpha, beta) grid point; returns (finished CSV row, error message
+    or None).
 
-    Top level so ProcessPoolExecutor can pickle it; per-row failures are
-    recorded in the row and never abort the sweep.
+    Top level so ProcessPoolExecutor can pickle it; a per-row failure becomes
+    an Error row plus a message and never aborts the sweep.
     """
     wspec, alpha, beta, cfg_kwargs = task
+    point = f"{fmt(alpha)},{fmt(beta)}"
     if alpha * beta >= 1.0:
-        return f"{fmt(alpha)},{fmt(beta)},Skipped,,"
+        return f"{point},Skipped,,", None
     try:
         cert, _, _ = _certify_one(wspec, alpha, beta,
                                   certify.CertifyConfig(**cfg_kwargs))
     except (GaborCertError, ValueError) as exc:
-        return f"{fmt(alpha)},{fmt(beta)},Error,,  # {exc}".rstrip()
+        return f"{point},Error,,", f"alpha={fmt(alpha)} beta={fmt(beta)}: {exc}"
     verdict = "Certified" if cert.certified else "NotCertified"
     delta = "" if cert.delta is None else fmt(cert.delta)
     sigma = "" if cert.block_sigma_min is None else fmt(cert.block_sigma_min)
-    return f"{fmt(alpha)},{fmt(beta)},{verdict},{delta},{sigma}"
+    return f"{point},{verdict},{delta},{sigma}", None
 
 
 def cmd_scan(args) -> int:
@@ -279,10 +288,14 @@ def cmd_scan(args) -> int:
     workers = _resolve(args, "workers", 1, int)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_scan_point, tasks))   # ordered assembly
+            results = list(pool.map(_scan_point, tasks))   # ordered assembly
     else:
-        rows = [_scan_point(t) for t in tasks]
-    text = "alpha,beta,verdict,delta,sigma_min\n" + "\n".join(rows) + "\n"
+        results = [_scan_point(t) for t in tasks]
+    for _, message in results:
+        if message is not None:
+            print(f"error: {message}", file=sys.stderr)
+    text = ("alpha,beta,verdict,delta,sigma_min\n"
+            + "\n".join(row for row, _ in results) + "\n")
     if args.out:
         _write_text(args.out, text)
         _write_meta(args.out, args)
@@ -430,7 +443,9 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        args._config = parse_config(args.config) if args.config else {}
+        # a config file may set any option of the subcommand but --config
+        options = set(vars(args)) - {"subcommand", "func", "config"}
+        args._config = parse_config(args.config, options) if args.config else {}
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

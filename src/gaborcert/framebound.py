@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .lattice import LatticeParams, structure_breakpoints
+from .lattice import LatticeParams, int_range, structure_breakpoints
 from .linalg import svdvals_accurate
 from .window import Window, evaluate, sup_norm
 
@@ -37,15 +37,9 @@ class FiniteSectionEstimate:
 
 def _good_row_range(params: LatticeParams, w: Window, x: float, m: int):
     """Integer rows n with (n, m) good, as an inclusive (n_lo, n_hi) range."""
-    a, b = w.support_lo, w.support_hi
-    base = x + m * params.inv_beta
-    n_lo = math.floor((base - b) / params.alpha) + 1
-    while base - params.alpha * n_lo >= b:
-        n_lo += 1
-    n_hi = math.ceil((base - a) / params.alpha) - 1
-    while base - params.alpha * n_hi <= a:
-        n_hi -= 1
-    return n_lo, n_hi
+    rows = int_range(x + m * params.inv_beta, -params.alpha,
+                     w.support_lo, w.support_hi)
+    return rows.start, rows.stop - 1
 
 
 def truncated_columns(params: LatticeParams, w: Window, x: float, extent: int,
@@ -56,19 +50,14 @@ def truncated_columns(params: LatticeParams, w: Window, x: float, extent: int,
     the truncation; boundary-cut columns otherwise produce spurious tiny
     singular values that say nothing about the infinite matrix.
     """
-    a, b = w.support_lo, w.support_hi
     cols = set()
     for n in range(-extent, extent + 1):
-        base = x - params.alpha * n
-        m_lo = math.floor(params.beta * (a - base)) + 1
-        m_hi = math.ceil(params.beta * (b - base)) - 1
-        for m in range(m_lo, m_hi + 1):
-            if a < base + m * params.inv_beta < b:
-                cols.add(m)
+        cols.update(int_range(x - params.alpha * n, params.inv_beta,
+                              w.support_lo, w.support_hi))
     if complete_only:
         cols = {m for m in cols
-                if -extent <= _good_row_range(params, w, x, m)[0]
-                and _good_row_range(params, w, x, m)[1] <= extent}
+                if -extent <= (rows := _good_row_range(params, w, x, m))[0]
+                and rows[1] <= extent}
     return np.array(sorted(cols))
 
 

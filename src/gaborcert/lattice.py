@@ -30,6 +30,7 @@ __all__ = [
     "epsilon",
     "size_bound",
     "index_bound",
+    "int_range",
     "anchor_block",
     "build_Mx",
     "separator_row",
@@ -154,17 +155,29 @@ def index_bound(params: LatticeParams, w: Window) -> int:
     return max(nb, mb)
 
 
-def _first_good_m(params: LatticeParams, w: Window, x: float, n: int) -> int:
-    """Minimal m with (n, m) good; raises if the row has no good pair."""
-    a, b = w.support_lo, w.support_hi
-    base = x - params.alpha * n
-    # smallest integer m with base + m/beta > a
-    m = math.floor(params.beta * (a - base)) + 1
-    while base + m * params.inv_beta <= a:
-        m += 1
-    if base + m * params.inv_beta >= b:
-        raise HypothesisViolated(f"row {n} has no good pair at x={x}")
-    return m
+def int_range(base: float, step: float, lo: float, hi: float) -> range:
+    """Integers k with lo < base + k*step < hi, for either sign of step.
+
+    base + k*step is monotone in k in floating point too, so the solutions
+    form a range; the floor/ceil estimate is corrected in both directions
+    against that exact expression.  Even when the range is empty, its start
+    is the first k past the entry bound (lo for step > 0, hi for step < 0)
+    and stop - 1 the last k before the exit bound.
+    """
+    if step < 0:
+        # rounding is odd-symmetric: -(base + k*step) == -base + k*(-step)
+        base, step, lo, hi = -base, -step, -hi, -lo
+    k_lo = math.floor((lo - base) / step) + 1
+    while base + k_lo * step <= lo:
+        k_lo += 1
+    while base + (k_lo - 1) * step > lo:
+        k_lo -= 1
+    k_hi = math.ceil((hi - base) / step) - 1
+    while base + k_hi * step >= hi:
+        k_hi -= 1
+    while base + (k_hi + 1) * step < hi:
+        k_hi += 1
+    return range(k_lo, k_hi + 1)
 
 
 def anchor_block(params: LatticeParams, w: Window, x: float) -> BlockSpec:
@@ -172,18 +185,15 @@ def anchor_block(params: LatticeParams, w: Window, x: float) -> BlockSpec:
 
     size-1 is the largest l >= 0 with x + m/beta + l*(1/beta-alpha) < b.
     """
-    b = w.support_hi
-    m = _first_good_m(params, w, x, 0)
-    step = params.inv_beta - params.alpha
-    arg0 = x + m * params.inv_beta
-    l = math.floor((b - arg0) / step)
-    while arg0 + l * step >= b:
-        l -= 1
-    while arg0 + (l + 1) * step < b:
-        l += 1
-    if l < 0:
+    a, b = w.support_lo, w.support_hi
+    inv_beta = params.inv_beta
+    ms = int_range(x, inv_beta, a, b)
+    if not ms:
+        raise HypothesisViolated(f"row 0 has no good pair at x={x}")
+    ls = int_range(x + ms.start * inv_beta, inv_beta - params.alpha, a, b)
+    if 0 not in ls:
         raise HypothesisViolated("anchor argument left the support (inconsistent state)")
-    return BlockSpec(0, m, l + 1, x)
+    return BlockSpec(0, ms.start, ls.stop, x)
 
 
 def build_Mx(params: LatticeParams, w: Window, spec: BlockSpec) -> np.ndarray:
@@ -208,10 +218,7 @@ def separator_row(params: LatticeParams, w: Window, x: float, m: int) -> tuple[i
     a, b = w.support_lo, w.support_hi
     eps = epsilon(params, w)
     base = x + m * params.inv_beta
-    # smallest integer n with base - alpha*n < b
-    n = math.floor((base - b) / params.alpha) + 1
-    while base - params.alpha * n >= b:
-        n += 1
+    n = int_range(base, -params.alpha, a, b).start
     arg = base - params.alpha * n
     if arg > b - eps:
         n += 1
@@ -237,22 +244,15 @@ def structure_breakpoints(params: LatticeParams, w: Window,
     and the finitely many m putting x inside (0, alpha).  The list is
     invariant under enlarging the m bound because m is pinned by the x-range.
     """
-    a, b = w.support_lo, w.support_hi
-    alpha, beta = params.alpha, params.beta
+    alpha = params.alpha
     mb = index_bound(params, w) if m_bound is None else m_bound
     xs = []
     for n in range(-2, size_bound(params, w) + 3):
-        for c in (a, b):
+        for c in (w.support_lo, w.support_hi):
             base = c + alpha * n
-            # m with 0 < base - m/beta < alpha
-            m_lo = int(math.floor(beta * (base - alpha)))
-            m_hi = int(math.ceil(beta * base)) + 1
-            for m in range(m_lo, m_hi + 1):
-                if abs(m) > mb:
-                    continue
-                xval = base - m * params.inv_beta
-                if 0.0 < xval < alpha:
-                    xs.append(xval)
+            xs.extend(base - m * params.inv_beta
+                      for m in int_range(base, -params.inv_beta, 0.0, alpha)
+                      if abs(m) <= mb)
     xs.sort()
     out = []
     for xval in xs:

@@ -5,11 +5,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from gaborcert import certify as C
 from gaborcert import lattice as L
 from gaborcert import window as W
-from gaborcert.errors import HypothesisViolated, TooCloseToForbiddenRatio
+from gaborcert.errors import (HopNotFound, HypothesisViolated,
+                              TooCloseToForbiddenRatio)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -97,6 +100,54 @@ def test_interval_not_found_for_zero_profile():
     assert C.find_certified_interval(zero, 1e-8) is None
 
 
+
+def _widest_run_loop(profile, delta_floor):
+    """Reference: the sample-by-sample scan find_certified_interval replaced."""
+    absdet, gaps, xs = profile.abs_det, profile.gap_index, profile.x_samples
+    best, i, n = None, 0, len(absdet)
+    while i < n:
+        if absdet[i] < delta_floor:
+            i += 1
+            continue
+        j = i
+        while j + 1 < n and absdet[j + 1] >= delta_floor and gaps[j + 1] == gaps[i]:
+            j += 1
+        if j - i + 1 >= 3 and (best is None or xs[j] - xs[i] > best.hi - best.lo):
+            best = C.CertifiedInterval(float(xs[i]), float(xs[j]),
+                                       float(np.min(absdet[i:j + 1])))
+        i = j + 1
+    return best
+
+
+@given(st.lists(st.tuples(st.sampled_from((0, 0, 0, 1)), st.sampled_from((1.0, 2.0)),
+                          st.sampled_from((0.0, 1e-9, 0.5, 1.0, 2.0))),
+                max_size=40))
+@example([(0, 1.0, 1.0)] * 3 + [(0, 1.0, 0.0)] + [(0, 1.0, 1.0)] * 3)
+def test_interval_matches_sample_loop(cells):
+    """Widest run, ties to the first, split at gap changes and at small |det|."""
+    gaps = np.cumsum([new_gap for new_gap, _, _ in cells], dtype=int)
+    xs = np.cumsum([dx for _, dx, _ in cells])
+    dets = np.array([d for _, _, d in cells], dtype=complex)
+    prof = C.DeterminantProfile(xs, dets, [None] * len(cells), gaps, np.array([]))
+    assert C.find_certified_interval(prof, 1e-8) == _widest_run_loop(prof, 1e-8)
+
+
+@given(st.lists(st.tuples(st.booleans(), st.integers(0, 2)), max_size=30),
+       st.booleans())
+def test_runs_are_maximal(cells, grouped):
+    mask = np.array([m for m, _ in cells], dtype=bool)
+    groups = np.array([g for _, g in cells]) if grouped else None
+    runs = C._runs(mask, groups)
+    covered = [k for i, j in runs for k in range(i, j)]
+    assert covered == list(np.flatnonzero(mask))
+    same = (lambda a, b: True) if groups is None else \
+        (lambda a, b: groups[a] == groups[b])
+    for i, j in runs:
+        assert all(same(i, k) for k in range(i, j))
+        # a neighbour in the same group would have extended the run
+        assert i == 0 or not (mask[i - 1] and same(i - 1, i))
+        assert j == len(mask) or not (mask[j] and same(j, j - 1))
+
 def test_interval_delta_stable_under_doubling(flagship):
     params, w, cert = flagship
     prof64 = C.scan_determinant(params, w, 64)
@@ -152,6 +203,49 @@ def test_decomposition_rows_ordered_and_disjoint(flagship):
     assert len(used) == len(set(used))
     assert set(used).isdisjoint(dec.discarded_rows)
     assert set(used) | set(dec.discarded_rows) >= set(range(-32, 33))
+
+
+@pytest.mark.parametrize("window, alpha, beta, extent, layout", [
+    ("bump", 1.0, 1.0 / SQRT2, 8,
+     [("anchor", -7, -5, 2), ("separator", -4, -3, 1),
+      ("separator", -3, -2, 1), ("separator", -1, -1, 1),
+      ("anchor", 0, 0, 2), ("separator", 3, 2, 1), ("separator", 4, 3, 1),
+      ("separator", 6, 4, 1), ("anchor", 7, 5, 2)]),
+    ("char", 1.0 / SQRT2, 1.0, 16,
+     [("anchor", -7, -5, 3), ("separator", -3, -2, 1),
+      ("separator", -2, -1, 1), ("anchor", 0, 0, 3), ("separator", 4, 3, 1),
+      ("separator", 5, 4, 1), ("anchor", 7, 5, 3)]),
+    ("gevrey2", 0.6, 0.81 / (0.6 * SQRT2), 12,
+     [("anchor", -7, -5, 4), ("anchor", 0, -1, 4), ("anchor", 7, 3, 4)]),
+])
+def test_decomposition_layout_pinned(window, alpha, beta, extent, layout):
+    w = {"bump": W.bump(), "char": W.characteristic(),
+         "gevrey2": W.gevrey(2)}[window]
+    p = L.lattice_params(alpha, beta)
+    cert = C.certify_frame(p, w, C.CertifyConfig(extent=extent))
+    mid = 0.5 * (cert.interval_lo + cert.interval_hi)
+    dec = C.build_block_decomposition(p, w, mid, extent,
+                                      (cert.interval_lo, cert.interval_hi))
+    assert [(b.kind, b.row_lo, b.col_lo, b.size) for b in dec.blocks] == layout
+    assert cert.n_blocks == len(layout)
+
+
+@pytest.mark.parametrize("hop_bound, direction", [(1, "forward"),
+                                                  (2, "backward")])
+def test_decomposition_hop_not_found_messages(hop_bound, direction):
+    p = L.lattice_params(0.6, 0.81 / (0.6 * SQRT2))
+    w = W.gevrey(2)
+    cert = C.certify_frame(p, w, C.CertifyConfig(extent=4))
+    mid = 0.5 * (cert.interval_lo + cert.interval_hi)
+    with pytest.raises(HopNotFound) as info:
+        C.build_block_decomposition(p, w, mid, 4,
+                                    (cert.interval_lo, cert.interval_hi),
+                                    hop_bound)
+    assert str(info.value) == (f"no {direction} landing in the interval "
+                               "within hop_bound")
+    short = C.certify_frame(p, w, C.CertifyConfig(extent=4, hop_bound=hop_bound))
+    assert short.verdict == "not_certified"
+    assert short.reason == str(info.value)
 
 
 def test_decomposition_requires_x_in_interval(flagship):

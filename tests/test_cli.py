@@ -100,6 +100,21 @@ def test_certify_det_profile(tmp_path):
     assert all(0 < x < 0.7 for x in xs)
 
 
+@pytest.mark.parametrize("alpha, beta, key", [
+    ("1.2", "0.9", "density_lt_one"),
+    ("2.5", "0.3", "alpha_lt_support"),
+])
+def test_certify_det_profile_header_only_on_failed_hypothesis(
+        tmp_path, capsys, alpha, beta, key):
+    prof = tmp_path / "p.csv"
+    code = run(["certify", "--alpha", alpha, "--beta", beta,
+                "--det-profile", str(prof)])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert doc["hypothesis_report"][key] is False
+    assert prof.read_text() == "x,abs_det,fingerprint_id\n"
+
+
 # ---------------------------------------------------------------------------
 # scan
 
@@ -125,6 +140,19 @@ def test_scan_skips_density_ge_one(tmp_path):
     rows = out.read_text().strip().split("\n")[1:]
     assert rows[0].split(",")[2] == "Certified"
     assert rows[1].split(",")[2] == "Skipped"
+
+
+def test_scan_error_rows_keep_five_fields(tmp_path, capsys):
+    out = tmp_path / "s.csv"
+    code = run(["scan", "--alpha-grid", "0.5,0.6", "--beta-grid=-1.0",
+                "--out", str(out)])
+    assert code == 0
+    rows = out.read_text().strip().split("\n")[1:]
+    assert rows == ["0.5,-1,Error,,", "0.59999999999999998,-1,Error,,"]
+    err = capsys.readouterr().err.strip().split("\n")
+    assert len(err) == 2
+    assert err[0].startswith("error: alpha=0.5 beta=-1: ")
+    assert err[1].startswith("error: alpha=0.59999999999999998 beta=-1: ")
 
 
 def test_scan_row_major_alpha_outer(tmp_path):
@@ -238,6 +266,18 @@ def test_config_parse_error_reports_line(tmp_path, capsys):
     cfg.write_text("alpha = 1.0\nthis line is wrong\n")
     assert run(["certify", "--config", str(cfg)]) == 1
     assert "bad.cfg:2" in capsys.readouterr().err
+
+
+def test_config_unknown_key_rejected(tmp_path, capsys):
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text("alpha = 1.0\nbeta = 0.70710678\nextnet = 4\n")
+    assert run(["certify", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert "typo.cfg:3" in err and "'extnet'" in err
+    # an option of another subcommand is unknown here too
+    cfg.write_text("alpha = 1.0\nbeta = 0.70710678\nx_grid_size = 8\n")
+    assert run(["certify", "--config", str(cfg)]) == 1
+    assert "'x_grid_size'" in capsys.readouterr().err
 
 
 def test_config_comments_and_blank_lines(tmp_path):

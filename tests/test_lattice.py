@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaborcert import lattice as L
 from gaborcert import window as W
@@ -77,6 +79,48 @@ def test_epsilon_hand_values():
 def test_epsilon_rejects_wide_alpha():
     with pytest.raises(HypothesisViolated):
         L.epsilon(params(1.2, 0.5), W.characteristic())
+
+
+# ---------------------------------------------------------------------------
+# integer ranges
+
+@st.composite
+def _int_range_case(draw):
+    """(base, step, lo, hi); bounds are free floats or land exactly on a
+    lattice point base + k*step."""
+    base = draw(st.floats(-10.0, 10.0))
+    step = draw(st.floats(0.01, 5.0)) * draw(st.sampled_from((1.0, -1.0)))
+    bounds = []
+    for _ in range(2):
+        if draw(st.booleans()):
+            bounds.append(base + draw(st.integers(-40, 40)) * step)
+        else:
+            bounds.append(draw(st.floats(-10.0, 10.0)))
+    lo, hi = sorted(bounds)
+    return base, step, lo, hi
+
+
+@given(_int_range_case())
+@settings(max_examples=300, deadline=None)
+def test_int_range_matches_brute_force(case):
+    base, step, lo, hi = case
+    ks = range(-3000, 3001)
+    assert list(L.int_range(base, step, lo, hi)) == [
+        k for k in ks if lo < base + k * step < hi]
+    # start and stop stay one-sided answers even for an empty range
+    enter = (lambda k: base + k * step > lo) if step > 0 else \
+        (lambda k: base + k * step < hi)
+    leave = (lambda k: base + k * step < hi) if step > 0 else \
+        (lambda k: base + k * step > lo)
+    r = L.int_range(base, step, lo, hi)
+    assert enter(r.start) and not enter(r.start - 1)
+    assert leave(r.stop - 1) and not leave(r.stop)
+
+
+def test_int_range_open_at_exact_bounds():
+    assert L.int_range(0.0, 0.5, 0.0, 1.0) == range(1, 2)
+    assert L.int_range(0.0, -0.5, 0.0, 1.0) == range(-1, 0)
+    assert L.int_range(0.0, 0.5, 0.0, 0.5) == range(1, 1)
 
 
 # ---------------------------------------------------------------------------
