@@ -122,6 +122,9 @@ class FrameCertificate:
     block_sigma_min: Optional[float] = None
     extent: int = 0
     n_blocks: Optional[int] = None
+    # the scan behind the verdict; None when a hypothesis failed first
+    profile: Optional[DeterminantProfile] = field(default=None, compare=False,
+                                                  repr=False)
 
     @property
     def certified(self) -> bool:
@@ -150,6 +153,42 @@ def _chebyshev_nodes(lo: float, hi: float, k: int) -> np.ndarray:
     return np.sort(mid + half * np.cos((2 * j - 1) * np.pi / (2 * k)))
 
 
+# most matrix entries evaluated in one stack; a longer run is split in half
+_BATCH_ENTRIES = 1 << 20
+
+
+def _det_batches(params: LatticeParams, w: Window, xs: np.ndarray) -> list:
+    """det(M_x) for sorted xs in (0, alpha) as (fingerprint, dets) batches, in
+    order: one stacked evaluate and one det per run of equal anchor structure.
+
+    The key (anchor_m, size, good-pair mask) is read at the first and the
+    last x only; when they agree, every x between has it, in floating point
+    too.  x + m/beta is monotone in x, so anchor_m is monotone, and so is the
+    size for a fixed anchor_m.  With both fixed, each mask entry's argument
+    is monotone in x and moves by less than alpha < b - a, so no entry can
+    flip and flip back.  The fingerprint leaves out anchor_m, so the key
+    holds it too.  Otherwise the xs are split in half.  An x where row 0
+    has no good pair raises at the first such x, as a sample-by-sample scan
+    would: it is never inside a batch, so it ends up a first x.
+    """
+    if len(xs) == 0:
+        return []
+    spec = anchor_block(params, w, xs[0])
+    key = (spec.anchor_m, structure_fingerprint(params, w, xs[0], spec))
+    try:
+        last = anchor_block(params, w, xs[-1])
+        same = key == (last.anchor_m,
+                       structure_fingerprint(params, w, xs[-1], last))
+    except HypothesisViolated:
+        same = False
+    if len(xs) == 1 or same and len(xs) * spec.size ** 2 <= _BATCH_ENTRIES:
+        stack = build_Mx(params, w, BlockSpec(0, spec.anchor_m, spec.size, xs))
+        return [(key[1], np.linalg.det(stack))]
+    half = len(xs) // 2
+    return (_det_batches(params, w, xs[:half])
+            + _det_batches(params, w, xs[half:]))
+
+
 def scan_determinant(params: LatticeParams, w: Window,
                      samples_per_gap: int = 32) -> DeterminantProfile:
     """Evaluate det(M_x) at Chebyshev nodes of every breakpoint gap in (0, alpha)."""
@@ -162,13 +201,12 @@ def scan_determinant(params: LatticeParams, w: Window,
         lo, hi = edges[gi], edges[gi + 1]
         if hi - lo <= 0:
             continue
-        for x in _chebyshev_nodes(lo, hi, samples_per_gap):
-            spec = anchor_block(params, w, x)
-            M = build_Mx(params, w, spec)
-            xs.append(x)
-            dets.append(complex(np.linalg.det(M)))
-            fps.append(structure_fingerprint(params, w, x))
-            gaps.append(gi)
+        nodes = _chebyshev_nodes(lo, hi, samples_per_gap)
+        for fp, batch in _det_batches(params, w, nodes):
+            dets.extend(batch)
+            fps.extend([fp] * len(batch))
+        xs.extend(nodes)
+        gaps.extend([gi] * len(nodes))
     return DeterminantProfile(np.array(xs), np.array(dets, dtype=complex),
                               fps, np.array(gaps), bps)
 
@@ -358,7 +396,7 @@ def certify_frame(params: LatticeParams, w: Window,
     found = find_certified_interval(profile, config.delta_floor)
     if found is None:
         return FrameCertificate("not_certified", "no determinant floor found",
-                                report, extent=config.extent)
+                                report, extent=config.extent, profile=profile)
     mid = 0.5 * (found.lo + found.hi)
     try:
         decomp = build_block_decomposition(params, w, mid, config.extent,
@@ -367,14 +405,16 @@ def certify_frame(params: LatticeParams, w: Window,
     except HopNotFound as exc:
         return FrameCertificate("not_certified", str(exc), report,
                                 interval_lo=found.lo, interval_hi=found.hi,
-                                delta=found.delta, extent=config.extent)
+                                delta=found.delta, extent=config.extent,
+                                profile=profile)
     sigma = decomp.sigma_min
     verdict = "certified" if sigma > 0.0 else "not_certified"
     reason = None if sigma > 0.0 else "singular block in the decomposition"
     return FrameCertificate(verdict, reason, report,
                             interval_lo=found.lo, interval_hi=found.hi,
                             delta=found.delta, block_sigma_min=sigma,
-                            extent=config.extent, n_blocks=len(decomp.blocks))
+                            extent=config.extent, n_blocks=len(decomp.blocks),
+                            profile=profile)
 
 
 def forbidden_ratios(params: LatticeParams, w: Window,
@@ -409,8 +449,9 @@ def rational_analysis(params: LatticeParams, w: Window, samples: int = 4096,
     j_lo, j_hi = float(edges[gi]), float(edges[gi + 1])
     margin = (j_hi - j_lo) / 1000.0
     xs = np.linspace(j_lo + margin, j_hi - margin, samples)
-    absdet = np.array([abs(np.linalg.det(build_Mx(params, w, anchor_block(params, w, x))))
-                       for x in xs])
+    # abs of each numpy scalar, not np.abs: the vector loop rounds differently
+    absdet = np.array([abs(d) for _, batch in _det_batches(params, w, xs)
+                       for d in batch])
 
     below = absdet < config.zero_tol
     zero_count = len(_runs(below))
@@ -428,8 +469,8 @@ def rational_analysis(params: LatticeParams, w: Window, samples: int = 4096,
     for bp in edges:
         close = np.abs(grid - bp) < 1e-9
         grid[close] += 1e-9
-    period_min = min(abs(np.linalg.det(build_Mx(params, w, anchor_block(params, w, x))))
-                     for x in grid)
+    period_min = min(abs(d) for _, batch in _det_batches(params, w, grid)
+                     for d in batch)
     # a zero inside J already rules out a uniform determinant floor, no matter
     # how coarsely the period grid happens to straddle it
     supported = period_min >= config.delta_floor and zero_count == 0

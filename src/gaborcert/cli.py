@@ -236,10 +236,9 @@ def cmd_certify(args) -> int:
     profile_path = _resolve(args, "det_profile", None)
     if profile_path:
         ids, rows = {}, ["x,abs_det,fingerprint_id"]
-        # a failed hypothesis leaves the profile header-only
-        if all(cert.hypothesis_report.values()):
-            params = lattice.lattice_params(alpha, beta)
-            profile = certify.scan_determinant(params, w, config.samples_per_gap)
+        # a failed hypothesis leaves no scan and the profile header-only
+        if cert.profile is not None:
+            profile = cert.profile
             for x, ad, fp in zip(profile.x_samples, profile.abs_det,
                                  profile.fingerprints):
                 fid = ids.setdefault(fp, len(ids))

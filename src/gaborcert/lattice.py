@@ -111,7 +111,7 @@ class BlockSpec:
     anchor_n: int
     anchor_m: int
     size: int
-    x_value: float
+    x_value: float                # or an array of x sharing the structure
 
 
 def is_good(params: LatticeParams, w: Window, x, n, m):
@@ -199,11 +199,12 @@ def anchor_block(params: LatticeParams, w: Window, x: float) -> BlockSpec:
 def build_Mx(params: LatticeParams, w: Window, spec: BlockSpec) -> np.ndarray:
     """size x size matrix with entry (i, j) = g(x - alpha(n0+i) + (m0+j)/beta).
 
+    An array x_value of shape S gives the stack of shape S + (size, size).
     Non-good entries are exactly 0 because the window vanishes identically
     outside its open support.
     """
     idx = np.arange(spec.size)
-    args = (spec.x_value
+    args = (np.asarray(spec.x_value)[..., None, None]
             - params.alpha * (spec.anchor_n + idx)[:, None]
             + (spec.anchor_m + idx)[None, :] * params.inv_beta)
     return evaluate(w, args)
@@ -226,13 +227,16 @@ def separator_row(params: LatticeParams, w: Window, x: float, m: int) -> tuple[i
     return n, arg
 
 
-def structure_fingerprint(params: LatticeParams, w: Window, x: float):
-    """(size, row-major good-pair mask) of the anchor block at x."""
-    spec = anchor_block(params, w, x)
+def structure_fingerprint(params: LatticeParams, w: Window, x: float,
+                          spec: Optional[BlockSpec] = None):
+    """(size, row-major good-pair mask) of the anchor block at x; spec, when
+    given, is that anchor block."""
+    if spec is None:
+        spec = anchor_block(params, w, x)
     idx = np.arange(spec.size)
     mask = is_good(params, w, x, (spec.anchor_n + idx)[:, None],
                    (spec.anchor_m + idx)[None, :])
-    return spec.size, tuple(bool(v) for v in mask.ravel())
+    return spec.size, tuple(mask.ravel().tolist())
 
 
 def structure_breakpoints(params: LatticeParams, w: Window,

@@ -76,6 +76,84 @@ def test_scan_rejects_wide_alpha():
         C.scan_determinant(L.lattice_params(1.2, 0.5), W.characteristic(), 8)
 
 
+def _scan_loop(params, w, samples_per_gap):
+    """Reference: the sample-by-sample scan that the batched scan replaced."""
+    bps = L.structure_breakpoints(params, w)
+    edges = np.concatenate(([0.0], bps, [params.alpha]))
+    xs, dets, fps, gaps = [], [], [], []
+    for gi in range(len(edges) - 1):
+        lo, hi = edges[gi], edges[gi + 1]
+        if hi - lo <= 0:
+            continue
+        for x in C._chebyshev_nodes(lo, hi, samples_per_gap):
+            spec = L.anchor_block(params, w, x)
+            M = L.build_Mx(params, w, spec)
+            xs.append(x)
+            dets.append(complex(np.linalg.det(M)))
+            fps.append(L.structure_fingerprint(params, w, x))
+            gaps.append(gi)
+    return np.array(xs), np.array(dets, dtype=complex), fps, np.array(gaps)
+
+
+def _sampled_window():
+    rng = np.random.default_rng(8)
+    vals = 1.0 + 0.3 * (rng.standard_normal(257) + 1j * rng.standard_normal(257))
+    return W.sampled(np.linspace(0.0, 1.0, 257), vals)
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("w, alpha, beta, samples", [
+    (W.bump(), 1.0, 1.0 / SQRT2, 32),
+    (W.gevrey(2), 1.3, 0.6, 16),
+    (W.poly_bump(), 0.7, 0.9 * SQRT2, 16),
+    (W.characteristic(), 0.55, SQRT2, 8),
+    (W.odd_bump(), 0.9, 1.0 / SQRT2, 16),
+    (_sampled_window(), 0.8, 1.0 / SQRT2, 32),
+])
+def test_scan_matches_sample_loop(w, alpha, beta, samples):
+    p = L.lattice_params(alpha, beta)
+    prof = C.scan_determinant(p, w, samples)
+    xs, dets, fps, gaps = _scan_loop(p, w, samples)
+    assert _same_bits(prof.x_samples, xs)
+    assert _same_bits(prof.det_values, dets)
+    assert _same_bits(prof.gap_index, gaps)
+    assert prof.fingerprints == fps
+
+
+def test_scan_splits_batches_past_entry_cap(monkeypatch):
+    monkeypatch.setattr(C, "_BATCH_ENTRIES", 20)
+    p, w = L.lattice_params(1.0, 1.0 / SQRT2), W.bump()
+    prof = C.scan_determinant(p, w, 32)
+    xs, dets, fps, gaps = _scan_loop(p, w, 32)
+    assert _same_bits(prof.det_values, dets) and prof.fingerprints == fps
+
+
+def test_scan_splits_structures_within_a_gap(monkeypatch):
+    """With no breakpoints, the one gap (0, alpha) holds many structures."""
+    monkeypatch.setattr(C, "structure_breakpoints", lambda params, w: np.array([]))
+    p, w = L.lattice_params(1.0, 1.0 / SQRT2), W.bump()
+    prof = C.scan_determinant(p, w, 64)
+    dets = [np.linalg.det(L.build_Mx(p, w, L.anchor_block(p, w, x)))
+            for x in prof.x_samples]
+    assert _same_bits(prof.det_values, np.array(dets))
+    assert prof.fingerprints == [L.structure_fingerprint(p, w, x)
+                                 for x in prof.x_samples]
+    assert len(set(prof.fingerprints)) > 1
+
+
+def test_det_batches_key_holds_anchor_m():
+    """x and x + 1/beta share the fingerprint, one column apart."""
+    p, w = L.lattice_params(1.0, 1.0 / SQRT2), W.bump()
+    xs = np.array([0.2, 0.2 + p.inv_beta])
+    assert L.structure_fingerprint(p, w, xs[0]) == L.structure_fingerprint(p, w, xs[1])
+    dets = [d for _, batch in C._det_batches(p, w, xs) for d in batch]
+    assert dets == [np.linalg.det(L.build_Mx(p, w, L.anchor_block(p, w, x)))
+                    for x in xs]
+
+
 # ---------------------------------------------------------------------------
 # certified interval
 
@@ -382,3 +460,45 @@ def test_rational_analysis_odd_bump_not_supported():
     rep = C.rational_analysis(p, W.odd_bump(), samples=1024, config=cfg)
     assert rep.zero_count >= 1
     assert not rep.frame_supported
+
+
+def _rational_loops(params, w, samples, config):
+    """Reference: the per-x determinant loops of rational_analysis before
+    batching; (zero_count, certified_subinterval, min_abs_det_period)."""
+    edges = np.concatenate(([0.0], L.structure_breakpoints(params, w),
+                            [params.alpha]))
+    gi = int(np.argmax(np.diff(edges)))
+    j_lo, j_hi = float(edges[gi]), float(edges[gi + 1])
+    margin = (j_hi - j_lo) / 1000.0
+    xs = np.linspace(j_lo + margin, j_hi - margin, samples)
+    absdet = np.array([abs(np.linalg.det(L.build_Mx(params, w, L.anchor_block(params, w, x))))
+                       for x in xs])
+    below = absdet < config.zero_tol
+    runs = C._runs(~below)
+    sub = None
+    if runs:
+        i, j = max(runs, key=lambda r: r[1] - r[0])
+        sub = (float(xs[i]), float(xs[j - 1]))
+    step = params.alpha / (params.rational_class.q * config.period_oversample)
+    grid = np.arange(0.5 * step, params.alpha, step)
+    for bp in edges:
+        grid[np.abs(grid - bp) < 1e-9] += 1e-9
+    period_min = min(abs(np.linalg.det(L.build_Mx(params, w, L.anchor_block(params, w, x))))
+                     for x in grid)
+    return len(C._runs(below)), sub, float(period_min)
+
+
+@pytest.mark.parametrize("w, alpha, beta", [
+    (W.characteristic(), 0.6, 10.0 / 9.0),
+    (W.odd_bump(), 1.0, 0.5),
+    (W.bump(), 0.9, 0.7 / 0.9),
+    (W.poly_bump(), 0.8, 0.75),
+    (_sampled_window(), 0.6, 10.0 / 9.0),     # complex determinants
+    (_sampled_window(), 0.7, 1.0),
+])
+def test_rational_analysis_matches_sample_loops(w, alpha, beta):
+    p = L.lattice_params(alpha, beta)
+    cfg = C.CertifyConfig(delta_sep=0.0)
+    rep = C.rational_analysis(p, w, samples=1024, config=cfg)
+    assert (rep.zero_count, rep.certified_subinterval,
+            rep.min_abs_det_period) == _rational_loops(p, w, 1024, cfg)

@@ -1,5 +1,6 @@
 """CLI contract: exit codes, artifact formats, config layering, determinism."""
 
+import hashlib
 import json
 import math
 import subprocess
@@ -98,6 +99,16 @@ def test_certify_det_profile(tmp_path):
     xs = [float(l.split(",")[0]) for l in lines[1:]]
     assert xs == sorted(xs)
     assert all(0 < x < 0.7 for x in xs)
+
+
+def test_certify_det_profile_flagship_bytes(tmp_path):
+    """Flagship profile CSV, pinned from the sample-by-sample scan."""
+    prof = tmp_path / "p.csv"
+    assert run(["certify", "--window", "bump", "--alpha", "1.0", "--beta",
+                BETA_IRR, "--out", str(tmp_path / "c.json"),
+                "--det-profile", str(prof)]) == 0
+    assert hashlib.sha256(prof.read_bytes()).hexdigest() == (
+        "750962723a3ea547c015c2748e8d6521ec7267818b56f7d644b5e72ec16458b8")
 
 
 @pytest.mark.parametrize("alpha, beta, key", [

@@ -183,6 +183,19 @@ def test_build_Mx_size_one_entry_nonzero():
     assert abs(M[0, 0]) > 0.0
 
 
+def test_build_Mx_stack_matches_scalar_builds():
+    w = W.bump()
+    p = params(1.0, 1.0 / SQRT2)
+    xs = np.array([0.18, 0.2, 0.25])
+    spec = L.anchor_block(p, w, xs[0])
+    specs = [L.anchor_block(p, w, x) for x in xs]
+    assert {(s.anchor_m, s.size) for s in specs} == {(spec.anchor_m, spec.size)}
+    stack = L.build_Mx(p, w, L.BlockSpec(0, spec.anchor_m, spec.size, xs))
+    assert stack.shape == (3, spec.size, spec.size)
+    for x, M in zip(xs, stack):
+        assert np.array_equal(M, L.build_Mx(p, w, L.anchor_block(p, w, x)))
+
+
 # ---------------------------------------------------------------------------
 # separator rows
 
@@ -254,3 +267,25 @@ def test_fingerprint_constant_between_breakpoints():
         xs = rng.uniform(lo + margin, hi - margin, 5)
         fps = {L.structure_fingerprint(p, w, x) for x in xs}
         assert len(fps) == 1
+
+
+def test_fingerprint_mask_is_tuple_of_bools():
+    """The mask tuple equals the element-by-element tuple of Python bools."""
+    rng = np.random.default_rng(11)
+    for w in (W.bump(), W.characteristic(), W.odd_bump()):
+        for _ in range(40):
+            alpha = rng.uniform(0.2, 0.9) * w.support_length
+            p = params(alpha, rng.uniform(0.2, 0.95) / alpha)
+            x = rng.uniform(1e-9, alpha - 1e-9)
+            try:
+                spec = L.anchor_block(p, w, x)
+            except HypothesisViolated:
+                continue
+            idx = np.arange(spec.size)
+            good = L.is_good(p, w, x, (spec.anchor_n + idx)[:, None],
+                             (spec.anchor_m + idx)[None, :])
+            size, mask = L.structure_fingerprint(p, w, x)
+            assert (size, mask) == (spec.size,
+                                    tuple(bool(v) for v in good.ravel()))
+            assert all(type(v) is bool for v in mask)
+            assert L.structure_fingerprint(p, w, x, spec) == (size, mask)
