@@ -1,60 +1,50 @@
-"""Singular value helpers tuned for small matrices with tiny singular values."""
+"""Singular values with relative accuracy on matrices with tiny singular values."""
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg import lapack
 
 __all__ = ["jacobi_svdvals", "svdvals_accurate"]
 
-JACOBI_MAX_COLS = 64
 
+def jacobi_svdvals(A) -> np.ndarray:
+    """Singular values, descending, by LAPACK's preconditioned Jacobi SVD.
 
-def jacobi_svdvals(A, tol: float = 1e-13, max_sweeps: int = 60) -> np.ndarray:
-    """Singular values by one-sided Jacobi rotations on the columns.
-
-    More accurate than bidiagonalization for the smallest singular values of
-    small dense matrices; cost is O(sweeps * n^2 * m).
+    ``dgejsv`` (Drmač and Veselić, SIAM J. Matrix Anal. Appl. 29, 2008) keeps
+    the small singular values of column-graded matrices to relative accuracy,
+    where bidiagonalization loses them.  It needs m >= n, so a wide matrix is
+    transposed first.  A complex matrix goes through the real embedding
+    [[Re, -Im], [Im, Re]], which has each singular value of A twice; a
+    complex matrix with zero imaginary part goes in as a real one.
+    ``joba=0`` ('C') is used because the default ('A') sets small singular
+    values to zero.
     """
-    U = np.array(A, dtype=complex)
-    if U.ndim != 2:
+    A = np.asarray(A)
+    if A.ndim != 2:
         raise ValueError("expected a matrix")
-    if U.shape[0] < U.shape[1]:
-        U = U.conj().T
-    n = U.shape[1]
-    for _ in range(max_sweeps):
-        off = 0.0
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                up, uq = U[:, p], U[:, q]
-                app = np.real(np.vdot(up, up))
-                aqq = np.real(np.vdot(uq, uq))
-                apq = np.vdot(up, uq)
-                mag = abs(apq)
-                if app == 0.0 or aqq == 0.0 or mag == 0.0:
-                    continue
-                rel = mag / np.sqrt(app * aqq)
-                if rel <= tol:
-                    continue
-                off = max(off, rel)
-                phase = apq / mag
-                tau = (aqq - app) / (2.0 * mag)
-                t = np.sign(tau) / (abs(tau) + np.hypot(1.0, tau)) if tau != 0 else 1.0
-                c = 1.0 / np.hypot(1.0, t)
-                s = c * t
-                new_p = c * up - s * np.conj(phase) * uq
-                new_q = s * phase * up + c * uq
-                U[:, p], U[:, q] = new_p, new_q
-        if off <= tol:
-            break
-    sv = np.linalg.norm(U, axis=0)
-    return np.sort(sv)[::-1]
+    if not np.isfinite(A).all():
+        raise ValueError("matrix has a non-finite entry")
+    if A.shape[0] < A.shape[1]:
+        A = A.conj().T
+    repeat = 1
+    if np.iscomplexobj(A):
+        if A.imag.any():
+            A = np.block([[A.real, -A.imag], [A.imag, A.real]])
+            repeat = 2
+        else:
+            A = A.real
+    sva, _, _, work, _, info = lapack.dgejsv(A, joba=0, jobu=3, jobv=3)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dgejsv failed with info={info}")
+    sv = sva * (work[0] / work[1])
+    sv.sort()
+    return sv[::-repeat]
 
 
 def svdvals_accurate(A) -> np.ndarray:
-    """Jacobi for narrow matrices, LAPACK bidiagonalization otherwise."""
+    """Singular values of any matrix shape, descending; empty for an empty one."""
     A = np.asarray(A)
     if min(A.shape) == 0:
         return np.zeros(0)
-    if min(A.shape) <= JACOBI_MAX_COLS:
-        return jacobi_svdvals(A)
-    return np.linalg.svd(A, compute_uv=False)
+    return jacobi_svdvals(A)

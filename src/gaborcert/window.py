@@ -113,12 +113,15 @@ def sampled(grid_x, grid_vals, support_lo: float | None = None,
             kind: str = "sampled") -> Window:
     """Window given by linear interpolation between strictly increasing nodes.
 
-    Evaluation is 0 outside the grid hull and outside the open support.
+    Nodes and values must be finite.  Evaluation is 0 outside the grid hull
+    and outside the open support.
     """
     xs = np.asarray(grid_x, dtype=float)
     vals = np.asarray(grid_vals, dtype=complex)
     if xs.ndim != 1 or xs.shape != vals.shape:
         raise ValueError("grid_x and grid_vals must be 1-d arrays of equal length")
+    if not (np.isfinite(xs).all() and np.isfinite(vals).all()):
+        raise ValueError("grid_x and grid_vals must be finite")
     if np.any(np.diff(xs) <= 0):
         raise ValueError("grid_x must be strictly increasing")
     lo = float(xs[0]) if support_lo is None else float(support_lo)

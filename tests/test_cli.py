@@ -327,6 +327,18 @@ def test_sampled_window_from_csv_descriptor(tmp_path):
                 "--beta", "1.1", "--out", str(tmp_path / "bp.csv")]) == 0
 
 
+def test_framebounds_nan_window_row_exits_one(tmp_path, capsys):
+    path = tmp_path / "nan.csv"
+    path.write_text("x,re,im\n0,0,0\n0.25,0.5,0\n0.5,nan,0\n"
+                    "0.75,0.5,0\n1,0,0\n")
+    out = tmp_path / "fb.csv"
+    assert run(["framebounds", "--window", str(path), "--alpha", "0.6",
+                "--beta", "1.1", "--extent", "8", "--x-grid-size", "8",
+                "--out", str(out)]) == 1
+    assert "must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_module_entry_point():
     proc = subprocess.run([sys.executable, "-m", "gaborcert.cli", "--version"],
                           capture_output=True, text=True)

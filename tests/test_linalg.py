@@ -1,9 +1,56 @@
-"""One-sided Jacobi SVD: agreement with LAPACK and small-singular-value accuracy."""
+"""Preconditioned Jacobi SVD: agreement with LAPACK, small-singular-value
+accuracy, and agreement with a one-sided Jacobi rotation loop."""
+
+import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from gaborcert import linalg
+from gaborcert import certify, cli, framebound, lattice, linalg, randwin
+
+
+def _jacobi_loop(A, tol: float = 1e-13, max_sweeps: int = 60) -> np.ndarray:
+    """Reference: singular values by one-sided Jacobi rotations on the columns."""
+    U = np.array(A, dtype=complex)
+    if U.shape[0] < U.shape[1]:
+        U = U.conj().T
+    n = U.shape[1]
+    for _ in range(max_sweeps):
+        off = 0.0
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                up, uq = U[:, p], U[:, q]
+                app = np.real(np.vdot(up, up))
+                aqq = np.real(np.vdot(uq, uq))
+                apq = np.vdot(up, uq)
+                mag = abs(apq)
+                if app == 0.0 or aqq == 0.0 or mag == 0.0:
+                    continue
+                rel = mag / np.sqrt(app * aqq)
+                if rel <= tol:
+                    continue
+                off = max(off, rel)
+                phase = apq / mag
+                tau = (aqq - app) / (2.0 * mag)
+                t = np.sign(tau) / (abs(tau) + np.hypot(1.0, tau)) if tau != 0 else 1.0
+                c = 1.0 / np.hypot(1.0, t)
+                s = c * t
+                new_p = c * up - s * np.conj(phase) * uq
+                new_q = s * phase * up + c * uq
+                U[:, p], U[:, q] = new_p, new_q
+        if off <= tol:
+            break
+    sv = np.linalg.norm(U, axis=0)
+    return np.sort(sv)[::-1]
+
+
+def _graded(n_rows, exponents, seed):
+    """Q[:, :n] * diag(10^-exponents) with Q orthogonal: singular values known."""
+    rng = np.random.default_rng(seed)
+    Q, _ = np.linalg.qr(rng.normal(size=(n_rows, n_rows)))
+    scales = 10.0 ** -np.asarray(exponents, dtype=float)
+    return Q[:, :len(scales)] * scales[None, :], np.sort(scales)[::-1]
 
 
 def test_matches_lapack_random_complex():
@@ -26,7 +73,7 @@ def test_descending_order():
 
 
 def test_tiny_singular_value_graded_matrix():
-    # columns scaled over 12 orders of magnitude: one-sided Jacobi keeps
+    # columns scaled over 12 orders of magnitude: the Jacobi SVD keeps
     # relative accuracy where a bidiagonalization may lose the small value
     rng = np.random.default_rng(7)
     Q, _ = np.linalg.qr(rng.normal(size=(6, 6)))
@@ -34,6 +81,48 @@ def test_tiny_singular_value_graded_matrix():
     A = Q * scales[None, :]
     sv = linalg.jacobi_svdvals(A)
     assert np.allclose(np.sort(sv), np.sort(scales), rtol=1e-10)
+
+
+def test_graded_over_200_decades():
+    # the rotation loop's sqrt(app * aqq) underflows to 0 here, so every
+    # value it returns is wrong; dgejsv stays at rounding level, but only
+    # with joba='C': its default 'A' sets the small values to zero
+    A, scales = _graded(6, np.linspace(0.0, 200.0, 6), seed=7)
+    sv = linalg.svdvals_accurate(A)
+    assert np.allclose(sv, scales, rtol=1e-14, atol=0.0)
+
+
+def test_graded_70_columns():
+    # wider than the old 64-column switch to bidiagonalization, which was
+    # off by ~2e-13 relative on this matrix
+    A, scales = _graded(80, np.linspace(0.0, 40.0, 70), seed=7)
+    sv = linalg.svdvals_accurate(A)
+    assert np.allclose(sv, scales, rtol=1e-14, atol=0.0)
+
+
+def test_complex_embedding_graded():
+    A, scales = _graded(6, np.linspace(0.0, 60.0, 5), seed=2)
+    phases = np.exp(1j * np.linspace(0.3, 2.0, 5))
+    sv = linalg.jacobi_svdvals(A * phases[None, :])
+    assert sv.shape == (5,)
+    assert np.allclose(sv, scales, rtol=1e-14, atol=0.0)
+
+
+def test_scale_factor_applied():
+    # a column norm above the double range makes dgejsv scale the matrix
+    # down and report the factor in work[0] / work[1]; sigma_max overflows
+    # but the small singular value is still exact
+    A = np.array([[1.5e308, 1e308, 0.0], [0.0, 1e308, 0.0], [0.0, 0.0, 3.0]])
+    with np.errstate(over="ignore"):
+        sv = linalg.jacobi_svdvals(A)
+    assert sv[-1] == pytest.approx(3.0, rel=1e-14)
+
+
+def test_real_valued_complex_input_goes_in_as_real():
+    rng = np.random.default_rng(5)
+    A = rng.normal(size=(7, 4))
+    assert np.array_equal(linalg.jacobi_svdvals(A.astype(complex)),
+                          linalg.jacobi_svdvals(A))
 
 
 def test_rectangular_transpose_consistency():
@@ -49,17 +138,79 @@ def test_diagonal_matrix_exact():
     assert np.allclose(sv, d, rtol=1e-15)
 
 
-def test_svdvals_accurate_dispatch():
+def test_svdvals_accurate_one_path_for_every_size():
     rng = np.random.default_rng(3)
     small = rng.normal(size=(10, 10))
     big = rng.normal(size=(80, 80))
-    assert np.allclose(linalg.svdvals_accurate(small),
-                       np.linalg.svd(small, compute_uv=False), rtol=1e-10)
-    assert np.allclose(linalg.svdvals_accurate(big),
-                       np.linalg.svd(big, compute_uv=False), rtol=1e-10)
+    for A in (small, big):
+        sv = linalg.svdvals_accurate(A)
+        assert np.array_equal(sv, linalg.jacobi_svdvals(A))
+        assert np.allclose(sv, np.linalg.svd(A, compute_uv=False), rtol=1e-10)
 
 
 def test_zero_and_empty_edge_cases():
     assert np.all(linalg.jacobi_svdvals(np.zeros((3, 2))) == 0.0)
     one = linalg.jacobi_svdvals(np.array([[2.0]]))
     assert one == pytest.approx([2.0])
+    assert linalg.svdvals_accurate(np.zeros((0, 3))).shape == (0,)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+def test_non_finite_entry_rejected(bad):
+    A = np.eye(3, dtype=complex)
+    A[1, 2] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        linalg.svdvals_accurate(A)
+
+
+def test_lapack_failure_raises(monkeypatch):
+    def failing(a, **kwargs):
+        n = a.shape[1]
+        return np.ones(n), None, None, np.ones(7), np.zeros(3), 1
+    monkeypatch.setattr(linalg, "lapack", SimpleNamespace(dgejsv=failing))
+    with pytest.raises(np.linalg.LinAlgError):
+        linalg.jacobi_svdvals(np.eye(2))
+
+
+# ---------------------------------------------------------------------------
+# differential: dgejsv against the rotation loop on the matrices the library
+# takes singular values of
+
+def _assert_agree(A):
+    got = linalg.svdvals_accurate(A)
+    ref = _jacobi_loop(A)
+    assert got.shape == ref.shape
+    assert np.allclose(got, ref, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("spec", ["bump", "oddbump", "gevrey:3"])
+@pytest.mark.parametrize("extent", [16, 32, 64])
+def test_sections_agree_with_rotation_loop(spec, extent):
+    params = lattice.lattice_params(1.1, 1.0 / (1.1 * math.sqrt(5.0)))
+    G = framebound.truncated_G(params, cli.parse_window(spec), 0.37 * 1.1,
+                               extent, complete_only=True)
+    assert G.shape[1] <= 64
+    _assert_agree(G)
+
+
+def test_brownian_section_agrees_with_rotation_loop():
+    w = randwin.synthesize_window(randwin.sample_path(3, dt=2 ** -8),
+                                  randwin.KernelConfig(quadrature_n=128))
+    params = lattice.lattice_params(0.8, 1.0 / math.sqrt(2.0))
+    G = framebound.truncated_G(params, w, 0.29, 16, complete_only=True)
+    assert np.any(G.imag)
+    _assert_agree(G)
+
+
+def test_decomposition_blocks_agree_with_rotation_loop():
+    params = lattice.lattice_params(1.0, 1.0 / math.sqrt(2.0))
+    w = cli.parse_window("bump")
+    config = certify.CertifyConfig(extent=16)
+    cert = certify.certify_frame(params, w, config)
+    assert cert.certified
+    interval = (cert.interval_lo, cert.interval_hi)
+    decomp = certify.build_block_decomposition(
+        params, w, 0.5 * sum(interval), config.extent, interval, config.hop_bound)
+    assert len(decomp.blocks) > 1
+    for block in decomp.blocks:
+        _assert_agree(block.matrix)

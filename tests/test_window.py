@@ -75,6 +75,11 @@ def test_sampled_rejects_bad_grids():
         W.sampled([0.0, 0.0, 1.0], [0, 0, 0])
     with pytest.raises(ValueError):
         W.sampled([0.0, 1.0], [0, 0, 0])
+    for xs, vals in (([0.0, 0.5, 1.0], [0.0, np.nan, 0.0]),
+                     ([0.0, 0.5, 1.0], [0.0, 1j * np.inf, 0.0]),
+                     ([0.0, np.nan, 1.0], [0.0, 1.0, 0.0])):
+        with pytest.raises(ValueError, match="finite"):
+            W.sampled(xs, vals)
 
 
 def test_window_call_is_evaluate():
