@@ -49,7 +49,6 @@ class CertifyConfig:
     hop_bound: int = 10_000
     zero_tol: float = 1e-10
     delta_sep: float = 1e-3       # <= 0 disables the forbidden-ratio separation check
-    sup_grid_n: int = 4096
     period_oversample: int = 8
 
 
@@ -356,19 +355,17 @@ def _anchor_row_covered(params: LatticeParams, w: Window,
     return True
 
 
-def _hypothesis_report(params: LatticeParams, w: Window,
-                       config: CertifyConfig) -> dict:
+def _hypothesis_report(params: LatticeParams, w: Window) -> dict:
     report = {
         "density_lt_one": params.density < 1.0,
         "irrational_class": not params.rational_class.is_rational,
         "alpha_lt_support": params.alpha < w.support_length,
         "anchor_row_covered": _anchor_row_covered(params, w),
-        "sup_norm_finite": math.isfinite(sup_norm(w, config.sup_grid_n)),
+        "sup_norm_finite": math.isfinite(sup_norm(w)),
     }
     if report["density_lt_one"] and report["alpha_lt_support"]:
         eps = epsilon(params, w)
-        report["inv_sup_finite"] = math.isfinite(
-            inv_sup_on_core(w, eps, config.sup_grid_n))
+        report["inv_sup_finite"] = math.isfinite(inv_sup_on_core(w, eps))
     else:
         report["inv_sup_finite"] = False
     return report
@@ -387,7 +384,7 @@ _REASONS = {
 def certify_frame(params: LatticeParams, w: Window,
                   config: CertifyConfig = CertifyConfig()) -> FrameCertificate:
     """Full pipeline: hypotheses, determinant scan, interval, block bounds."""
-    report = _hypothesis_report(params, w, config)
+    report = _hypothesis_report(params, w)
     for key, ok in report.items():
         if not ok:
             return FrameCertificate("not_certified", _REASONS[key], report,

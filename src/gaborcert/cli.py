@@ -55,14 +55,12 @@ def json_dumps(obj, indent: int = 0) -> str:
     if isinstance(obj, (list, tuple)):
         items = ",\n".join(json_dumps(v, indent + 2) for v in obj)
         return f"{pad}[\n{items}\n{pad}]" if len(obj) else pad + "[]"
-    if isinstance(obj, bool) or obj is None:
-        return pad + json.dumps(obj)
-    if isinstance(obj, (int, np.integer)):
-        return pad + str(int(obj))
     if isinstance(obj, (float, np.floating)):
         if math.isnan(obj) or math.isinf(obj):
             return pad + json.dumps(str(obj))
         return pad + fmt(obj)
+    if isinstance(obj, (int, np.integer)) and not isinstance(obj, bool):
+        return pad + str(int(obj))
     return pad + json.dumps(obj)
 
 
@@ -102,11 +100,9 @@ def parse_window(spec: str) -> window.Window:
         if name == "oddbump":
             return window.odd_bump()
         if name in ("char", "characteristic"):
-            return window.characteristic(*map(float, parts)) if parts \
-                else window.characteristic()
+            return window.characteristic(*map(float, parts))
         if name == "polybump":
-            return window.poly_bump(*map(float, parts)) if parts \
-                else window.poly_bump()
+            return window.poly_bump(*map(float, parts))
         if name == "gevrey":
             if len(parts) != 1:
                 raise CliError("gevrey window needs an order, e.g. gevrey:4")
@@ -145,26 +141,10 @@ def parse_config(path, keys=None) -> dict:
     return out
 
 
-def _resolve(args, key: str, default, cast=None):
-    """Precedence: command-line flag > config file > default."""
-    val = getattr(args, key, None)
-    if val is None:
-        val = args._config.get(key)
-        if val is not None and cast is not None:
-            try:
-                val = cast(val)
-            except ValueError as exc:
-                raise CliError(f"config key {key!r}: {exc}") from exc
-    if val is None:
-        val = default
-    return val
-
-
-def _require(args, key: str, cast=None):
-    val = _resolve(args, key, None, cast)
-    if val is None:
-        raise CliError(f"missing required option --{key.replace('_', '-')}")
-    return val
+def _require(args, *names) -> None:
+    for name in names:
+        if getattr(args, name) is None:
+            raise CliError(f"missing required option {_flag(name)}")
 
 
 def _float_list(text: str) -> list:
@@ -175,18 +155,28 @@ def _float_list(text: str) -> list:
 
 
 def _certify_config(args) -> certify.CertifyConfig:
-    return certify.CertifyConfig(
-        samples_per_gap=_resolve(args, "samples_per_gap", 32, int),
-        delta_floor=_resolve(args, "delta_floor", 1e-8, float),
-        extent=_resolve(args, "extent", 32, int))
+    return certify.CertifyConfig(samples_per_gap=args.samples_per_gap,
+                                 delta_floor=args.delta_floor,
+                                 extent=args.extent)
+
+
+def _emit(args, text: str, sidecars=()) -> None:
+    """The artifact to --out, each (suffix, text) sidecar next to it and the
+    .meta.json stamp; without --out, the artifact and sidecars to stdout."""
+    if not args.out:
+        sys.stdout.write(text + "".join(body for _, body in sidecars))
+        return
+    _write_text(args.out, text)
+    for suffix, body in sidecars:
+        _write_text(str(args.out) + suffix, body)
+    _write_meta(args.out, args)
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _certificate_dict(cert: certify.FrameCertificate, alpha: float,
-                      beta: float, rc: lattice.RationalClass,
-                      w: window.Window, seed) -> dict:
+def _certificate_dict(args, cert: certify.FrameCertificate,
+                      rc: lattice.RationalClass, w: window.Window) -> dict:
     return {
         "verdict": "Certified" if cert.certified else "NotCertified",
         "reason": cert.reason,
@@ -197,16 +187,17 @@ def _certificate_dict(cert: certify.FrameCertificate, alpha: float,
         "extent": cert.extent,
         "n_blocks": cert.n_blocks,
         "hypothesis_report": cert.hypothesis_report,
-        "params": {"alpha": alpha, "beta": beta, "rational_class": rc.label()},
+        "params": {"alpha": args.alpha, "beta": args.beta,
+                   "rational_class": rc.label()},
         "window": w.descriptor(),
         "tool_version": __version__,
-        "seed": seed,
+        "seed": args.seed,
     }
 
 
 def _certify_one(wspec: str, alpha: float, beta: float,
                  config: certify.CertifyConfig):
-    """(certificate, rational_class); density >= 1 yields a clean negative."""
+    """(certificate, rational class, window); density >= 1 is a clean negative."""
     w = parse_window(wspec)
     try:
         params = lattice.lattice_params(alpha, beta)
@@ -220,30 +211,19 @@ def _certify_one(wspec: str, alpha: float, beta: float,
 
 
 def cmd_certify(args) -> int:
-    alpha = _require(args, "alpha", float)
-    beta = _require(args, "beta", float)
-    wspec = _resolve(args, "window", "bump")
-    config = _certify_config(args)
-    cert, rc, w = _certify_one(wspec, alpha, beta, config)
-    doc = _certificate_dict(cert, alpha, beta, rc, w, args.seed)
-    text = json_dumps(doc) + "\n"
-    if args.out:
-        _write_text(args.out, text)
-        _write_meta(args.out, args)
-    else:
-        sys.stdout.write(text)
-
-    profile_path = _resolve(args, "det_profile", None)
-    if profile_path:
+    _require(args, "alpha", "beta")
+    cert, rc, w = _certify_one(args.window, args.alpha, args.beta,
+                               _certify_config(args))
+    _emit(args, json_dumps(_certificate_dict(args, cert, rc, w)) + "\n")
+    if args.det_profile:
         ids, rows = {}, ["x,abs_det,fingerprint_id"]
         # a failed hypothesis leaves no scan and the profile header-only
         if cert.profile is not None:
-            profile = cert.profile
-            for x, ad, fp in zip(profile.x_samples, profile.abs_det,
-                                 profile.fingerprints):
+            p = cert.profile
+            for x, ad, fp in zip(p.x_samples, p.abs_det, p.fingerprints):
                 fid = ids.setdefault(fp, len(ids))
                 rows.append(f"{fmt(x)},{fmt(ad)},{fid}")
-        _write_text(profile_path, "\n".join(rows) + "\n")
+        _write_text(args.det_profile, "\n".join(rows) + "\n")
     return EXIT_CERTIFIED if cert.certified else EXIT_NOT_CERTIFIED
 
 
@@ -254,13 +234,12 @@ def _scan_point(task):
     Top level so ProcessPoolExecutor can pickle it; a per-row failure becomes
     an Error row plus a message and never aborts the sweep.
     """
-    wspec, alpha, beta, cfg_kwargs = task
+    wspec, alpha, beta, config = task
     point = f"{fmt(alpha)},{fmt(beta)}"
     if alpha * beta >= 1.0:
         return f"{point},Skipped,,", None
     try:
-        cert, _, _ = _certify_one(wspec, alpha, beta,
-                                  certify.CertifyConfig(**cfg_kwargs))
+        cert, _, _ = _certify_one(wspec, alpha, beta, config)
     except (GaborCertError, ValueError) as exc:
         return f"{point},Error,,", f"alpha={fmt(alpha)} beta={fmt(beta)}: {exc}"
     verdict = "Certified" if cert.certified else "NotCertified"
@@ -270,186 +249,149 @@ def _scan_point(task):
 
 
 def cmd_scan(args) -> int:
-    wspec = _resolve(args, "window", "bump")
-    alphas = _resolve(args, "alpha_grid", None)
-    betas = _resolve(args, "beta_grid", None)
-    alphas = _float_list(alphas) if isinstance(alphas, str) else alphas
-    betas = _float_list(betas) if isinstance(betas, str) else betas
-    if alphas is None:
-        alphas = [_require(args, "alpha", float)]
-    if betas is None:
-        betas = [_require(args, "beta", float)]
+    # a single --alpha/--beta stands in for a missing grid
+    _require(args, *[key for key in ("alpha", "beta")
+                     if getattr(args, key + "_grid") is None])
+    alphas = [args.alpha] if args.alpha_grid is None else args.alpha_grid
+    betas = [args.beta] if args.beta_grid is None else args.beta_grid
     config = _certify_config(args)
-    cfg_kwargs = {"samples_per_gap": config.samples_per_gap,
-                  "delta_floor": config.delta_floor, "extent": config.extent}
-    tasks = [(wspec, a, b, cfg_kwargs) for a in alphas for b in betas]
-
-    workers = _resolve(args, "workers", 1, int)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+    tasks = [(args.window, a, b, config) for a in alphas for b in betas]
+    if args.workers > 1:
+        with ProcessPoolExecutor(max_workers=args.workers) as pool:
             results = list(pool.map(_scan_point, tasks))   # ordered assembly
     else:
         results = [_scan_point(t) for t in tasks]
     for _, message in results:
         if message is not None:
             print(f"error: {message}", file=sys.stderr)
-    text = ("alpha,beta,verdict,delta,sigma_min\n"
-            + "\n".join(row for row, _ in results) + "\n")
-    if args.out:
-        _write_text(args.out, text)
-        _write_meta(args.out, args)
-    else:
-        sys.stdout.write(text)
+    _emit(args, "alpha,beta,verdict,delta,sigma_min\n"
+          + "\n".join(row for row, _ in results) + "\n")
     return 0
 
 
+def _lattice(args) -> tuple[lattice.LatticeParams, window.Window]:
+    w = parse_window(args.window)
+    _require(args, "alpha", "beta")
+    return lattice.lattice_params(args.alpha, args.beta), w
+
+
 def cmd_framebounds(args) -> int:
-    w = parse_window(_resolve(args, "window", "bump"))
-    params = lattice.lattice_params(_require(args, "alpha", float),
-                                    _require(args, "beta", float))
-    extent = _resolve(args, "extent", 16, int)
-    grid = _resolve(args, "x_grid_size", 64, int)
-    est = framebound.estimate_bounds(params, w, extent, grid)
+    params, w = _lattice(args)
+    est = framebound.estimate_bounds(params, w, args.extent, args.x_grid_size)
     rows = ["x,sigma_min,sigma_max"]
     rows += [f"{fmt(x)},{fmt(smin)},{fmt(smax)}" for x, smin, smax in est.per_x]
     summary = {"extent": est.extent,
                "sigma_min_inf": est.sigma_min_inf,
                "sigma_max_sup": est.sigma_max_sup,
                "rowsum_bound": framebound.upper_bound_rowsum(params, w)}
-    if args.out:
-        _write_text(args.out, "\n".join(rows) + "\n")
-        _write_text(str(args.out) + ".summary.json", json_dumps(summary) + "\n")
-        _write_meta(args.out, args)
-    else:
-        sys.stdout.write("\n".join(rows) + "\n")
-        sys.stdout.write(json_dumps(summary) + "\n")
+    _emit(args, "\n".join(rows) + "\n",
+          [(".summary.json", json_dumps(summary) + "\n")])
     return 0
 
 
 def cmd_breakpoints(args) -> int:
-    w = parse_window(_resolve(args, "window", "bump"))
-    params = lattice.lattice_params(_require(args, "alpha", float),
-                                    _require(args, "beta", float))
-    bps = lattice.structure_breakpoints(params, w)
-    text = "x\n" + "".join(fmt(x) + "\n" for x in bps)
-    if args.out:
-        _write_text(args.out, text)
-        _write_meta(args.out, args)
-    else:
-        sys.stdout.write(text)
+    bps = lattice.structure_breakpoints(*_lattice(args))
+    _emit(args, "x\n" + "".join(fmt(x) + "\n" for x in bps))
     return 0
 
 
 def cmd_random_window(args) -> int:
-    seed = args.seed if args.seed is not None else _resolve(args, "seed", 0, int)
-    dt = _resolve(args, "dt", randwin.DEFAULT_DT, float)
-    quad_n = _resolve(args, "quadrature_n", randwin.DEFAULT_QUADRATURE_N, int)
-    component_var = _resolve(args, "component_var", 1.0, float)
-    path = randwin.sample_path(seed, dt=dt, component_var=component_var)
-    w = randwin.synthesize_window(path, randwin.KernelConfig(quadrature_n=quad_n))
+    path = randwin.sample_path(args.seed, dt=args.dt,
+                               component_var=args.component_var)
+    w = randwin.synthesize_window(
+        path, randwin.KernelConfig(quadrature_n=args.quadrature_n))
     min_abs, _ = randwin.verify_nonvanishing(w)
-    out = args.out or "random_window.csv"
-    window.sampled_to_csv(w, out)
-    sidecar = {"seed": seed, "dt": dt, "component_var": component_var,
-               "min_abs_core": min_abs}
-    _write_text(str(out) + ".json", json_dumps(sidecar) + "\n")
-    _write_meta(out, args)
+    window.sampled_to_csv(w, args.out)
+    sidecar = {"seed": args.seed, "dt": args.dt,
+               "component_var": args.component_var, "min_abs_core": min_abs}
+    _write_text(str(args.out) + ".json", json_dumps(sidecar) + "\n")
+    _write_meta(args.out, args)
     return 0
 
 
 def cmd_fourier_decay(args) -> int:
-    wspec = _resolve(args, "window", "bump")
-    w = parse_window(wspec)
-    xi_max = _resolve(args, "xi_max", 80.0, float)
-    n_xi = _resolve(args, "n_xi", 200, int)
-    s_hat, c_hat = window.fourier_decay_fit(w, xi_max, n_xi)
-    doc = {"window": w.descriptor(), "xi_max": xi_max, "n_xi": n_xi,
-           "s_hat": s_hat, "c_hat": c_hat}
-    text = json_dumps(doc) + "\n"
-    if args.out:
-        _write_text(args.out, text)
-        _write_meta(args.out, args)
-    else:
-        sys.stdout.write(text)
+    w = parse_window(args.window)
+    s_hat, c_hat = window.fourier_decay_fit(w, args.xi_max, args.n_xi)
+    doc = {"window": w.descriptor(), "xi_max": args.xi_max,
+           "n_xi": args.n_xi, "s_hat": s_hat, "c_hat": c_hat}
+    _emit(args, json_dumps(doc) + "\n")
     return 0
 
 
 # ---------------------------------------------------------------------------
 # argument wiring
 
-def _add_common(p: _Parser) -> None:
-    p.add_argument("--window", help="bump|oddbump|char|polybump|gevrey:N|<file.csv>")
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--out")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--workers", type=int)
-    p.add_argument("--config", help="key = value configuration file")
+def _flag(dest: str) -> str:
+    return "--" + dest.replace("_", "-")
 
 
 def build_parser() -> _Parser:
+    """One add_argument per option, with the subcommands that read it; the
+    certify/scan defaults are CertifyConfig's."""
+    cfg = certify.CertifyConfig()
     parser = _Parser(prog="gaborcert",
                      description="Certify the frame property of Gabor systems "
                                  "with compactly supported windows.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    commands = {}
+    for name, func, help_ in (
+            ("certify", cmd_certify, "JSON frame certificate for one (alpha, beta)"),
+            ("scan", cmd_scan, "CSV sweep over an (alpha, beta) grid"),
+            ("framebounds", cmd_framebounds, "finite-section singular-value extremes"),
+            ("breakpoints", cmd_breakpoints, "structure breakpoints in (0, alpha)"),
+            ("random-window", cmd_random_window, "synthesize a Brownian-integral window"),
+            ("fourier-decay", cmd_fourier_decay, "stretched-exponential decay fit")):
+        commands[name] = sub.add_parser(name, help=help_)
+        commands[name].set_defaults(func=func)
+        commands[name].add_argument("--config", help="key = value configuration file")
 
-    p = sub.add_parser("certify", help="JSON frame certificate for one (alpha, beta)")
-    _add_common(p)
-    p.add_argument("--extent", type=int)
-    p.add_argument("--samples-per-gap", dest="samples_per_gap", type=int)
-    p.add_argument("--delta-floor", dest="delta_floor", type=float)
-    p.add_argument("--det-profile", dest="det_profile",
-                   help="also write the determinant profile CSV here")
-    p.set_defaults(func=cmd_certify)
+    def add(names, flag, **kwargs):
+        for name in names.split():
+            commands[name].add_argument(flag, **kwargs)
 
-    p = sub.add_parser("scan", help="CSV sweep over an (alpha, beta) grid")
-    _add_common(p)
-    p.add_argument("--alpha-grid", dest="alpha_grid", help="comma-separated alphas")
-    p.add_argument("--beta-grid", dest="beta_grid", help="comma-separated betas")
-    p.add_argument("--extent", type=int)
-    p.add_argument("--samples-per-gap", dest="samples_per_gap", type=int)
-    p.add_argument("--delta-floor", dest="delta_floor", type=float)
-    p.set_defaults(func=cmd_scan)
-
-    p = sub.add_parser("framebounds",
-                       help="finite-section singular-value extremes")
-    _add_common(p)
-    p.add_argument("--extent", type=int)
-    p.add_argument("--x-grid-size", dest="x_grid_size", type=int)
-    p.set_defaults(func=cmd_framebounds)
-
-    p = sub.add_parser("breakpoints", help="structure breakpoints in (0, alpha)")
-    _add_common(p)
-    p.set_defaults(func=cmd_breakpoints)
-
-    p = sub.add_parser("random-window",
-                       help="synthesize a Brownian-integral window")
-    _add_common(p)
-    p.add_argument("--dt", type=float)
-    p.add_argument("--quadrature-n", dest="quadrature_n", type=int)
-    p.add_argument("--component-var", dest="component_var", type=float)
-    p.set_defaults(func=cmd_random_window)
-
-    p = sub.add_parser("fourier-decay", help="stretched-exponential decay fit")
-    _add_common(p)
-    p.add_argument("--xi-max", dest="xi_max", type=float)
-    p.add_argument("--n-xi", dest="n_xi", type=int)
-    p.set_defaults(func=cmd_fourier_decay)
+    lattice_cmds = "certify scan framebounds breakpoints"
+    add(lattice_cmds + " fourier-decay", "--out")
+    add("random-window", "--out", default="random_window.csv")
+    add(lattice_cmds + " fourier-decay", "--window", default="bump",
+        help="bump|oddbump|char|polybump|gevrey:N|<file.csv>")
+    add(lattice_cmds, "--alpha", type=float)
+    add(lattice_cmds, "--beta", type=float)
+    add("certify scan", "--seed", type=int)   # scan ignores it: shared configs set it
+    add("random-window", "--seed", type=int, default=0)
+    add("certify scan", "--extent", type=int, default=cfg.extent)
+    add("framebounds", "--extent", type=int, default=16)
+    add("certify scan", "--samples-per-gap", type=int, default=cfg.samples_per_gap)
+    add("certify scan", "--delta-floor", type=float, default=cfg.delta_floor)
+    add("certify", "--det-profile", help="also write the determinant profile CSV here")
+    add("scan", "--workers", type=int, default=1)
+    add("scan", "--alpha-grid", type=_float_list, help="comma-separated alphas")
+    add("scan", "--beta-grid", type=_float_list, help="comma-separated betas")
+    add("framebounds", "--x-grid-size", type=int, default=64)
+    add("random-window", "--dt", type=float, default=randwin.DEFAULT_DT)
+    add("random-window", "--quadrature-n", type=int, default=randwin.DEFAULT_QUADRATURE_N)
+    add("random-window", "--component-var", type=float, default=1.0)
+    add("fourier-decay", "--xi-max", type=float, default=80.0)
+    add("fourier-decay", "--n-xi", type=int, default=200)
     return parser
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = build_parser().parse_args(argv)
-        # a config file may set any option of the subcommand but --config
-        options = set(vars(args)) - {"subcommand", "func", "config"}
-        args._config = parse_config(args.config, options) if args.config else {}
+        parser = build_parser()
+        args = parser.parse_args(argv)
+        if args.config:
+            # config pairs re-enter as flags ahead of the user's own, so
+            # argparse's last-wins rule gives flag > config > default
+            options = set(vars(args)) - {"subcommand", "func", "config"}
+            pairs = parse_config(args.config, options)
+            at = argv.index(args.subcommand) + 1
+            args = parser.parse_args(
+                argv[:at] + [f"{_flag(k)}={v}" for k, v in pairs.items()]
+                + argv[at:])
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except (GaborCertError, OSError, ValueError) as exc:
+    except (CliError, GaborCertError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -24,12 +24,10 @@ __all__ = [
     "LatticeParams",
     "lattice_params",
     "classify_ratio",
-    "GoodPair",
     "BlockSpec",
     "is_good",
     "epsilon",
     "size_bound",
-    "index_bound",
     "int_range",
     "anchor_block",
     "build_Mx",
@@ -99,12 +97,6 @@ def lattice_params(alpha: float, beta: float, q_max: int = DEFAULT_QMAX,
 
 
 @dataclass(frozen=True)
-class GoodPair:
-    n: int
-    m: int
-
-
-@dataclass(frozen=True)
 class BlockSpec:
     """Square anchor submatrix: rows anchor_n..anchor_n+size-1, columns likewise."""
 
@@ -141,18 +133,6 @@ def size_bound(params: LatticeParams, w: Window) -> int:
     if step <= 0:
         raise HypothesisViolated("requires alpha*beta < 1")
     return int(math.ceil(span / step)) + 1
-
-
-def index_bound(params: LatticeParams, w: Window) -> int:
-    """Bound on |n|, |m| for pairs that can touch the anchor structure on (0, alpha).
-
-    Rows of the anchor block sit in [0, size_bound]; a good pair there needs
-    m/beta within alpha*(n+1) + |a| + |b| of the origin.
-    """
-    nb = size_bound(params, w) + 2
-    abs_edge = max(abs(w.support_lo), abs(w.support_hi))
-    mb = int(math.ceil(params.beta * (abs_edge + params.alpha * (nb + 1)))) + 2
-    return max(nb, mb)
 
 
 def int_range(base: float, step: float, lo: float, hi: float) -> range:
@@ -239,24 +219,20 @@ def structure_fingerprint(params: LatticeParams, w: Window, x: float,
     return spec.size, tuple(mask.ravel().tolist())
 
 
-def structure_breakpoints(params: LatticeParams, w: Window,
-                          m_bound: Optional[int] = None) -> np.ndarray:
+def structure_breakpoints(params: LatticeParams, w: Window) -> np.ndarray:
     """All x in (0, alpha) where some relevant pair's argument crosses a or b.
 
     Candidates are x = c + alpha*n - m/beta for c in {a, b}, rows n within
     [-2, size_bound+2] (the rows that can intersect the anchor structure),
-    and the finitely many m putting x inside (0, alpha).  The list is
-    invariant under enlarging the m bound because m is pinned by the x-range.
+    and the finitely many m putting x inside (0, alpha): the x-range pins m.
     """
     alpha = params.alpha
-    mb = index_bound(params, w) if m_bound is None else m_bound
     xs = []
     for n in range(-2, size_bound(params, w) + 3):
         for c in (w.support_lo, w.support_hi):
             base = c + alpha * n
             xs.extend(base - m * params.inv_beta
-                      for m in int_range(base, -params.inv_beta, 0.0, alpha)
-                      if abs(m) <= mb)
+                      for m in int_range(base, -params.inv_beta, 0.0, alpha))
     xs.sort()
     out = []
     for xval in xs:

@@ -48,7 +48,6 @@ class BrownianPath:
 
 @dataclass(frozen=True)
 class KernelConfig:
-    kind: str = "triangle_bump"
     quadrature_n: int = DEFAULT_QUADRATURE_N
 
 
@@ -96,8 +95,6 @@ def synthesize_window(path: BrownianPath,
     The kernel vanishes for t >= x, so trapezoid over the whole path grid up
     to time 1 equals the integral over [0, x].
     """
-    if kcfg.kind != "triangle_bump":
-        raise ValueError(f"unknown kernel kind {kcfg.kind!r}")
     times = path.times
     keep = times <= 1.0
     t = times[keep]

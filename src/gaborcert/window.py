@@ -192,8 +192,6 @@ def inv_sup_on_core(w: Window, eps: float, grid_n: int = 4096) -> float:
     # nodes (e.g. an odd window whose zero is missed by an even grid count);
     # a zero makes the local minimum shrink with every zoom, while a positive
     # minimum (however tiny) stabilizes after a round or two
-    # near a zero the bracket's min stays far below its max no matter how
-    # much we zoom; around a positive minimum the ratio climbs to 1
     zlo, zhi = xs[max(np.argmin(mags) - 1, 0)], xs[min(np.argmin(mags) + 1,
                                                       grid_n - 1)]
     for _ in range(60):
@@ -263,13 +261,20 @@ def sampled_to_csv(w: Window, path) -> None:
 
 
 def sampled_from_csv(path) -> Window:
+    """Read the CSV of sampled_to_csv; a malformed row raises ValueError
+    naming the file and line."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        if [h.strip() for h in header] != ["x", "re", "im"]:
-            raise ValueError(f"expected header x,re,im; got {header}")
+        header = next(reader, None)
+        if header is None or [h.strip() for h in header] != ["x", "re", "im"]:
+            raise ValueError(f"{path}:1: expected header x,re,im; got "
+                             f"{'an empty file' if header is None else header}")
         xs, vals = [], []
         for row in reader:
-            xs.append(float(row[0]))
-            vals.append(complex(float(row[1]), float(row[2])))
+            try:
+                x, real, imag = map(float, row)   # a short row fails to unpack
+            except ValueError as exc:
+                raise ValueError(f"{path}:{reader.line_num}: {exc}") from exc
+            xs.append(x)
+            vals.append(complex(real, imag))
     return sampled(np.array(xs), np.array(vals))

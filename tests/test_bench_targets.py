@@ -1,7 +1,8 @@
-"""Every function the benchmark tracer wraps still exists in gaborcert.
+"""What the benchmark uses of gaborcert still exists.
 
-``perfbench/tracer.py`` looks its targets up by name; a renamed or deleted
-function would otherwise break only the traced benchmark run.
+``perfbench/tracer.py`` looks its targets up by name, and
+``perfbench/workloads.py`` builds CLI commands; a renamed or deleted function
+or option would otherwise break only the benchmark run.
 """
 
 import importlib
@@ -11,21 +12,24 @@ from pathlib import Path
 
 import pytest
 
+from gaborcert import cli
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _load_tracer():
-    name = "gaborcert_bench_tracer"
+def _load(stem):
+    name = "gaborcert_bench_" + stem
     if name not in sys.modules:
         spec = importlib.util.spec_from_file_location(
-            name, ROOT / "perfbench" / "tracer.py")
+            name, ROOT / "perfbench" / f"{stem}.py")
         module = importlib.util.module_from_spec(spec)
         sys.modules[name] = module
         spec.loader.exec_module(module)
     return sys.modules[name]
 
 
-TARGETS = _load_tracer().TARGETS
+TARGETS = _load("tracer").TARGETS
+WORKLOADS = _load("workloads")
 
 
 @pytest.mark.parametrize("target", TARGETS, ids=lambda t: f"{t.module}.{t.function}")
@@ -41,3 +45,16 @@ def test_traced_functions_are_distinct():
         fn = getattr(importlib.import_module("gaborcert." + t.module), t.function)
         objects.setdefault(id(fn), set()).add(t.label)
     assert all(len(labels) == 1 for labels in objects.values())
+
+
+@pytest.mark.parametrize("workload", sorted(WORKLOADS.WORKLOADS))
+def test_workload_commands_parse(workload):
+    """The warm-up and one full cycle of items, each with --out as the
+    benchmark worker appends it."""
+    wl = WORKLOADS.WORKLOADS[workload]
+    argvs = [wl.warmup] + [it.argv for it in
+                           WORKLOADS.items(workload, 0, stop=len(wl.slots))]
+    parser = cli.build_parser()
+    for argv in argvs:
+        args = parser.parse_args(list(argv) + ["--out", "x"])
+        assert args.subcommand == argv[0] and args.out == "x"

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from gaborcert import cli, lattice, window
+from gaborcert import certify, cli, lattice, randwin, window
 
 BETA_IRR = "0.70710678"     # close to 1/sqrt(2), still irrational-class
 
@@ -65,6 +65,58 @@ def test_exit_one_on_missing_required():
 
 def test_exit_one_on_bad_subcommand():
     assert run(["frobnicate"]) == 1
+
+
+# the options each subcommand reads; nothing else parses
+OPTIONS = {
+    "certify": {"config", "out", "window", "alpha", "beta", "seed", "extent",
+                "samples_per_gap", "delta_floor", "det_profile"},
+    "scan": {"config", "out", "window", "alpha", "beta", "seed", "workers",
+             "alpha_grid", "beta_grid", "extent", "samples_per_gap",
+             "delta_floor"},
+    "framebounds": {"config", "out", "window", "alpha", "beta", "extent",
+                    "x_grid_size"},
+    "breakpoints": {"config", "out", "window", "alpha", "beta"},
+    "random-window": {"config", "out", "seed", "dt", "quadrature_n",
+                      "component_var"},
+    "fourier-decay": {"config", "out", "window", "xi_max", "n_xi"},
+}
+
+
+@pytest.mark.parametrize("subcommand", sorted(OPTIONS))
+def test_subcommand_declares_only_the_options_it_reads(subcommand):
+    args = cli.build_parser().parse_args([subcommand])
+    assert set(vars(args)) - {"subcommand", "func"} == OPTIONS[subcommand]
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify", "--alpha", "1.0", "--beta", BETA_IRR, "--workers", "2"],
+    ["framebounds", "--alpha", "1.0", "--beta", "0.5", "--seed", "1"],
+    ["breakpoints", "--alpha", "0.7", "--beta", "1.0", "--workers", "2"],
+    ["random-window", "--alpha", "1", "--dt", "0.0078125",
+     "--quadrature-n", "64"],
+    ["random-window", "--window", "bump", "--dt", "0.0078125",
+     "--quadrature-n", "64"],
+    ["fourier-decay", "--beta", "0.5", "--xi-max", "40", "--n-xi", "60"],
+    ["fourier-decay", "--seed", "1", "--xi-max", "40", "--n-xi", "60"],
+], ids=["certify-workers", "framebounds-seed", "breakpoints-workers",
+        "random-window-alpha", "random-window-window", "fourier-decay-beta",
+        "fourier-decay-seed"])
+def test_unread_option_exits_one(tmp_path, capsys, argv):
+    assert run(argv + ["--out", str(tmp_path / "x")]) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_defaults_come_from_the_library():
+    parse = cli.build_parser().parse_args
+    args = parse(["certify"])
+    cfg = certify.CertifyConfig()
+    assert (args.extent, args.samples_per_gap, args.delta_floor) == (
+        cfg.extent, cfg.samples_per_gap, cfg.delta_floor)
+    args = parse(["random-window"])
+    assert (args.dt, args.quadrature_n) == (randwin.DEFAULT_DT,
+                                            randwin.DEFAULT_QUADRATURE_N)
 
 
 # ---------------------------------------------------------------------------
@@ -291,6 +343,40 @@ def test_config_unknown_key_rejected(tmp_path, capsys):
     assert "'x_grid_size'" in capsys.readouterr().err
 
 
+def test_config_out_writes_the_artifact(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("window = char\nalpha = 1.2\nbeta = 0.5\nout = c.json\n")
+    assert run(["certify", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().out == ""
+    assert json.loads((tmp_path / "c.json").read_text())["verdict"] == \
+        "NotCertified"
+    assert (tmp_path / "c.json.meta.json").exists()
+
+
+def test_config_seed_reaches_the_certificate(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("window = char\nalpha = 1.2\nbeta = 0.5\nseed = 5\n")
+    run(["certify", "--config", str(cfg)])
+    assert json.loads(capsys.readouterr().out)["seed"] == 5
+    run(["certify", "--config", str(cfg), "--seed", "6"])
+    assert json.loads(capsys.readouterr().out)["seed"] == 6
+
+
+def test_config_values_are_typed_like_flags(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("alpha = 1.0\nbeta = 0.70710678\nextent = many\n")
+    assert run(["certify", "--config", str(cfg)]) == 1
+    assert "argument --extent: invalid int value: 'many'" in \
+        capsys.readouterr().err
+    # a negative value and a grid with spaces pass as one token each
+    cfg.write_text("window = char\nalpha_grid = 0.5, 0.6\nbeta = -1.0\n")
+    assert run(["scan", "--config", str(cfg), "--extent", "4"]) == 0
+    out = capsys.readouterr().out
+    assert out.split("\n")[1:3] == ["0.5,-1,Error,,",
+                                     "0.59999999999999998,-1,Error,,"]
+
+
 def test_config_comments_and_blank_lines(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# a comment\n\nalpha = 0.7  # trailing\nbeta = 1.0\n"
@@ -337,6 +423,23 @@ def test_framebounds_nan_window_row_exits_one(tmp_path, capsys):
                 "--out", str(out)]) == 1
     assert "must be finite" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("text, line", [
+    ("x,re,im\n0,0,0\n0.5,1\n1,0,0\n", 3),
+    ("x,re,im\n0,0,0\n\n0.5,1,0\n1,0,0\n", 3),
+    ("x,re,im\n0,0,0\n0.5,one,0\n1,0,0\n", 3),
+    ("", 1),
+    ("x,y,z\n0,0,0\n", 1),
+], ids=["short-row", "blank-line", "not-a-number", "empty-file", "bad-header"])
+def test_malformed_window_csv_exits_one(tmp_path, capsys, text, line):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    assert run(["framebounds", "--window", str(path), "--alpha", "0.6",
+                "--beta", "1.1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}:{line}: ")
+    assert err.count("\n") == 1
 
 
 def test_module_entry_point():

@@ -248,12 +248,26 @@ def test_breakpoints_char_lattice():
     assert np.allclose(bps, expect, atol=1e-9)
 
 
-def test_breakpoints_invariant_under_larger_bound():
-    w = W.bump()
-    p = params(0.8, 1.0 / SQRT2)
-    base = L.structure_breakpoints(p, w)
-    bigger = L.structure_breakpoints(p, w, m_bound=4 * L.index_bound(p, w))
-    assert np.allclose(base, bigger, atol=1e-12)
+def test_breakpoints_match_brute_force_over_wide_m():
+    """Every crossing x = c + alpha*n - m/beta in (0, alpha), with m scanned
+    far beyond the range the x-interval pins, and nothing else."""
+    rng = np.random.default_rng(5)
+    for w in (W.bump(), W.characteristic(), W.characteristic(-3.7, -1.2),
+              W.poly_bump(2.5, 6.0)):
+        for _ in range(25):
+            alpha = rng.uniform(0.2, 0.95) * w.support_length
+            p = params(alpha, rng.uniform(0.1, 0.9) / alpha)
+            ns = np.arange(-2, L.size_bound(p, w) + 3)
+            edge = max(abs(w.support_lo), abs(w.support_hi))
+            wide = 4 * int(p.beta * (edge + alpha * (ns[-1] + 2))) + 50
+            base = np.add.outer([w.support_lo, w.support_hi], alpha * ns)
+            xs = (base[..., None]
+                  - np.arange(-wide, wide + 1) * p.inv_beta).ravel()
+            expect = []
+            for x in np.sort(xs[(xs > 0.0) & (xs < alpha)]):
+                if not expect or x - expect[-1] > L.BREAKPOINT_TOL:
+                    expect.append(x)
+            assert np.array_equal(L.structure_breakpoints(p, w), expect)
 
 
 def test_fingerprint_constant_between_breakpoints():
