@@ -74,6 +74,8 @@ def _write_meta(out_path, args_ns) -> None:
     meta = {"created_unix": time.time(),
             "tool_version": __version__,
             "subcommand": args_ns.subcommand}
+    if "seed" in vars(args_ns):
+        meta["seed"] = args_ns.seed
     _write_text(str(out_path) + ".meta.json", json_dumps(meta) + "\n")
 
 
@@ -301,11 +303,10 @@ def cmd_random_window(args) -> int:
     w = randwin.synthesize_window(
         path, randwin.KernelConfig(quadrature_n=args.quadrature_n))
     min_abs, _ = randwin.verify_nonvanishing(w)
-    window.sampled_to_csv(w, args.out)
     sidecar = {"seed": args.seed, "dt": args.dt,
                "component_var": args.component_var, "min_abs_core": min_abs}
-    _write_text(str(args.out) + ".json", json_dumps(sidecar) + "\n")
-    _write_meta(args.out, args)
+    _emit(args, window.sampled_to_csv(w),
+          [(".json", json_dumps(sidecar) + "\n")])
     return 0
 
 
@@ -357,7 +358,7 @@ def build_parser() -> _Parser:
         help="bump|oddbump|char|polybump|gevrey:N|<file.csv>")
     add(lattice_cmds, "--alpha", type=float)
     add(lattice_cmds, "--beta", type=float)
-    add("certify scan", "--seed", type=int)   # scan ignores it: shared configs set it
+    add("certify scan", "--seed", type=int)   # scan records it in .meta.json
     add("random-window", "--seed", type=int, default=0)
     add("certify scan", "--extent", type=int, default=cfg.extent)
     add("framebounds", "--extent", type=int, default=16)

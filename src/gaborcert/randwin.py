@@ -31,6 +31,15 @@ __all__ = [
 DEFAULT_DT = 2.0 ** -12
 DEFAULT_QUADRATURE_N = 2048
 
+#: x rows per block of synthesize_window: at the defaults a block holds
+#: about 2 MiB of trapezoid terms, where the dense (x, t) grid took 128 MiB
+SYNTH_ROW_BLOCK = 32
+
+#: bytes one chunk of mc_path_integrals may hold: at most 64 per path and
+#: time step (the real increments, their complex sum, its cumsum and the
+#: path), so dt = 2^-8 keeps the full chunk of 8192 paths
+MC_CHUNK_BYTES = 2 ** 27
+
 
 @dataclass(frozen=True, eq=False)
 class BrownianPath:
@@ -80,12 +89,11 @@ def triangle_kernel(x, t):
     """h(x,t) = exp(-1/t - 1/(x-t) - 1/(1-x)) inside 0 < t < x < 1, else 0."""
     x = np.asarray(x, dtype=float)
     t = np.asarray(t, dtype=float)
-    x, t = np.broadcast_arrays(x, t)
-    out = np.zeros(x.shape)
-    inside = (t > 0) & (t < x) & (x < 1)
-    xi, ti = x[inside], t[inside]
-    out[inside] = np.exp(-1.0 / ti - 1.0 / (xi - ti) - 1.0 / (1.0 - xi))
-    return out
+    # the exponent is evaluated everywhere; outside the triangle it may be
+    # inf or nan, and np.where discards it
+    with np.errstate(all="ignore"):
+        inner = np.exp(-1.0 / t - 1.0 / (x - t) - 1.0 / (1.0 - x))
+    return np.where((t > 0) & (t < x) & (x < 1), inner, 0.0)
 
 
 def synthesize_window(path: BrownianPath,
@@ -94,14 +102,32 @@ def synthesize_window(path: BrownianPath,
 
     The kernel vanishes for t >= x, so trapezoid over the whole path grid up
     to time 1 equals the integral over [0, x].
+
+    Rows of x go in blocks of SYNTH_ROW_BLOCK.  A block evaluates the kernel
+    only on the columns with t below its largest x, plus one column where the
+    kernel is exactly 0, and writes the trapezoid terms of that slice into a
+    zeroed buffer of full width.  Each row then sums the same nonzero terms
+    in the same positions as the dense (x, t) trapezoid: every term left out
+    was a zero, and adding a zero to a partial sum is exact.  So the values
+    have the same bits as one dense grid, without its 2048 x 4097 arrays.
     """
     times = path.times
     keep = times <= 1.0
     t = times[keep]
     B = path.values[keep]
+    d = np.diff(t)
     xs = np.linspace(0.0, 1.0, kcfg.quadrature_n)
-    H = triangle_kernel(xs[:, None], t[None, :])
-    vals = np.trapezoid(H * B[None, :], t, axis=1)
+    buf = np.zeros((SYNTH_ROW_BLOCK, len(d)), dtype=complex)
+    vals = np.empty(len(xs), dtype=complex)
+    for r0 in range(0, len(xs), SYNTH_ROW_BLOCK):
+        x = xs[r0:r0 + SYNTH_ROW_BLOCK]
+        # blocks ascend in x, so the slice only widens and the buffer beyond
+        # it is still zero
+        c = min(int(np.searchsorted(t, x[-1])) + 1, len(t))
+        Y = triangle_kernel(x[:, None], t[None, :c]) * B[:c]
+        terms = buf[:len(x)]
+        terms[:, :c - 1] = d[:c - 1] * (Y[:, 1:] + Y[:, :-1]) / 2.0
+        vals[r0:r0 + len(x)] = np.add.reduce(terms, axis=1)
     vals[0] = 0.0
     vals[-1] = 0.0
     return sampled(xs, vals, support_lo=0.0, support_hi=1.0,
@@ -135,11 +161,13 @@ def mc_path_integrals(n_paths: int, dt: float, seed: int,
                       chunk: int = 8192) -> np.ndarray:
     """int_0^1 B(t) dt for n_paths independent complex paths started at 1.
 
-    Batched Philox streams; per-path results match sample_path statistics."""
+    Batched Philox streams; per-path results match sample_path statistics.
+    A chunk holds at most `chunk` paths and MC_CHUNK_BYTES of arrays."""
     n = int(round(1.0 / dt))
     scale = math.sqrt(component_var * dt)
     rng = np.random.Generator(np.random.Philox(key=seed))
     out = np.empty(n_paths, dtype=complex)
+    chunk = max(1, min(chunk, MC_CHUNK_BYTES // (64 * n)))
     done = 0
     while done < n_paths:
         k = min(chunk, n_paths - done)
@@ -148,5 +176,6 @@ def mc_path_integrals(n_paths: int, dt: float, seed: int,
         # trapezoid over values [1, B_1, ..., B_n] with spacing dt
         out[done:done + k] = dt * (0.5 * 1.0 + np.sum(B[:, :-1], axis=1)
                                    + 0.5 * B[:, -1])
+        del inc, B                  # free this chunk before drawing the next
         done += k
     return out

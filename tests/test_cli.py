@@ -408,7 +408,7 @@ def test_sampled_window_from_csv_descriptor(tmp_path):
     xs = np.linspace(0.0, 1.0, 65)
     w = window.sampled(xs, np.sin(np.pi * xs))
     path = tmp_path / "win.csv"
-    window.sampled_to_csv(w, path)
+    path.write_bytes(window.sampled_to_csv(w).encode())
     assert run(["breakpoints", "--window", str(path), "--alpha", "0.6",
                 "--beta", "1.1", "--out", str(tmp_path / "bp.csv")]) == 0
 
@@ -446,3 +446,62 @@ def test_module_entry_point():
     proc = subprocess.run([sys.executable, "-m", "gaborcert.cli", "--version"],
                           capture_output=True, text=True)
     assert proc.returncode == 0
+
+
+# ---------------------------------------------------------------------------
+# random-window through the shared artifact writer; scan --seed
+
+@pytest.mark.parametrize("flags, csv_sha, json_sha", [
+    (["--seed", "3", "--dt", "0.00390625", "--quadrature-n", "256"],
+     "45c6b9b60d956e8539be4d64240fb3a27a31b610faeb5aef4e5823058d198a7d",
+     "4e7a65b492f4f6a9d2911cc2d1a1a64221f00e34ab7389233e57a42491fed515"),
+    (["--seed", "5"],
+     "2aaa87d30c449a61a9ffc7f9ca0a9284400eb057c9e248ddefb9ddaadbc2b759",
+     "7a2728294f995d50c344c0c9e8d908b2bb14e6483313a04f0beb3b66324f4a49"),
+], ids=["small", "default"])
+def test_random_window_artifact_bytes_pinned(tmp_path, flags, csv_sha, json_sha):
+    # digests recorded from the dense-grid synthesis and the file writer
+    out = tmp_path / "w.csv"
+    assert run(["random-window", *flags, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == csv_sha
+    sidecar = tmp_path / "w.csv.json"
+    assert hashlib.sha256(sidecar.read_bytes()).hexdigest() == json_sha
+
+
+def test_random_window_empty_out_prints_to_stdout(tmp_path, capsys,
+                                                   monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    flags = ["random-window", "--seed", "3", "--dt", "0.00390625",
+             "--quadrature-n", "256"]
+    assert run(flags + ["--out", ""]) == 0
+    printed = capsys.readouterr().out
+    assert list(tmp_path.iterdir()) == []
+    assert run(flags + ["--out", "w.csv"]) == 0
+    written = (tmp_path / "w.csv").read_bytes() + \
+        (tmp_path / "w.csv.json").read_bytes()
+    assert printed.encode() == written
+    assert printed.startswith("x,re,im\r\n0,0,0\r\n")
+
+
+def test_sampled_to_csv_returns_text_with_crlf():
+    xs = np.linspace(0.0, 1.0, 9)
+    w = window.sampled(xs, np.sin(np.pi * xs) + 0.5j * xs)
+    text = window.sampled_to_csv(w)
+    assert text.startswith("x,re,im\r\n0,0,0\r\n")
+    assert text.count("\r\n") == 10 and text.count("\n") == 10
+
+
+def test_scan_seed_recorded_in_meta(tmp_path):
+    out = tmp_path / "s.csv"
+    argv = ["scan", "--window", "char", "--alpha", "0.5", "--beta", "1.5",
+            "--extent", "4", "--out", str(out)]
+    assert run(argv + ["--seed", "42"]) == 0
+    meta = json.loads((tmp_path / "s.csv.meta.json").read_text())
+    assert meta["seed"] == 42 and meta["subcommand"] == "scan"
+    first = out.read_bytes()
+    assert run(argv) == 0
+    assert json.loads((tmp_path / "s.csv.meta.json").read_text())["seed"] is None
+    assert out.read_bytes() == first       # the seed stays out of the CSV
+    assert run(["random-window", "--seed", "3", "--dt", "0.00390625",
+                "--quadrature-n", "64", "--out", str(tmp_path / "w.csv")]) == 0
+    assert json.loads((tmp_path / "w.csv.meta.json").read_text())["seed"] == 3

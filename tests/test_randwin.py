@@ -1,6 +1,7 @@
 """Brownian paths, kernel synthesis, moment formulas, non-vanishing checks."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -128,6 +129,48 @@ def test_mc_path_integrals_match_moments():
     assert abs(np.mean(vals.imag)) < 4 * se
 
 
+def _mc_unbudgeted(n_paths, dt, seed, chunk=8192):
+    """mc_path_integrals before its byte budget: chunks of `chunk` paths."""
+    n = int(round(1.0 / dt))
+    scale = math.sqrt(dt)
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    out = np.empty(n_paths, dtype=complex)
+    for done in range(0, n_paths, chunk):
+        k = min(chunk, n_paths - done)
+        inc = rng.normal(scale=scale, size=(2, k, n))
+        B = np.cumsum(inc[0] + 1j * inc[1], axis=1) + 1.0
+        out[done:done + k] = dt * (0.5 * 1.0 + np.sum(B[:, :-1], axis=1)
+                                   + 0.5 * B[:, -1])
+    return out
+
+
+def _traced_peak(func, *args):
+    tracemalloc.start()
+    try:
+        func(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_mc_budget_keeps_full_chunks_at_dt_2_8():
+    # criterion 6 runs at dt = 2^-8: a smaller chunk would draw the normals
+    # in another order and change every value after the first chunk
+    vals = R.mc_path_integrals(9000, dt=2 ** -8, seed=20260823)
+    assert np.array_equal(vals.view(np.uint64),
+                          _mc_unbudgeted(9000, 2 ** -8, 20260823).view(np.uint64))
+
+
+def test_mc_traced_peak_within_budget_at_dt_2_12():
+    assert _traced_peak(R.mc_path_integrals, 2048, 2 ** -12, 1) \
+        < R.MC_CHUNK_BYTES
+
+
+def test_synthesize_window_traced_peak_under_32_mib():
+    path = R.sample_path(5)
+    assert _traced_peak(R.synthesize_window, path) < 32 * 2 ** 20
+
+
 # ---------------------------------------------------------------------------
 # non-vanishing
 
@@ -146,3 +189,96 @@ def test_verify_nonvanishing_planted_zero():
     min_abs, argmin = R.verify_nonvanishing(w, n_core=4097)
     assert min_abs == 0.0
     assert argmin == pytest.approx(0.5, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# row-blocked synthesis against the dense (x, t) grid, bit for bit
+
+def _dense_kernel(x, t):
+    """The boolean gather/scatter kernel that triangle_kernel replaced."""
+    x = np.asarray(x, dtype=float)
+    t = np.asarray(t, dtype=float)
+    x, t = np.broadcast_arrays(x, t)
+    out = np.zeros(x.shape)
+    inside = (t > 0) & (t < x) & (x < 1)
+    xi, ti = x[inside], t[inside]
+    out[inside] = np.exp(-1.0 / ti - 1.0 / (xi - ti) - 1.0 / (1.0 - xi))
+    return out
+
+
+def _dense_synthesis(path, kcfg):
+    """One trapezoid over the full (quadrature_n, path length) kernel grid."""
+    keep = path.times <= 1.0
+    t = path.times[keep]
+    B = path.values[keep]
+    xs = np.linspace(0.0, 1.0, kcfg.quadrature_n)
+    H = _dense_kernel(xs[:, None], t[None, :])
+    vals = np.trapezoid(H * B[None, :], t, axis=1)
+    vals[0] = 0.0
+    vals[-1] = 0.0
+    return xs, vals
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.shape == b.shape and a.dtype == b.dtype
+            and np.array_equal(np.atleast_1d(a).view(np.uint64),
+                               np.atleast_1d(b).view(np.uint64)))
+
+
+def _assert_synthesis_bits(path, quadrature_n):
+    kcfg = R.KernelConfig(quadrature_n=quadrature_n)
+    w = R.synthesize_window(path, kcfg)
+    xs, vals = _dense_synthesis(path, kcfg)
+    assert _same_bits(w.grid_x, xs)
+    assert _same_bits(w.grid_vals, vals)
+
+
+@pytest.mark.parametrize("dt, quadrature_n", [
+    (2.0 ** -12, 2048), (2.0 ** -8, 256), (1e-3, 1000), (2.0 ** -10, 999)])
+def test_synthesis_matches_dense_grid_bitwise(dt, quadrature_n):
+    seeds = range(20) if dt != 2.0 ** -12 else range(20, 40)
+    for seed in seeds:
+        _assert_synthesis_bits(R.sample_path(seed, dt=dt), quadrature_n)
+
+
+def test_synthesis_matches_dense_grid_on_special_paths():
+    # constant paths of every sign pattern: where the kernel is 0 the
+    # products are signed zeros, and whole rows near x = 0 and x = 1 sum
+    # nothing else
+    for value in (1.0, -1.0, 1j, -1j, 1 + 1j, -1 - 1j, 1 - 1j, -1 + 1j):
+        _assert_synthesis_bits(R.constant_path(value, dt=2 ** -8), 256)
+    _assert_synthesis_bits(R.sample_path(3, dt=2 ** -9, component_var=0.25),
+                           300)
+    _assert_synthesis_bits(R.sample_path(4, dt=2 ** -8, component_var=7.0), 256)
+    long_path = R.sample_path(5, dt=2 ** -8, horizon=2.5)
+    assert long_path.times[-1] > 1.0
+    _assert_synthesis_bits(long_path, 256)
+    # fewer rows than one block, and a block size that divides nothing
+    _assert_synthesis_bits(R.sample_path(6, dt=2 ** -8), 7)
+    _assert_synthesis_bits(R.sample_path(7, dt=2 ** -8), 2 * R.SYNTH_ROW_BLOCK + 1)
+
+
+def test_kernel_matches_dense_kernel_bitwise():
+    grid = np.linspace(-0.25, 1.25, 61)      # hits 0, 1 and both signs of t
+    xs, ts = np.meshgrid(grid, grid, indexing="ij")
+    assert _same_bits(R.triangle_kernel(xs, ts), _dense_kernel(xs, ts))
+    diag = np.linspace(0.0, 1.0, 33)         # t == x, x == 1, t == 0
+    assert _same_bits(R.triangle_kernel(diag, diag), _dense_kernel(diag, diag))
+    assert _same_bits(R.triangle_kernel(diag[:, None], diag[None, :]),
+                      _dense_kernel(diag[:, None], diag[None, :]))
+    edge = [(1.0, 0.5), (1.5, 0.5), (0.5, -0.1), (0.5, 0.0), (0.5, -0.0),
+            (0.0, 0.0), (0.5, 0.5), (0.5, 0.25), (0.9, 0.1), (0.999, 1e-3)]
+    for x, t in edge:
+        got = R.triangle_kernel(x, t)
+        assert got.shape == ()
+        assert _same_bits(got, _dense_kernel(x, t))
+    rows = np.linspace(0.0, 1.0, 2048)[:, None]
+    cols = (2.0 ** -12 * np.arange(4097))[None, :]
+    assert _same_bits(R.triangle_kernel(rows, cols), _dense_kernel(rows, cols))
+
+
+def test_kernel_does_not_warn():
+    with np.errstate(all="raise"):
+        R.triangle_kernel(np.array([0.0, 1.0, 0.5, 2.0]),
+                          np.array([0.0, 1.0, 0.5, -0.0]))

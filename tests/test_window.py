@@ -1,6 +1,7 @@
 """Window evaluation, diagnostics, and serialization."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -158,6 +159,58 @@ def test_fourier_decay_fit_degenerate():
         W.fourier_decay_fit(zero, 80.0, 200)
 
 
+def _dense_fourier(w, xi, quad_nodes=W.FOURIER_QUAD_NODES):
+    """One trapezoid over the full (xi, x) phase grid."""
+    xi_arr = np.atleast_1d(np.asarray(xi, dtype=float))
+    xs = np.linspace(w.support_lo, w.support_hi, quad_nodes)
+    gx = W.evaluate(w, xs)
+    phases = np.exp(-2j * np.pi * np.outer(xi_arr, xs))
+    vals = np.trapezoid(phases * gx[None, :], xs, axis=1)
+    if np.ndim(xi) == 0:
+        return complex(vals[0])
+    return vals
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.shape == b.shape and a.dtype == b.dtype
+            and np.array_equal(np.atleast_1d(a).view(np.uint64),
+                               np.atleast_1d(b).view(np.uint64)))
+
+
+def test_fourier_transform_matches_dense_grid_bitwise():
+    xs = np.linspace(0.0, 1.0, 2048)
+    rng = np.random.default_rng(11)
+    walk = np.cumsum(rng.normal(size=(2, 2048)), axis=1)
+    vals = np.sin(np.pi * xs) * (1.0 + 0.1 * (walk[0] + 1j * walk[1]))
+    for w in (W.bump(), W.sampled(xs, vals), W.gevrey(2)):
+        for n_xi in (200, 1, W.FOURIER_XI_BLOCK, 3 * W.FOURIER_XI_BLOCK + 5):
+            xis = np.linspace(1.0, 80.0, n_xi)
+            assert _same_bits(W.fourier_transform(w, xis), _dense_fourier(w, xis))
+        coarse = np.linspace(-3.0, 40.0, 37)
+        assert _same_bits(W.fourier_transform(w, coarse, quad_nodes=1000),
+                          _dense_fourier(w, coarse, quad_nodes=1000))
+        for xi in (0.0, 2.5, -7.25):
+            got = W.fourier_transform(w, xi)
+            assert type(got) is complex
+            assert _same_bits(got, _dense_fourier(w, xi))
+
+
+def test_fourier_transform_traced_peak_under_32_mib():
+    xis = np.linspace(1.0, 80.0, 200)
+    tracemalloc.start()
+    try:
+        W.fourier_transform(W.bump(), xis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20
+
+
+def test_fourier_transform_empty_frequency_list():
+    assert W.fourier_transform(W.bump(), np.array([])).shape == (0,)
+
+
 # ---------------------------------------------------------------------------
 # CSV round-trip
 
@@ -166,7 +219,7 @@ def test_sampled_csv_round_trip(tmp_path):
     vals = W.evaluate(W.poly_bump(), xs) + 1j * xs
     w = W.sampled(xs, vals)
     path = tmp_path / "w.csv"
-    W.sampled_to_csv(w, path)
+    path.write_bytes(W.sampled_to_csv(w).encode())
     back = W.sampled_from_csv(path)
     assert np.array_equal(back.grid_x, w.grid_x)
     assert np.array_equal(back.grid_vals, w.grid_vals)
