@@ -234,26 +234,33 @@ def find_certified_interval(profile: DeterminantProfile,
 
 
 def _separators(params: LatticeParams, w: Window, x: float, col_lo: int,
-                col_hi: int, row_lo: int, row_hi: int):
+                col_hi: int, row_lo: int, row_hi: int, eps: float):
     """Separator blocks for columns col_lo..col_hi, rows constrained to (row_lo, row_hi).
 
     Returns None when the rows collide with the bounding rows or each other;
-    the caller then rejects the hop candidate.
+    the caller then rejects the hop candidate.  The rows are all checked
+    before one evaluate call fills the 1x1 blocks.
     """
-    seps = []
+    cols = range(col_lo, col_hi + 1)
+    rows, args = [], []
     prev_n = row_lo
-    for m in range(col_lo, col_hi + 1):
-        n, arg = separator_row(params, w, x, m)
+    for m in cols:
+        n, arg = separator_row(params, w, x, m, eps)
         if not (prev_n < n < row_hi):
             return None
-        entry = np.array([[evaluate(w, arg)]], dtype=complex)
-        seps.append(DecompBlock("separator", n, m, entry))
+        rows.append(n)
+        args.append(arg)
         prev_n = n
-    return seps
+    if not args:
+        return []           # adjacent blocks: no evaluate call at all
+    entries = evaluate(w, np.array(args)).reshape(-1, 1, 1)
+    return [DecompBlock("separator", n, m, entry)
+            for n, m, entry in zip(rows, cols, entries)]
 
 
 def _hop(params: LatticeParams, w: Window, x: float, interval: tuple,
-         extent: int, hop_bound: int, edge: DecompBlock, step: int):
+         extent: int, hop_bound: int, edge: DecompBlock, step: int,
+         eps: float):
     """Next anchor block landing in the interval past edge, below and to the
     right for step +1, above and to the left for step -1, with the separators
     glueing the two; the blocks come in row order.
@@ -278,7 +285,7 @@ def _hop(params: LatticeParams, w: Window, x: float, interval: tuple,
                 r1, c1 = edge.row_lo, edge.col_lo
             if r1 <= r0 or c1 <= c0:
                 continue
-            seps = _separators(params, w, x, c0 + 1, c1 - 1, r0, r1)
+            seps = _separators(params, w, x, c0 + 1, c1 - 1, r0, r1, eps)
             if seps is not None:
                 mat = build_Mx(params, w, BlockSpec(nt, col0, size, x))
                 block = DecompBlock("anchor", nt, col0, mat)
@@ -298,13 +305,16 @@ def build_block_decomposition(params: LatticeParams, w: Window, x: float,
     verdict's validity).
     """
     lo, hi = interval
+    if extent < 0:
+        raise ValueError("extent must be >= 0")
     if not lo <= x <= hi:
         raise ValueError("x must lie in the certified interval")
+    eps = epsilon(params, w)
     spec0 = anchor_block(params, w, x)
     blocks = [DecompBlock("anchor", 0, spec0.anchor_m, build_Mx(params, w, spec0))]
     for step in (1, -1):
         while hop := _hop(params, w, x, interval, extent, hop_bound,
-                          blocks[-1] if step > 0 else blocks[0], step):
+                          blocks[-1] if step > 0 else blocks[0], step, eps):
             blocks = blocks + hop if step > 0 else hop + blocks
 
     used = set()

@@ -156,6 +156,16 @@ def _float_list(text: str) -> list:
         raise CliError(f"bad number list {text!r}: {exc}") from exc
 
 
+def _nonnegative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _certify_config(args) -> certify.CertifyConfig:
     return certify.CertifyConfig(samples_per_gap=args.samples_per_gap,
                                  delta_floor=args.delta_floor,
@@ -360,8 +370,8 @@ def build_parser() -> _Parser:
     add(lattice_cmds, "--beta", type=float)
     add("certify scan", "--seed", type=int)   # scan records it in .meta.json
     add("random-window", "--seed", type=int, default=0)
-    add("certify scan", "--extent", type=int, default=cfg.extent)
-    add("framebounds", "--extent", type=int, default=16)
+    add("certify scan", "--extent", type=_nonnegative_int, default=cfg.extent)
+    add("framebounds", "--extent", type=_nonnegative_int, default=16)
     add("certify scan", "--samples-per-gap", type=int, default=cfg.samples_per_gap)
     add("certify scan", "--delta-floor", type=float, default=cfg.delta_floor)
     add("certify", "--det-profile", help="also write the determinant profile CSV here")

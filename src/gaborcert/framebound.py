@@ -49,16 +49,29 @@ def truncated_columns(params: LatticeParams, w: Window, x: float, extent: int,
     With complete_only, keep only columns whose entire good-row set survives
     the truncation; boundary-cut columns otherwise produce spurious tiny
     singular values that say nothing about the infinite matrix.
+
+    The columns form one range, from the first good column of row -extent
+    to the last of row +extent.  Row n's good columns are
+    int_range(x - alpha*n, 1/beta, a, b), whose start and stop are
+    nondecreasing in n and equal for a row without good columns.
+    Consecutive rows' real intervals overlap by (b-a-alpha)*beta > 0, so
+    each row starts no later than the previous row stops.  Both ends of a
+    column's good-row range are nondecreasing in m too, so complete_only
+    trims the range from each end.  With alpha >= b-a the range also holds
+    the columns without any good pair: zero columns of the Ron-Shen matrix,
+    which are what the section should show there.
     """
-    cols = set()
-    for n in range(-extent, extent + 1):
-        cols.update(int_range(x - params.alpha * n, params.inv_beta,
-                              w.support_lo, w.support_hi))
+    def row(n):
+        return int_range(x - params.alpha * n, params.inv_beta,
+                         w.support_lo, w.support_hi)
+
+    lo, hi = row(-extent).start, row(extent).stop
     if complete_only:
-        cols = {m for m in cols
-                if -extent <= (rows := _good_row_range(params, w, x, m))[0]
-                and rows[1] <= extent}
-    return np.array(sorted(cols))
+        while lo < hi and _good_row_range(params, w, x, lo)[0] < -extent:
+            lo += 1
+        while lo < hi and _good_row_range(params, w, x, hi - 1)[1] > extent:
+            hi -= 1
+    return np.arange(lo, hi)
 
 
 def truncated_G(params: LatticeParams, w: Window, x: float, extent: int,
@@ -74,6 +87,8 @@ def estimate_bounds(params: LatticeParams, w: Window, extent: int,
                     x_grid_size: int, keep_per_x: bool = True,
                     complete_only: bool = True) -> FiniteSectionEstimate:
     """sigma extremes over a uniform x grid on (0, alpha), nudged off breakpoints."""
+    if extent < 0:
+        raise ValueError("extent must be >= 0")
     if x_grid_size < 8:
         raise ValueError("x_grid_size must be >= 8")
     bps = structure_breakpoints(params, w)
@@ -86,6 +101,10 @@ def estimate_bounds(params: LatticeParams, w: Window, extent: int,
     table = np.empty((x_grid_size, 3))
     for i, x in enumerate(xs):
         sv = svdvals_accurate(truncated_G(params, w, x, extent, complete_only))
+        if len(sv) == 0:
+            kind = "complete column" if complete_only else "column"
+            raise ValueError(f"the section at x={float(x)!r} has no {kind} "
+                             f"at extent {extent}")
         table[i] = (x, sv[-1], sv[0])
     return FiniteSectionEstimate(extent, x_grid_size,
                                  float(np.min(table[:, 1])),
@@ -94,5 +113,11 @@ def estimate_bounds(params: LatticeParams, w: Window, extent: int,
 
 
 def upper_bound_rowsum(params: LatticeParams, w: Window) -> float:
-    """Rigorous upper frame bound via the row count: (floor(beta(b-a))+1)*||g||_inf."""
+    """Row-count estimate (floor(beta(b-a))+1)*||g||_inf of the upper frame
+    bound; not a bound.  A section's sigma_max can exceed it: 0.4186 against
+    0.3679 for the bump at (1.3, 0.45), extent 16.  The Schur test does
+    bound it, by sqrt(R*C)*||g||_inf with R and C the most good pairs in a
+    row and in a column.  ROADMAP.md direction 3 replaces this estimate
+    with the Walnut bounds.
+    """
     return (math.floor(params.beta * w.support_length) + 1) * sup_norm(w)

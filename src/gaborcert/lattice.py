@@ -190,14 +190,16 @@ def build_Mx(params: LatticeParams, w: Window, spec: BlockSpec) -> np.ndarray:
     return evaluate(w, args)
 
 
-def separator_row(params: LatticeParams, w: Window, x: float, m: int) -> tuple[int, float]:
+def separator_row(params: LatticeParams, w: Window, x: float, m: int,
+                  eps: Optional[float] = None) -> tuple[int, float]:
     """Row n whose last good column is m, with argument in [a+eps, b-eps].
 
     Takes the minimal good n for column m and shifts down by one row when the
-    argument is too close to b.
+    argument is too close to b.  eps, when given, is epsilon(params, w).
     """
     a, b = w.support_lo, w.support_hi
-    eps = epsilon(params, w)
+    if eps is None:
+        eps = epsilon(params, w)
     base = x + m * params.inv_beta
     n = int_range(base, -params.alpha, a, b).start
     arg = base - params.alpha * n

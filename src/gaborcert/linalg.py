@@ -18,7 +18,8 @@ def jacobi_svdvals(A) -> np.ndarray:
     [[Re, -Im], [Im, Re]], which has each singular value of A twice; a
     complex matrix with zero imaginary part goes in as a real one.
     ``joba=0`` ('C') is used because the default ('A') sets small singular
-    values to zero.
+    values to zero.  A real 1x1 matrix [a] gets |a| without the call: that
+    is exactly what ``dgejsv`` returns for it.
     """
     A = np.asarray(A)
     if A.ndim != 2:
@@ -34,6 +35,8 @@ def jacobi_svdvals(A) -> np.ndarray:
             repeat = 2
         else:
             A = A.real
+    if A.shape == (1, 1):
+        return np.abs(A[0]).astype(np.float64)
     sva, _, _, work, _, info = lapack.dgejsv(A, joba=0, jobu=3, jobv=3)
     if info != 0:
         raise np.linalg.LinAlgError(f"dgejsv failed with info={info}")

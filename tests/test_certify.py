@@ -502,3 +502,72 @@ def test_rational_analysis_matches_sample_loops(w, alpha, beta):
     rep = C.rational_analysis(p, w, samples=1024, config=cfg)
     assert (rep.zero_count, rep.certified_subinterval,
             rep.min_abs_det_period) == _rational_loops(p, w, 1024, cfg)
+
+
+# ---------------------------------------------------------------------------
+# separators: every row checked first, then one evaluate call
+
+def _separators_per_entry(params, w, x, col_lo, col_hi, row_lo, row_hi,
+                          eps=None):
+    """Reference: one separator_row and one evaluate call per column,
+    stopping at the first collision."""
+    seps = []
+    prev_n = row_lo
+    for m in range(col_lo, col_hi + 1):
+        n, arg = L.separator_row(params, w, x, m)
+        if not (prev_n < n < row_hi):
+            return None
+        entry = np.array([[W.evaluate(w, arg)]], dtype=complex)
+        seps.append(C.DecompBlock("separator", n, m, entry))
+        prev_n = n
+    return seps
+
+
+def _decomposition_or_message(params, w, x, extent, interval):
+    try:
+        return C.build_block_decomposition(params, w, x, extent, interval)
+    except HopNotFound as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("w, alpha, beta", [
+    (W.bump(), 1.0, 1.0 / SQRT2),
+    (W.gevrey(2), 1.3, 0.6),
+    (W.poly_bump(), 0.7, 0.9 * SQRT2),
+    (W.characteristic(), 0.55, SQRT2),
+    (W.odd_bump(), 0.9, 1.0 / SQRT2),
+    (_sampled_window(), 0.8, 1.0 / SQRT2),
+], ids=["bump", "gevrey2", "poly_bump", "char", "odd_bump", "sampled"])
+def test_separators_match_per_entry_evaluation(monkeypatch, w, alpha, beta):
+    p = L.lattice_params(alpha, beta)
+    found = C.find_certified_interval(C.scan_determinant(p, w, 16), 1e-8)
+    interval = (found.lo, found.hi)
+    n_separators = 0
+    for x in (found.lo, 0.5 * (found.lo + found.hi), found.hi):
+        for extent in (16, 64, 1024):
+            got = _decomposition_or_message(p, w, x, extent, interval)
+            with monkeypatch.context() as patch:
+                patch.setattr(C, "_separators", _separators_per_entry)
+                want = _decomposition_or_message(p, w, x, extent, interval)
+            if isinstance(want, str):
+                assert got == want
+                continue
+            assert ([(b.kind, b.row_lo, b.col_lo, b.size) for b in got.blocks]
+                    == [(b.kind, b.row_lo, b.col_lo, b.size)
+                        for b in want.blocks])
+            assert got.discarded_rows == want.discarded_rows
+            for b, ref in zip(got.blocks, want.blocks):
+                assert b.matrix.dtype == ref.matrix.dtype == complex
+                assert b.matrix.shape == ref.matrix.shape
+                assert np.array_equal(b.matrix.view(np.uint64),
+                                      ref.matrix.view(np.uint64))
+            n_separators += sum(b.kind == "separator" for b in got.blocks)
+    assert n_separators > 0
+
+
+def test_decomposition_rejects_negative_extent(flagship):
+    params, w, cert = flagship
+    mid = 0.5 * (cert.interval_lo + cert.interval_hi)
+    with pytest.raises(ValueError, match="extent"):
+        C.build_block_decomposition(params, w, mid, -3,
+                                    (cert.interval_lo, cert.interval_hi))

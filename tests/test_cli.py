@@ -505,3 +505,72 @@ def test_scan_seed_recorded_in_meta(tmp_path):
     assert run(["random-window", "--seed", "3", "--dt", "0.00390625",
                 "--quadrature-n", "64", "--out", str(tmp_path / "w.csv")]) == 0
     assert json.loads((tmp_path / "w.csv.meta.json").read_text())["seed"] == 3
+
+
+# ---------------------------------------------------------------------------
+# section columns as one range, separators evaluated together: byte-identity
+# pins recorded from the per-row column union and the per-entry separators
+
+@pytest.mark.parametrize("wspec, alpha, beta, extent, csv_sha, summary_sha", [
+    ("bump", "1.3", "0.45", "16",
+     "3c386291226c032013cb07ce27a1e43ab83638a59e333c5a0b798efb4074f776",
+     "67ae23fd0b58ebf0812cde90da847ca587e0c2d486a7bef71f9bb977711880ab"),
+    ("bump", "0.7", "0.45", "16",        # beta*(b-a) < 1: rows without columns
+     "48c99c7c3a1bdacb767040383f45b6b08654f810d6c53a5a989cf4a74b2dd7f3",
+     "83a883a07d0150e4eeccc4bbc4b8ae1dcad915bd5979fff2d157417ef3478f7b"),
+    ("oddbump", "0.9", "0.6", "32",
+     "d252ba15b97a89d88227f29852801259d5376046148f3c43574ec20b7c8e5343",
+     "7a14820c566fd1f4b1fd1b3b6c5bb3563f23ffce0aa51069964acbce6ac2f691"),
+    ("gevrey:3", "1.1", "0.7", "64",
+     "af7fadfee5debe5f5e24bffe3d1fed4e8e236d0301e13c8ec14407d1eb574452",
+     "20e66e765226a0a73b59e91e236b5a1830201fa68ff43548a7a9d1ea35cbec6e"),
+], ids=["bump-16", "bump-16-painless", "oddbump-32", "gevrey3-64"])
+def test_framebounds_artifact_bytes_pinned(tmp_path, wspec, alpha, beta,
+                                           extent, csv_sha, summary_sha):
+    out = tmp_path / "fb.csv"
+    assert run(["framebounds", "--window", wspec, "--alpha", alpha,
+                "--beta", beta, "--extent", extent, "--x-grid-size", "16",
+                "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == csv_sha
+    summary = tmp_path / "fb.csv.summary.json"
+    assert hashlib.sha256(summary.read_bytes()).hexdigest() == summary_sha
+
+
+@pytest.mark.parametrize("wspec, alpha, beta, sha", [
+    ("bump", "1.0", "0.70710678118654752",
+     "91abf65531f6342de3a6b8de391d584ae5ad4d78036a157f2afa50464ab91c61"),
+    ("gevrey:2", "0.9", "0.61803398874989485",
+     "879f29187cc8b16ec769e416034bc2aec2599db86c1e33b5d6fdd3456a928fe0"),
+], ids=["bump", "gevrey2"])
+def test_certify_long_extent_bytes_pinned(tmp_path, wspec, alpha, beta, sha):
+    out = tmp_path / "c.json"
+    assert run(["certify", "--window", wspec, "--alpha", alpha, "--beta", beta,
+                "--extent", "1024", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == sha
+
+
+# ---------------------------------------------------------------------------
+# extent validation
+
+@pytest.mark.parametrize("argv", [
+    ["certify", "--alpha", "1.0", "--beta", "0.70710678118654752",
+     "--extent", "-3"],
+    ["scan", "--alpha", "1.0", "--beta", BETA_IRR, "--extent", "-1"],
+    ["framebounds", "--alpha", "1.0", "--beta", BETA_IRR, "--extent", "-1",
+     "--x-grid-size", "8"],
+], ids=["certify", "scan", "framebounds"])
+def test_negative_extent_exits_one(tmp_path, capsys, argv):
+    out = tmp_path / "o"
+    assert run(argv + ["--out", str(out)]) == 1
+    assert "--extent" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_framebounds_section_without_complete_column_exits_one(tmp_path,
+                                                               capsys):
+    out = tmp_path / "fb.csv"
+    assert run(["framebounds", "--alpha", "1.0", "--beta", "0.5",
+                "--extent", "0", "--x-grid-size", "8", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "extent 0" in err
+    assert not out.exists()

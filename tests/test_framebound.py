@@ -66,6 +66,93 @@ def test_complete_only_drops_boundary_cut_columns():
         assert -8 <= n_lo and n_hi <= 8
 
 
+def _columns_by_row_union(p, w, x, extent):
+    """Reference: the union of every retained row's good columns, and the
+    complete columns among them, as sorted arrays."""
+    cols = set()
+    for n in range(-extent, extent + 1):
+        cols.update(L.int_range(x - p.alpha * n, p.inv_beta,
+                                w.support_lo, w.support_hi))
+    complete = {m for m in cols
+                if -extent <= (rows := F._good_row_range(p, w, x, m))[0]
+                and rows[1] <= extent}
+    return np.array(sorted(cols)), np.array(sorted(complete))
+
+
+# supports of length 2, 1, 0.7 and 5.6, centred and off-centre
+_SUPPORTS = (W.bump(), W.characteristic(), W.characteristic(-0.35, 0.35),
+             W.poly_bump(-1.3, 4.3), W.characteristic(0.2, 0.9))
+
+
+def test_truncated_columns_match_row_union_random():
+    rng = np.random.default_rng(2024)
+    edge = 1.0 - 1e-15
+    seen = {"empty end row": 0, "trimmed": 0, "no column": 0, "painless": 0}
+    for _ in range(10_000):
+        w = _SUPPORTS[rng.integers(len(_SUPPORTS))]
+        u = edge if rng.random() < 0.02 else rng.uniform(0.01, edge)
+        d = edge if rng.random() < 0.02 else rng.uniform(0.01, edge)
+        alpha = u * w.support_length
+        p = L.LatticeParams(alpha, d / alpha, L.RationalClass(False))
+        x = float(rng.uniform(0.0, alpha))
+        extent = int(rng.choice([0, 1, 2, 5, 16, 64]))
+        union, complete = _columns_by_row_union(p, w, x, extent)
+        for flag, expect in ((False, union), (True, complete)):
+            got = F.truncated_columns(p, w, x, extent, complete_only=flag)
+            assert got.dtype.kind == "i"
+            assert np.array_equal(got, expect), (p, w.descriptor(), x,
+                                                 extent, flag)
+        ends = (L.int_range(x - alpha * n, p.inv_beta, w.support_lo,
+                            w.support_hi) for n in (-extent, extent))
+        seen["empty end row"] += not all(ends)
+        seen["trimmed"] += len(complete) < len(union)
+        seen["no column"] += len(union) == 0
+        seen["painless"] += p.beta * w.support_length < 1.0
+    assert min(seen.values()) >= 50, seen
+
+
+def test_alpha_beyond_support_keeps_zero_columns():
+    """Translates of [0, 1] by 1.5 leave gaps, so no frame: the columns
+    without any good pair stay in the section and sigma_min is 0."""
+    p = L.lattice_params(1.5, 0.5)
+    w = W.characteristic()
+    cols = F.truncated_columns(p, w, 0.75, 8)
+    rows = np.arange(-8, 9)
+    good = L.is_good(p, w, 0.75, rows[:, None], cols[None, :])
+    assert not good.any(axis=0).all()
+    assert F.estimate_bounds(p, w, 8, 8).sigma_min_inf == 0.0
+
+
+def test_estimate_bounds_rejects_negative_extent():
+    with pytest.raises(ValueError, match="extent"):
+        F.estimate_bounds(L.lattice_params(1.0, 1.0 / SQRT2), W.bump(), -1, 8)
+
+
+def test_estimate_bounds_names_section_without_complete_column():
+    p = L.lattice_params(1.0, 0.5)
+    with pytest.raises(ValueError, match=r"x=0\.0625 .* extent 0"):
+        F.estimate_bounds(p, W.bump(), 0, 8)
+
+
+@pytest.mark.parametrize("alpha, beta, extent", [
+    (1.3, 0.45, 16), (1.0, 1.0 / SQRT2, 12), (0.8, 0.9, 8), (1.7, 0.41, 16),
+])
+def test_sigma_max_within_schur_bound(alpha, beta, extent):
+    """||G|| <= sqrt(R*C)*sup|g|, R and C the most good pairs in a row and
+    in a column; the row-count estimate is not such a bound."""
+    p = L.lattice_params(alpha, beta)
+    w = W.bump()
+    est = F.estimate_bounds(p, w, extent, 16, complete_only=False)
+    for x in est.per_x[:, 0]:
+        G = F.truncated_G(p, w, x, extent)
+        R = np.max(np.count_nonzero(G, axis=1))
+        C = np.max(np.count_nonzero(G, axis=0))
+        sigma_max = np.linalg.norm(G, 2)
+        assert sigma_max <= math.sqrt(R * C) * W.sup_norm(w) * (1 + 1e-12)
+    if (alpha, beta) == (1.3, 0.45):
+        assert est.sigma_max_sup > F.upper_bound_rowsum(p, w)
+
+
 def test_estimate_bounds_characteristic_exact():
     p = L.lattice_params(1.0 / SQRT2, 1.0)
     w = W.characteristic()

@@ -155,6 +155,41 @@ def test_zero_and_empty_edge_cases():
     assert linalg.svdvals_accurate(np.zeros((0, 3))).shape == (0,)
 
 
+def _dgejsv_svdvals(A):
+    """Reference: the LAPACK path of jacobi_svdvals for a real matrix."""
+    sva, _, _, work, _, info = linalg.lapack.dgejsv(A, joba=0, jobu=3, jobv=3)
+    assert info == 0
+    return np.sort(sva * (work[0] / work[1]))[::-1]
+
+
+def test_real_one_by_one_is_dgejsv_bit_for_bit():
+    rng = np.random.default_rng(11)
+    n = 4000
+    values = np.concatenate([
+        [0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 2.2250738585072014e-308,
+         np.finfo(float).max, -np.finfo(float).max, 1.0, -1.0],
+        rng.uniform(-1.0, 1.0, n),
+        rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-300.0, 300.0, n),
+        rng.uniform(0.0, 1e-310, n),                  # subnormals
+    ])
+    for v in values:
+        A = np.array([[v]])
+        got = linalg.jacobi_svdvals(A)
+        want = _dgejsv_svdvals(A)
+        assert got.dtype == want.dtype and got.shape == want.shape == (1,)
+        assert got.view(np.uint64)[0] == want.view(np.uint64)[0], v
+        # a real-valued complex 1x1 goes in as real
+        assert np.array_equal(linalg.jacobi_svdvals(A.astype(complex)).view(
+            np.uint64), got.view(np.uint64))
+
+
+def test_complex_one_by_one_keeps_the_embedding():
+    z = 0.3 - 0.7j
+    embedded = np.array([[z.real, -z.imag], [z.imag, z.real]])
+    assert np.array_equal(linalg.jacobi_svdvals(np.array([[z]])),
+                          _dgejsv_svdvals(embedded)[::2])
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
 def test_non_finite_entry_rejected(bad):
     A = np.eye(3, dtype=complex)
