@@ -29,10 +29,9 @@ def finite_section_trend():
     for extent in (8, 16, 32, 64):
         # rational leg: refine the x grid with the extent so the x -> 0
         # failure mechanism stays resolved
-        dec = framebound.estimate_bounds(p_rat, w, extent, 4 * extent,
-                                         keep_per_x=False).sigma_min_inf
-        sta = framebound.estimate_bounds(p_irr, w, extent, 16,
-                                         keep_per_x=False).sigma_min_inf
+        dec = framebound.estimate_bounds(p_rat, w, extent,
+                                         4 * extent).sigma_min_inf
+        sta = framebound.estimate_bounds(p_irr, w, extent, 16).sigma_min_inf
         print(f"{extent:>8} {dec:>14.6e} {sta:>16.6e}")
     print("left column: keeps halving (non-frame signature);"
           " right column: flat\n")

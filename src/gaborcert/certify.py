@@ -51,6 +51,16 @@ class CertifyConfig:
     delta_sep: float = 1e-3       # <= 0 disables the forbidden-ratio separation check
     period_oversample: int = 8
 
+    def __post_init__(self):
+        # a certified interval needs 3 samples in one gap, and a floor of 0
+        # would accept the rounding noise of a singular determinant
+        if self.samples_per_gap < 3:
+            raise ValueError(f"samples_per_gap must be >= 3, "
+                             f"got {self.samples_per_gap}")
+        if not (math.isfinite(self.delta_floor) and self.delta_floor > 0):
+            raise ValueError(f"delta_floor must be a positive finite number, "
+                             f"got {self.delta_floor}")
+
 
 @dataclass(frozen=True, eq=False)
 class DeterminantProfile:
@@ -100,10 +110,6 @@ class BlockDecomposition:
     extent: int
     blocks: list              # DecompBlock, ascending in rows and columns
     discarded_rows: list
-
-    @property
-    def matrices(self) -> list:
-        return [b.matrix for b in self.blocks]
 
     @property
     def sigma_min(self) -> float:
@@ -197,10 +203,7 @@ def scan_determinant(params: LatticeParams, w: Window,
     edges = np.concatenate(([0.0], bps, [params.alpha]))
     xs, dets, fps, gaps = [], [], [], []
     for gi in range(len(edges) - 1):
-        lo, hi = edges[gi], edges[gi + 1]
-        if hi - lo <= 0:
-            continue
-        nodes = _chebyshev_nodes(lo, hi, samples_per_gap)
+        nodes = _chebyshev_nodes(edges[gi], edges[gi + 1], samples_per_gap)
         for fp, batch in _det_batches(params, w, nodes):
             dets.extend(batch)
             fps.extend([fp] * len(batch))
@@ -350,14 +353,14 @@ def _anchor_row_covered(params: LatticeParams, w: Window,
     """True iff row 0 has a good column for every x in (0, alpha).
 
     x is bad exactly when (x - a) mod (1/beta) falls in [b-a, 1/beta); the
-    anchor construction needs the bad set to miss (0, alpha) entirely.
+    anchor construction needs the bad set to miss (0, alpha) entirely.  The
+    bad interval [b + k/beta, a + (k+1)/beta) can meet (0, alpha) only when
+    b-a - 1/beta < b + k/beta < alpha.
     """
     a, b = w.support_lo, w.support_hi
     if params.inv_beta <= w.support_length:
         return True
-    k_lo = math.floor((0.0 - b) * params.beta) - 1
-    k_hi = math.ceil((params.alpha - b) * params.beta) + 1
-    for k in range(k_lo, k_hi + 1):
+    for k in int_range(b, params.inv_beta, (b - a) - params.inv_beta, params.alpha):
         lo = max(0.0, b + k * params.inv_beta)
         hi = min(params.alpha, a + (k + 1) * params.inv_beta)
         if hi - lo > tol:

@@ -115,11 +115,9 @@ def parse_window(spec: str) -> window.Window:
                    "(expected bump|oddbump|char|polybump|gevrey:N|<file.csv>)")
 
 
-def parse_config(path, keys=None) -> dict:
-    """``key = value`` lines; '#' comments; errors carry line numbers.
-
-    With ``keys``, a key outside that set is an error.
-    """
+def parse_config(path, keys) -> dict:
+    """``key = value`` lines; '#' comments; errors carry line numbers; a key
+    outside ``keys`` is an error."""
     out = {}
     try:
         with open(path, encoding="utf-8") as fh:
@@ -137,7 +135,7 @@ def parse_config(path, keys=None) -> dict:
         if not key or not value:
             raise CliError(f"{path}:{ln}: empty key or value")
         key = key.replace("-", "_")
-        if keys is not None and key not in keys:
+        if key not in keys:
             raise CliError(f"{path}:{ln}: unknown key {key!r}")
         out[key] = value
     return out
@@ -310,8 +308,7 @@ def cmd_breakpoints(args) -> int:
 def cmd_random_window(args) -> int:
     path = randwin.sample_path(args.seed, dt=args.dt,
                                component_var=args.component_var)
-    w = randwin.synthesize_window(
-        path, randwin.KernelConfig(quadrature_n=args.quadrature_n))
+    w = randwin.synthesize_window(path, args.quadrature_n)
     min_abs, _ = randwin.verify_nonvanishing(w)
     sidecar = {"seed": args.seed, "dt": args.dt,
                "component_var": args.component_var, "min_abs_core": min_abs}

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -29,10 +28,9 @@ __all__ = [
 @dataclass(frozen=True, eq=False)
 class FiniteSectionEstimate:
     extent: int
-    x_grid_size: int
     sigma_min_inf: float
     sigma_max_sup: float
-    per_x: Optional[np.ndarray] = None   # columns (x, sigma_min, sigma_max)
+    per_x: np.ndarray             # columns (x, sigma_min, sigma_max)
 
 
 def _good_row_range(params: LatticeParams, w: Window, x: float, m: int):
@@ -84,8 +82,7 @@ def truncated_G(params: LatticeParams, w: Window, x: float, extent: int,
 
 
 def estimate_bounds(params: LatticeParams, w: Window, extent: int,
-                    x_grid_size: int, keep_per_x: bool = True,
-                    complete_only: bool = True) -> FiniteSectionEstimate:
+                    x_grid_size: int, complete_only: bool = True) -> FiniteSectionEstimate:
     """sigma extremes over a uniform x grid on (0, alpha), nudged off breakpoints."""
     if extent < 0:
         raise ValueError("extent must be >= 0")
@@ -93,7 +90,7 @@ def estimate_bounds(params: LatticeParams, w: Window, extent: int,
         raise ValueError("x_grid_size must be >= 8")
     bps = structure_breakpoints(params, w)
     edges = np.concatenate(([0.0], bps, [params.alpha]))
-    gap = np.min(np.diff(edges)) if len(edges) > 1 else params.alpha
+    gap = np.min(np.diff(edges))
     xs = params.alpha * (np.arange(x_grid_size) + 0.5) / x_grid_size
     for bp in edges:
         close = np.abs(xs - bp) < 1e-9 * gap
@@ -106,10 +103,8 @@ def estimate_bounds(params: LatticeParams, w: Window, extent: int,
             raise ValueError(f"the section at x={float(x)!r} has no {kind} "
                              f"at extent {extent}")
         table[i] = (x, sv[-1], sv[0])
-    return FiniteSectionEstimate(extent, x_grid_size,
-                                 float(np.min(table[:, 1])),
-                                 float(np.max(table[:, 2])),
-                                 table if keep_per_x else None)
+    return FiniteSectionEstimate(extent, float(np.min(table[:, 1])),
+                                 float(np.max(table[:, 2])), table)
 
 
 def upper_bound_rowsum(params: LatticeParams, w: Window) -> float:

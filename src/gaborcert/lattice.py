@@ -72,28 +72,26 @@ class LatticeParams:
         return 1.0 / self.beta
 
 
-def classify_ratio(value: float, q_max: int = DEFAULT_QMAX,
-                   tol: float = RATIONAL_TOL) -> RationalClass:
+def classify_ratio(value: float) -> RationalClass:
     """Classify a float as a small-denominator rational or operationally irrational.
 
     Every float is rational; what the certification needs is the absence of a
-    nearby fraction with denominator <= q_max, found by continued-fraction
-    best approximation (Fraction.limit_denominator).
+    fraction within RATIONAL_TOL with denominator <= DEFAULT_QMAX, found by
+    continued-fraction best approximation (Fraction.limit_denominator).
     """
-    frac = Fraction(value).limit_denominator(q_max)
-    if abs(value - float(frac)) < tol:
+    frac = Fraction(value).limit_denominator(DEFAULT_QMAX)
+    if abs(value - float(frac)) < RATIONAL_TOL:
         return RationalClass(True, frac.numerator, frac.denominator)
     return RationalClass(False)
 
 
-def lattice_params(alpha: float, beta: float, q_max: int = DEFAULT_QMAX,
-                   tol: float = RATIONAL_TOL) -> LatticeParams:
+def lattice_params(alpha: float, beta: float) -> LatticeParams:
     """Construct lattice parameters; rejects alpha*beta >= 1."""
     if alpha <= 0 or beta <= 0:
         raise ValueError("alpha and beta must be positive")
     if alpha * beta >= 1.0:
         raise HypothesisViolated(f"alpha*beta = {alpha * beta} >= 1")
-    return LatticeParams(alpha, beta, classify_ratio(alpha * beta, q_max, tol))
+    return LatticeParams(alpha, beta, classify_ratio(alpha * beta))
 
 
 @dataclass(frozen=True)
@@ -163,7 +161,8 @@ def int_range(base: float, step: float, lo: float, hi: float) -> range:
 def anchor_block(params: LatticeParams, w: Window, x: float) -> BlockSpec:
     """Anchor block at row 0: first good column m and maximal diagonal run.
 
-    size-1 is the largest l >= 0 with x + m/beta + l*(1/beta-alpha) < b.
+    size-1 is the largest l >= 0 with x + m/beta + l*(1/beta-alpha) < b;
+    l = 0 is the float expression that int_range has just accepted for m.
     """
     a, b = w.support_lo, w.support_hi
     inv_beta = params.inv_beta
@@ -171,8 +170,6 @@ def anchor_block(params: LatticeParams, w: Window, x: float) -> BlockSpec:
     if not ms:
         raise HypothesisViolated(f"row 0 has no good pair at x={x}")
     ls = int_range(x + ms.start * inv_beta, inv_beta - params.alpha, a, b)
-    if 0 not in ls:
-        raise HypothesisViolated("anchor argument left the support (inconsistent state)")
     return BlockSpec(0, ms.start, ls.stop, x)
 
 

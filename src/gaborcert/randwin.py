@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
@@ -18,7 +17,6 @@ from .window import Window, evaluate, sampled
 
 __all__ = [
     "BrownianPath",
-    "KernelConfig",
     "sample_path",
     "constant_path",
     "triangle_kernel",
@@ -47,17 +45,11 @@ class BrownianPath:
 
     dt: float
     values: np.ndarray
-    seed: int
     component_var: float = 1.0
 
     @property
     def times(self) -> np.ndarray:
         return self.dt * np.arange(len(self.values))
-
-
-@dataclass(frozen=True)
-class KernelConfig:
-    quadrature_n: int = DEFAULT_QUADRATURE_N
 
 
 def sample_path(seed: int, dt: float = DEFAULT_DT, horizon: float = 1.0,
@@ -74,15 +66,13 @@ def sample_path(seed: int, dt: float = DEFAULT_DT, horizon: float = 1.0,
     values = np.empty(n + 1, dtype=complex)
     values[0] = 1.0
     values[1:] = 1.0 + np.cumsum(inc[0] + 1j * inc[1])
-    return BrownianPath(dt, values, seed, component_var)
+    return BrownianPath(dt, values, component_var)
 
 
-def constant_path(value: complex = 1.0, dt: float = DEFAULT_DT,
-                  horizon: float = 1.0) -> BrownianPath:
-    """Zero-variance test hook: B identically equal to `value`."""
-    n = int(math.ceil(horizon / dt))
-    return BrownianPath(dt, np.full(n + 1, value, dtype=complex), seed=-1,
-                        component_var=0.0)
+def constant_path(value: complex = 1.0, dt: float = DEFAULT_DT) -> BrownianPath:
+    """Zero-variance test hook: B identically equal to `value` on [0, 1]."""
+    n = int(math.ceil(1.0 / dt))
+    return BrownianPath(dt, np.full(n + 1, value, dtype=complex), component_var=0.0)
 
 
 def triangle_kernel(x, t):
@@ -97,8 +87,9 @@ def triangle_kernel(x, t):
 
 
 def synthesize_window(path: BrownianPath,
-                      kcfg: KernelConfig = KernelConfig()) -> Window:
-    """g(x) = integral of B(t) h(x,t) dt, tabulated on a uniform grid of [0, 1].
+                      quadrature_n: int = DEFAULT_QUADRATURE_N) -> Window:
+    """g(x) = integral of B(t) h(x,t) dt, tabulated on quadrature_n >= 2
+    uniform nodes of [0, 1].
 
     The kernel vanishes for t >= x, so trapezoid over the whole path grid up
     to time 1 equals the integral over [0, x].
@@ -111,12 +102,14 @@ def synthesize_window(path: BrownianPath,
     was a zero, and adding a zero to a partial sum is exact.  So the values
     have the same bits as one dense grid, without its 2048 x 4097 arrays.
     """
+    if quadrature_n < 2:
+        raise ValueError(f"quadrature_n must be >= 2, got {quadrature_n}")
     times = path.times
     keep = times <= 1.0
     t = times[keep]
     B = path.values[keep]
     d = np.diff(t)
-    xs = np.linspace(0.0, 1.0, kcfg.quadrature_n)
+    xs = np.linspace(0.0, 1.0, quadrature_n)
     buf = np.zeros((SYNTH_ROW_BLOCK, len(d)), dtype=complex)
     vals = np.empty(len(xs), dtype=complex)
     for r0 in range(0, len(xs), SYNTH_ROW_BLOCK):
@@ -130,8 +123,7 @@ def synthesize_window(path: BrownianPath,
         vals[r0:r0 + len(x)] = np.add.reduce(terms, axis=1)
     vals[0] = 0.0
     vals[-1] = 0.0
-    return sampled(xs, vals, support_lo=0.0, support_hi=1.0,
-                   source=(path, kcfg), kind="brownian_integral")
+    return sampled(xs, vals, support_lo=0.0, support_hi=1.0)
 
 
 def gaussian_moments(u: np.ndarray, t: float, r: float) -> tuple[float, float]:

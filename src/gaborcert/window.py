@@ -11,8 +11,8 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field
-from typing import Any, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 from scipy.optimize import least_squares
@@ -36,9 +36,6 @@ __all__ = [
     "sampled_from_csv",
 ]
 
-#: Sentinel returned by inv_sup_on_core when the core contains a zero.
-INF = math.inf
-
 FOURIER_QUAD_NODES = 2 ** 14
 
 #: frequencies per block of fourier_transform: about 4 MiB per complex
@@ -51,8 +48,7 @@ class Window:
     """Immutable description of a compactly supported window.
 
     ``kind`` selects the evaluation rule; kind-specific payload lives in
-    ``order`` (gevrey), ``grid_x``/``grid_vals`` (sampled) or ``source``
-    (provenance of synthesized windows, e.g. a Brownian path).
+    ``order`` (gevrey) or ``grid_x``/``grid_vals`` (sampled).
     """
 
     support_lo: float
@@ -62,7 +58,6 @@ class Window:
     grid_x: Optional[np.ndarray] = None
     grid_vals: Optional[np.ndarray] = None
     sup_norm_hint: Optional[float] = None
-    source: Any = field(default=None, repr=False)
 
     def __post_init__(self):
         if not self.support_lo < self.support_hi:
@@ -114,8 +109,7 @@ def poly_bump(lo: float = 0.0, hi: float = 1.0) -> Window:
 
 
 def sampled(grid_x, grid_vals, support_lo: float | None = None,
-            support_hi: float | None = None, source: Any = None,
-            kind: str = "sampled") -> Window:
+            support_hi: float | None = None) -> Window:
     """Window given by linear interpolation between strictly increasing nodes.
 
     Nodes and values must be finite.  Evaluation is 0 outside the grid hull
@@ -131,7 +125,7 @@ def sampled(grid_x, grid_vals, support_lo: float | None = None,
         raise ValueError("grid_x must be strictly increasing")
     lo = float(xs[0]) if support_lo is None else float(support_lo)
     hi = float(xs[-1]) if support_hi is None else float(support_hi)
-    return Window(lo, hi, kind, grid_x=xs, grid_vals=vals, source=source)
+    return Window(lo, hi, "sampled", grid_x=xs, grid_vals=vals)
 
 
 def _eval_inside(w: Window, x: np.ndarray) -> np.ndarray:
@@ -192,7 +186,7 @@ def inv_sup_on_core(w: Window, eps: float, grid_n: int = 4096) -> float:
     xs = np.linspace(lo, hi, grid_n)
     mags = np.abs(evaluate(w, xs))
     if np.any(mags == 0.0):
-        return INF
+        return math.inf
     # zoom on the argmin to catch interior zeros that fall between grid
     # nodes (e.g. an odd window whose zero is missed by an even grid count);
     # a zero makes the local minimum shrink with every zoom, while a positive
@@ -203,13 +197,13 @@ def inv_sup_on_core(w: Window, eps: float, grid_n: int = 4096) -> float:
         zs = np.linspace(zlo, zhi, 33)
         zmags = np.abs(evaluate(w, zs))
         if np.min(zmags) == 0.0:
-            return INF
+            return math.inf
         if np.min(zmags) >= 0.5 * np.max(zmags):   # positive minimum
             break
         i = int(np.argmin(zmags))
         zlo, zhi = zs[max(i - 1, 0)], zs[min(i + 1, 32)]
     else:
-        return INF                        # never flattened out: an interior zero
+        return math.inf                   # never flattened out: an interior zero
     return float(np.max(1.0 / mags))
 
 

@@ -133,7 +133,7 @@ def test_criterion_4_finite_section_trends():
     on a fixed 16-point grid stabilizes (change 32 -> 64 under 5%)."""
     w = W.odd_bump()
     p_rat = L.lattice_params(1.0, 0.5)
-    decay = [F.estimate_bounds(p_rat, w, e, 4 * e, keep_per_x=False).sigma_min_inf
+    decay = [F.estimate_bounds(p_rat, w, e, 4 * e).sigma_min_inf
              for e in (8, 16, 32, 64)]
     assert all(a > b for a, b in zip(decay, decay[1:]))
     assert decay[-1] < 0.5 * decay[0]
@@ -142,7 +142,7 @@ def test_criterion_4_finite_section_trends():
                                   rel=1e-3)
 
     p_irr = L.lattice_params(1.0, 1.0 / SQRT2)
-    stable = [F.estimate_bounds(p_irr, w, e, 16, keep_per_x=False).sigma_min_inf
+    stable = [F.estimate_bounds(p_irr, w, e, 16).sigma_min_inf
               for e in (32, 64)]
     rel_change = abs(stable[1] - stable[0]) / stable[0]
     assert rel_change < 0.05
@@ -218,8 +218,7 @@ def test_criterion_7_random_windows_end_to_end():
 
     failures = 0
     for seed in range(100):
-        w = R.synthesize_window(R.sample_path(seed, dt=2 ** -10),
-                                R.KernelConfig(quadrature_n=512))
+        w = R.synthesize_window(R.sample_path(seed, dt=2 ** -10), 512)
         min_abs, _ = R.verify_nonvanishing(w)
         failures += not (min_abs > 0.0)
     assert failures == 0

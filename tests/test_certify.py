@@ -397,6 +397,84 @@ def test_anchor_row_covered_despite_large_inv_beta():
     assert cert.hypothesis_report["anchor_row_covered"] is True
 
 
+def _anchor_row_covered_floor_ceil(params, w, tol=1e-12):
+    """The floor/ceil k range, padded by one on each side, that int_range
+    replaced."""
+    a, b = w.support_lo, w.support_hi
+    if params.inv_beta <= w.support_length:
+        return True
+    k_lo = math.floor((0.0 - b) * params.beta) - 1
+    k_hi = math.ceil((params.alpha - b) * params.beta) + 1
+    for k in range(k_lo, k_hi + 1):
+        lo = max(0.0, b + k * params.inv_beta)
+        hi = min(params.alpha, a + (k + 1) * params.inv_beta)
+        if hi - lo > tol:
+            return False
+    return True
+
+
+def test_anchor_row_covered_matches_floor_ceil_loop():
+    """120k random (a, length, alpha, beta), most with alpha at the end of a
+    bad interval [b + k/beta, a + (k+1)/beta) or with a bad interval ending
+    at 0, each moved by 0, 5e-16 relative, or +-1e-13, 9e-13, 1e-12, 1.1e-12
+    and 2e-12 around the overlap tolerance."""
+    rng = np.random.default_rng(2024)
+    n = 120_000
+    nudges = np.array([0.0, 1e-13, -1e-13, 9e-13, -9e-13, 1e-12, -1e-12,
+                       1.1e-12, -1.1e-12, 2e-12, -2e-12])
+    length = rng.uniform(0.05, 4.0, n)
+    inv_beta = length * np.where(rng.random(n) < 0.9, rng.uniform(1.0, 4.0, n),
+                                 rng.uniform(0.3, 1.0, n))
+    a0 = rng.uniform(-3.0, 2.0, n)
+    end_at_zero = rng.random(n) < 0.2
+    # alpha is uniform (mode 0), at b + k/beta (1) or at a + (k+1)/beta (2)
+    alpha_mode = rng.integers(0, 3, n)
+    k_off = rng.integers(0, 4, n)
+    nudge = rng.choice(nudges, n)
+    rel = rng.random(n) < 0.1
+    alpha_u = rng.uniform(0.0, 3.0, n)
+    uncovered = near_end = 0
+    for i in range(n):
+        beta = 1.0 / inv_beta[i]
+        ib = 1.0 / beta
+        if end_at_zero[i]:
+            # a bad interval ends at (or just past) x = 0
+            a = nudge[i] - (1 + k_off[i]) * ib
+        else:
+            a = a0[i]
+        b = a + length[i]
+        if alpha_mode[i] == 0:
+            alpha = alpha_u[i] * ib
+        else:
+            base = b if alpha_mode[i] == 1 else a + ib
+            k = math.floor(-base / ib) + 1 + k_off[i]
+            end = base + k * ib
+            alpha = end * (1 + 5e-16) if rel[i] else end + nudge[i]
+            near_end += 1
+        if alpha <= 0.0:
+            alpha = alpha_u[i] * ib + 1e-3
+        params = L.LatticeParams(alpha, beta, L.RationalClass(False))
+        w = W.characteristic(a, b)
+        expected = _anchor_row_covered_floor_ceil(params, w)
+        assert C._anchor_row_covered(params, w) == expected, (a, b, alpha, beta)
+        uncovered += not expected
+    assert uncovered > n // 4
+    assert near_end > n // 2
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"samples_per_gap": 2}, {"samples_per_gap": 0}, {"samples_per_gap": -1},
+    {"delta_floor": 0.0}, {"delta_floor": -1.0}, {"delta_floor": math.nan},
+    {"delta_floor": math.inf},
+])
+def test_certify_config_rejects_unusable_scan_settings(kwargs):
+    # fewer than 3 samples per gap can never certify, and a floor <= 0
+    # certifies on the rounding noise of a singular determinant
+    with pytest.raises(ValueError, match=next(iter(kwargs))):
+        C.CertifyConfig(**kwargs)
+    C.CertifyConfig(samples_per_gap=3, delta_floor=5e-324)
+
+
 def test_certify_monotone_in_extent(flagship):
     params, w, _ = flagship
     c16 = C.certify_frame(params, w, C.CertifyConfig(extent=16))

@@ -381,7 +381,7 @@ def test_config_comments_and_blank_lines(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# a comment\n\nalpha = 0.7  # trailing\nbeta = 1.0\n"
                    "window = char\n")
-    parsed = cli.parse_config(cfg)
+    parsed = cli.parse_config(cfg, {"alpha", "beta", "window"})
     assert parsed == {"alpha": "0.7", "beta": "1.0", "window": "char"}
 
 
@@ -573,4 +573,56 @@ def test_framebounds_section_without_complete_column_exits_one(tmp_path,
                 "--extent", "0", "--x-grid-size", "8", "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "extent 0" in err
+    assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# determinant floor, samples per gap and quadrature nodes
+
+ROUNDING_NOISE_CASE = ["--window", "bump", "--alpha", "0.62747",
+                       "--beta", "1.54268", "--extent", "16"]
+
+
+@pytest.mark.parametrize("subcommand, via, option, value", [
+    ("certify", "flag", "delta_floor", "0"),
+    ("certify", "flag", "delta_floor", "-1"),
+    ("certify", "flag", "delta_floor", "nan"),
+    ("certify", "flag", "delta_floor", "inf"),
+    ("certify", "flag", "samples_per_gap", "2"),
+    ("certify", "flag", "samples_per_gap", "1"),
+    ("certify", "flag", "samples_per_gap", "0"),
+    ("certify", "flag", "samples_per_gap", "-1"),
+    ("certify", "config", "delta_floor", "0"),
+    ("certify", "config", "samples_per_gap", "2"),
+    ("scan", "flag", "delta_floor", "0"),
+    ("scan", "flag", "samples_per_gap", "2"),
+    ("scan", "config", "delta_floor", "-1"),
+    ("scan", "config", "samples_per_gap", "0"),
+])
+def test_unusable_floor_or_samples_exit_one(tmp_path, capsys, subcommand, via,
+                                            option, value):
+    """A floor <= 0 certified the bump at (0.62747, 1.54268) on a delta of
+    7.8e-57, and fewer than 3 samples per gap can never certify."""
+    out = tmp_path / "o"
+    argv = [subcommand] + ROUNDING_NOISE_CASE + ["--out", str(out)]
+    if via == "flag":
+        argv += [cli._flag(option), value]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{option} = {value}\n")
+        argv += ["--config", str(cfg)]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and option in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("n", ["0", "1", "-1"])
+def test_random_window_too_few_quadrature_nodes_exits_one(tmp_path, capsys, n):
+    # 0 ended in an IndexError; 1 wrote a one-row CSV that certify rejects
+    out = tmp_path / "w.csv"
+    assert run(["random-window", "--seed", "1", "--dt", "0.00390625",
+                "--quadrature-n", n, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "quadrature_n" in err
     assert not out.exists()

@@ -1,19 +1,29 @@
-"""Smoke test: the showcase demo runs end to end on the library API."""
+"""Smoke test: every demo runs end to end on the library API."""
 
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_certify_bump_showcase_runs():
+@pytest.mark.parametrize("demo, line", [
+    ("certify_bump_showcase.py", "certify_frame verdict: certified"),
+    ("random_window_gallery.py",
+     "     0        4.265e-17    certified    4.567e-07    1.744e-19"),
+    ("rational_vs_irrational.py",
+     "      64   7.185118e-04     2.222909e-04"),
+], ids=["certify_bump_showcase", "random_window_gallery",
+        "rational_vs_irrational"])
+def test_demo_runs(demo, line):
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(ROOT / "src")] + ([path] if path else [])))
-    proc = subprocess.run([sys.executable, "demos/certify_bump_showcase.py"],
+    proc = subprocess.run([sys.executable, f"demos/{demo}"],
                           cwd=ROOT, env=env, capture_output=True, text=True,
                           timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert "certify_frame verdict: certified" in proc.stdout
+    assert line in proc.stdout.splitlines()

@@ -229,8 +229,7 @@ def test_sections_agree_with_rotation_loop(spec, extent):
 
 
 def test_brownian_section_agrees_with_rotation_loop():
-    w = randwin.synthesize_window(randwin.sample_path(3, dt=2 ** -8),
-                                  randwin.KernelConfig(quadrature_n=128))
+    w = randwin.synthesize_window(randwin.sample_path(3, dt=2 ** -8), 128)
     params = lattice.lattice_params(0.8, 1.0 / math.sqrt(2.0))
     G = framebound.truncated_G(params, w, 0.29, 16, complete_only=True)
     assert np.any(G.imag)

@@ -64,18 +64,26 @@ def test_kernel_positive_inside():
 
 
 def test_synthesize_endpoints_zero():
-    w = R.synthesize_window(R.sample_path(1, dt=2 ** -8),
-                            R.KernelConfig(quadrature_n=256))
+    w = R.synthesize_window(R.sample_path(1, dt=2 ** -8), 256)
     assert W.evaluate(w, 0.0) == 0.0
     assert W.evaluate(w, 1.0) == 0.0
     assert (w.support_lo, w.support_hi) == (0.0, 1.0)
 
 
+def test_synthesize_rejects_fewer_than_two_nodes():
+    path = R.sample_path(1, dt=2 ** -8)
+    for n in (1, 0, -1):
+        with pytest.raises(ValueError, match="quadrature_n"):
+            R.synthesize_window(path, n)
+    w = R.synthesize_window(path, 2)
+    assert np.array_equal(w.grid_x, [0.0, 1.0])
+    assert np.array_equal(w.grid_vals, [0.0, 0.0])
+
+
 def test_synthesize_constant_path_matches_fine_quadrature():
     # B = 1: g(x) = integral of h(x, t) dt; oracle is a 10x finer t-grid.
     # Compare at tabulation nodes so only the t-quadrature error enters.
-    coarse = R.synthesize_window(R.constant_path(1.0, dt=2 ** -10),
-                                 R.KernelConfig(quadrature_n=64))
+    coarse = R.synthesize_window(R.constant_path(1.0, dt=2 ** -10), 64)
     for i in (20, 32, 45, 55):
         x = coarse.grid_x[i]
         ts = np.linspace(0.0, x, 10 * 2 ** 10)
@@ -85,17 +93,14 @@ def test_synthesize_constant_path_matches_fine_quadrature():
 
 
 def test_synthesize_deterministic_per_seed():
-    a = R.synthesize_window(R.sample_path(4, dt=2 ** -8),
-                            R.KernelConfig(quadrature_n=128))
-    b = R.synthesize_window(R.sample_path(4, dt=2 ** -8),
-                            R.KernelConfig(quadrature_n=128))
+    a = R.synthesize_window(R.sample_path(4, dt=2 ** -8), 128)
+    b = R.synthesize_window(R.sample_path(4, dt=2 ** -8), 128)
     assert np.array_equal(a.grid_vals, b.grid_vals)
 
 
 def test_smoothness_proxy_second_differences_bounded():
     for seed in range(5):
-        w = R.synthesize_window(R.sample_path(seed, dt=2 ** -10),
-                                R.KernelConfig(quadrature_n=512))
+        w = R.synthesize_window(R.sample_path(seed, dt=2 ** -10), 512)
         h = w.grid_x[1] - w.grid_x[0]
         d2 = np.abs(np.diff(w.grid_vals, 2)) / h ** 2
         assert np.max(d2) < 100.0
@@ -175,8 +180,7 @@ def test_synthesize_window_traced_peak_under_32_mib():
 # non-vanishing
 
 def test_verify_nonvanishing_positive_for_constant_path():
-    w = R.synthesize_window(R.constant_path(1.0, dt=2 ** -10),
-                            R.KernelConfig(quadrature_n=512))
+    w = R.synthesize_window(R.constant_path(1.0, dt=2 ** -10), 512)
     min_abs, _ = R.verify_nonvanishing(w)
     assert min_abs > 0.0
 
@@ -206,12 +210,12 @@ def _dense_kernel(x, t):
     return out
 
 
-def _dense_synthesis(path, kcfg):
+def _dense_synthesis(path, quadrature_n):
     """One trapezoid over the full (quadrature_n, path length) kernel grid."""
     keep = path.times <= 1.0
     t = path.times[keep]
     B = path.values[keep]
-    xs = np.linspace(0.0, 1.0, kcfg.quadrature_n)
+    xs = np.linspace(0.0, 1.0, quadrature_n)
     H = _dense_kernel(xs[:, None], t[None, :])
     vals = np.trapezoid(H * B[None, :], t, axis=1)
     vals[0] = 0.0
@@ -227,9 +231,8 @@ def _same_bits(a, b):
 
 
 def _assert_synthesis_bits(path, quadrature_n):
-    kcfg = R.KernelConfig(quadrature_n=quadrature_n)
-    w = R.synthesize_window(path, kcfg)
-    xs, vals = _dense_synthesis(path, kcfg)
+    w = R.synthesize_window(path, quadrature_n)
+    xs, vals = _dense_synthesis(path, quadrature_n)
     assert _same_bits(w.grid_x, xs)
     assert _same_bits(w.grid_vals, vals)
 
