@@ -47,9 +47,7 @@ class CertifyConfig:
     delta_floor: float = 1e-8
     extent: int = 32
     hop_bound: int = 10_000
-    zero_tol: float = 1e-10
     delta_sep: float = 1e-3       # <= 0 disables the forbidden-ratio separation check
-    period_oversample: int = 8
 
     def __post_init__(self):
         # a certified interval needs 3 samples in one gap, and a floor of 0
@@ -68,7 +66,7 @@ class DeterminantProfile:
 
     x_samples: np.ndarray
     det_values: np.ndarray
-    fingerprints: list
+    fingerprints: list            # one per gap, indexed by gap_index
     gap_index: np.ndarray
     breakpoints: np.ndarray
 
@@ -158,59 +156,50 @@ def _chebyshev_nodes(lo: float, hi: float, k: int) -> np.ndarray:
     return np.sort(mid + half * np.cos((2 * j - 1) * np.pi / (2 * k)))
 
 
-# most matrix entries evaluated in one stack; a longer run is split in half
+# most matrix entries evaluated in one stack; a longer gap takes several
 _BATCH_ENTRIES = 1 << 20
+_ZERO_TOL = 1e-10           # rational_analysis: |det| below this is a zero
+_PERIOD_OVERSAMPLE = 8      # rational_analysis: period grid points per alpha/q
 
 
-def _det_batches(params: LatticeParams, w: Window, xs: np.ndarray) -> list:
-    """det(M_x) for sorted xs in (0, alpha) as (fingerprint, dets) batches, in
-    order: one stacked evaluate and one det per run of equal anchor structure.
+def _gap_dets(params: LatticeParams, w: Window, xs: np.ndarray):
+    """(anchor block at xs[0], det(M_x) for each x) for sorted xs in one gap.
 
-    The key (anchor_m, size, good-pair mask) is read at the first and the
-    last x only; when they agree, every x between has it, in floating point
-    too.  x + m/beta is monotone in x, so anchor_m is monotone, and so is the
-    size for a fixed anchor_m.  With both fixed, each mask entry's argument
-    is monotone in x and moves by less than alpha < b - a, so no entry can
-    flip and flip back.  The fingerprint leaves out anchor_m, so the key
-    holds it too.  Otherwise the xs are split in half.  An x where row 0
-    has no good pair raises at the first such x, as a sample-by-sample scan
-    would: it is never inside a batch, so it ends up a first x.
+    build_Mx reads only anchor_m and size.  x + m/beta is monotone in x, so
+    anchor_m is, and so is the size for a fixed anchor_m, in floating point
+    too: equal values at the first and last x hold for every x between.  The
+    breakpoints are complete, so a mismatch is a bug and raises.
     """
-    if len(xs) == 0:
-        return []
     spec = anchor_block(params, w, xs[0])
-    key = (spec.anchor_m, structure_fingerprint(params, w, xs[0], spec))
-    try:
-        last = anchor_block(params, w, xs[-1])
-        same = key == (last.anchor_m,
-                       structure_fingerprint(params, w, xs[-1], last))
-    except HypothesisViolated:
-        same = False
-    if len(xs) == 1 or same and len(xs) * spec.size ** 2 <= _BATCH_ENTRIES:
-        stack = build_Mx(params, w, BlockSpec(0, spec.anchor_m, spec.size, xs))
-        return [(key[1], np.linalg.det(stack))]
-    half = len(xs) // 2
-    return (_det_batches(params, w, xs[:half])
-            + _det_batches(params, w, xs[half:]))
+    last = anchor_block(params, w, xs[-1])
+    if (last.anchor_m, last.size) != (spec.anchor_m, spec.size):
+        raise AssertionError(f"anchor structure changes between x={xs[0]!r} "
+                             f"and x={xs[-1]!r}")
+    step = max(1, _BATCH_ENTRIES // spec.size ** 2)
+    dets = [np.linalg.det(build_Mx(params, w, BlockSpec(
+                0, spec.anchor_m, spec.size, xs[i:i + step])))
+            for i in range(0, len(xs), step)]
+    return spec, np.concatenate(dets)
 
 
 def scan_determinant(params: LatticeParams, w: Window,
-                     samples_per_gap: int = 32) -> DeterminantProfile:
+                     samples_per_gap: int = CertifyConfig.samples_per_gap
+                     ) -> DeterminantProfile:
     """Evaluate det(M_x) at Chebyshev nodes of every breakpoint gap in (0, alpha)."""
     if params.alpha >= w.support_length:
         raise HypothesisViolated("alpha must be < support length")
     bps = structure_breakpoints(params, w)
     edges = np.concatenate(([0.0], bps, [params.alpha]))
-    xs, dets, fps, gaps = [], [], [], []
-    for gi in range(len(edges) - 1):
-        nodes = _chebyshev_nodes(edges[gi], edges[gi + 1], samples_per_gap)
-        for fp, batch in _det_batches(params, w, nodes):
-            dets.extend(batch)
-            fps.extend([fp] * len(batch))
-        xs.extend(nodes)
-        gaps.extend([gi] * len(nodes))
-    return DeterminantProfile(np.array(xs), np.array(dets, dtype=complex),
-                              fps, np.array(gaps), bps)
+    xs, dets, fps = [], [], []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        nodes = _chebyshev_nodes(lo, hi, samples_per_gap)
+        spec, gap_dets = _gap_dets(params, w, nodes)
+        xs.append(nodes)
+        dets.append(gap_dets)
+        fps.append(structure_fingerprint(params, w, nodes[0], spec))
+    gaps = np.repeat(np.arange(len(fps)), samples_per_gap)
+    return DeterminantProfile(np.concatenate(xs),
+                              np.concatenate(dets, dtype=complex), fps, gaps, bps)
 
 
 def _runs(mask, groups=None) -> list:
@@ -262,11 +251,11 @@ def _separators(params: LatticeParams, w: Window, x: float, col_lo: int,
 
 
 def _hop(params: LatticeParams, w: Window, x: float, interval: tuple,
-         extent: int, hop_bound: int, edge: DecompBlock, step: int,
-         eps: float):
+         spec: BlockSpec, extent: int, hop_bound: int, edge: DecompBlock,
+         step: int, eps: float):
     """Next anchor block landing in the interval past edge, below and to the
     right for step +1, above and to the left for step -1, with the separators
-    glueing the two; the blocks come in row order.
+    glueing the two; the blocks come in row order, all of spec's shape.
 
     Returns None once edge or the candidate rows reach past +-extent.
     """
@@ -278,19 +267,18 @@ def _hop(params: LatticeParams, w: Window, x: float, interval: tuple,
             return None
         base = x - params.alpha * nt
         for mt in int_range(base, params.inv_beta, *interval):
-            spec = anchor_block(params, w, base + mt * params.inv_beta)
-            col0, size = mt + spec.anchor_m, spec.size
+            col0 = mt + spec.anchor_m
             # last row and column of the upper block, first of the lower one
             if step > 0:
                 r0, c0, r1, c1 = edge.row_hi, edge.col_hi, nt, col0
             else:
-                r0, c0 = nt + size - 1, col0 + size - 1
+                r0, c0 = nt + spec.size - 1, col0 + spec.size - 1
                 r1, c1 = edge.row_lo, edge.col_lo
             if r1 <= r0 or c1 <= c0:
                 continue
             seps = _separators(params, w, x, c0 + 1, c1 - 1, r0, r1, eps)
             if seps is not None:
-                mat = build_Mx(params, w, BlockSpec(nt, col0, size, x))
+                mat = build_Mx(params, w, BlockSpec(nt, col0, spec.size, x))
                 block = DecompBlock("anchor", nt, col0, mat)
                 return seps + [block] if step > 0 else [block] + seps
     direction = "forward" if step > 0 else "backward"
@@ -299,11 +287,14 @@ def _hop(params: LatticeParams, w: Window, x: float, interval: tuple,
 
 def build_block_decomposition(params: LatticeParams, w: Window, x: float,
                               extent: int, interval: tuple,
-                              hop_bound: int = 10_000) -> BlockDecomposition:
+                              hop_bound: int = CertifyConfig.hop_bound
+                              ) -> BlockDecomposition:
     """Replay the glueing argument: anchor blocks landing in the certified
     interval, joined by separator rows, covering rows [-extent, extent].
 
-    Rows between consecutive blocks that are neither block rows nor separator
+    The interval's ends must have x's anchor_m and size; both are monotone
+    in x, so every landing x - alpha*n + m/beta inside has them too.  Rows
+    between consecutive blocks that are neither block rows nor separator
     rows are discarded (removing rows only weakens the lower bound, never the
     verdict's validity).
     """
@@ -314,9 +305,13 @@ def build_block_decomposition(params: LatticeParams, w: Window, x: float,
         raise ValueError("x must lie in the certified interval")
     eps = epsilon(params, w)
     spec0 = anchor_block(params, w, x)
+    for end in interval:
+        spec = anchor_block(params, w, end)
+        if (spec.anchor_m, spec.size) != (spec0.anchor_m, spec0.size):
+            raise ValueError("the anchor structure changes inside the interval")
     blocks = [DecompBlock("anchor", 0, spec0.anchor_m, build_Mx(params, w, spec0))]
     for step in (1, -1):
-        while hop := _hop(params, w, x, interval, extent, hop_bound,
+        while hop := _hop(params, w, x, interval, spec0, extent, hop_bound,
                           blocks[-1] if step > 0 else blocks[0], step, eps):
             blocks = blocks + hop if step > 0 else hop + blocks
 
@@ -460,10 +455,9 @@ def rational_analysis(params: LatticeParams, w: Window, samples: int = 4096,
     margin = (j_hi - j_lo) / 1000.0
     xs = np.linspace(j_lo + margin, j_hi - margin, samples)
     # abs of each numpy scalar, not np.abs: the vector loop rounds differently
-    absdet = np.array([abs(d) for _, batch in _det_batches(params, w, xs)
-                       for d in batch])
+    absdet = np.array([abs(d) for d in _gap_dets(params, w, xs)[1]])
 
-    below = absdet < config.zero_tol
+    below = absdet < _ZERO_TOL
     zero_count = len(_runs(below))
     runs = _runs(~below)
     sub = None
@@ -473,14 +467,15 @@ def rational_analysis(params: LatticeParams, w: Window, samples: int = 4096,
 
     threshold = (zero_count + 1) / (params.alpha * (j_hi - j_lo))
 
-    step = params.alpha / (rc.q * config.period_oversample)
+    step = params.alpha / (rc.q * _PERIOD_OVERSAMPLE)
     grid = np.arange(0.5 * step, params.alpha, step)
     # nudge off breakpoints; the determinant map is only defined between them
     for bp in edges:
         close = np.abs(grid - bp) < 1e-9
         grid[close] += 1e-9
-    period_min = min(abs(d) for _, batch in _det_batches(params, w, grid)
-                     for d in batch)
+    gaps = np.split(grid, np.searchsorted(grid, edges[1:-1]))
+    period_min = min(abs(d) for part in gaps if len(part)
+                     for d in _gap_dets(params, w, part)[1])
     # a zero inside J already rules out a uniform determinant floor, no matter
     # how coarsely the period grid happens to straddle it
     supported = period_min >= config.delta_floor and zero_count == 0

@@ -230,8 +230,8 @@ def cmd_certify(args) -> int:
         # a failed hypothesis leaves no scan and the profile header-only
         if cert.profile is not None:
             p = cert.profile
-            for x, ad, fp in zip(p.x_samples, p.abs_det, p.fingerprints):
-                fid = ids.setdefault(fp, len(ids))
+            for x, ad, gi in zip(p.x_samples, p.abs_det, p.gap_index):
+                fid = ids.setdefault(p.fingerprints[gi], len(ids))
                 rows.append(f"{fmt(x)},{fmt(ad)},{fid}")
         _write_text(args.det_profile, "\n".join(rows) + "\n")
     return EXIT_CERTIFIED if cert.certified else EXIT_NOT_CERTIFIED
@@ -266,8 +266,10 @@ def cmd_scan(args) -> int:
     betas = [args.beta] if args.beta_grid is None else args.beta_grid
     config = _certify_config(args)
     tasks = [(args.window, a, b, config) for a in alphas for b in betas]
-    if args.workers > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
+    # a fork pool starts all its workers at the first submit
+    workers = min(args.workers, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_scan_point, tasks))   # ordered assembly
     else:
         results = [_scan_point(t) for t in tasks]
@@ -275,7 +277,7 @@ def cmd_scan(args) -> int:
         if message is not None:
             print(f"error: {message}", file=sys.stderr)
     _emit(args, "alpha,beta,verdict,delta,sigma_min\n"
-          + "\n".join(row for row, _ in results) + "\n")
+          + "".join(row + "\n" for row, _ in results))
     return 0
 
 

@@ -37,6 +37,7 @@ SYNTH_ROW_BLOCK = 32
 #: time step (the real increments, their complex sum, its cumsum and the
 #: path), so dt = 2^-8 keeps the full chunk of 8192 paths
 MC_CHUNK_BYTES = 2 ** 27
+_MC_CHUNK_PATHS = 8192
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,17 +150,16 @@ def verify_nonvanishing(w: Window, n_core: int = 4096) -> tuple[float, float]:
 
 
 def mc_path_integrals(n_paths: int, dt: float, seed: int,
-                      component_var: float = 1.0,
-                      chunk: int = 8192) -> np.ndarray:
+                      component_var: float = 1.0) -> np.ndarray:
     """int_0^1 B(t) dt for n_paths independent complex paths started at 1.
 
     Batched Philox streams; per-path results match sample_path statistics.
-    A chunk holds at most `chunk` paths and MC_CHUNK_BYTES of arrays."""
+    A chunk holds at most _MC_CHUNK_PATHS paths and MC_CHUNK_BYTES of arrays."""
     n = int(round(1.0 / dt))
     scale = math.sqrt(component_var * dt)
     rng = np.random.Generator(np.random.Philox(key=seed))
     out = np.empty(n_paths, dtype=complex)
-    chunk = max(1, min(chunk, MC_CHUNK_BYTES // (64 * n)))
+    chunk = max(1, min(_MC_CHUNK_PATHS, MC_CHUNK_BYTES // (64 * n)))
     done = 0
     while done < n_paths:
         k = min(chunk, n_paths - done)

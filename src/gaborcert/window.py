@@ -41,6 +41,7 @@ FOURIER_QUAD_NODES = 2 ** 14
 #: frequencies per block of fourier_transform: about 4 MiB per complex
 #: array at the default 2^14 nodes
 FOURIER_XI_BLOCK = 16
+_SUP_GRID_N = 4096          # points of sup_norm's dense grid
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,11 +165,11 @@ def evaluate(w: Window, x):
     return out
 
 
-def sup_norm(w: Window, grid_n: int = 4096) -> float:
+def sup_norm(w: Window) -> float:
     """sup |g|, from the cached hint when available, else a dense grid."""
     if w.sup_norm_hint is not None:
         return w.sup_norm_hint
-    xs = np.linspace(w.support_lo, w.support_hi, grid_n)
+    xs = np.linspace(w.support_lo, w.support_hi, _SUP_GRID_N)
     return float(np.max(np.abs(evaluate(w, xs))))
 
 

@@ -64,11 +64,12 @@ def test_scan_characteristic_unit_determinants():
 
 
 def test_scan_fingerprints_constant_per_gap():
+    """One fingerprint per gap, and every sample of the gap has it."""
     p = L.lattice_params(1.0, 1.0 / SQRT2)
     prof = C.scan_determinant(p, W.bump(), 8)
-    for gi in np.unique(prof.gap_index):
-        fps = {prof.fingerprints[i] for i in np.flatnonzero(prof.gap_index == gi)}
-        assert len(fps) == 1
+    assert len(prof.fingerprints) == len(prof.breakpoints) + 1
+    for x, gi in zip(prof.x_samples, prof.gap_index):
+        assert L.structure_fingerprint(p, W.bump(), x) == prof.fingerprints[gi]
 
 
 def test_scan_rejects_wide_alpha():
@@ -120,7 +121,7 @@ def test_scan_matches_sample_loop(w, alpha, beta, samples):
     assert _same_bits(prof.x_samples, xs)
     assert _same_bits(prof.det_values, dets)
     assert _same_bits(prof.gap_index, gaps)
-    assert prof.fingerprints == fps
+    assert [prof.fingerprints[gi] for gi in prof.gap_index] == fps
 
 
 def test_scan_splits_batches_past_entry_cap(monkeypatch):
@@ -128,30 +129,30 @@ def test_scan_splits_batches_past_entry_cap(monkeypatch):
     p, w = L.lattice_params(1.0, 1.0 / SQRT2), W.bump()
     prof = C.scan_determinant(p, w, 32)
     xs, dets, fps, gaps = _scan_loop(p, w, 32)
-    assert _same_bits(prof.det_values, dets) and prof.fingerprints == fps
+    assert _same_bits(prof.det_values, dets)
+    assert [prof.fingerprints[gi] for gi in prof.gap_index] == fps
 
 
-def test_scan_splits_structures_within_a_gap(monkeypatch):
-    """With no breakpoints, the one gap (0, alpha) holds many structures."""
+def test_scan_rejects_a_gap_holding_two_structures(monkeypatch):
+    """With no breakpoints, the one gap (0, alpha) holds several anchor
+    structures; the scan trusts the breakpoints and raises, never splits."""
     monkeypatch.setattr(C, "structure_breakpoints", lambda params, w: np.array([]))
     p, w = L.lattice_params(1.0, 1.0 / SQRT2), W.bump()
-    prof = C.scan_determinant(p, w, 64)
-    dets = [np.linalg.det(L.build_Mx(p, w, L.anchor_block(p, w, x)))
-            for x in prof.x_samples]
-    assert _same_bits(prof.det_values, np.array(dets))
-    assert prof.fingerprints == [L.structure_fingerprint(p, w, x)
-                                 for x in prof.x_samples]
-    assert len(set(prof.fingerprints)) > 1
+    with pytest.raises(AssertionError, match="anchor structure"):
+        C.scan_determinant(p, w, 64)
 
 
-def test_det_batches_key_holds_anchor_m():
-    """x and x + 1/beta share the fingerprint, one column apart."""
+def test_gap_dets_key_holds_anchor_m():
+    """x and x + 1/beta share the fingerprint, one column apart: the check
+    at the ends compares anchor_m too."""
     p, w = L.lattice_params(1.0, 1.0 / SQRT2), W.bump()
     xs = np.array([0.2, 0.2 + p.inv_beta])
     assert L.structure_fingerprint(p, w, xs[0]) == L.structure_fingerprint(p, w, xs[1])
-    dets = [d for _, batch in C._det_batches(p, w, xs) for d in batch]
-    assert dets == [np.linalg.det(L.build_Mx(p, w, L.anchor_block(p, w, x)))
-                    for x in xs]
+    with pytest.raises(AssertionError, match="anchor structure"):
+        C._gap_dets(p, w, xs)
+    spec, dets = C._gap_dets(p, w, xs[:1])
+    assert (spec.anchor_m, spec.size) == (0, 2)
+    assert dets.tolist() == [np.linalg.det(L.build_Mx(p, w, L.anchor_block(p, w, xs[0])))]
 
 
 # ---------------------------------------------------------------------------
@@ -324,6 +325,16 @@ def test_decomposition_hop_not_found_messages(hop_bound, direction):
     short = C.certify_frame(p, w, C.CertifyConfig(extent=4, hop_bound=hop_bound))
     assert short.verdict == "not_certified"
     assert short.reason == str(info.value)
+
+
+def test_decomposition_rejects_interval_spanning_structures(flagship):
+    # on the flagship, anchor_m drops from 0 to -1 where x - sqrt(2) crosses
+    # a = -1, at x = sqrt(2) - 1, so (0.2, 0.6) holds two anchor structures
+    params, w, _ = flagship
+    ends = [L.anchor_block(params, w, x) for x in (0.2, 0.6)]
+    assert ends[0].anchor_m != ends[1].anchor_m
+    with pytest.raises(ValueError, match="anchor structure"):
+        C.build_block_decomposition(params, w, 0.3, 8, (0.2, 0.6))
 
 
 def test_decomposition_requires_x_in_interval(flagship):
@@ -551,13 +562,13 @@ def _rational_loops(params, w, samples, config):
     xs = np.linspace(j_lo + margin, j_hi - margin, samples)
     absdet = np.array([abs(np.linalg.det(L.build_Mx(params, w, L.anchor_block(params, w, x))))
                        for x in xs])
-    below = absdet < config.zero_tol
+    below = absdet < C._ZERO_TOL
     runs = C._runs(~below)
     sub = None
     if runs:
         i, j = max(runs, key=lambda r: r[1] - r[0])
         sub = (float(xs[i]), float(xs[j - 1]))
-    step = params.alpha / (params.rational_class.q * config.period_oversample)
+    step = params.alpha / (params.rational_class.q * C._PERIOD_OVERSAMPLE)
     grid = np.arange(0.5 * step, params.alpha, step)
     for bp in edges:
         grid[np.abs(grid - bp) < 1e-9] += 1e-9

@@ -163,6 +163,35 @@ def test_certify_det_profile_flagship_bytes(tmp_path):
         "750962723a3ea547c015c2748e8d6521ec7267818b56f7d644b5e72ec16458b8")
 
 
+def test_certify_det_profile_many_gaps_bytes(tmp_path):
+    """gevrey:2 at alpha*beta ~ 0.95: 70 gaps sharing 49 structures, so the
+    fingerprint ids repeat across gaps; pinned from the per-sample scan."""
+    prof = tmp_path / "p.csv"
+    assert run(["certify", "--window", "gevrey:2", "--alpha", "1.3",
+                "--beta", "0.73076923", "--extent", "16",
+                "--out", str(tmp_path / "c.json"),
+                "--det-profile", str(prof)]) == 2
+    lines = prof.read_text().strip().split("\n")[1:]
+    assert len(lines) == 70 * 32
+    assert len({l.split(",")[2] for l in lines}) == 49
+    assert hashlib.sha256(prof.read_bytes()).hexdigest() == (
+        "335f22c1a321383bbf34a32d47f5b10c866851dc97ff95a34514819a213a9c26")
+
+
+def test_certify_det_profile_sampled_window_bytes(tmp_path):
+    """Complex Brownian window read back from its CSV; pinned from the
+    per-sample scan."""
+    win, prof = tmp_path / "w.csv", tmp_path / "p.csv"
+    assert run(["random-window", "--seed", "3", "--dt", "0.00390625",
+                "--quadrature-n", "256", "--out", str(win)]) == 0
+    assert run(["certify", "--window", str(win), "--alpha", "0.8",
+                "--beta", "0.70710678118654757",
+                "--out", str(tmp_path / "c.json"),
+                "--det-profile", str(prof)]) == 0
+    assert hashlib.sha256(prof.read_bytes()).hexdigest() == (
+        "e59c254da7ea21013192d1dd87e83f27bb44eefaa2fae976ea6c823bb8f7a22b")
+
+
 @pytest.mark.parametrize("alpha, beta, key", [
     ("1.2", "0.9", "density_lt_one"),
     ("2.5", "0.3", "alpha_lt_support"),
@@ -245,6 +274,44 @@ def test_scan_workers_reproduce_serial(tmp_path):
     run(args + ["--workers", "1", "--out", str(a)])
     run(args + ["--workers", "2", "--out", str(b)])
     assert a.read_bytes() == b.read_bytes()
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers and maps in
+    this process, so no worker process is ever started."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
+@pytest.mark.parametrize("grid, pool_sizes", [
+    ("1.5,1.6,1.7", [3]),       # alpha*beta >= 1: Skipped rows, no certify
+    ("1.5", []),
+    ("", []),
+], ids=["three-points", "one-point", "empty"])
+def test_scan_workers_capped_at_grid_points(tmp_path, monkeypatch, grid,
+                                            pool_sizes):
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
+    out = tmp_path / "s.csv"
+    assert run(["scan", f"--alpha-grid={grid}", "--beta-grid", "0.9",
+                "--workers", "5000", "--out", str(out)]) == 0
+    assert _RecordingPool.sizes == pool_sizes
+    alphas = [a for a in grid.split(",") if a]
+    assert out.read_text() == "".join(
+        f"{row}\n" for row in ["alpha,beta,verdict,delta,sigma_min"]
+        + [f"{cli.fmt(float(a))},{cli.fmt(0.9)},Skipped,," for a in alphas])
 
 
 # ---------------------------------------------------------------------------
