@@ -162,19 +162,25 @@ _ZERO_TOL = 1e-10           # rational_analysis: |det| below this is a zero
 _PERIOD_OVERSAMPLE = 8      # rational_analysis: period grid points per alpha/q
 
 
-def _gap_dets(params: LatticeParams, w: Window, xs: np.ndarray):
-    """(anchor block at xs[0], det(M_x) for each x) for sorted xs in one gap.
+def _one_structure(params: LatticeParams, w: Window, x: float, ends,
+                   error: type) -> BlockSpec:
+    """anchor_block at x; raises error when an x in ends has another anchor_m
+    or size.  build_Mx reads only these two, and both are monotone in x, in
+    floating point too (x + m/beta is, and so is the size for a fixed
+    anchor_m): equal values at two x hold for every x between."""
+    spec = anchor_block(params, w, x)
+    for end in ends:
+        other = anchor_block(params, w, end)
+        if (other.anchor_m, other.size) != (spec.anchor_m, spec.size):
+            raise error(f"the anchor structure changes between x={x!r} "
+                        f"and x={end!r}")
+    return spec
 
-    build_Mx reads only anchor_m and size.  x + m/beta is monotone in x, so
-    anchor_m is, and so is the size for a fixed anchor_m, in floating point
-    too: equal values at the first and last x hold for every x between.  The
-    breakpoints are complete, so a mismatch is a bug and raises.
-    """
-    spec = anchor_block(params, w, xs[0])
-    last = anchor_block(params, w, xs[-1])
-    if (last.anchor_m, last.size) != (spec.anchor_m, spec.size):
-        raise AssertionError(f"anchor structure changes between x={xs[0]!r} "
-                             f"and x={xs[-1]!r}")
+
+def _gap_dets(params: LatticeParams, w: Window, xs: np.ndarray):
+    """(anchor block at xs[0], det(M_x) for each x) for sorted xs in one gap;
+    the breakpoints are complete, so a structure change inside is a bug."""
+    spec = _one_structure(params, w, xs[0], xs[-1:], AssertionError)
     step = max(1, _BATCH_ENTRIES // spec.size ** 2)
     dets = [np.linalg.det(build_Mx(params, w, BlockSpec(
                 0, spec.anchor_m, spec.size, xs[i:i + step])))
@@ -186,6 +192,8 @@ def scan_determinant(params: LatticeParams, w: Window,
                      samples_per_gap: int = CertifyConfig.samples_per_gap
                      ) -> DeterminantProfile:
     """Evaluate det(M_x) at Chebyshev nodes of every breakpoint gap in (0, alpha)."""
+    if samples_per_gap < 1:
+        raise ValueError(f"samples_per_gap must be >= 1, got {samples_per_gap}")
     if params.alpha >= w.support_length:
         raise HypothesisViolated("alpha must be < support length")
     bps = structure_breakpoints(params, w)
@@ -304,20 +312,14 @@ def build_block_decomposition(params: LatticeParams, w: Window, x: float,
     if not lo <= x <= hi:
         raise ValueError("x must lie in the certified interval")
     eps = epsilon(params, w)
-    spec0 = anchor_block(params, w, x)
-    for end in interval:
-        spec = anchor_block(params, w, end)
-        if (spec.anchor_m, spec.size) != (spec0.anchor_m, spec0.size):
-            raise ValueError("the anchor structure changes inside the interval")
+    spec0 = _one_structure(params, w, x, interval, ValueError)
     blocks = [DecompBlock("anchor", 0, spec0.anchor_m, build_Mx(params, w, spec0))]
     for step in (1, -1):
         while hop := _hop(params, w, x, interval, spec0, extent, hop_bound,
                           blocks[-1] if step > 0 else blocks[0], step, eps):
             blocks = blocks + hop if step > 0 else hop + blocks
 
-    used = set()
-    for b in blocks:
-        used.update(range(b.row_lo, b.row_hi + 1))
+    used = {n for b in blocks for n in range(b.row_lo, b.row_hi + 1)}
     discarded = [n for n in range(-extent, extent + 1) if n not in used]
     return BlockDecomposition(x, extent, blocks, discarded)
 
@@ -329,13 +331,9 @@ def assemble_composite(params: LatticeParams, w: Window,
     Block lower triangular by construction, so its determinant equals the
     product of the diagonal block determinants.
     """
-    rows = []
-    for b in decomp.blocks:
-        rows.extend(range(b.row_lo, b.row_hi + 1))
-    col_lo = decomp.blocks[0].col_lo
-    col_hi = decomp.blocks[-1].col_hi
-    cols = np.arange(col_lo, col_hi + 1)
-    rows = np.array(rows)
+    rows = np.array([n for b in decomp.blocks
+                     for n in range(b.row_lo, b.row_hi + 1)])
+    cols = np.arange(decomp.blocks[0].col_lo, decomp.blocks[-1].col_hi + 1)
     if len(rows) != len(cols):
         raise AssertionError("composite matrix is not square")
     args = (decomp.x - params.alpha * rows[:, None]

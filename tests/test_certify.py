@@ -142,6 +142,15 @@ def test_scan_rejects_a_gap_holding_two_structures(monkeypatch):
         C.scan_determinant(p, w, 64)
 
 
+def test_scan_rejects_no_samples_per_gap():
+    p, w = L.lattice_params(1.0, 1.0 / SQRT2), W.bump()
+    for k in (0, -1):
+        with pytest.raises(ValueError, match="samples_per_gap"):
+            C.scan_determinant(p, w, k)
+    prof = C.scan_determinant(p, w, 1)
+    assert len(prof.x_samples) == len(prof.fingerprints) == len(prof.breakpoints) + 1
+
+
 def test_gap_dets_key_holds_anchor_m():
     """x and x + 1/beta share the fingerprint, one column apart: the check
     at the ends compares anchor_m too."""
