@@ -46,7 +46,6 @@ class CertifyConfig:
     samples_per_gap: int = 32
     delta_floor: float = 1e-8
     extent: int = 32
-    hop_bound: int = 10_000
     delta_sep: float = 1e-3       # <= 0 disables the forbidden-ratio separation check
 
     def __post_init__(self):
@@ -160,6 +159,8 @@ def _chebyshev_nodes(lo: float, hi: float, k: int) -> np.ndarray:
 _BATCH_ENTRIES = 1 << 20
 _ZERO_TOL = 1e-10           # rational_analysis: |det| below this is a zero
 _PERIOD_OVERSAMPLE = 8      # rational_analysis: period grid points per alpha/q
+_HOP_BOUND = 10_000         # _hop: rows tried per hop; an extent <= 9,999 ends it first
+_COVER_TOL = 1e-12          # _anchor_row_covered: longest bad overlap ignored
 
 
 def _one_structure(params: LatticeParams, w: Window, x: float, ends,
@@ -259,8 +260,7 @@ def _separators(params: LatticeParams, w: Window, x: float, col_lo: int,
 
 
 def _hop(params: LatticeParams, w: Window, x: float, interval: tuple,
-         spec: BlockSpec, extent: int, hop_bound: int, edge: DecompBlock,
-         step: int, eps: float):
+         spec: BlockSpec, extent: int, edge: DecompBlock, step: int, eps: float):
     """Next anchor block landing in the interval past edge, below and to the
     right for step +1, above and to the left for step -1, with the separators
     glueing the two; the blocks come in row order, all of spec's shape.
@@ -270,7 +270,7 @@ def _hop(params: LatticeParams, w: Window, x: float, interval: tuple,
     row = edge.row_hi if step > 0 else edge.row_lo
     if step * row >= extent:
         return None
-    for nt in range(row + step, row + step * (hop_bound + 1), step):
+    for nt in range(row + step, row + step * (_HOP_BOUND + 1), step):
         if step * nt > extent:
             return None
         base = x - params.alpha * nt
@@ -294,9 +294,7 @@ def _hop(params: LatticeParams, w: Window, x: float, interval: tuple,
 
 
 def build_block_decomposition(params: LatticeParams, w: Window, x: float,
-                              extent: int, interval: tuple,
-                              hop_bound: int = CertifyConfig.hop_bound
-                              ) -> BlockDecomposition:
+                              extent: int, interval: tuple) -> BlockDecomposition:
     """Replay the glueing argument: anchor blocks landing in the certified
     interval, joined by separator rows, covering rows [-extent, extent].
 
@@ -315,7 +313,7 @@ def build_block_decomposition(params: LatticeParams, w: Window, x: float,
     spec0 = _one_structure(params, w, x, interval, ValueError)
     blocks = [DecompBlock("anchor", 0, spec0.anchor_m, build_Mx(params, w, spec0))]
     for step in (1, -1):
-        while hop := _hop(params, w, x, interval, spec0, extent, hop_bound,
+        while hop := _hop(params, w, x, interval, spec0, extent,
                           blocks[-1] if step > 0 else blocks[0], step, eps):
             blocks = blocks + hop if step > 0 else hop + blocks
 
@@ -341,8 +339,7 @@ def assemble_composite(params: LatticeParams, w: Window,
     return evaluate(w, args)
 
 
-def _anchor_row_covered(params: LatticeParams, w: Window,
-                        tol: float = 1e-12) -> bool:
+def _anchor_row_covered(params: LatticeParams, w: Window) -> bool:
     """True iff row 0 has a good column for every x in (0, alpha).
 
     x is bad exactly when (x - a) mod (1/beta) falls in [b-a, 1/beta); the
@@ -356,7 +353,7 @@ def _anchor_row_covered(params: LatticeParams, w: Window,
     for k in int_range(b, params.inv_beta, (b - a) - params.inv_beta, params.alpha):
         lo = max(0.0, b + k * params.inv_beta)
         hi = min(params.alpha, a + (k + 1) * params.inv_beta)
-        if hi - lo > tol:
+        if hi - lo > _COVER_TOL:
             return False
     return True
 
@@ -403,8 +400,7 @@ def certify_frame(params: LatticeParams, w: Window,
     mid = 0.5 * (found.lo + found.hi)
     try:
         decomp = build_block_decomposition(params, w, mid, config.extent,
-                                           (found.lo, found.hi),
-                                           config.hop_bound)
+                                           (found.lo, found.hi))
     except HopNotFound as exc:
         return FrameCertificate("not_certified", str(exc), report,
                                 interval_lo=found.lo, interval_hi=found.hi,

@@ -9,6 +9,7 @@ Timestamps live only in an optional ``.meta.json`` sidecar.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
 import sys
@@ -82,10 +83,17 @@ def _write_meta(out_path, args_ns) -> None:
 # ---------------------------------------------------------------------------
 # window / config parsing
 
-def parse_window(spec: str) -> window.Window:
-    """Window from a CLI descriptor: a named kind, kind:args, or a CSV path.
+#: CLI name of each window kind -> its constructor, whose signature is the
+#: grammar: name[:field...], each field cast by its parameter's annotation
+_WINDOWS = {"bump": window.bump, "oddbump": window.odd_bump,
+            "char": window.characteristic, "characteristic": window.characteristic,
+            "polybump": window.poly_bump, "gevrey": window.gevrey}
 
-    Names: bump, oddbump, char[:lo:hi], polybump[:lo:hi], gevrey:N.
+
+def parse_window(spec: str) -> window.Window:
+    """Window from a CLI descriptor: a named kind, kind:fields, or a CSV path.
+
+    Names: bump, oddbump, char[:lo[:hi]], polybump[:lo[:hi]], gevrey:order.
     Anything containing a path separator or ending in .csv is read as a
     sampled-window CSV.
     """
@@ -94,25 +102,17 @@ def parse_window(spec: str) -> window.Window:
             return window.sampled_from_csv(spec)
         except OSError as exc:
             raise CliError(f"cannot read window file {spec!r}: {exc}") from exc
-    name, _, rest = spec.partition(":")
-    parts = rest.split(":") if rest else []
+    name, *fields = spec.split(":")
+    if name not in _WINDOWS:
+        raise CliError(f"unknown window {spec!r} "
+                       f"(expected {'|'.join(_WINDOWS)}|<file.csv>)")
+    signature = inspect.signature(_WINDOWS[name], eval_str=True)
     try:
-        if name == "bump":
-            return window.bump()
-        if name == "oddbump":
-            return window.odd_bump()
-        if name in ("char", "characteristic"):
-            return window.characteristic(*map(float, parts))
-        if name == "polybump":
-            return window.poly_bump(*map(float, parts))
-        if name == "gevrey":
-            if len(parts) != 1:
-                raise CliError("gevrey window needs an order, e.g. gevrey:4")
-            return window.gevrey(int(parts[0]))
+        bound = signature.bind(*fields)
+        return _WINDOWS[name](**{key: signature.parameters[key].annotation(value)
+                                 for key, value in bound.arguments.items()})
     except (TypeError, ValueError) as exc:
         raise CliError(f"bad window descriptor {spec!r}: {exc}") from exc
-    raise CliError(f"unknown window {spec!r} "
-                   "(expected bump|oddbump|char|polybump|gevrey:N|<file.csv>)")
 
 
 def parse_config(path, keys) -> dict:

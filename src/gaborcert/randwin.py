@@ -56,8 +56,12 @@ class BrownianPath:
 def sample_path(seed: int, dt: float = DEFAULT_DT, horizon: float = 1.0,
                 component_var: float = 1.0) -> BrownianPath:
     """Counter-based (Philox) complex Brownian path, bit-reproducible per seed."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    if not 0 < dt < 1:
+        raise ValueError(f"dt must lie in (0, 1) so the path has a node "
+                         f"inside (0, 1), got {dt}")
+    if not (math.isfinite(component_var) and component_var >= 0):
+        raise ValueError(f"component_var must be a non-negative finite "
+                         f"number, got {component_var}")
     if horizon < 1.0:
         raise ValueError("horizon must be >= 1")
     n = int(math.ceil(horizon / dt))
@@ -124,7 +128,7 @@ def synthesize_window(path: BrownianPath,
         vals[r0:r0 + len(x)] = np.add.reduce(terms, axis=1)
     vals[0] = 0.0
     vals[-1] = 0.0
-    return sampled(xs, vals, support_lo=0.0, support_hi=1.0)
+    return sampled(xs, vals)
 
 
 def gaussian_moments(u: np.ndarray, t: float, r: float) -> tuple[float, float]:

@@ -48,8 +48,8 @@ _SUP_GRID_N = 4096          # points of sup_norm's dense grid
 class Window:
     """Immutable description of a compactly supported window.
 
-    ``kind`` selects the evaluation rule; kind-specific payload lives in
-    ``order`` (gevrey) or ``grid_x``/``grid_vals`` (sampled).
+    ``kind`` keys the inside-support formula in ``_FORMULAS``; kind-specific
+    payload lives in ``order`` (gevrey) or ``grid_x``/``grid_vals`` (sampled).
     """
 
     support_lo: float
@@ -61,8 +61,16 @@ class Window:
     sup_norm_hint: Optional[float] = None
 
     def __post_init__(self):
+        if self.kind not in _FORMULAS:
+            raise ValueError(f"unknown window kind {self.kind!r}")
+        if not (math.isfinite(self.support_lo) and math.isfinite(self.support_hi)):
+            raise ValueError(f"support ({self.support_lo}, {self.support_hi}) "
+                             "must be finite")
         if not self.support_lo < self.support_hi:
             raise ValueError("support_lo must be < support_hi")
+        if self.kind == "sampled" and (self.support_lo, self.support_hi) != (
+                self.grid_x[0], self.grid_x[-1]):
+            raise ValueError("a sampled window's support must be its grid hull")
 
     def __call__(self, x):
         return evaluate(self, x)
@@ -109,12 +117,11 @@ def poly_bump(lo: float = 0.0, hi: float = 1.0) -> Window:
     return Window(lo, hi, "poly_bump", sup_norm_hint=w2 * w2)
 
 
-def sampled(grid_x, grid_vals, support_lo: float | None = None,
-            support_hi: float | None = None) -> Window:
+def sampled(grid_x, grid_vals) -> Window:
     """Window given by linear interpolation between strictly increasing nodes.
 
-    Nodes and values must be finite.  Evaluation is 0 outside the grid hull
-    and outside the open support.
+    Nodes and values must be finite.  The support is the open grid hull, and
+    evaluation is 0 outside it.
     """
     xs = np.asarray(grid_x, dtype=float)
     vals = np.asarray(grid_vals, dtype=complex)
@@ -124,31 +131,21 @@ def sampled(grid_x, grid_vals, support_lo: float | None = None,
         raise ValueError("grid_x and grid_vals must be finite")
     if np.any(np.diff(xs) <= 0):
         raise ValueError("grid_x must be strictly increasing")
-    lo = float(xs[0]) if support_lo is None else float(support_lo)
-    hi = float(xs[-1]) if support_hi is None else float(support_hi)
-    return Window(lo, hi, "sampled", grid_x=xs, grid_vals=vals)
+    return Window(float(xs[0]), float(xs[-1]), "sampled", grid_x=xs, grid_vals=vals)
 
 
-def _eval_inside(w: Window, x: np.ndarray) -> np.ndarray:
-    """Closed-form value on points guaranteed inside the open support."""
-    if w.kind == "bump":
-        return np.exp(1.0 / (x ** 4 - 1.0)).astype(complex)
-    if w.kind == "gevrey":
-        return np.exp(-((1.0 - x ** 4) ** (-float(w.order)))).astype(complex)
-    if w.kind == "characteristic":
-        return np.ones_like(x, dtype=complex)
-    if w.kind == "odd_bump":
-        return (x * np.exp(1.0 / (x ** 2 - 1.0))).astype(complex)
-    if w.kind == "poly_bump":
-        return ((x - w.support_lo) * (w.support_hi - x)).astype(complex)
-    if w.grid_x is not None:
-        inside_hull = (x >= w.grid_x[0]) & (x <= w.grid_x[-1])
-        re = np.interp(x, w.grid_x, w.grid_vals.real)
-        im = np.interp(x, w.grid_x, w.grid_vals.imag)
-        out = re + 1j * im
-        out[~inside_hull] = 0.0
-        return out
-    raise ValueError(f"unknown window kind {w.kind!r}")
+#: each kind's value at points strictly inside its open support; evaluate's
+#: complex output array casts a real value on assignment
+_FORMULAS = {
+    "bump": lambda w, x: np.exp(1.0 / (x ** 4 - 1.0)),
+    "gevrey": lambda w, x: np.exp(-((1.0 - x ** 4) ** (-float(w.order)))),
+    "characteristic": lambda w, x: 1.0,
+    "odd_bump": lambda w, x: x * np.exp(1.0 / (x ** 2 - 1.0)),
+    "poly_bump": lambda w, x: (x - w.support_lo) * (w.support_hi - x),
+    # the support is the grid hull, so every point inside lies between nodes
+    "sampled": lambda w, x: (np.interp(x, w.grid_x, w.grid_vals.real)
+                             + 1j * np.interp(x, w.grid_x, w.grid_vals.imag)),
+}
 
 
 def evaluate(w: Window, x):
@@ -159,7 +156,7 @@ def evaluate(w: Window, x):
     out = np.zeros(arr.shape, dtype=complex)
     inside = (arr > w.support_lo) & (arr < w.support_hi)
     if np.any(inside):
-        out[inside] = _eval_inside(w, arr[inside])
+        out[inside] = _FORMULAS[w.kind](w, arr[inside])
     if scalar:
         return complex(out[0])
     return out
@@ -229,15 +226,14 @@ def fourier_transform(w: Window, xi, quad_nodes: int = FOURIER_QUAD_NODES):
     return vals
 
 
-def fourier_decay_fit(w: Window, xi_max: float, n_xi: int,
-                      quad_nodes: int = FOURIER_QUAD_NODES) -> tuple[float, float]:
+def fourier_decay_fit(w: Window, xi_max: float, n_xi: int) -> tuple[float, float]:
     """Fit |ghat(xi)| ~ c * exp(-xi^s) on [1, xi_max]; returns (s_hat, c_hat).
 
     Only frequencies with |ghat| > 1e-12 enter the fit; fewer than 8 usable
     points raises DegenerateFit.
     """
     xis = np.linspace(1.0, xi_max, n_xi)
-    mags = np.abs(fourier_transform(w, xis, quad_nodes=quad_nodes))
+    mags = np.abs(fourier_transform(w, xis))
     usable = mags > 1e-12
     if np.count_nonzero(usable) < 8:
         raise DegenerateFit("fewer than 8 usable frequencies")

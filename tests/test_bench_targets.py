@@ -1,8 +1,9 @@
 """What the benchmark uses of gaborcert still exists.
 
-``perfbench/tracer.py`` looks its targets up by name, and
-``perfbench/workloads.py`` builds CLI commands; a renamed or deleted function
-or option would otherwise break only the benchmark run.
+``perfbench/tracer.py`` looks its targets up by name,
+``perfbench/workloads.py`` builds CLI commands and ``perfbench/checks.py``
+names the window each descriptor gives; a renamed or deleted function,
+option or window form would otherwise break only the benchmark run.
 """
 
 import importlib
@@ -30,6 +31,7 @@ def _load(stem):
 
 TARGETS = _load("tracer").TARGETS
 WORKLOADS = _load("workloads")
+CHECKS = _load("checks")
 
 
 @pytest.mark.parametrize("target", TARGETS, ids=lambda t: f"{t.module}.{t.function}")
@@ -58,3 +60,9 @@ def test_workload_commands_parse(workload):
     for argv in argvs:
         args = parser.parse_args(list(argv) + ["--out", "x"])
         assert args.subcommand == argv[0] and args.out == "x"
+
+
+@pytest.mark.parametrize("spec", sorted(CHECKS.WINDOW_KINDS))
+def test_benchmark_window_specs_parse_to_recorded_kind(spec):
+    w = cli.parse_window(spec)
+    assert (w.kind, w.order) == CHECKS.WINDOW_KINDS[spec]

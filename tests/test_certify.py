@@ -320,18 +320,19 @@ def test_decomposition_layout_pinned(window, alpha, beta, extent, layout):
 
 @pytest.mark.parametrize("hop_bound, direction", [(1, "forward"),
                                                   (2, "backward")])
-def test_decomposition_hop_not_found_messages(hop_bound, direction):
+def test_decomposition_hop_not_found_messages(monkeypatch, hop_bound, direction):
+    # the budget binds only past extent 9,999, so a small one stands in for it
     p = L.lattice_params(0.6, 0.81 / (0.6 * SQRT2))
     w = W.gevrey(2)
     cert = C.certify_frame(p, w, C.CertifyConfig(extent=4))
     mid = 0.5 * (cert.interval_lo + cert.interval_hi)
+    monkeypatch.setattr(C, "_HOP_BOUND", hop_bound)
     with pytest.raises(HopNotFound) as info:
         C.build_block_decomposition(p, w, mid, 4,
-                                    (cert.interval_lo, cert.interval_hi),
-                                    hop_bound)
+                                    (cert.interval_lo, cert.interval_hi))
     assert str(info.value) == (f"no {direction} landing in the interval "
                                "within hop_bound")
-    short = C.certify_frame(p, w, C.CertifyConfig(extent=4, hop_bound=hop_bound))
+    short = C.certify_frame(p, w, C.CertifyConfig(extent=4))
     assert short.verdict == "not_certified"
     assert short.reason == str(info.value)
 

@@ -471,6 +471,81 @@ def test_parse_window_variants():
         cli.parse_window("gevrey")
 
 
+# (kind, support_lo, support_hi, order, grid_n) of each accepted form,
+# recorded before the grammar came from the constructors' signatures
+DESCRIPTORS = {
+    "bump": ("bump", -1.0, 1.0, None, None),
+    "oddbump": ("odd_bump", -1.0, 1.0, None, None),
+    "char": ("characteristic", 0.0, 1.0, None, None),
+    "char:0:2": ("characteristic", 0.0, 2.0, None, None),
+    "char:-0.35:0.35": ("characteristic", -0.35, 0.35, None, None),
+    "characteristic:0:1": ("characteristic", 0.0, 1.0, None, None),
+    "polybump": ("poly_bump", 0.0, 1.0, None, None),
+    "polybump:0:2": ("poly_bump", 0.0, 2.0, None, None),
+    "gevrey:2": ("gevrey", -1.0, 1.0, 2, None),
+    "win.csv": ("sampled", 0.0, 1.0, None, 65),
+}
+
+
+@pytest.mark.parametrize("spec", DESCRIPTORS)
+def test_parse_window_accepted_forms(tmp_path, spec):
+    arg = spec
+    if spec.endswith(".csv"):
+        xs = np.linspace(0.0, 1.0, 65)
+        arg = str(tmp_path / spec)
+        (tmp_path / spec).write_bytes(window.sampled_to_csv(
+            window.sampled(xs, np.sin(np.pi * xs))).encode())
+    d = cli.parse_window(arg).descriptor()
+    got = (d["kind"], d["support_lo"], d["support_hi"], d.get("order"),
+           d.get("grid_n"))
+    assert got == DESCRIPTORS[spec]
+
+
+@pytest.mark.parametrize("spec", ["bump:0:5", "oddbump:zzz", "gevrey",
+                                  "gevrey:4:5", "gevrey:1.5", "char:0:1:2"])
+def test_malformed_window_descriptor_exits_one(tmp_path, capsys, spec):
+    # extra fields used to be dropped: bump:0:5 certified the bump on (-1, 1)
+    out = tmp_path / "cert.json"
+    assert run(["certify", "--window", spec, "--alpha", "1.0",
+                "--beta", BETA_IRR, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and repr(spec) in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("subcommand", ["certify", "framebounds", "breakpoints"])
+@pytest.mark.parametrize("spec", ["char:-inf:inf", "char:0:inf",
+                                  "polybump:-inf:1"])
+def test_non_finite_window_support_exits_one(tmp_path, capsys, subcommand, spec):
+    # breakpoints and framebounds raised OverflowError in size_bound;
+    # certify wrote a certificate with "support_lo": "-inf"
+    out = tmp_path / "out"
+    assert run([subcommand, "--window", spec, "--alpha", "1.0",
+                "--beta", BETA_IRR, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "finite" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, setting", [
+    (["--dt", "inf"], "dt"),          # wrote an identically zero window
+    (["--dt", "1"], "dt"),            # no node inside (0, 1): zero window
+    (["--dt", "2.5"], "dt"),
+    (["--dt", "nan"], "dt"),          # cannot convert float NaN to integer
+    (["--component-var", "-1"], "component_var"),    # math domain error
+    (["--component-var", "inf"], "component_var"),
+    (["--component-var", "nan"], "component_var"),
+], ids=["dt-inf", "dt-1", "dt-2.5", "dt-nan", "var-neg", "var-inf", "var-nan"])
+def test_random_window_bad_path_settings_exit_one(tmp_path, capsys, flags,
+                                                  setting):
+    out = tmp_path / "w.csv"
+    argv = ["random-window", "--seed", "1", "--dt", "0.00390625"] + flags
+    assert run(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{setting} must" in err
+    assert not out.exists()
+
+
 def test_sampled_window_from_csv_descriptor(tmp_path):
     xs = np.linspace(0.0, 1.0, 65)
     w = window.sampled(xs, np.sin(np.pi * xs))

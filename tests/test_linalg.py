@@ -244,7 +244,7 @@ def test_decomposition_blocks_agree_with_rotation_loop():
     assert cert.certified
     interval = (cert.interval_lo, cert.interval_hi)
     decomp = certify.build_block_decomposition(
-        params, w, 0.5 * sum(interval), config.extent, interval, config.hop_bound)
+        params, w, 0.5 * sum(interval), config.extent, interval)
     assert len(decomp.blocks) > 1
     for block in decomp.blocks:
         _assert_agree(block.matrix)

@@ -83,6 +83,61 @@ def test_sampled_rejects_bad_grids():
             W.sampled(xs, vals)
 
 
+def test_sampled_support_is_its_grid():
+    xs = np.linspace(-0.5, 0.75, 9)
+    w = W.sampled(xs, 1.0 + xs ** 2)
+    assert (w.support_lo, w.support_hi) == (-0.5, 0.75)
+    assert np.all(W.evaluate(w, [-0.5, 0.75, -0.6, 0.8]) == 0.0)
+    # evaluation has no hull mask, so another support is refused when built
+    with pytest.raises(ValueError, match="grid hull"):
+        W.Window(-1.0, 1.0, "sampled", grid_x=w.grid_x, grid_vals=w.grid_vals)
+
+
+def test_window_rejects_unknown_kind():
+    # rejected when built, not at the first evaluation
+    with pytest.raises(ValueError, match="unknown window kind 'triangle'"):
+        W.Window(0.0, 1.0, "triangle")
+
+
+@pytest.mark.parametrize("lo, hi", [(-math.inf, 1.0), (0.0, math.inf),
+                                    (-math.inf, math.inf), (math.nan, 1.0)])
+def test_window_rejects_non_finite_support(lo, hi):
+    with pytest.raises(ValueError, match="finite"):
+        W.characteristic(lo, hi)
+
+
+def _eval_inside_chain(w, x):
+    """The per-kind branch chain that the formula table replaced."""
+    if w.kind == "bump":
+        return np.exp(1.0 / (x ** 4 - 1.0)).astype(complex)
+    if w.kind == "gevrey":
+        return np.exp(-((1.0 - x ** 4) ** (-float(w.order)))).astype(complex)
+    if w.kind == "characteristic":
+        return np.ones_like(x, dtype=complex)
+    if w.kind == "odd_bump":
+        return (x * np.exp(1.0 / (x ** 2 - 1.0))).astype(complex)
+    if w.kind == "poly_bump":
+        return ((x - w.support_lo) * (w.support_hi - x)).astype(complex)
+    inside_hull = (x >= w.grid_x[0]) & (x <= w.grid_x[-1])
+    out = (np.interp(x, w.grid_x, w.grid_vals.real)
+           + 1j * np.interp(x, w.grid_x, w.grid_vals.imag))
+    out[~inside_hull] = 0.0
+    return out
+
+
+def test_formula_table_matches_branch_chain_bits():
+    rng = np.random.default_rng(3)
+    xs = np.linspace(0.0, 1.0, 33)
+    wins = [W.bump(), W.gevrey(3), W.characteristic(-0.35, 0.35), W.odd_bump(),
+            W.poly_bump(0.0, 2.0),
+            W.sampled(xs, np.sin(np.pi * xs) + 0.5j * xs ** 2)]
+    for w in wins:
+        x = w.support_lo + w.support_length * rng.random(4000)
+        x = x[(x > w.support_lo) & (x < w.support_hi)]
+        got = W.evaluate(w, x)
+        assert got.tobytes() == _eval_inside_chain(w, x).tobytes(), w.kind
+
+
 def test_window_call_is_evaluate():
     w = W.bump()
     assert w(0.3) == W.evaluate(w, 0.3)
