@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import HopNotFound, HypothesisViolated, TooCloseToForbiddenRatio
 from .lattice import (BlockSpec, LatticeParams, anchor_block, build_Mx, epsilon,
-                      int_range, separator_row, size_bound,
+                      int_bounds, int_range, separator_row, size_bound,
                       structure_breakpoints, structure_fingerprint)
 from .linalg import svdvals_accurate
 from .window import Window, evaluate, inv_sup_on_core, sup_norm
@@ -110,7 +110,19 @@ class BlockDecomposition:
 
     @property
     def sigma_min(self) -> float:
-        return min(float(svdvals_accurate(b.matrix)[-1]) for b in self.blocks)
+        """Smallest singular value over the blocks, bit for bit as
+        svdvals_accurate gives it: |entry| for the real 1x1 separators (its
+        own 1x1 rule) in one pass, the SVD for the anchors and the complex
+        separators."""
+        seps = np.array([b.matrix[0, 0] for b in self.blocks
+                         if b.kind == "separator"], dtype=complex)
+        if not np.isfinite(seps).all():
+            raise ValueError("matrix has a non-finite entry")
+        real = seps.imag == 0
+        svd = ([b.matrix for b in self.blocks if b.kind == "anchor"]
+               + list(seps[~real, None, None]))
+        return float(min(np.abs(seps.real[real]).min(initial=np.inf),
+                         *(svdvals_accurate(m)[-1] for m in svd)))
 
 
 @dataclass(frozen=True)
@@ -159,7 +171,7 @@ def _chebyshev_nodes(lo: float, hi: float, k: int) -> np.ndarray:
 _BATCH_ENTRIES = 1 << 20
 _ZERO_TOL = 1e-10           # rational_analysis: |det| below this is a zero
 _PERIOD_OVERSAMPLE = 8      # rational_analysis: period grid points per alpha/q
-_HOP_BOUND = 10_000         # _hop: rows tried per hop; an extent <= 9,999 ends it first
+_HOP_BOUND = 10_000         # _walk: rows tried per hop; an extent <= 9,999 ends it first
 _COVER_TOL = 1e-12          # _anchor_row_covered: longest bad overlap ignored
 
 
@@ -234,63 +246,28 @@ def find_certified_interval(profile: DeterminantProfile,
                              float(np.min(absdet[i:j])))
 
 
-def _separators(params: LatticeParams, w: Window, x: float, col_lo: int,
-                col_hi: int, row_lo: int, row_hi: int, eps: float):
-    """Separator blocks for columns col_lo..col_hi, rows constrained to (row_lo, row_hi).
-
-    Returns None when the rows collide with the bounding rows or each other;
-    the caller then rejects the hop candidate.  The rows are all checked
-    before one evaluate call fills the 1x1 blocks.
-    """
-    cols = range(col_lo, col_hi + 1)
-    rows, args = [], []
-    prev_n = row_lo
-    for m in cols:
-        n, arg = separator_row(params, w, x, m, eps)
-        if not (prev_n < n < row_hi):
-            return None
-        rows.append(n)
-        args.append(arg)
-        prev_n = n
-    if not args:
-        return []           # adjacent blocks: no evaluate call at all
-    entries = evaluate(w, np.array(args)).reshape(-1, 1, 1)
-    return [DecompBlock("separator", n, m, entry)
-            for n, m, entry in zip(rows, cols, entries)]
-
-
-def _hop(params: LatticeParams, w: Window, x: float, interval: tuple,
-         spec: BlockSpec, extent: int, edge: DecompBlock, step: int, eps: float):
-    """Next anchor block landing in the interval past edge, below and to the
-    right for step +1, above and to the left for step -1, with the separators
-    glueing the two; the blocks come in row order, all of spec's shape.
-
-    Returns None once edge or the candidate rows reach past +-extent.
-    """
-    row = edge.row_hi if step > 0 else edge.row_lo
-    if step * row >= extent:
-        return None
-    for nt in range(row + step, row + step * (_HOP_BOUND + 1), step):
-        if step * nt > extent:
-            return None
-        base = x - params.alpha * nt
-        for mt in int_range(base, params.inv_beta, *interval):
-            col0 = mt + spec.anchor_m
-            # last row and column of the upper block, first of the lower one
-            if step > 0:
-                r0, c0, r1, c1 = edge.row_hi, edge.col_hi, nt, col0
-            else:
-                r0, c0 = nt + spec.size - 1, col0 + spec.size - 1
-                r1, c1 = edge.row_lo, edge.col_lo
-            if r1 <= r0 or c1 <= c0:
-                continue
-            seps = _separators(params, w, x, c0 + 1, c1 - 1, r0, r1, eps)
-            if seps is not None:
-                mat = build_Mx(params, w, BlockSpec(nt, col0, spec.size, x))
-                block = DecompBlock("anchor", nt, col0, mat)
-                return seps + [block] if step > 0 else [block] + seps
-    direction = "forward" if step > 0 else "backward"
-    raise HopNotFound(f"no {direction} landing in the interval within hop_bound")
+def _walk(land: dict, glue, size: int, extent: int, step: int, edge: tuple):
+    """(row, column) of each anchor block placed past edge, outward: below
+    and to the right for step +1, above and to the left for step -1.  Each
+    hop takes the nearest landing row that glue accepts; it raises
+    HopNotFound when _HOP_BOUND rows short of row step*extent hold none, and
+    the walk ends once a block reaches that row or the rows left run out."""
+    placed = []
+    while step * (row := edge[0] + (size - 1) * (step > 0)) < extent:
+        reach = min(_HOP_BOUND, extent - step * row)
+        for n in range(row + step, row + step * (reach + 1), step):
+            if n in land:
+                upper, lower = (edge, (n, land[n]))[::step]
+                if glue(upper[0] + size - 1, upper[1] + size - 1, *lower):
+                    placed.append(edge := (n, land[n]))
+                    break
+        else:
+            if reach < _HOP_BOUND:
+                return placed
+            direction = "forward" if step > 0 else "backward"
+            raise HopNotFound(f"no {direction} landing in the interval "
+                              "within hop_bound")
+    return placed
 
 
 def build_block_decomposition(params: LatticeParams, w: Window, x: float,
@@ -309,15 +286,45 @@ def build_block_decomposition(params: LatticeParams, w: Window, x: float,
         raise ValueError("extent must be >= 0")
     if not lo <= x <= hi:
         raise ValueError("x must lie in the certified interval")
-    eps = epsilon(params, w)
-    spec0 = _one_structure(params, w, x, interval, ValueError)
-    blocks = [DecompBlock("anchor", 0, spec0.anchor_m, build_Mx(params, w, spec0))]
-    for step in (1, -1):
-        while hop := _hop(params, w, x, interval, spec0, extent,
-                          blocks[-1] if step > 0 else blocks[0], step, eps):
-            blocks = blocks + hop if step > 0 else hop + blocks
+    spec = _one_structure(params, w, x, interval, ValueError)
+    size, edge = spec.size, (0, spec.anchor_m)
+    # the column where each row lands: one anchor_m on the interval makes it
+    # shorter than 1/beta, so x - alpha*n + k/beta falls inside for one k at most
+    rows = np.arange(-extent, extent + 1)
+    start, stop = int_bounds(x - params.alpha * rows, params.inv_beta, lo, hi)
+    hit = stop > start
+    land = dict(zip(rows[hit].tolist(), (start[hit] + spec.anchor_m).tolist()))
+    # a column's separator row depends on x and the column alone
+    ends = [spec.anchor_m, *land.values()]
+    first = min(ends)
+    cols = np.arange(first, max(ends) + 1)
+    sep_rows, sep_args = separator_row(params, w, x, cols, epsilon(params, w))
+    # falls[i]: non-increasing steps among the separator rows of cols[:i+1]
+    falls = np.cumsum(np.concatenate(([0], sep_rows[1:] <= sep_rows[:-1]))).tolist()
+    sep_rows = sep_rows.tolist()
 
-    used = {n for b in blocks for n in range(b.row_lo, b.row_hi + 1)}
+    def glue(r0, c0, r1, c1):
+        """Whether a block starting at row r1, column c1 lies below and right
+        of one ending at row r0, column c0, with the separator rows of the
+        columns between them rising strictly inside (r0, r1)."""
+        i, j = c0 + 1 - first, c1 - 1 - first
+        return r0 < r1 and c0 < c1 and (i > j or (
+            r0 < sep_rows[i] and sep_rows[j] < r1 and falls[i] == falls[j]))
+
+    forward, backward = [_walk(land, glue, size, extent, step, edge)
+                         for step in (1, -1)]
+    anchors = backward[::-1] + [edge] + forward
+    mats = build_Mx(params, w, BlockSpec(*np.array(anchors).T, size, x))
+    seps = [m - first for (_, m0), (_, m1) in zip(anchors, anchors[1:])
+            for m in range(m0 + size, m1)]
+    entries = evaluate(w, sep_args[seps]).reshape(-1, 1, 1)
+    blocks = sorted([DecompBlock("anchor", n, m, mat)
+                     for (n, m), mat in zip(anchors, mats)]
+                    + [DecompBlock("separator", sep_rows[i], first + i, entry)
+                       for i, entry in zip(seps, entries)],
+                    key=lambda b: b.row_lo)
+    used = {n + i for n, _ in anchors for i in range(size)}
+    used.update(sep_rows[i] for i in seps)
     discarded = [n for n in range(-extent, extent + 1) if n not in used]
     return BlockDecomposition(x, extent, blocks, discarded)
 

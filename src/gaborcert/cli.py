@@ -9,6 +9,7 @@ Timestamps live only in an optional ``.meta.json`` sidecar.
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
 import json
 import math
@@ -205,10 +206,9 @@ def _certificate_dict(args, cert: certify.FrameCertificate,
     }
 
 
-def _certify_one(wspec: str, alpha: float, beta: float,
+def _certify_one(w: window.Window, alpha: float, beta: float,
                  config: certify.CertifyConfig):
-    """(certificate, rational class, window); density >= 1 is a clean negative."""
-    w = parse_window(wspec)
+    """(certificate, rational class); density >= 1 is a clean negative."""
     try:
         params = lattice.lattice_params(alpha, beta)
     except HypothesisViolated:
@@ -216,14 +216,14 @@ def _certify_one(wspec: str, alpha: float, beta: float,
         cert = certify.FrameCertificate(
             "not_certified", "density alpha*beta >= 1",
             {"density_lt_one": False}, extent=config.extent)
-        return cert, rc, w
-    return certify.certify_frame(params, w, config), params.rational_class, w
+        return cert, rc
+    return certify.certify_frame(params, w, config), params.rational_class
 
 
 def cmd_certify(args) -> int:
     _require(args, "alpha", "beta")
-    cert, rc, w = _certify_one(args.window, args.alpha, args.beta,
-                               _certify_config(args))
+    w = parse_window(args.window)
+    cert, rc = _certify_one(w, args.alpha, args.beta, _certify_config(args))
     _emit(args, json_dumps(_certificate_dict(args, cert, rc, w)) + "\n")
     if args.det_profile:
         ids, rows = {}, ["x,abs_det,fingerprint_id"]
@@ -242,14 +242,18 @@ def _scan_point(task):
     or None).
 
     Top level so ProcessPoolExecutor can pickle it; a per-row failure becomes
-    an Error row plus a message and never aborts the sweep.
+    an Error row plus a message and never aborts the sweep.  w is the parsed
+    window or the exception parsing raised, which each point that is not
+    skipped raises in turn.
     """
-    wspec, alpha, beta, config = task
+    w, alpha, beta, config = task
     point = f"{fmt(alpha)},{fmt(beta)}"
     if alpha * beta >= 1.0:
         return f"{point},Skipped,,", None
     try:
-        cert, _, _ = _certify_one(wspec, alpha, beta, config)
+        if isinstance(w, Exception):
+            raise w
+        cert, _ = _certify_one(w, alpha, beta, config)
     except (GaborCertError, ValueError) as exc:
         return f"{point},Error,,", f"alpha={fmt(alpha)} beta={fmt(beta)}: {exc}"
     verdict = "Certified" if cert.certified else "NotCertified"
@@ -265,7 +269,11 @@ def cmd_scan(args) -> int:
     alphas = [args.alpha] if args.alpha_grid is None else args.alpha_grid
     betas = [args.beta] if args.beta_grid is None else args.beta_grid
     config = _certify_config(args)
-    tasks = [(args.window, a, b, config) for a in alphas for b in betas]
+    try:
+        w = parse_window(args.window)     # once, not per grid point
+    except (CliError, ValueError) as exc:
+        w = exc
+    tasks = [(w, a, b, config) for a in alphas for b in betas]
     # a fork pool starts all its workers at the first submit
     workers = min(args.workers, len(tasks))
     if workers > 1:
@@ -335,9 +343,11 @@ def _flag(dest: str) -> str:
     return "--" + dest.replace("_", "-")
 
 
+@functools.cache
 def build_parser() -> _Parser:
     """One add_argument per option, with the subcommands that read it; the
-    certify/scan defaults are CertifyConfig's."""
+    certify/scan defaults are CertifyConfig's.  Built once per process:
+    parse_args leaves the parser as it found it."""
     cfg = certify.CertifyConfig()
     parser = _Parser(prog="gaborcert",
                      description="Certify the frame property of Gabor systems "

@@ -29,6 +29,7 @@ __all__ = [
     "epsilon",
     "size_bound",
     "int_range",
+    "int_bounds",
     "anchor_block",
     "build_Mx",
     "separator_row",
@@ -98,7 +99,7 @@ def lattice_params(alpha: float, beta: float) -> LatticeParams:
 class BlockSpec:
     """Square anchor submatrix: rows anchor_n..anchor_n+size-1, columns likewise."""
 
-    anchor_n: int
+    anchor_n: int                 # or, with anchor_m, an array of blocks
     anchor_m: int
     size: int
     x_value: float                # or an array of x sharing the structure
@@ -133,6 +134,25 @@ def size_bound(params: LatticeParams, w: Window) -> int:
     return int(math.ceil(span / step)) + 1
 
 
+def _int_bounds(base, step: float, lo: float, hi: float, floor, ceil, any_):
+    """(start, stop) of int_range; floor, ceil and any_ make it serve a
+    scalar base (math.floor, math.ceil, bool) and an array (numpy's)."""
+    if step < 0:
+        # rounding is odd-symmetric: -(base + k*step) == -base + k*(-step)
+        base, step, lo, hi = -base, -step, -hi, -lo
+    k_lo = floor((lo - base) / step) + 1
+    while any_(low := base + k_lo * step <= lo):
+        k_lo += low
+    while any_(high := base + (k_lo - 1) * step > lo):
+        k_lo -= high
+    k_hi = ceil((hi - base) / step) - 1
+    while any_(high := base + k_hi * step >= hi):
+        k_hi -= high
+    while any_(low := base + (k_hi + 1) * step < hi):
+        k_hi += low
+    return k_lo, k_hi + 1
+
+
 def int_range(base: float, step: float, lo: float, hi: float) -> range:
     """Integers k with lo < base + k*step < hi, for either sign of step.
 
@@ -142,20 +162,15 @@ def int_range(base: float, step: float, lo: float, hi: float) -> range:
     is the first k past the entry bound (lo for step > 0, hi for step < 0)
     and stop - 1 the last k before the exit bound.
     """
-    if step < 0:
-        # rounding is odd-symmetric: -(base + k*step) == -base + k*(-step)
-        base, step, lo, hi = -base, -step, -hi, -lo
-    k_lo = math.floor((lo - base) / step) + 1
-    while base + k_lo * step <= lo:
-        k_lo += 1
-    while base + (k_lo - 1) * step > lo:
-        k_lo -= 1
-    k_hi = math.ceil((hi - base) / step) - 1
-    while base + k_hi * step >= hi:
-        k_hi -= 1
-    while base + (k_hi + 1) * step < hi:
-        k_hi += 1
-    return range(k_lo, k_hi + 1)
+    return range(*_int_bounds(base, step, lo, hi, math.floor, math.ceil, bool))
+
+
+def int_bounds(base, step: float, lo: float, hi: float):
+    """int_range of each element of an array base: (start, stop) int arrays,
+    by the same correction rule, so equal element by element."""
+    return _int_bounds(np.asarray(base, dtype=float), step, lo, hi,
+                       lambda v: np.floor(v).astype(np.int64),
+                       lambda v: np.ceil(v).astype(np.int64), np.any)
 
 
 def anchor_block(params: LatticeParams, w: Window, x: float) -> BlockSpec:
@@ -176,34 +191,35 @@ def anchor_block(params: LatticeParams, w: Window, x: float) -> BlockSpec:
 def build_Mx(params: LatticeParams, w: Window, spec: BlockSpec) -> np.ndarray:
     """size x size matrix with entry (i, j) = g(x - alpha(n0+i) + (m0+j)/beta).
 
-    An array x_value of shape S gives the stack of shape S + (size, size).
-    Non-good entries are exactly 0 because the window vanishes identically
-    outside its open support.
+    Array x_value, anchor_n or anchor_m of a common shape S give the stack of
+    shape S + (size, size).  Non-good entries are exactly 0 because the
+    window vanishes identically outside its open support.
     """
     idx = np.arange(spec.size)
     args = (np.asarray(spec.x_value)[..., None, None]
-            - params.alpha * (spec.anchor_n + idx)[:, None]
-            + (spec.anchor_m + idx)[None, :] * params.inv_beta)
+            - params.alpha * (np.asarray(spec.anchor_n)[..., None, None] + idx[:, None])
+            + (np.asarray(spec.anchor_m)[..., None, None] + idx) * params.inv_beta)
     return evaluate(w, args)
 
 
-def separator_row(params: LatticeParams, w: Window, x: float, m: int,
-                  eps: Optional[float] = None) -> tuple[int, float]:
+def separator_row(params: LatticeParams, w: Window, x: float, m,
+                  eps: Optional[float] = None) -> tuple:
     """Row n whose last good column is m, with argument in [a+eps, b-eps].
 
     Takes the minimal good n for column m and shifts down by one row when the
-    argument is too close to b.  eps, when given, is epsilon(params, w).
+    argument is too close to b.  eps, when given, is epsilon(params, w).  An
+    integer array m gives the rows and arguments of every column as arrays.
     """
     a, b = w.support_lo, w.support_hi
     if eps is None:
         eps = epsilon(params, w)
     base = x + m * params.inv_beta
-    n = int_range(base, -params.alpha, a, b).start
-    arg = base - params.alpha * n
-    if arg > b - eps:
-        n += 1
-        arg = base - params.alpha * n
-    return n, arg
+    if np.ndim(base):
+        n = int_bounds(base, -params.alpha, a, b)[0]
+    else:
+        n = int_range(base, -params.alpha, a, b).start
+    n = n + (base - params.alpha * n > b - eps)
+    return n, base - params.alpha * n
 
 
 def structure_fingerprint(params: LatticeParams, w: Window, x: float,

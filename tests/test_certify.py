@@ -604,64 +604,191 @@ def test_rational_analysis_matches_sample_loops(w, alpha, beta):
 
 
 # ---------------------------------------------------------------------------
-# separators: every row checked first, then one evaluate call
+# the replay against the per-hop loop it replaced
 
-def _separators_per_entry(params, w, x, col_lo, col_hi, row_lo, row_hi,
-                          eps=None):
-    """Reference: one separator_row and one evaluate call per column,
-    stopping at the first collision."""
-    seps = []
+def _separators_per_hop(params, w, x, col_lo, col_hi, row_lo, row_hi, eps):
+    """Reference: the separator blocks for columns col_lo..col_hi with rows
+    rising strictly inside (row_lo, row_hi), or None; one scalar
+    separator_row per column, then one evaluate call for the hop."""
+    cols = range(col_lo, col_hi + 1)
+    rows, args = [], []
     prev_n = row_lo
-    for m in range(col_lo, col_hi + 1):
-        n, arg = L.separator_row(params, w, x, m)
+    for m in cols:
+        n, arg = L.separator_row(params, w, x, m, eps)
         if not (prev_n < n < row_hi):
             return None
-        entry = np.array([[W.evaluate(w, arg)]], dtype=complex)
-        seps.append(C.DecompBlock("separator", n, m, entry))
+        rows.append(n)
+        args.append(arg)
         prev_n = n
-    return seps
+    if not args:
+        return []
+    entries = W.evaluate(w, np.array(args)).reshape(-1, 1, 1)
+    return [C.DecompBlock("separator", n, m, entry)
+            for n, m, entry in zip(rows, cols, entries)]
 
 
-def _decomposition_or_message(params, w, x, extent, interval):
+def _hop_per_row(params, w, x, interval, spec, extent, edge, step, eps):
+    """Reference: the next anchor block past edge and its separators, trying
+    the rows one by one with scalar int_range; None past +-extent."""
+    row = edge.row_hi if step > 0 else edge.row_lo
+    if step * row >= extent:
+        return None
+    for nt in range(row + step, row + step * (C._HOP_BOUND + 1), step):
+        if step * nt > extent:
+            return None
+        for mt in L.int_range(x - params.alpha * nt, params.inv_beta, *interval):
+            col0 = mt + spec.anchor_m
+            if step > 0:
+                r0, c0, r1, c1 = edge.row_hi, edge.col_hi, nt, col0
+            else:
+                r0, c0 = nt + spec.size - 1, col0 + spec.size - 1
+                r1, c1 = edge.row_lo, edge.col_lo
+            if r1 <= r0 or c1 <= c0:
+                continue
+            seps = _separators_per_hop(params, w, x, c0 + 1, c1 - 1, r0, r1, eps)
+            if seps is not None:
+                mat = L.build_Mx(params, w, L.BlockSpec(nt, col0, spec.size, x))
+                block = C.DecompBlock("anchor", nt, col0, mat)
+                return seps + [block] if step > 0 else [block] + seps
+    direction = "forward" if step > 0 else "backward"
+    raise HopNotFound(f"no {direction} landing in the interval within hop_bound")
+
+
+def _decomposition_per_hop(params, w, x, extent, interval):
+    """Reference: the hop-by-hop replay, forward then backward."""
+    eps = L.epsilon(params, w)
+    spec = L.anchor_block(params, w, x)
+    blocks = [C.DecompBlock("anchor", 0, spec.anchor_m, L.build_Mx(params, w, spec))]
+    for step in (1, -1):
+        while hop := _hop_per_row(params, w, x, interval, spec, extent,
+                                  blocks[-1] if step > 0 else blocks[0], step, eps):
+            blocks = blocks + hop if step > 0 else hop + blocks
+    used = {n for b in blocks for n in range(b.row_lo, b.row_hi + 1)}
+    discarded = [n for n in range(-extent, extent + 1) if n not in used]
+    return C.BlockDecomposition(x, extent, blocks, discarded)
+
+
+def _replayed(build, params, w, x, extent, interval):
+    """(blocks with their matrix bytes, discarded rows), or the HopNotFound
+    message."""
     try:
-        return C.build_block_decomposition(params, w, x, extent, interval)
+        dec = build(params, w, x, extent, interval)
     except HopNotFound as exc:
         return str(exc)
+    blocks = [(b.kind, b.row_lo, b.col_lo, b.matrix.dtype, b.matrix.shape,
+               b.matrix.tobytes()) for b in dec.blocks]
+    return blocks, dec.discarded_rows
 
 
-@pytest.mark.parametrize("w, alpha, beta", [
+_REPLAY_CASES = pytest.mark.parametrize("w, alpha, beta", [
     (W.bump(), 1.0, 1.0 / SQRT2),
     (W.gevrey(2), 1.3, 0.6),
     (W.poly_bump(), 0.7, 0.9 * SQRT2),
     (W.characteristic(), 0.55, SQRT2),
     (W.odd_bump(), 0.9, 1.0 / SQRT2),
-    (_sampled_window(), 0.8, 1.0 / SQRT2),
-], ids=["bump", "gevrey2", "poly_bump", "char", "odd_bump", "sampled"])
-def test_separators_match_per_entry_evaluation(monkeypatch, w, alpha, beta):
+    (_sampled_window(), 0.8, 1.0 / SQRT2),     # complex entries
+    # at x = lo, a landing row past the edge block overlaps its columns
+    (W.characteristic(), 0.7200720768363986, 0.9264482942758197),
+], ids=["bump", "gevrey2", "poly_bump", "char", "odd_bump", "sampled",
+        "char_overlap"])
+
+
+def _interval(params, w):
+    found = C.find_certified_interval(C.scan_determinant(params, w, 16), 1e-8)
+    return found.lo, found.hi
+
+
+@_REPLAY_CASES
+@pytest.mark.parametrize("hop_bound", [None, 1, 2],
+                         ids=["full_budget", "budget_1", "budget_2"])
+def test_replay_matches_per_hop_loop(monkeypatch, w, alpha, beta, hop_bound):
+    # at the interval's ends row 0 lands on no open-interval column, yet it
+    # holds x's own anchor; the small budgets make some hops fail
+    if hop_bound is not None:
+        monkeypatch.setattr(C, "_HOP_BOUND", hop_bound)
     p = L.lattice_params(alpha, beta)
-    found = C.find_certified_interval(C.scan_determinant(p, w, 16), 1e-8)
-    interval = (found.lo, found.hi)
-    n_separators = 0
-    for x in (found.lo, 0.5 * (found.lo + found.hi), found.hi):
-        for extent in (16, 64, 1024):
-            got = _decomposition_or_message(p, w, x, extent, interval)
-            with monkeypatch.context() as patch:
-                patch.setattr(C, "_separators", _separators_per_entry)
-                want = _decomposition_or_message(p, w, x, extent, interval)
-            if isinstance(want, str):
-                assert got == want
-                continue
-            assert ([(b.kind, b.row_lo, b.col_lo, b.size) for b in got.blocks]
-                    == [(b.kind, b.row_lo, b.col_lo, b.size)
-                        for b in want.blocks])
-            assert got.discarded_rows == want.discarded_rows
-            for b, ref in zip(got.blocks, want.blocks):
-                assert b.matrix.dtype == ref.matrix.dtype == complex
-                assert b.matrix.shape == ref.matrix.shape
-                assert np.array_equal(b.matrix.view(np.uint64),
-                                      ref.matrix.view(np.uint64))
-            n_separators += sum(b.kind == "separator" for b in got.blocks)
-    assert n_separators > 0
+    lo, hi = _interval(p, w)
+    seen = {"separators": 0, "messages": 0}
+    for x in (lo, 0.5 * (lo + hi), hi):
+        for extent in (0, 1, 16, 1024):
+            got = _replayed(C.build_block_decomposition, p, w, x, extent, (lo, hi))
+            want = _replayed(_decomposition_per_hop, p, w, x, extent, (lo, hi))
+            assert got == want
+            if isinstance(got, str):
+                seen["messages"] += 1
+            else:
+                assert all(b[3] == complex for b in got[0])
+                seen["separators"] += sum(b[0] == "separator" for b in got[0])
+    assert seen["messages" if hop_bound else "separators"] > 0
+
+
+@_REPLAY_CASES
+@pytest.mark.parametrize("move", [
+    lambda m: 4 * (m % 3 == 1) - 2 * (m % 4 == 2),
+    lambda m: np.full_like(m, -3),
+    lambda m: np.full_like(m, 3),
+], ids=["falling", "up", "down"])
+def test_replay_matches_per_hop_loop_on_moved_separator_rows(monkeypatch, w,
+                                                             alpha, beta, move):
+    # separator rows always rise, by 2 or more where one is shifted (eps <=
+    # (1/beta - alpha)/2), and fit between the blocks they glue; moving them
+    # makes the rise test and each end test of a hop decide
+    def moved(params, w, x, m, eps=None):
+        n, arg = row(params, w, x, m, eps)
+        return n + move(np.asarray(m)), arg
+
+    row = L.separator_row
+    monkeypatch.setattr(L, "separator_row", moved)
+    monkeypatch.setattr(C, "separator_row", moved)
+    p = L.lattice_params(alpha, beta)
+    lo, hi = _interval(p, w)
+    x = 0.5 * (lo + hi)
+    got = _replayed(C.build_block_decomposition, p, w, x, 64, (lo, hi))
+    assert got == _replayed(_decomposition_per_hop, p, w, x, 64, (lo, hi))
+
+
+@_REPLAY_CASES
+def test_sigma_min_matches_per_block_svd(monkeypatch, w, alpha, beta):
+    p = L.lattice_params(alpha, beta)
+    lo, hi = _interval(p, w)
+    dec = C.build_block_decomposition(p, w, 0.5 * (lo + hi), 1024, (lo, hi))
+    want = min(float(C.svdvals_accurate(b.matrix)[-1]) for b in dec.blocks)
+    calls, svd = [], C.svdvals_accurate
+    monkeypatch.setattr(C, "svdvals_accurate", lambda a: calls.append(a) or svd(a))
+    got = dec.sigma_min
+    assert type(got) is float and got.hex() == want.hex()
+    # the SVD runs for the anchors and the complex separators only
+    complex_seps = [b for b in dec.blocks
+                    if b.kind == "separator" and b.matrix.imag.any()]
+    assert len(calls) == sum(b.kind == "anchor" for b in dec.blocks) + len(complex_seps)
+    assert bool(complex_seps) == (w.kind == "sampled")
+
+
+def test_sigma_min_rejects_a_non_finite_separator():
+    anchor = C.DecompBlock("anchor", 0, 0, np.eye(2, dtype=complex))
+    for bad in (np.nan, np.inf, complex(1.0, np.inf)):
+        sep = C.DecompBlock("separator", 2, 2, np.array([[bad]], dtype=complex))
+        dec = C.BlockDecomposition(0.0, 2, [anchor, sep], [])
+        with pytest.raises(ValueError, match="non-finite"):
+            dec.sigma_min
+
+
+def test_replay_calls_each_layer_once(monkeypatch, flagship):
+    # one evaluate for every separator, one build_Mx stack for every anchor,
+    # and _one_structure's three anchor_block calls (x and the interval ends)
+    params, w, cert = flagship
+    calls = dict.fromkeys(("evaluate", "build_Mx", "anchor_block"), 0)
+    for name in calls:
+        def counted(*args, _name=name, _f=getattr(C, name)):
+            calls[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(C, name, counted)
+    interval = (cert.interval_lo, cert.interval_hi)
+    dec = C.build_block_decomposition(params, w, 0.5 * sum(interval), 1024,
+                                      interval)
+    kinds = [b.kind for b in dec.blocks]
+    assert kinds.count("anchor") > 100 and kinds.count("separator") > 100
+    assert calls == {"evaluate": 1, "build_Mx": 1, "anchor_block": 3}
 
 
 def test_decomposition_rejects_negative_extent(flagship):

@@ -314,6 +314,99 @@ def test_scan_workers_capped_at_grid_points(tmp_path, monkeypatch, grid,
         + [f"{cli.fmt(float(a))},{cli.fmt(0.9)},Skipped,," for a in alphas])
 
 
+def _random_window_csv(tmp_path):
+    path = tmp_path / "w.csv"
+    assert run(["random-window", "--seed", "4", "--dt", "0.00390625",
+                "--quadrature-n", "128", "--out", str(path)]) == 0
+    return path
+
+
+def test_scan_parses_a_csv_window_once(tmp_path, monkeypatch):
+    path, out = _random_window_csv(tmp_path), tmp_path / "s.csv"
+    calls, read = [], window.sampled_from_csv
+    monkeypatch.setattr(window, "sampled_from_csv",
+                        lambda p: calls.append(p) or read(p))
+    assert run(["scan", "--window", str(path), "--alpha-grid",
+                "0.5,0.6,0.7,0.8", "--beta-grid", "0.70710678,0.9",
+                "--extent", "8", "--out", str(out)]) == 0
+    assert calls == [str(path)]
+    # recorded when every grid point parsed the CSV on its own
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "58359ecf321427b48a5c049cf004ca30d82bb64c0add6aaf3de28ba2c9655a31")
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_scan_malformed_csv_gives_error_rows(tmp_path, capsys, workers):
+    # the parse fails once, and each point that is not skipped reports it
+    path, out = tmp_path / "bad.csv", tmp_path / "s.csv"
+    path.write_text("x,real,imag\n0.0,1.0,0.0\n")
+    assert run(["scan", "--window", str(path), "--alpha-grid", "0.5,2.0,0.7",
+                "--beta-grid", "0.9", "--workers", workers,
+                "--out", str(out)]) == 0
+    assert out.read_text() == ("alpha,beta,verdict,delta,sigma_min\n"
+                               "0.5,0.90000000000000002,Error,,\n"
+                               "2,0.90000000000000002,Skipped,,\n"
+                               "0.69999999999999996,0.90000000000000002,Error,,\n")
+    message = (f"{path}:1: expected header x,re,im; "
+               "got ['x', 'real', 'imag']")
+    assert capsys.readouterr().err == (
+        f"error: alpha=0.5 beta=0.90000000000000002: {message}\n"
+        f"error: alpha=0.69999999999999996 beta=0.90000000000000002: {message}\n")
+
+
+def test_scan_unknown_window_fails_only_where_a_point_certifies(tmp_path, capsys):
+    out = tmp_path / "s.csv"
+    assert run(["scan", "--window", "nosuch", "--alpha-grid", "1.5,2.0",
+                "--beta-grid", "0.9", "--out", str(out)]) == 0
+    assert out.read_text().count("Skipped") == 2
+    assert run(["scan", "--window", "nosuch", "--alpha-grid", "1.5,0.5",
+                "--beta-grid", "0.9", "--out", str(tmp_path / "t.csv")]) == 1
+    assert capsys.readouterr().err.startswith("error: unknown window 'nosuch'")
+    assert not (tmp_path / "t.csv").exists()
+
+
+def _outcomes(tmp_path, capsys, fresh_parser):
+    """(exit code, stdout, stderr, artifact bytes) of certify, framebounds and
+    --config calls made back to back in this process."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("extent = 4\nseed = 7\nwindow = char\n")
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("extent = 4\nx_grid_size = 8\n")
+    fb = tmp_path / "fb.csv"
+    calls = [
+        ["certify", "--window", "bump", "--alpha", "1.0", "--beta", BETA_IRR,
+         "--extent", "8"],
+        ["framebounds", "--window", "char", "--alpha", "0.70710678",
+         "--beta", "1.0", "--extent", "8", "--x-grid-size", "8",
+         "--out", str(fb)],
+        ["certify", "--config", str(cfg), "--alpha", "0.7", "--beta", BETA_IRR],
+        ["certify", "--config", str(cfg), "--alpha", "0.7", "--beta", BETA_IRR,
+         "--extent", "6", "--window", "bump"],
+        ["certify", "--config", str(bad), "--alpha", "0.7", "--beta", "1.1"],
+        ["framebounds", "--config", str(bad), "--window", "bump",
+         "--alpha", "1.0", "--beta", BETA_IRR],
+        ["certify", "--window", "bump", "--alpha", "1.0"],
+        ["certify", "--extent", "many"],
+    ]
+    got = []
+    for argv in calls:
+        if fresh_parser:
+            cli.build_parser.cache_clear()
+        code = run(argv)
+        out, err = capsys.readouterr()
+        got.append((code, out, err, fb.read_bytes() if fb.exists() else None))
+        fb.unlink(missing_ok=True)
+    return got
+
+
+def test_cached_parser_answers_like_a_fresh_one(tmp_path, capsys):
+    assert cli.build_parser() is cli.build_parser()
+    cached = _outcomes(tmp_path, capsys, fresh_parser=False)
+    fresh = _outcomes(tmp_path, capsys, fresh_parser=True)
+    assert cached == fresh
+    assert [c[0] for c in cached] == [0, 0, 0, 0, 1, 0, 1, 1]
+
+
 # ---------------------------------------------------------------------------
 # other subcommands
 

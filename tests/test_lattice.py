@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gaborcert import lattice as L
@@ -117,6 +117,37 @@ def test_int_range_matches_brute_force(case):
     assert leave(r.stop - 1) and not leave(r.stop)
 
 
+@st.composite
+def _int_bounds_case(draw):
+    """(bases, step, lo, hi) with an array of bases; each bound is a free
+    float or lands exactly on a lattice point base + k*step of one base."""
+    bases = draw(st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=24))
+    step = draw(st.floats(0.01, 5.0)) * draw(st.sampled_from((1.0, -1.0)))
+    bounds = []
+    for _ in range(2):
+        if draw(st.booleans()):
+            bounds.append(draw(st.sampled_from(bases))
+                          + draw(st.integers(-40, 40)) * step)
+        else:
+            bounds.append(draw(st.floats(-10.0, 10.0)))
+    lo, hi = sorted(bounds)
+    return np.array(bases), step, lo, hi
+
+
+@given(_int_bounds_case())
+@example((np.array([0.0, 0.25, 0.5, 1.0]), 0.5, 0.0, 1.0))
+@example((np.array([0.0, 0.25, 0.5, 1.0]), -0.5, 0.0, 1.0))
+@settings(max_examples=300, deadline=None)
+def test_int_bounds_matches_int_range_elementwise(case):
+    bases, step, lo, hi = case
+    start, stop = L.int_bounds(bases, step, lo, hi)
+    assert start.shape == stop.shape == bases.shape
+    ranges = [L.int_range(b, step, lo, hi) for b in bases.tolist()]
+    # start and stop, not just the members: both stay meaningful when empty
+    assert list(zip(start.tolist(), stop.tolist())) == [
+        (r.start, r.stop) for r in ranges]
+
+
 def test_int_range_open_at_exact_bounds():
     assert L.int_range(0.0, 0.5, 0.0, 1.0) == range(1, 2)
     assert L.int_range(0.0, -0.5, 0.0, 1.0) == range(-1, 0)
@@ -221,6 +252,20 @@ def test_separator_row_postconditions_random():
         assert w.support_lo + eps <= arg <= w.support_hi - eps
         assert L.is_good(p, w, x, n, m)
         assert not L.is_good(p, w, x, n, m + 1)
+
+
+def test_separator_row_array_matches_scalar():
+    rng = np.random.default_rng(6)
+    for w in (W.bump(), W.characteristic(), W.poly_bump(0.0, 1.0)):
+        for _ in range(50):
+            alpha = rng.uniform(0.3, 0.9) * w.support_length
+            p = params(alpha, rng.uniform(0.2, 0.97) / alpha)
+            eps = L.epsilon(p, w)
+            x = rng.uniform(0.0, alpha)
+            ms = np.arange(-40, 41)
+            rows, args = L.separator_row(p, w, x, ms, eps)
+            want = [L.separator_row(p, w, x, m, eps) for m in ms.tolist()]
+            assert list(zip(rows.tolist(), args.tolist())) == want
 
 
 # ---------------------------------------------------------------------------
