@@ -217,7 +217,7 @@ def scan_determinant(params: LatticeParams, w: Window,
         spec, gap_dets = _gap_dets(params, w, nodes)
         xs.append(nodes)
         dets.append(gap_dets)
-        fps.append(structure_fingerprint(params, w, nodes[0], spec))
+        fps.append(structure_fingerprint(params, w, spec))
     gaps = np.repeat(np.arange(len(fps)), samples_per_gap)
     return DeterminantProfile(np.concatenate(xs),
                               np.concatenate(dets, dtype=complex), fps, gaps, bps)
@@ -298,7 +298,7 @@ def build_block_decomposition(params: LatticeParams, w: Window, x: float,
     ends = [spec.anchor_m, *land.values()]
     first = min(ends)
     cols = np.arange(first, max(ends) + 1)
-    sep_rows, sep_args = separator_row(params, w, x, cols, epsilon(params, w))
+    sep_rows, sep_args = separator_row(params, w, x, cols)
     # falls[i]: non-increasing steps among the separator rows of cols[:i+1]
     falls = np.cumsum(np.concatenate(([0], sep_rows[1:] <= sep_rows[:-1]))).tolist()
     sep_rows = sep_rows.tolist()

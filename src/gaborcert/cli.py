@@ -212,11 +212,10 @@ def _certify_one(w: window.Window, alpha: float, beta: float,
     try:
         params = lattice.lattice_params(alpha, beta)
     except HypothesisViolated:
-        rc = lattice.classify_ratio(alpha * beta)
         cert = certify.FrameCertificate(
             "not_certified", "density alpha*beta >= 1",
             {"density_lt_one": False}, extent=config.extent)
-        return cert, rc
+        return cert, lattice.classify_ratio(alpha * beta)
     return certify.certify_frame(params, w, config), params.rational_class
 
 

@@ -40,23 +40,20 @@ def _good_row_range(params: LatticeParams, w: Window, x: float, m: int):
     return rows.start, rows.stop - 1
 
 
-def truncated_columns(params: LatticeParams, w: Window, x: float, extent: int,
-                      complete_only: bool = False) -> np.ndarray:
-    """Columns m with a good pair in some retained row n in [-extent, extent].
+def truncated_columns(params: LatticeParams, w: Window, x: float,
+                      extent: int) -> np.ndarray:
+    """Columns m whose whole good-row set lies in rows [-extent, extent]: a
+    column the truncation cuts gives spurious tiny singular values.
 
-    With complete_only, keep only columns whose entire good-row set survives
-    the truncation; boundary-cut columns otherwise produce spurious tiny
-    singular values that say nothing about the infinite matrix.
-
-    The columns form one range, from the first good column of row -extent
-    to the last of row +extent.  Row n's good columns are
-    int_range(x - alpha*n, 1/beta, a, b), whose start and stop are
-    nondecreasing in n and equal for a row without good columns.
+    The columns with a good pair in a retained row form one range, from the
+    first good column of row -extent to the last of row +extent.  Row n's
+    good columns are int_range(x - alpha*n, 1/beta, a, b), whose start and
+    stop are nondecreasing in n and equal for a row without good columns.
     Consecutive rows' real intervals overlap by (b-a-alpha)*beta > 0, so
     each row starts no later than the previous row stops.  Both ends of a
-    column's good-row range are nondecreasing in m too, so complete_only
-    trims the range from each end.  With alpha >= b-a the range also holds
-    the columns without any good pair: zero columns of the Ron-Shen matrix,
+    column's good-row range are nondecreasing in m too, so the cut columns
+    are trimmed from each end.  With alpha >= b-a the range also holds the
+    columns without any good pair: zero columns of the Ron-Shen matrix,
     which are what the section should show there.
     """
     def row(n):
@@ -64,25 +61,24 @@ def truncated_columns(params: LatticeParams, w: Window, x: float, extent: int,
                          w.support_lo, w.support_hi)
 
     lo, hi = row(-extent).start, row(extent).stop
-    if complete_only:
-        while lo < hi and _good_row_range(params, w, x, lo)[0] < -extent:
-            lo += 1
-        while lo < hi and _good_row_range(params, w, x, hi - 1)[1] > extent:
-            hi -= 1
+    while lo < hi and _good_row_range(params, w, x, lo)[0] < -extent:
+        lo += 1
+    while lo < hi and _good_row_range(params, w, x, hi - 1)[1] > extent:
+        hi -= 1
     return np.arange(lo, hi)
 
 
-def truncated_G(params: LatticeParams, w: Window, x: float, extent: int,
-                complete_only: bool = False) -> np.ndarray:
-    """Rows n in [-extent, extent], columns restricted to those with good pairs."""
-    cols = truncated_columns(params, w, x, extent, complete_only)
+def truncated_G(params: LatticeParams, w: Window, x: float,
+                extent: int) -> np.ndarray:
+    """Rows n in [-extent, extent], columns those of truncated_columns."""
+    cols = truncated_columns(params, w, x, extent)
     rows = np.arange(-extent, extent + 1)
     args = x - params.alpha * rows[:, None] + cols[None, :] * params.inv_beta
     return evaluate(w, args)
 
 
 def estimate_bounds(params: LatticeParams, w: Window, extent: int,
-                    x_grid_size: int, complete_only: bool = True) -> FiniteSectionEstimate:
+                    x_grid_size: int) -> FiniteSectionEstimate:
     """sigma extremes over a uniform x grid on (0, alpha), nudged off breakpoints."""
     if extent < 0:
         raise ValueError("extent must be >= 0")
@@ -97,11 +93,10 @@ def estimate_bounds(params: LatticeParams, w: Window, extent: int,
         xs[close] += 1e-9 * gap
     table = np.empty((x_grid_size, 3))
     for i, x in enumerate(xs):
-        sv = svdvals_accurate(truncated_G(params, w, x, extent, complete_only))
+        sv = svdvals_accurate(truncated_G(params, w, x, extent))
         if len(sv) == 0:
-            kind = "complete column" if complete_only else "column"
-            raise ValueError(f"the section at x={float(x)!r} has no {kind} "
-                             f"at extent {extent}")
+            raise ValueError(f"the section at x={float(x)!r} has no complete "
+                             f"column at extent {extent}")
         table[i] = (x, sv[-1], sv[0])
     return FiniteSectionEstimate(extent, float(np.min(table[:, 1])),
                                  float(np.max(table[:, 2])), table)

@@ -9,6 +9,7 @@ finitely many combinatorial structures of the anchor block as x sweeps
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -62,11 +63,14 @@ class RationalClass:
 class LatticeParams:
     alpha: float
     beta: float
-    rational_class: RationalClass
 
     @property
     def density(self) -> float:
         return self.alpha * self.beta
+
+    @functools.cached_property        # classify_ratio runs once per instance
+    def rational_class(self) -> RationalClass:
+        return classify_ratio(self.density)
 
     @property
     def inv_beta(self) -> float:
@@ -88,11 +92,13 @@ def classify_ratio(value: float) -> RationalClass:
 
 def lattice_params(alpha: float, beta: float) -> LatticeParams:
     """Construct lattice parameters; rejects alpha*beta >= 1."""
-    if alpha <= 0 or beta <= 0:
-        raise ValueError("alpha and beta must be positive")
+    if not (alpha > 0 and beta > 0 and all(
+            map(math.isfinite, (alpha, beta, 1.0 / beta, alpha * beta)))):
+        raise ValueError(f"alpha and beta must be positive with alpha, beta, 1/beta "
+                         f"and alpha*beta finite; got alpha={alpha!r}, beta={beta!r}")
     if alpha * beta >= 1.0:
         raise HypothesisViolated(f"alpha*beta = {alpha * beta} >= 1")
-    return LatticeParams(alpha, beta, classify_ratio(alpha * beta))
+    return LatticeParams(alpha, beta)
 
 
 @dataclass(frozen=True)
@@ -202,17 +208,15 @@ def build_Mx(params: LatticeParams, w: Window, spec: BlockSpec) -> np.ndarray:
     return evaluate(w, args)
 
 
-def separator_row(params: LatticeParams, w: Window, x: float, m,
-                  eps: Optional[float] = None) -> tuple:
+def separator_row(params: LatticeParams, w: Window, x: float, m) -> tuple:
     """Row n whose last good column is m, with argument in [a+eps, b-eps].
 
     Takes the minimal good n for column m and shifts down by one row when the
-    argument is too close to b.  eps, when given, is epsilon(params, w).  An
-    integer array m gives the rows and arguments of every column as arrays.
+    argument is too close to b, for eps = epsilon(params, w).  An integer
+    array m gives the rows and arguments of every column as arrays.
     """
     a, b = w.support_lo, w.support_hi
-    if eps is None:
-        eps = epsilon(params, w)
+    eps = epsilon(params, w)
     base = x + m * params.inv_beta
     if np.ndim(base):
         n = int_bounds(base, -params.alpha, a, b)[0]
@@ -222,14 +226,10 @@ def separator_row(params: LatticeParams, w: Window, x: float, m,
     return n, base - params.alpha * n
 
 
-def structure_fingerprint(params: LatticeParams, w: Window, x: float,
-                          spec: Optional[BlockSpec] = None):
-    """(size, row-major good-pair mask) of the anchor block at x; spec, when
-    given, is that anchor block."""
-    if spec is None:
-        spec = anchor_block(params, w, x)
+def structure_fingerprint(params: LatticeParams, w: Window, spec: BlockSpec):
+    """(size, row-major good-pair mask) of the anchor block spec at spec.x_value."""
     idx = np.arange(spec.size)
-    mask = is_good(params, w, x, (spec.anchor_n + idx)[:, None],
+    mask = is_good(params, w, spec.x_value, (spec.anchor_n + idx)[:, None],
                    (spec.anchor_m + idx)[None, :])
     return spec.size, tuple(mask.ravel().tolist())
 

@@ -46,38 +46,35 @@ class BrownianPath:
 
     dt: float
     values: np.ndarray
-    component_var: float = 1.0
 
     @property
     def times(self) -> np.ndarray:
         return self.dt * np.arange(len(self.values))
 
 
-def sample_path(seed: int, dt: float = DEFAULT_DT, horizon: float = 1.0,
+def sample_path(seed: int, dt: float = DEFAULT_DT,
                 component_var: float = 1.0) -> BrownianPath:
-    """Counter-based (Philox) complex Brownian path, bit-reproducible per seed."""
+    """Counter-based (Philox) complex Brownian path on [0, 1]; bit-reproducible."""
     if not 0 < dt < 1:
         raise ValueError(f"dt must lie in (0, 1) so the path has a node "
                          f"inside (0, 1), got {dt}")
     if not (math.isfinite(component_var) and component_var >= 0):
         raise ValueError(f"component_var must be a non-negative finite "
                          f"number, got {component_var}")
-    if horizon < 1.0:
-        raise ValueError("horizon must be >= 1")
-    n = int(math.ceil(horizon / dt))
+    n = int(math.ceil(1.0 / dt))
     rng = np.random.Generator(np.random.Philox(key=seed))
     scale = math.sqrt(component_var * dt)
     inc = rng.normal(scale=scale, size=(2, n))
     values = np.empty(n + 1, dtype=complex)
     values[0] = 1.0
     values[1:] = 1.0 + np.cumsum(inc[0] + 1j * inc[1])
-    return BrownianPath(dt, values, component_var)
+    return BrownianPath(dt, values)
 
 
 def constant_path(value: complex = 1.0, dt: float = DEFAULT_DT) -> BrownianPath:
     """Zero-variance test hook: B identically equal to `value` on [0, 1]."""
     n = int(math.ceil(1.0 / dt))
-    return BrownianPath(dt, np.full(n + 1, value, dtype=complex), component_var=0.0)
+    return BrownianPath(dt, np.full(n + 1, value, dtype=complex))
 
 
 def triangle_kernel(x, t):

@@ -58,7 +58,6 @@ class Window:
     order: Optional[int] = None
     grid_x: Optional[np.ndarray] = None
     grid_vals: Optional[np.ndarray] = None
-    sup_norm_hint: Optional[float] = None
 
     def __post_init__(self):
         if self.kind not in _FORMULAS:
@@ -91,19 +90,19 @@ class Window:
 
 def bump() -> Window:
     """exp(1/(x^4-1)) on (-1, 1); peak value exp(-1) at the origin."""
-    return Window(-1.0, 1.0, "bump", sup_norm_hint=math.exp(-1.0))
+    return Window(-1.0, 1.0, "bump")
 
 
 def gevrey(order: int) -> Window:
     """exp(-(1-x^4)^(-order)) on (-1, 1), with stretched-exponential Fourier decay."""
     if order < 1:
         raise ValueError("order must be a positive integer")
-    return Window(-1.0, 1.0, "gevrey", order=order, sup_norm_hint=math.exp(-1.0))
+    return Window(-1.0, 1.0, "gevrey", order=order)
 
 
 def characteristic(lo: float = 0.0, hi: float = 1.0) -> Window:
     """Indicator of the open interval (lo, hi)."""
-    return Window(lo, hi, "characteristic", sup_norm_hint=1.0)
+    return Window(lo, hi, "characteristic")
 
 
 def odd_bump() -> Window:
@@ -113,8 +112,7 @@ def odd_bump() -> Window:
 
 def poly_bump(lo: float = 0.0, hi: float = 1.0) -> Window:
     """(x-lo)(hi-x) on (lo, hi)."""
-    w2 = (hi - lo) / 2.0
-    return Window(lo, hi, "poly_bump", sup_norm_hint=w2 * w2)
+    return Window(lo, hi, "poly_bump")
 
 
 def sampled(grid_x, grid_vals) -> Window:
@@ -148,6 +146,16 @@ _FORMULAS = {
 }
 
 
+#: sup |g| of the closed-form kinds, poly_bump's as w2 * w2 (w2 ** 2 can
+#: differ in the last bit); sup_norm grids the other kinds
+_SUP_NORMS = {
+    "bump": lambda w: math.exp(-1.0),
+    "gevrey": lambda w: math.exp(-1.0),
+    "characteristic": lambda w: 1.0,
+    "poly_bump": lambda w: (w.support_length / 2.0) * (w.support_length / 2.0),
+}
+
+
 def evaluate(w: Window, x):
     """Evaluate the window; exactly 0 outside the open support interval."""
     arr = np.asarray(x, dtype=float)
@@ -163,9 +171,9 @@ def evaluate(w: Window, x):
 
 
 def sup_norm(w: Window) -> float:
-    """sup |g|, from the cached hint when available, else a dense grid."""
-    if w.sup_norm_hint is not None:
-        return w.sup_norm_hint
+    """sup |g|, in closed form for the kinds in _SUP_NORMS, else on a grid."""
+    if w.kind in _SUP_NORMS:
+        return _SUP_NORMS[w.kind](w)
     xs = np.linspace(w.support_lo, w.support_hi, _SUP_GRID_N)
     return float(np.max(np.abs(evaluate(w, xs))))
 

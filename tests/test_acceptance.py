@@ -115,7 +115,7 @@ def test_criterion_3_bump_positive_certificate():
     assert cert.block_sigma_min > 0.0
 
     x = 0.5 * (cert.interval_lo + cert.interval_hi)
-    G = F.truncated_G(params, w, x, 32, complete_only=True)
+    G = F.truncated_G(params, w, x, 32)
     sigma_trunc = float(np.linalg.svd(G, compute_uv=False)[-1])
     assert sigma_trunc >= cert.block_sigma_min - 1e-8
     elapsed = time.monotonic() - t0

@@ -69,7 +69,8 @@ def test_scan_fingerprints_constant_per_gap():
     prof = C.scan_determinant(p, W.bump(), 8)
     assert len(prof.fingerprints) == len(prof.breakpoints) + 1
     for x, gi in zip(prof.x_samples, prof.gap_index):
-        assert L.structure_fingerprint(p, W.bump(), x) == prof.fingerprints[gi]
+        spec = L.anchor_block(p, W.bump(), x)
+        assert L.structure_fingerprint(p, W.bump(), spec) == prof.fingerprints[gi]
 
 
 def test_scan_rejects_wide_alpha():
@@ -91,7 +92,7 @@ def _scan_loop(params, w, samples_per_gap):
             M = L.build_Mx(params, w, spec)
             xs.append(x)
             dets.append(complex(np.linalg.det(M)))
-            fps.append(L.structure_fingerprint(params, w, x))
+            fps.append(L.structure_fingerprint(params, w, spec))
             gaps.append(gi)
     return np.array(xs), np.array(dets, dtype=complex), fps, np.array(gaps)
 
@@ -156,7 +157,8 @@ def test_gap_dets_key_holds_anchor_m():
     at the ends compares anchor_m too."""
     p, w = L.lattice_params(1.0, 1.0 / SQRT2), W.bump()
     xs = np.array([0.2, 0.2 + p.inv_beta])
-    assert L.structure_fingerprint(p, w, xs[0]) == L.structure_fingerprint(p, w, xs[1])
+    a0, a1 = (L.anchor_block(p, w, x) for x in xs)
+    assert L.structure_fingerprint(p, w, a0) == L.structure_fingerprint(p, w, a1)
     with pytest.raises(AssertionError, match="anchor structure"):
         C._gap_dets(p, w, xs)
     spec, dets = C._gap_dets(p, w, xs[:1])
@@ -394,6 +396,15 @@ def test_certify_refuses_rational_class():
     assert cert.reason == "rational density class"
 
 
+def test_rational_class_is_computed_not_declared():
+    # alpha*beta = 3/5 is rational whatever the caller builds; a declared
+    # irrational class used to certify the bump here
+    cert = C.certify_frame(L.LatticeParams(1.0, 0.6), W.bump())
+    assert cert.verdict == "not_certified"
+    assert cert.reason == "rational density class"
+    assert cert.hypothesis_report["irrational_class"] is False
+
+
 def test_certify_refuses_vanishing_window():
     # odd bump vanishes at an interior point: 1/g unbounded on the core
     cert = C.certify_frame(L.lattice_params(1.0, 1.0 / SQRT2), W.odd_bump())
@@ -474,7 +485,7 @@ def test_anchor_row_covered_matches_floor_ceil_loop():
             near_end += 1
         if alpha <= 0.0:
             alpha = alpha_u[i] * ib + 1e-3
-        params = L.LatticeParams(alpha, beta, L.RationalClass(False))
+        params = L.LatticeParams(alpha, beta)
         w = W.characteristic(a, b)
         expected = _anchor_row_covered_floor_ceil(params, w)
         assert C._anchor_row_covered(params, w) == expected, (a, b, alpha, beta)
@@ -606,7 +617,7 @@ def test_rational_analysis_matches_sample_loops(w, alpha, beta):
 # ---------------------------------------------------------------------------
 # the replay against the per-hop loop it replaced
 
-def _separators_per_hop(params, w, x, col_lo, col_hi, row_lo, row_hi, eps):
+def _separators_per_hop(params, w, x, col_lo, col_hi, row_lo, row_hi):
     """Reference: the separator blocks for columns col_lo..col_hi with rows
     rising strictly inside (row_lo, row_hi), or None; one scalar
     separator_row per column, then one evaluate call for the hop."""
@@ -614,7 +625,7 @@ def _separators_per_hop(params, w, x, col_lo, col_hi, row_lo, row_hi, eps):
     rows, args = [], []
     prev_n = row_lo
     for m in cols:
-        n, arg = L.separator_row(params, w, x, m, eps)
+        n, arg = L.separator_row(params, w, x, m)
         if not (prev_n < n < row_hi):
             return None
         rows.append(n)
@@ -627,7 +638,7 @@ def _separators_per_hop(params, w, x, col_lo, col_hi, row_lo, row_hi, eps):
             for n, m, entry in zip(rows, cols, entries)]
 
 
-def _hop_per_row(params, w, x, interval, spec, extent, edge, step, eps):
+def _hop_per_row(params, w, x, interval, spec, extent, edge, step):
     """Reference: the next anchor block past edge and its separators, trying
     the rows one by one with scalar int_range; None past +-extent."""
     row = edge.row_hi if step > 0 else edge.row_lo
@@ -645,7 +656,7 @@ def _hop_per_row(params, w, x, interval, spec, extent, edge, step, eps):
                 r1, c1 = edge.row_lo, edge.col_lo
             if r1 <= r0 or c1 <= c0:
                 continue
-            seps = _separators_per_hop(params, w, x, c0 + 1, c1 - 1, r0, r1, eps)
+            seps = _separators_per_hop(params, w, x, c0 + 1, c1 - 1, r0, r1)
             if seps is not None:
                 mat = L.build_Mx(params, w, L.BlockSpec(nt, col0, spec.size, x))
                 block = C.DecompBlock("anchor", nt, col0, mat)
@@ -656,12 +667,11 @@ def _hop_per_row(params, w, x, interval, spec, extent, edge, step, eps):
 
 def _decomposition_per_hop(params, w, x, extent, interval):
     """Reference: the hop-by-hop replay, forward then backward."""
-    eps = L.epsilon(params, w)
     spec = L.anchor_block(params, w, x)
     blocks = [C.DecompBlock("anchor", 0, spec.anchor_m, L.build_Mx(params, w, spec))]
     for step in (1, -1):
         while hop := _hop_per_row(params, w, x, interval, spec, extent,
-                                  blocks[-1] if step > 0 else blocks[0], step, eps):
+                                  blocks[-1] if step > 0 else blocks[0], step):
             blocks = blocks + hop if step > 0 else hop + blocks
     used = {n for b in blocks for n in range(b.row_lo, b.row_hi + 1)}
     discarded = [n for n in range(-extent, extent + 1) if n not in used]
@@ -733,8 +743,8 @@ def test_replay_matches_per_hop_loop_on_moved_separator_rows(monkeypatch, w,
     # separator rows always rise, by 2 or more where one is shifted (eps <=
     # (1/beta - alpha)/2), and fit between the blocks they glue; moving them
     # makes the rise test and each end test of a hop decide
-    def moved(params, w, x, m, eps=None):
-        n, arg = row(params, w, x, m, eps)
+    def moved(params, w, x, m):
+        n, arg = row(params, w, x, m)
         return n + move(np.asarray(m)), arg
 
     row = L.separator_row

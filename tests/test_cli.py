@@ -620,6 +620,43 @@ def test_non_finite_window_support_exits_one(tmp_path, capsys, subcommand, spec)
     assert not out.exists()
 
 
+@pytest.mark.parametrize("subcommand", ["certify", "framebounds", "breakpoints"])
+@pytest.mark.parametrize("alpha, beta", [
+    ("inf", "0.5"),         # certify died with an OverflowError traceback
+    ("0.5", "1e-320"),      # 1/beta overflows: "cannot convert float NaN ..."
+    ("nan", "0.5"),         # "cannot convert NaN to integer ratio"
+], ids=["alpha-inf", "beta-tiny", "alpha-nan"])
+def test_non_finite_lattice_exits_one(tmp_path, capsys, subcommand, alpha, beta):
+    out = tmp_path / "out"
+    assert run([subcommand, "--alpha", alpha, "--beta", beta,
+                "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"got alpha={float(alpha)!r}, beta={float(beta)!r}" in err
+    assert not out.exists()
+
+
+def test_scan_non_finite_points(tmp_path, capsys):
+    # alpha*beta >= 1, inf included, stays Skipped; nan and an overflowing
+    # 1/beta become Error rows that name both values
+    out = tmp_path / "s.csv"
+    assert run(["scan", "--alpha-grid", "inf,nan,0.5", "--beta-grid",
+                "0.5,1e-320", "--extent", "4", "--out", str(out)]) == 0
+    tiny = cli.fmt(1e-320)
+    rows = out.read_text().strip().split("\n")[1:]
+    assert [r.split(",")[:3] for r in rows] == [
+        ["inf", "0.5", "Skipped"], ["inf", tiny, "Skipped"],
+        ["nan", "0.5", "Error"], ["nan", tiny, "Error"],
+        ["0.5", "0.5", "NotCertified"], ["0.5", tiny, "Error"]]
+    err = capsys.readouterr().err.strip().split("\n")
+    assert len(err) == 3
+    for line, (alpha, beta) in zip(err, [("nan", "0.5"), ("nan", "1e-320"),
+                                         ("0.5", "1e-320")]):
+        assert line.startswith(f"error: alpha={cli.fmt(float(alpha))} ")
+        assert line.endswith(f"got alpha={float(alpha)!r}, "
+                             f"beta={float(beta)!r}")
+
+
 @pytest.mark.parametrize("flags, setting", [
     (["--dt", "inf"], "dt"),          # wrote an identically zero window
     (["--dt", "1"], "dt"),            # no node inside (0, 1): zero window
@@ -769,6 +806,42 @@ def test_framebounds_artifact_bytes_pinned(tmp_path, wspec, alpha, beta,
     assert hashlib.sha256(out.read_bytes()).hexdigest() == csv_sha
     summary = tmp_path / "fb.csv.summary.json"
     assert hashlib.sha256(summary.read_bytes()).hexdigest() == summary_sha
+
+
+_SECTION_PINS = {      # (window, extent): (CSV sha256, summary sha256)
+    ("bump", "16"): ("e15bbbb98e79061be7e7126ebbd48d874f643d521f337bcb9c1892468fe71ec2",
+                     "7972adfecdecdd04cee6730baeff1ded78078a93d48d6ef5271e79ddcc45dcb7"),
+    ("bump", "32"): ("3cd995e327eddfec00700d21ef7f19f3fb9bd54197b57af3cf1d379824f726d7",
+                     "3fd23dccf3a2375a658577a990459471a7b8bf8253a6c1cafd37aa680be11946"),
+    ("bump", "64"): ("f470cf64ee506db3fe8f023e65e240629b052bf59740dfa4283b93083b544ce2",
+                     "5b3d31543d2b159259d726f4a7035d3abd28c1e2597ccc86f7a0df6ca00ac136"),
+    ("oddbump", "16"): ("4c7da1d707f2a9184297914b14a07271a55babb546a78c94a052867a82644c36",
+                        "073ef8a4788f7d7b57f15b3b35ff130775a5281a5ad44c083c95151e5125f1c0"),
+    ("oddbump", "32"): ("6e71a4f797cbba74f7c54f84e3b96a21efbc5a0124c08ef5a92fca7bdeb7dc4e",
+                        "e7b2b23489cfba05b9225abb92a581a043e445c415713413983a1f089873c077"),
+    ("oddbump", "64"): ("7ab4faad5db416b25228b5bc69988b05482e3a4a5164cb249c8cfcfdd9321165",
+                        "74af138de8cfcbda51da90bdc6601e4efc80577f1204b4616be6536b32add323"),
+    ("gevrey:3", "16"): ("99814242d78376f7e15e2c90ac1bab7d7f6f11805bf75187cc8c7f14b4aaf352",
+                         "85a90850039452af6e0bc57e4a65953c882c925a70a2ab83ba6914067ed24be0"),
+    ("gevrey:3", "32"): ("26158b00f0a331e5c5dd4e0d6ae83a20c0faf2eba9b92331c808e9b3eddfb877",
+                         "d60f300a8333c1c137896161ff88a4e3f981b580d83d1c29d0c092ade08d2114"),
+    ("gevrey:3", "64"): ("3fa6bb07ddb59ae4375d35788b9b630285357cb5d4dd06cbbe22ea64e0fb1ec2",
+                         "0adcaf86e86e26a2099c7ef3d676b6209d37da36b31d86ea672fcbfaca7654d5"),
+}
+
+
+@pytest.mark.parametrize("wspec, extent", list(_SECTION_PINS),
+                         ids=[f"{w}-{e}" for w, e in _SECTION_PINS])
+def test_framebounds_complete_sections_bytes_pinned(tmp_path, wspec, extent):
+    # recorded before complete columns became the only section rule
+    out = tmp_path / "fb.csv"
+    assert run(["framebounds", "--window", wspec, "--alpha", "1.1",
+                "--beta", "0.6180339887498949", "--extent", extent,
+                "--x-grid-size", "16", "--out", str(out)]) == 0
+    summary = tmp_path / "fb.csv.summary.json"
+    assert (hashlib.sha256(out.read_bytes()).hexdigest(),
+            hashlib.sha256(summary.read_bytes()).hexdigest()) == \
+        _SECTION_PINS[wspec, extent]
 
 
 @pytest.mark.parametrize("wspec, alpha, beta, sha", [

@@ -27,3 +27,5 @@ def test_demo_runs(demo, line):
                           timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert line in proc.stdout.splitlines()
+    # upper_bound_rowsum is a row-count estimate, not a bound
+    assert "rigorous" not in proc.stdout

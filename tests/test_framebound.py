@@ -55,17 +55,6 @@ def test_shift_covariance():
                        atol=1e-15)
 
 
-def test_complete_only_drops_boundary_cut_columns():
-    p = L.lattice_params(1.0, 1.0 / SQRT2)
-    w = W.bump()
-    full = set(F.truncated_columns(p, w, 0.25, 8).tolist())
-    kept = set(F.truncated_columns(p, w, 0.25, 8, complete_only=True).tolist())
-    assert kept < full
-    for m in kept:
-        n_lo, n_hi = F._good_row_range(p, w, 0.25, m)
-        assert -8 <= n_lo and n_hi <= 8
-
-
 def _columns_by_row_union(p, w, x, extent):
     """Reference: the union of every retained row's good columns, and the
     complete columns among them, as sorted arrays."""
@@ -93,15 +82,13 @@ def test_truncated_columns_match_row_union_random():
         u = edge if rng.random() < 0.02 else rng.uniform(0.01, edge)
         d = edge if rng.random() < 0.02 else rng.uniform(0.01, edge)
         alpha = u * w.support_length
-        p = L.LatticeParams(alpha, d / alpha, L.RationalClass(False))
+        p = L.LatticeParams(alpha, d / alpha)
         x = float(rng.uniform(0.0, alpha))
         extent = int(rng.choice([0, 1, 2, 5, 16, 64]))
         union, complete = _columns_by_row_union(p, w, x, extent)
-        for flag, expect in ((False, union), (True, complete)):
-            got = F.truncated_columns(p, w, x, extent, complete_only=flag)
-            assert got.dtype.kind == "i"
-            assert np.array_equal(got, expect), (p, w.descriptor(), x,
-                                                 extent, flag)
+        got = F.truncated_columns(p, w, x, extent)
+        assert got.dtype.kind == "i"
+        assert np.array_equal(got, complete), (p, w.descriptor(), x, extent)
         ends = (L.int_range(x - alpha * n, p.inv_beta, w.support_lo,
                             w.support_hi) for n in (-extent, extent))
         seen["empty end row"] += not all(ends)
@@ -142,7 +129,7 @@ def test_sigma_max_within_schur_bound(alpha, beta, extent):
     in a column; the row-count estimate is not such a bound."""
     p = L.lattice_params(alpha, beta)
     w = W.bump()
-    est = F.estimate_bounds(p, w, extent, 16, complete_only=False)
+    est = F.estimate_bounds(p, w, extent, 16)
     for x in est.per_x[:, 0]:
         G = F.truncated_G(p, w, x, extent)
         R = np.max(np.count_nonzero(G, axis=1))

@@ -1,5 +1,6 @@
 """Good-pair combinatorics: anchors, separators, fingerprints, breakpoints."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -16,6 +17,10 @@ SQRT2 = math.sqrt(2.0)
 
 def params(alpha, beta):
     return L.lattice_params(alpha, beta)
+
+
+def fingerprint(p, w, x):
+    return L.structure_fingerprint(p, w, L.anchor_block(p, w, x))
 
 
 # ---------------------------------------------------------------------------
@@ -43,6 +48,41 @@ def test_density_ge_one_rejected():
         L.lattice_params(1.0, 1.0)
     with pytest.raises(ValueError):
         L.lattice_params(-1.0, 0.5)
+
+
+@pytest.mark.parametrize("alpha, beta", [
+    (math.inf, 0.5), (0.5, math.inf), (math.nan, 0.5), (0.5, math.nan),
+    (0.5, 1e-320),          # 1/beta overflows to inf
+    (1e200, 1e200),         # alpha*beta overflows to inf
+])
+def test_non_finite_lattice_inputs_rejected(alpha, beta):
+    # inf used to reach classify_ratio (OverflowError), nan and an
+    # overflowing 1/beta ended in "cannot convert ... NaN to integer"
+    with pytest.raises(ValueError, match="must be") as err:
+        L.lattice_params(alpha, beta)
+    assert f"alpha={alpha!r}" in str(err.value)
+    assert f"beta={beta!r}" in str(err.value)
+
+
+def test_lattice_params_hold_alpha_and_beta_only():
+    assert [f.name for f in dataclasses.fields(L.LatticeParams)] == [
+        "alpha", "beta"]
+    with pytest.raises(TypeError):
+        L.LatticeParams(1.0, 0.6, L.RationalClass(False))
+
+
+def test_rational_class_is_classified_once(monkeypatch):
+    calls = []
+    classify = L.classify_ratio
+    monkeypatch.setattr(L, "classify_ratio",
+                        lambda v: calls.append(v) or classify(v))
+    p = L.LatticeParams(1.0, 0.6)
+    assert p.rational_class.label() == "rational(3/5)"
+    assert p.rational_class is p.rational_class
+    assert calls == [0.6]
+    q = L.lattice_params(1.0, 1.0 / SQRT2)
+    assert q.rational_class.label() == "irrational"
+    assert len(calls) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -260,11 +300,10 @@ def test_separator_row_array_matches_scalar():
         for _ in range(50):
             alpha = rng.uniform(0.3, 0.9) * w.support_length
             p = params(alpha, rng.uniform(0.2, 0.97) / alpha)
-            eps = L.epsilon(p, w)
             x = rng.uniform(0.0, alpha)
             ms = np.arange(-40, 41)
-            rows, args = L.separator_row(p, w, x, ms, eps)
-            want = [L.separator_row(p, w, x, m, eps) for m in ms.tolist()]
+            rows, args = L.separator_row(p, w, x, ms)
+            want = [L.separator_row(p, w, x, m) for m in ms.tolist()]
             assert list(zip(rows.tolist(), args.tolist())) == want
 
 
@@ -274,7 +313,7 @@ def test_separator_row_array_matches_scalar():
 def test_fingerprint_hand_case():
     w = W.characteristic()
     p = params(0.7, 1.0)
-    size, mask = L.structure_fingerprint(p, w, 0.1)
+    size, mask = fingerprint(p, w, 0.1)
     assert size == 3
     assert np.array_equal(np.array(mask).reshape(3, 3), np.eye(3, dtype=bool))
 
@@ -282,7 +321,7 @@ def test_fingerprint_hand_case():
 def test_fingerprints_differ_across_breakpoint():
     w = W.characteristic()
     p = params(0.7, 1.0)
-    assert L.structure_fingerprint(p, w, 0.1) != L.structure_fingerprint(p, w, 0.65)
+    assert fingerprint(p, w, 0.1) != fingerprint(p, w, 0.65)
 
 
 def test_breakpoints_char_lattice():
@@ -324,7 +363,7 @@ def test_fingerprint_constant_between_breakpoints():
     for lo, hi in zip(edges[:-1], edges[1:]):
         margin = (hi - lo) / 100.0
         xs = rng.uniform(lo + margin, hi - margin, 5)
-        fps = {L.structure_fingerprint(p, w, x) for x in xs}
+        fps = {fingerprint(p, w, x) for x in xs}
         assert len(fps) == 1
 
 
@@ -343,8 +382,7 @@ def test_fingerprint_mask_is_tuple_of_bools():
             idx = np.arange(spec.size)
             good = L.is_good(p, w, x, (spec.anchor_n + idx)[:, None],
                              (spec.anchor_m + idx)[None, :])
-            size, mask = L.structure_fingerprint(p, w, x)
+            size, mask = L.structure_fingerprint(p, w, spec)
             assert (size, mask) == (spec.size,
                                     tuple(bool(v) for v in good.ravel()))
             assert all(type(v) is bool for v in mask)
-            assert L.structure_fingerprint(p, w, x, spec) == (size, mask)

@@ -39,14 +39,12 @@ def test_path_increment_variance():
 def test_path_rejects_bad_arguments():
     with pytest.raises(ValueError):
         R.sample_path(0, dt=0.0)
-    with pytest.raises(ValueError):
-        R.sample_path(0, horizon=0.5)
 
 
 def test_constant_path_hook():
     p = R.constant_path(2.0, dt=2 ** -6)
     assert np.all(p.values == 2.0)
-    assert p.component_var == 0.0
+    assert len(p.values) == 2 ** 6 + 1
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +252,10 @@ def test_synthesis_matches_dense_grid_on_special_paths():
     _assert_synthesis_bits(R.sample_path(3, dt=2 ** -9, component_var=0.25),
                            300)
     _assert_synthesis_bits(R.sample_path(4, dt=2 ** -8, component_var=7.0), 256)
-    long_path = R.sample_path(5, dt=2 ** -8, horizon=2.5)
+    # a path running on past t = 1
+    path = R.sample_path(5, dt=2 ** -8)
+    long_path = R.BrownianPath(path.dt, np.concatenate(
+        (path.values, path.values[-1] + path.values[1:] - 1.0)))
     assert long_path.times[-1] > 1.0
     _assert_synthesis_bits(long_path, 256)
     # fewer rows than one block, and a block size that divides nothing

@@ -1,0 +1,74 @@
+"""The settable surface: every defaulted parameter of the public API.
+
+Each default is a value a caller may set.  The set below is the whole of
+them, over every function and dataclass named in a gaborcert module's
+``__all__``; a change to it is a change to the library's surface.
+"""
+
+import importlib
+import inspect
+import pkgutil
+
+import gaborcert
+
+DEFAULTED = {
+    "certify.CertifyConfig.delta_floor",
+    "certify.CertifyConfig.delta_sep",
+    "certify.CertifyConfig.extent",
+    "certify.CertifyConfig.samples_per_gap",
+    "certify.FrameCertificate.block_sigma_min",
+    "certify.FrameCertificate.delta",
+    "certify.FrameCertificate.extent",
+    "certify.FrameCertificate.interval_hi",
+    "certify.FrameCertificate.interval_lo",
+    "certify.FrameCertificate.n_blocks",
+    "certify.FrameCertificate.profile",
+    "certify.certify_frame.config",
+    "certify.forbidden_ratios.order",
+    "certify.rational_analysis.config",
+    "certify.rational_analysis.samples",
+    "certify.scan_determinant.samples_per_gap",
+    "cli.json_dumps.indent",
+    "cli.main.argv",
+    "lattice.RationalClass.p",
+    "lattice.RationalClass.q",
+    "randwin.constant_path.dt",
+    "randwin.constant_path.value",
+    "randwin.mc_path_integrals.component_var",
+    "randwin.sample_path.component_var",
+    "randwin.sample_path.dt",
+    "randwin.synthesize_window.quadrature_n",
+    "randwin.verify_nonvanishing.n_core",
+    "window.Window.grid_vals",
+    "window.Window.grid_x",
+    "window.Window.order",
+    "window.characteristic.hi",
+    "window.characteristic.lo",
+    "window.fourier_transform.quad_nodes",
+    "window.inv_sup_on_core.grid_n",
+    "window.poly_bump.hi",
+    "window.poly_bump.lo",
+}
+
+
+def _defaulted():
+    found = set()
+    for info in pkgutil.iter_modules(gaborcert.__path__):
+        module = importlib.import_module(f"gaborcert.{info.name}")
+        for name in getattr(module, "__all__", ()):
+            obj = getattr(module, name)
+            if not (inspect.isfunction(obj) or inspect.isclass(obj)):
+                continue
+            found.update(f"{info.name}.{name}.{p.name}"
+                         for p in inspect.signature(obj).parameters.values()
+                         if p.default is not inspect.Parameter.empty)
+    return found
+
+
+def test_defaulted_parameters_are_the_recorded_set():
+    found = _defaulted()
+    assert found == DEFAULTED, (
+        f"added {sorted(found - DEFAULTED)}, removed {sorted(DEFAULTED - found)}: "
+        "update DEFAULTED in tests/test_surface.py and argue the new count "
+        f"({len(found)}, was {len(DEFAULTED)}) in CHANGES.md")
+    assert len(DEFAULTED) == 36

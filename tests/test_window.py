@@ -146,10 +146,35 @@ def test_window_call_is_evaluate():
 # ---------------------------------------------------------------------------
 # sup norms
 
-def test_sup_norm_hints():
+def test_sup_norm_closed_forms():
     assert W.sup_norm(W.bump()) == math.exp(-1.0)
     assert W.sup_norm(W.characteristic()) == 1.0
     assert W.sup_norm(W.poly_bump(0.0, 1.0)) == 0.25
+
+
+def test_sup_norm_closed_forms_bitwise():
+    """Each closed form has the bits the constructors used to store:
+    exp(-1), 1, and for poly_bump w2 * w2 with w2 = (hi - lo) / 2."""
+    for w in (W.bump(), W.gevrey(1), W.gevrey(5)):
+        assert W.sup_norm(w).hex() == math.exp(-1.0).hex()
+    for lo, hi in ((0.0, 1.0), (-3.7, -1.2), (2.5, 6.0)):
+        assert W.sup_norm(W.characteristic(lo, hi)).hex() == (1.0).hex()
+    rng = np.random.default_rng(12)
+    los = rng.uniform(-50.0, 50.0, 20_000)
+    his = los + rng.uniform(1e-3, 50.0, 20_000)
+    power = 0
+    for lo, hi in zip(los.tolist(), his.tolist()):
+        w2 = (hi - lo) / 2.0
+        got = W.sup_norm(W.poly_bump(lo, hi))
+        assert got.hex() == (w2 * w2).hex(), (lo, hi)
+        power += got != w2 ** 2
+    assert power > 0       # w2 ** 2 would have moved these
+
+
+def test_sup_norm_grids_other_kinds():
+    for w in (W.odd_bump(), W.sampled([0.0, 0.3, 1.0], [0.0, 2.0 - 1.0j, 0.0])):
+        xs = np.linspace(w.support_lo, w.support_hi, 4096)
+        assert W.sup_norm(w) == float(np.max(np.abs(W.evaluate(w, xs))))
 
 
 def test_inv_sup_characteristic():
