@@ -17,10 +17,11 @@ from typing import Optional
 import numpy as np
 
 from .errors import HopNotFound, HypothesisViolated, TooCloseToForbiddenRatio
-from .lattice import (BlockSpec, LatticeParams, anchor_block, build_Mx, epsilon,
-                      int_bounds, int_range, separator_row, size_bound,
-                      structure_breakpoints, structure_fingerprint)
-from .linalg import svdvals_accurate
+from .lattice import (BlockSpec, LatticeParams, anchor_block, band_halfwidth,
+                      build_Mx, entry_args, epsilon, int_bounds, int_range,
+                      separator_row, size_bound, structure_breakpoints,
+                      structure_fingerprint)
+from .linalg import banded_log_abs_det, svdvals_accurate
 from .window import Window, evaluate, inv_sup_on_core, sup_norm
 
 __all__ = [
@@ -61,17 +62,32 @@ class CertifyConfig:
 
 @dataclass(frozen=True, eq=False)
 class DeterminantProfile:
-    """Sampled map x -> det(M_x) over the gaps between structure breakpoints."""
+    """Sampled map x -> log|det M_x| over the gaps between structure
+    breakpoints."""
 
     x_samples: np.ndarray
-    det_values: np.ndarray
+    log_abs_det: np.ndarray       # natural log; -inf where det M_x is 0
     fingerprints: list            # one per gap, indexed by gap_index
     gap_index: np.ndarray
     breakpoints: np.ndarray
 
     @property
     def abs_det(self) -> np.ndarray:
-        return np.abs(self.det_values)
+        return np.exp(self.log_abs_det)
+
+    @property
+    def log10_det_best(self) -> float:
+        """Largest log10|det| of the scan; finite where |det| underflows."""
+        return float(self.log_abs_det.max()) / math.log(10.0)
+
+    def floor_shortfall_log10(self, delta_floor: float) -> float:
+        """log10(delta_floor) minus the best minimum of log10|det| over 3
+        consecutive samples of one gap, the shortest run that
+        find_certified_interval accepts: > 0 when no run reaches the floor."""
+        la, gaps = self.log_abs_det, self.gap_index
+        mins = np.minimum(np.minimum(la[:-2], la[1:-1]), la[2:])
+        best = float(mins[gaps[:-2] == gaps[2:]].max(initial=-np.inf))
+        return math.log10(delta_floor) - best / math.log(10.0)
 
 
 @dataclass(frozen=True)
@@ -167,8 +183,9 @@ def _chebyshev_nodes(lo: float, hi: float, k: int) -> np.ndarray:
     return np.sort(mid + half * np.cos((2 * j - 1) * np.pi / (2 * k)))
 
 
-# most matrix entries evaluated in one stack; a longer gap takes several
-_BATCH_ENTRIES = 1 << 20
+# most band entries evaluated and factored in one chunk of a scan; a longer
+# scan takes several
+_BATCH_ENTRIES = 1 << 15
 _ZERO_TOL = 1e-10           # rational_analysis: |det| below this is a zero
 _PERIOD_OVERSAMPLE = 8      # rational_analysis: period grid points per alpha/q
 _HOP_BOUND = 10_000         # _walk: rows tried per hop; an extent <= 9,999 ends it first
@@ -178,9 +195,10 @@ _COVER_TOL = 1e-12          # _anchor_row_covered: longest bad overlap ignored
 def _one_structure(params: LatticeParams, w: Window, x: float, ends,
                    error: type) -> BlockSpec:
     """anchor_block at x; raises error when an x in ends has another anchor_m
-    or size.  build_Mx reads only these two, and both are monotone in x, in
-    floating point too (x + m/beta is, and so is the size for a fixed
-    anchor_m): equal values at two x hold for every x between."""
+    or size.  build_Mx and the scan's band read only these two, and both
+    are monotone in x, in floating point too (x + m/beta is, and so is the
+    size for a fixed anchor_m): equal values at two x hold for every x
+    between."""
     spec = anchor_block(params, w, x)
     for end in ends:
         other = anchor_block(params, w, end)
@@ -190,37 +208,60 @@ def _one_structure(params: LatticeParams, w: Window, x: float, ends,
     return spec
 
 
-def _gap_dets(params: LatticeParams, w: Window, xs: np.ndarray):
-    """(anchor block at xs[0], det(M_x) for each x) for sorted xs in one gap;
-    the breakpoints are complete, so a structure change inside is a bug."""
-    spec = _one_structure(params, w, xs[0], xs[-1:], AssertionError)
-    step = max(1, _BATCH_ENTRIES // spec.size ** 2)
-    dets = [np.linalg.det(build_Mx(params, w, BlockSpec(
-                0, spec.anchor_m, spec.size, xs[i:i + step])))
-            for i in range(0, len(xs), step)]
-    return spec, np.concatenate(dets)
+def _log_abs_dets(params: LatticeParams, w: Window, gaps: list):
+    """(anchor block at each gap's first x, log|det M_x| of every x in gap
+    order) for sorted x arrays, one per breakpoint gap; the breakpoints are
+    complete, so a structure change inside a gap is a bug.
+
+    Only the band |j - i| <= band_halfwidth of each block is evaluated, by
+    build_Mx's expression (entry_args), so every entry has build_Mx's bits.
+    The samples go largest block first, in chunks of at most _BATCH_ENTRIES
+    band entries, and banded_log_abs_det factors each chunk at once, in real
+    arithmetic when its band is real.
+    """
+    specs = [_one_structure(params, w, xs[0], xs[-1:], AssertionError)
+             for xs in gaps]
+    counts = [len(xs) for xs in gaps]
+    x = np.concatenate(gaps)
+    first = np.repeat([spec.anchor_m for spec in specs], counts)
+    size = np.repeat([spec.size for spec in specs], counts)
+    k = min(band_halfwidth(params, w), int(size.max()) - 1)
+    width = 2 * k + 1
+    order = np.argsort(-size, kind="stable")
+    out = np.empty(len(x))
+    start = 0
+    while start < len(order):
+        step = max(1, _BATCH_ENTRIES // (int(size[order[start]]) * width))
+        sel = order[start:start + step]
+        start += len(sel)
+        s = size[sel]
+        r = np.arange(s[0])[:, None, None]
+        c = r - k + np.arange(width)[:, None]
+        args = entry_args(params, x[sel], r, first[sel] + c)
+        # a slot outside its matrix gets an argument outside the support: 0
+        args[(c < 0) | (c >= s) | (r >= s)] = w.support_hi
+        band = evaluate(w, args)
+        out[sel] = banded_log_abs_det(band if band.imag.any() else band.real,
+                                      k, s)
+    return specs, out
 
 
 def scan_determinant(params: LatticeParams, w: Window,
                      samples_per_gap: int = CertifyConfig.samples_per_gap
                      ) -> DeterminantProfile:
-    """Evaluate det(M_x) at Chebyshev nodes of every breakpoint gap in (0, alpha)."""
+    """log|det M_x| at Chebyshev nodes of every breakpoint gap in (0, alpha)."""
     if samples_per_gap < 1:
         raise ValueError(f"samples_per_gap must be >= 1, got {samples_per_gap}")
     if params.alpha >= w.support_length:
         raise HypothesisViolated("alpha must be < support length")
     bps = structure_breakpoints(params, w)
     edges = np.concatenate(([0.0], bps, [params.alpha]))
-    xs, dets, fps = [], [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        nodes = _chebyshev_nodes(lo, hi, samples_per_gap)
-        spec, gap_dets = _gap_dets(params, w, nodes)
-        xs.append(nodes)
-        dets.append(gap_dets)
-        fps.append(structure_fingerprint(params, w, spec))
+    nodes = [_chebyshev_nodes(lo, hi, samples_per_gap)
+             for lo, hi in zip(edges[:-1], edges[1:])]
+    specs, log_abs_det = _log_abs_dets(params, w, nodes)
+    fps = [structure_fingerprint(params, w, spec) for spec in specs]
     gaps = np.repeat(np.arange(len(fps)), samples_per_gap)
-    return DeterminantProfile(np.concatenate(xs),
-                              np.concatenate(dets, dtype=complex), fps, gaps, bps)
+    return DeterminantProfile(np.concatenate(nodes), log_abs_det, fps, gaps, bps)
 
 
 def _runs(mask, groups=None) -> list:
@@ -341,9 +382,7 @@ def assemble_composite(params: LatticeParams, w: Window,
     cols = np.arange(decomp.blocks[0].col_lo, decomp.blocks[-1].col_hi + 1)
     if len(rows) != len(cols):
         raise AssertionError("composite matrix is not square")
-    args = (decomp.x - params.alpha * rows[:, None]
-            + cols[None, :] * params.inv_beta)
-    return evaluate(w, args)
+    return evaluate(w, entry_args(params, decomp.x, rows[:, None], cols[None, :]))
 
 
 def _anchor_row_covered(params: LatticeParams, w: Window) -> bool:
@@ -423,13 +462,11 @@ def certify_frame(params: LatticeParams, w: Window,
                             profile=profile)
 
 
-def forbidden_ratios(params: LatticeParams, w: Window,
-                     order: Optional[int] = None) -> list:
+def forbidden_ratios(params: LatticeParams, w: Window) -> list:
     """Farey fractions m/n in (0, 1) with n up to the anchor-block size bound.
 
     These are the densities at which distinct matrix arguments collide."""
-    if order is None:
-        order = size_bound(params, w)
+    order = size_bound(params, w)
     out = {Fraction(m, n) for n in range(2, order + 1)
            for m in range(1, n) if math.gcd(m, n) == 1}
     return sorted(out)
@@ -455,8 +492,7 @@ def rational_analysis(params: LatticeParams, w: Window, samples: int = 4096,
     j_lo, j_hi = float(edges[gi]), float(edges[gi + 1])
     margin = (j_hi - j_lo) / 1000.0
     xs = np.linspace(j_lo + margin, j_hi - margin, samples)
-    # abs of each numpy scalar, not np.abs: the vector loop rounds differently
-    absdet = np.array([abs(d) for d in _gap_dets(params, w, xs)[1]])
+    absdet = np.exp(_log_abs_dets(params, w, [xs])[1])
 
     below = absdet < _ZERO_TOL
     zero_count = len(_runs(below))
@@ -475,8 +511,8 @@ def rational_analysis(params: LatticeParams, w: Window, samples: int = 4096,
         close = np.abs(grid - bp) < 1e-9
         grid[close] += 1e-9
     gaps = np.split(grid, np.searchsorted(grid, edges[1:-1]))
-    period_min = min(abs(d) for part in gaps if len(part)
-                     for d in _gap_dets(params, w, part)[1])
+    period_min = np.exp(_log_abs_dets(
+        params, w, [part for part in gaps if len(part)])[1].min())
     # a zero inside J already rules out a uniform determinant floor, no matter
     # how coarsely the period grid happens to straddle it
     supported = period_min >= config.delta_floor and zero_count == 0

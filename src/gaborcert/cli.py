@@ -188,12 +188,17 @@ def _emit(args, text: str, sidecars=()) -> None:
 
 def _certificate_dict(args, cert: certify.FrameCertificate,
                       rc: lattice.RationalClass, w: window.Window) -> dict:
+    # the scan's numbers; None when a hypothesis failed before any scan
+    scan = cert.profile
     return {
         "verdict": "Certified" if cert.certified else "NotCertified",
         "reason": cert.reason,
         "interval": (None if cert.interval_lo is None
                      else {"lo": cert.interval_lo, "hi": cert.interval_hi}),
         "delta": cert.delta,
+        "log10_det_best": None if scan is None else scan.log10_det_best,
+        "floor_shortfall_log10": (None if scan is None else
+                                  scan.floor_shortfall_log10(args.delta_floor)),
         "block_sigma_min": cert.block_sigma_min,
         "extent": cert.extent,
         "n_blocks": cert.n_blocks,

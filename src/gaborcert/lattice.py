@@ -26,12 +26,14 @@ __all__ = [
     "lattice_params",
     "classify_ratio",
     "BlockSpec",
+    "entry_args",
     "is_good",
     "epsilon",
     "size_bound",
     "int_range",
     "int_bounds",
     "anchor_block",
+    "band_halfwidth",
     "build_Mx",
     "separator_row",
     "structure_fingerprint",
@@ -111,9 +113,15 @@ class BlockSpec:
     x_value: float                # or an array of x sharing the structure
 
 
+def entry_args(params: LatticeParams, x, n, m):
+    """x - alpha*n + m/beta, the argument of entry (n, m), broadcast over
+    arrays; every matrix entry and good-pair test reads this expression."""
+    return np.asarray(x) - params.alpha * np.asarray(n) + np.asarray(m) * params.inv_beta
+
+
 def is_good(params: LatticeParams, w: Window, x, n, m):
     """True iff x - alpha*n + m/beta lies in the open support interval."""
-    arg = np.asarray(x) - params.alpha * np.asarray(n) + np.asarray(m) * params.inv_beta
+    arg = entry_args(params, x, n, m)
     out = (arg > w.support_lo) & (arg < w.support_hi)
     if np.ndim(out) == 0:
         return bool(out)
@@ -194,6 +202,18 @@ def anchor_block(params: LatticeParams, w: Window, x: float) -> BlockSpec:
     return BlockSpec(0, ms.start, ls.stop, x)
 
 
+def band_halfwidth(params: LatticeParams, w: Window) -> int:
+    """k with every good entry (i, j) of every anchor block in |j - i| <= k.
+
+    Each diagonal entry is a good pair, and entries (i, i) and (i, j) of a
+    row have arguments (j - i)/beta apart, both inside (a, b): so
+    |j - i| < beta*(b - a).  k is the floor of beta*(b - a) widened by the
+    relative BREAKPOINT_TOL, so a pair whose rounded arguments pass that
+    bound by a few ulps stays inside the band too.
+    """
+    return math.floor(params.beta * w.support_length * (1.0 + BREAKPOINT_TOL))
+
+
 def build_Mx(params: LatticeParams, w: Window, spec: BlockSpec) -> np.ndarray:
     """size x size matrix with entry (i, j) = g(x - alpha(n0+i) + (m0+j)/beta).
 
@@ -202,10 +222,10 @@ def build_Mx(params: LatticeParams, w: Window, spec: BlockSpec) -> np.ndarray:
     window vanishes identically outside its open support.
     """
     idx = np.arange(spec.size)
-    args = (np.asarray(spec.x_value)[..., None, None]
-            - params.alpha * (np.asarray(spec.anchor_n)[..., None, None] + idx[:, None])
-            + (np.asarray(spec.anchor_m)[..., None, None] + idx) * params.inv_beta)
-    return evaluate(w, args)
+    return evaluate(w, entry_args(
+        params, np.asarray(spec.x_value)[..., None, None],
+        np.asarray(spec.anchor_n)[..., None, None] + idx[:, None],
+        np.asarray(spec.anchor_m)[..., None, None] + idx))
 
 
 def separator_row(params: LatticeParams, w: Window, x: float, m) -> tuple:

@@ -1,11 +1,12 @@
-"""Singular values with relative accuracy on matrices with tiny singular values."""
+"""Singular values with relative accuracy on matrices with tiny singular
+values, and log-determinants of stacks of banded matrices."""
 
 from __future__ import annotations
 
 import numpy as np
 from scipy.linalg import lapack
 
-__all__ = ["jacobi_svdvals", "svdvals_accurate"]
+__all__ = ["jacobi_svdvals", "svdvals_accurate", "banded_log_abs_det"]
 
 
 def jacobi_svdvals(A) -> np.ndarray:
@@ -51,3 +52,52 @@ def svdvals_accurate(A) -> np.ndarray:
     if min(A.shape) == 0:
         return np.zeros(0)
     return jacobi_svdvals(A)
+
+
+def banded_log_abs_det(band: np.ndarray, k: int, sizes: np.ndarray) -> np.ndarray:
+    """log|det| of a stack of banded matrices, by one partial-pivoting LU.
+
+    ``band[r, t, i]`` is entry (r, r - k + t) of matrix i, for rows r below
+    its size ``sizes[i]``; every other slot holds 0, so each matrix has at
+    most k sub- and k superdiagonals.  The sample axis comes last, and the
+    sizes must be non-increasing, so the matrices still being factored at
+    step j are the first count(sizes > j).  Each step works on the sliding
+    (k+1) x (2k+1) window of rows j..j+k and columns j..j+2k (pivoting
+    fills at most k more superdiagonals, as in LAPACK's gbtrf): it picks the
+    pivot of column j by LAPACK's rule (the first largest |Re| + |Im|),
+    swaps it into row j and eliminates below it.  The result is the sum of
+    log|u_jj|, finite where |det| underflows, and -inf after a zero pivot.
+    """
+    rows, width, n = band.shape
+    window = np.zeros((k + 1, width, n), dtype=band.dtype)
+    pivots = np.ones((rows, n), dtype=band.dtype)
+    lanes = np.arange(n)
+
+    def slide(row, live):
+        """Drop the window's top row and left column; row enters at the bottom."""
+        win = window[:, :, :live]
+        win[:-1, :-1] = win[1:, 1:]
+        win[:-1, -1] = 0
+        win[-1] = band[row, :, :live] if row < rows else 0
+        return win
+
+    for r in range(k):
+        slide(r, n)
+    for j, live in enumerate(np.count_nonzero(
+            sizes[None, :] > np.arange(rows)[:, None], axis=1).tolist()):
+        win = slide(j + k, live)
+        col = win[:, 0]
+        mag = (np.abs(col.real) + np.abs(col.imag) if col.dtype.kind == "c"
+               else np.abs(col))
+        p = mag.argmax(axis=0)
+        top = win[0].copy()
+        win[0] = win[p, :, lanes[:live]].T
+        win[p, :, lanes[:live]] = top.T
+        piv = pivots[j, :live] = win[0, 0]
+        # a zero pivot heads a zero column: there is nothing to eliminate
+        factors = win[1:, 0] / np.where(piv == 0, 1, piv)
+        win[1:, 1:] -= factors[:, None] * win[0, 1:]
+    # summed in row order (sum would go pairwise for one sample), so a
+    # sample's bits do not depend on the others in its stack
+    with np.errstate(divide="ignore"):
+        return np.cumsum(np.log(np.abs(pivots)), axis=0)[-1]

@@ -38,6 +38,7 @@ SYNTH_ROW_BLOCK = 32
 #: path), so dt = 2^-8 keeps the full chunk of 8192 paths
 MC_CHUNK_BYTES = 2 ** 27
 _MC_CHUNK_PATHS = 8192
+_CORE_GRID_N = 4096         # points of verify_nonvanishing's grid
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,22 +143,23 @@ def gaussian_moments(u: np.ndarray, t: float, r: float) -> tuple[float, float]:
     return mean, var
 
 
-def verify_nonvanishing(w: Window, n_core: int = 4096) -> tuple[float, float]:
-    """min |g| over a uniform grid on [1/8, 7/8] and its location."""
-    xs = np.linspace(0.125, 0.875, n_core)
+def verify_nonvanishing(w: Window) -> tuple[float, float]:
+    """min |g| over a uniform _CORE_GRID_N-point grid on [1/8, 7/8] and its
+    location."""
+    xs = np.linspace(0.125, 0.875, _CORE_GRID_N)
     mags = np.abs(evaluate(w, xs))
     i = int(np.argmin(mags))
     return float(mags[i]), float(xs[i])
 
 
-def mc_path_integrals(n_paths: int, dt: float, seed: int,
-                      component_var: float = 1.0) -> np.ndarray:
-    """int_0^1 B(t) dt for n_paths independent complex paths started at 1.
+def mc_path_integrals(n_paths: int, dt: float, seed: int) -> np.ndarray:
+    """int_0^1 B(t) dt for n_paths independent complex paths started at 1,
+    with unit variance per component and unit time.
 
     Batched Philox streams; per-path results match sample_path statistics.
     A chunk holds at most _MC_CHUNK_PATHS paths and MC_CHUNK_BYTES of arrays."""
     n = int(round(1.0 / dt))
-    scale = math.sqrt(component_var * dt)
+    scale = math.sqrt(dt)
     rng = np.random.Generator(np.random.Philox(key=seed))
     out = np.empty(n_paths, dtype=complex)
     chunk = max(1, min(_MC_CHUNK_PATHS, MC_CHUNK_BYTES // (64 * n)))

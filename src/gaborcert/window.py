@@ -42,6 +42,7 @@ FOURIER_QUAD_NODES = 2 ** 14
 #: array at the default 2^14 nodes
 FOURIER_XI_BLOCK = 16
 _SUP_GRID_N = 4096          # points of sup_norm's dense grid
+_CORE_GRID_N = 4096         # points of inv_sup_on_core's grid
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,8 +179,8 @@ def sup_norm(w: Window) -> float:
     return float(np.max(np.abs(evaluate(w, xs))))
 
 
-def inv_sup_on_core(w: Window, eps: float, grid_n: int = 4096) -> float:
-    """max of 1/|g| over a uniform grid on [lo+eps, hi-eps].
+def inv_sup_on_core(w: Window, eps: float) -> float:
+    """max of 1/|g| over a uniform _CORE_GRID_N-point grid on [lo+eps, hi-eps].
 
     Returns math.inf if any sampled value vanishes.  Raises EmptyCore when
     the shrunken interval is empty.
@@ -189,7 +190,7 @@ def inv_sup_on_core(w: Window, eps: float, grid_n: int = 4096) -> float:
     lo, hi = w.support_lo + eps, w.support_hi - eps
     if lo >= hi:
         raise EmptyCore(f"[{lo}, {hi}] is empty")
-    xs = np.linspace(lo, hi, grid_n)
+    xs = np.linspace(lo, hi, _CORE_GRID_N)
     mags = np.abs(evaluate(w, xs))
     if np.any(mags == 0.0):
         return math.inf
@@ -198,7 +199,7 @@ def inv_sup_on_core(w: Window, eps: float, grid_n: int = 4096) -> float:
     # a zero makes the local minimum shrink with every zoom, while a positive
     # minimum (however tiny) stabilizes after a round or two
     zlo, zhi = xs[max(np.argmin(mags) - 1, 0)], xs[min(np.argmin(mags) + 1,
-                                                      grid_n - 1)]
+                                                      _CORE_GRID_N - 1)]
     for _ in range(60):
         zs = np.linspace(zlo, zhi, 33)
         zmags = np.abs(evaluate(w, zs))
@@ -213,8 +214,9 @@ def inv_sup_on_core(w: Window, eps: float, grid_n: int = 4096) -> float:
     return float(np.max(1.0 / mags))
 
 
-def fourier_transform(w: Window, xi, quad_nodes: int = FOURIER_QUAD_NODES):
-    """ghat(xi) = integral of g(x) exp(-2 pi i xi x) dx by composite trapezoid.
+def fourier_transform(w: Window, xi):
+    """ghat(xi) = integral of g(x) exp(-2 pi i xi x) dx by composite trapezoid
+    on FOURIER_QUAD_NODES points.
 
     The integrand is smooth and compactly supported, so trapezoid on the
     support converges rapidly.  Frequencies go in blocks of FOURIER_XI_BLOCK
@@ -222,7 +224,7 @@ def fourier_transform(w: Window, xi, quad_nodes: int = FOURIER_QUAD_NODES):
     one dense (xi, x) grid, so blocking leaves every bit of the result.
     """
     xi_arr = np.asarray(xi, dtype=float).ravel()
-    xs = np.linspace(w.support_lo, w.support_hi, quad_nodes)
+    xs = np.linspace(w.support_lo, w.support_hi, FOURIER_QUAD_NODES)
     gx = evaluate(w, xs)
     vals = np.empty(len(xi_arr), dtype=complex)
     for i in range(0, len(xi_arr), FOURIER_XI_BLOCK):

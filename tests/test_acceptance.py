@@ -227,14 +227,16 @@ def test_criterion_7_random_windows_end_to_end():
 
 
 def test_criterion_8_rational_machinery():
-    """Farey list for size bound 4; characteristic window at alpha*beta = 2/3
+    """Farey list for size bound 4 (characteristic window, alpha = 0.6,
+    beta = 1); characteristic window at alpha*beta = 2/3
     (alpha = 0.6, beta = 10/9) is zero-free with denominator_threshold exactly
     (0+1)/(alpha |J|).  The default separation guard refuses the forbidden
     ratio; the run below disables it deliberately."""
     from fractions import Fraction
     params = L.lattice_params(0.6, 10.0 / 9.0)
     w = W.characteristic()
-    assert C.forbidden_ratios(params, w, order=4) == [
+    assert L.size_bound(L.lattice_params(0.6, 1.0), w) == 4
+    assert C.forbidden_ratios(L.lattice_params(0.6, 1.0), w) == [
         Fraction(1, 4), Fraction(1, 3), Fraction(1, 2),
         Fraction(2, 3), Fraction(3, 4)]
 

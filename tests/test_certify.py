@@ -13,6 +13,7 @@ from gaborcert import lattice as L
 from gaborcert import window as W
 from gaborcert.errors import (HopNotFound, HypothesisViolated,
                               TooCloseToForbiddenRatio)
+from gaborcert.linalg import banded_log_abs_det
 
 SQRT2 = math.sqrt(2.0)
 
@@ -50,7 +51,7 @@ def test_scan_poly_bump_matches_hand_product():
     xs = prof.x_samples[sel]
     expect = (xs * (1 - xs) * (xs + 0.3) * (0.7 - xs)
               * (xs + 0.6) * (0.4 - xs) * (xs + 0.9) * (0.1 - xs))
-    assert np.allclose(np.abs(prof.det_values[sel]), expect, rtol=1e-12)
+    assert np.allclose(prof.abs_det[sel], expect, rtol=1e-12)
 
 
 def test_scan_characteristic_unit_determinants():
@@ -79,7 +80,8 @@ def test_scan_rejects_wide_alpha():
 
 
 def _scan_loop(params, w, samples_per_gap):
-    """Reference: the sample-by-sample scan that the batched scan replaced."""
+    """Reference: the sample-by-sample scan that the banded scan replaced,
+    with np.linalg.det on each dense anchor block as the determinant oracle."""
     bps = L.structure_breakpoints(params, w)
     edges = np.concatenate(([0.0], bps, [params.alpha]))
     xs, dets, fps, gaps = [], [], [], []
@@ -107,31 +109,105 @@ def _same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-@pytest.mark.parametrize("w, alpha, beta, samples", [
+def _matches_oracle(abs_det, dets):
+    """|det| within 1e-12 relative of np.linalg.det's, zero exactly where it
+    is zero."""
+    oracle = np.abs(dets)
+    zero = oracle == 0
+    return (np.array_equal(abs_det == 0, zero)
+            and np.all(np.abs(abs_det - oracle)[~zero] <= 1e-12 * oracle[~zero]))
+
+
+# the bump case holds 3 zero pivots, gevrey:2 holds 18 and odd_bump 2, from
+# good-pair entries that underflow to 0.0; the sampled window is complex
+SCAN_CASES = [
     (W.bump(), 1.0, 1.0 / SQRT2, 32),
     (W.gevrey(2), 1.3, 0.6, 16),
     (W.poly_bump(), 0.7, 0.9 * SQRT2, 16),
     (W.characteristic(), 0.55, SQRT2, 8),
     (W.odd_bump(), 0.9, 1.0 / SQRT2, 16),
     (_sampled_window(), 0.8, 1.0 / SQRT2, 32),
-])
+]
+
+
+@pytest.mark.parametrize("w, alpha, beta, samples", SCAN_CASES)
 def test_scan_matches_sample_loop(w, alpha, beta, samples):
     p = L.lattice_params(alpha, beta)
     prof = C.scan_determinant(p, w, samples)
     xs, dets, fps, gaps = _scan_loop(p, w, samples)
     assert _same_bits(prof.x_samples, xs)
-    assert _same_bits(prof.det_values, dets)
+    assert _matches_oracle(prof.abs_det, dets)
+    assert np.array_equal(np.isneginf(prof.log_abs_det), dets == 0)
     assert _same_bits(prof.gap_index, gaps)
     assert [prof.fingerprints[gi] for gi in prof.gap_index] == fps
 
 
 def test_scan_splits_batches_past_entry_cap(monkeypatch):
-    monkeypatch.setattr(C, "_BATCH_ENTRIES", 20)
-    p, w = L.lattice_params(1.0, 1.0 / SQRT2), W.bump()
+    """A cap of 20 band entries splits each scan into chunks of one sample
+    or of at most 20 entries; the log-determinants keep every bit."""
+    zero_pivots = []
+    for w, alpha, beta, samples in SCAN_CASES:
+        p = L.lattice_params(alpha, beta)
+        whole = C.scan_determinant(p, w, samples)
+        chunks = []
+        with monkeypatch.context() as patch:
+            patch.setattr(C, "_BATCH_ENTRIES", 20)
+            patch.setattr(C, "banded_log_abs_det",
+                          lambda band, k, sizes: chunks.append((len(sizes), band.size))
+                          or banded_log_abs_det(band, k, sizes))
+            split = C.scan_determinant(p, w, samples)
+        assert len(chunks) > len(whole.fingerprints)
+        assert all(n == 1 or entries <= 20 for n, entries in chunks)
+        assert sum(n for n, _ in chunks) == len(whole.x_samples)
+        assert _same_bits(split.log_abs_det, whole.log_abs_det)
+        assert split.fingerprints == whole.fingerprints
+        zero_pivots.append(int(np.isneginf(whole.log_abs_det).sum()))
+    assert zero_pivots == [3, 18, 0, 0, 2, 0]
+
+
+def test_scan_evaluates_at_most_the_cap_per_call(monkeypatch):
+    """alpha = 1, alpha*beta = 0.99: anchor blocks up to size 200 in 3,168
+    samples, yet no evaluate call of the scan sees more than _BATCH_ENTRIES
+    arguments, and together they see the band and little more."""
+    p, w = L.lattice_params(1.0, 0.99), W.bump()
+    seen = []
+    monkeypatch.setattr(C, "evaluate",
+                        lambda w, x: seen.append(np.size(x)) or W.evaluate(w, x))
     prof = C.scan_determinant(p, w, 32)
-    xs, dets, fps, gaps = _scan_loop(p, w, 32)
-    assert _same_bits(prof.det_values, dets)
-    assert [prof.fingerprints[gi] for gi in prof.gap_index] == fps
+    sizes = np.array([L.anchor_block(p, w, x).size for x in prof.x_samples])
+    assert sizes.max() >= 190 and sizes.min() > L.band_halfwidth(p, w)
+    assert len(seen) > 1 and max(seen) <= C._BATCH_ENTRIES
+    k = L.band_halfwidth(p, w)
+    band = sum(s * (2 * k + 1) - k * (k + 1) for s in sizes)      # k < every size
+    assert band <= sum(seen) < 1.1 * band
+
+
+@given(st.sampled_from(["bump", "gevrey", "characteristic", "odd_bump",
+                        "poly_bump", "sampled"]),
+       st.floats(-3.0, 3.0), st.floats(0.05, 4.0),
+       st.floats(0.02, 0.98), st.floats(0.02, 0.98), st.floats(0.0, 1.0))
+@example("characteristic", 0.0, 1.0, 0.5, 0.5, 0.25)      # beta*(b-a) = 1
+def test_good_pairs_lie_in_the_band(kind, lo, length, u, density, t):
+    """Every good pair of an anchor block has |j - i| <= band_halfwidth."""
+    hi = lo + length
+    w = {"bump": W.bump, "gevrey": lambda: W.gevrey(2),
+         "odd_bump": W.odd_bump,
+         "characteristic": lambda: W.characteristic(lo, hi),
+         "poly_bump": lambda: W.poly_bump(lo, hi),
+         "sampled": lambda: W.sampled(np.linspace(lo, hi, 5),
+                                      np.arange(5) + 1j)}[kind]()
+    alpha = u * w.support_length
+    p = L.lattice_params(alpha, density / alpha)
+    try:
+        spec = L.anchor_block(p, w, t * alpha)
+    except HypothesisViolated:      # row 0 holds no good pair at this x
+        return
+    idx = np.arange(spec.size)
+    mask = L.is_good(p, w, spec.x_value, idx[:, None], (spec.anchor_m + idx)[None, :])
+    assert mask.diagonal().all()
+    i, j = np.nonzero(mask)
+    assert np.abs(j - i).max() <= L.band_halfwidth(p, w)
+    assert L.band_halfwidth(p, w) <= p.beta * w.support_length * (1 + 1e-12)
 
 
 def test_scan_rejects_a_gap_holding_two_structures(monkeypatch):
@@ -152,18 +228,19 @@ def test_scan_rejects_no_samples_per_gap():
     assert len(prof.x_samples) == len(prof.fingerprints) == len(prof.breakpoints) + 1
 
 
-def test_gap_dets_key_holds_anchor_m():
+def test_gap_structure_check_holds_anchor_m():
     """x and x + 1/beta share the fingerprint, one column apart: the check
-    at the ends compares anchor_m too."""
+    at a gap's ends compares anchor_m too."""
     p, w = L.lattice_params(1.0, 1.0 / SQRT2), W.bump()
     xs = np.array([0.2, 0.2 + p.inv_beta])
     a0, a1 = (L.anchor_block(p, w, x) for x in xs)
     assert L.structure_fingerprint(p, w, a0) == L.structure_fingerprint(p, w, a1)
     with pytest.raises(AssertionError, match="anchor structure"):
-        C._gap_dets(p, w, xs)
-    spec, dets = C._gap_dets(p, w, xs[:1])
-    assert (spec.anchor_m, spec.size) == (0, 2)
-    assert dets.tolist() == [np.linalg.det(L.build_Mx(p, w, L.anchor_block(p, w, xs[0])))]
+        C._log_abs_dets(p, w, [xs])
+    specs, log_abs = C._log_abs_dets(p, w, [xs[:1], xs[1:]])
+    assert [(s.anchor_m, s.size) for s in specs] == [(0, 2), (-1, 2)]
+    dets = [np.linalg.det(L.build_Mx(p, w, L.anchor_block(p, w, x))) for x in xs]
+    assert _matches_oracle(np.exp(log_abs), np.array(dets))
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +261,7 @@ def test_interval_characteristic_widest_gap():
 def test_interval_not_found_for_zero_profile():
     p = L.lattice_params(0.7, 1.0)
     prof = C.scan_determinant(p, W.characteristic(), 16)
-    zero = C.DeterminantProfile(prof.x_samples, np.zeros_like(prof.det_values),
+    zero = C.DeterminantProfile(prof.x_samples, np.full_like(prof.log_abs_det, -np.inf),
                                 prof.fingerprints, prof.gap_index,
                                 prof.breakpoints)
     assert C.find_certified_interval(zero, 1e-8) is None
@@ -209,6 +286,17 @@ def _widest_run_loop(profile, delta_floor):
     return best
 
 
+def _shortfall_loop(profile, delta_floor):
+    """Reference: log10(delta_floor) minus the best minimum of log10|det|
+    over 3 consecutive samples of one gap."""
+    la, gaps = profile.log_abs_det, profile.gap_index
+    best = -math.inf
+    for i in range(len(la) - 2):
+        if gaps[i] == gaps[i + 2]:
+            best = max(best, min(la[i:i + 3]))
+    return math.log10(delta_floor) - best / math.log(10.0)
+
+
 @given(st.lists(st.tuples(st.sampled_from((0, 0, 0, 1)), st.sampled_from((1.0, 2.0)),
                           st.sampled_from((0.0, 1e-9, 0.5, 1.0, 2.0))),
                 max_size=40))
@@ -217,9 +305,14 @@ def test_interval_matches_sample_loop(cells):
     """Widest run, ties to the first, split at gap changes and at small |det|."""
     gaps = np.cumsum([new_gap for new_gap, _, _ in cells], dtype=int)
     xs = np.cumsum([dx for _, dx, _ in cells])
-    dets = np.array([d for _, _, d in cells], dtype=complex)
-    prof = C.DeterminantProfile(xs, dets, [None] * len(cells), gaps, np.array([]))
+    with np.errstate(divide="ignore"):
+        log_abs = np.log([d for _, _, d in cells])
+    prof = C.DeterminantProfile(xs, log_abs, [None] * len(cells), gaps, np.array([]))
     assert C.find_certified_interval(prof, 1e-8) == _widest_run_loop(prof, 1e-8)
+    assert prof.floor_shortfall_log10(1e-8) == _shortfall_loop(prof, 1e-8)
+    # a run of 3 reaches the floor exactly when the shortfall is not positive
+    found = _widest_run_loop(prof, 1e-8) is not None
+    assert found == (prof.floor_shortfall_log10(1e-8) <= 0)
 
 
 @given(st.lists(st.tuples(st.booleans(), st.integers(0, 2)), max_size=30),
@@ -528,12 +621,17 @@ def test_hypothesis_report_keys(flagship):
 # rational machinery
 
 def test_forbidden_ratios_small_orders():
-    p = L.lattice_params(0.7, 1.0)
+    """The order is the size bound: 2, 3 and 4 at these lattices."""
     w = W.characteristic()
-    assert C.forbidden_ratios(p, w, order=2) == [Fraction(1, 2)]
-    assert C.forbidden_ratios(p, w, order=3) == [
+    orders = {2: (0.5, 0.5), 3: (0.5, 1.0), 4: (0.6, 1.0)}
+    for order, (alpha, beta) in orders.items():
+        assert L.size_bound(L.lattice_params(alpha, beta), w) == order
+    ratios = {order: C.forbidden_ratios(L.lattice_params(*ab), w)
+              for order, ab in orders.items()}
+    assert ratios[2] == [Fraction(1, 2)]
+    assert ratios[3] == [
         Fraction(1, 3), Fraction(1, 2), Fraction(2, 3)]
-    assert C.forbidden_ratios(p, w, order=4) == [
+    assert ratios[4] == [
         Fraction(1, 4), Fraction(1, 3), Fraction(1, 2),
         Fraction(2, 3), Fraction(3, 4)]
 
@@ -574,7 +672,8 @@ def test_rational_analysis_odd_bump_not_supported():
 
 def _rational_loops(params, w, samples, config):
     """Reference: the per-x determinant loops of rational_analysis before
-    batching; (zero_count, certified_subinterval, min_abs_det_period)."""
+    batching, with np.linalg.det as the determinant oracle;
+    (zero_count, certified_subinterval, min_abs_det_period)."""
     edges = np.concatenate(([0.0], L.structure_breakpoints(params, w),
                             [params.alpha]))
     gi = int(np.argmax(np.diff(edges)))
@@ -610,8 +709,10 @@ def test_rational_analysis_matches_sample_loops(w, alpha, beta):
     p = L.lattice_params(alpha, beta)
     cfg = C.CertifyConfig(delta_sep=0.0)
     rep = C.rational_analysis(p, w, samples=1024, config=cfg)
-    assert (rep.zero_count, rep.certified_subinterval,
-            rep.min_abs_det_period) == _rational_loops(p, w, 1024, cfg)
+    zero_count, sub, period_min = _rational_loops(p, w, 1024, cfg)
+    assert (rep.zero_count, rep.certified_subinterval) == (zero_count, sub)
+    assert _matches_oracle(np.array([rep.min_abs_det_period]),
+                           np.array([period_min]))
 
 
 # ---------------------------------------------------------------------------

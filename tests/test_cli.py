@@ -129,6 +129,7 @@ def test_certificate_fields(tmp_path):
          "--out", str(out)])
     doc = json.loads(out.read_text())
     assert set(doc) >= {"verdict", "interval", "delta", "block_sigma_min",
+                        "log10_det_best", "floor_shortfall_log10",
                         "extent", "hypothesis_report", "params", "window",
                         "tool_version", "seed"}
     assert doc["seed"] == 5
@@ -153,19 +154,36 @@ def test_certify_det_profile(tmp_path):
     assert all(0 < x < 0.7 for x in xs)
 
 
+def _assert_profile_matches_det_oracle(prof, w, alpha, beta):
+    """Each row's abs_det within 1e-12 relative of np.linalg.det on the dense
+    anchor block at its x, and 0 exactly where the oracle is 0."""
+    params = lattice.lattice_params(alpha, beta)
+    rows = [line.split(",") for line in prof.read_text().split()[1:]]
+    got = np.array([float(r[1]) for r in rows])
+    oracle = np.array([abs(np.linalg.det(lattice.build_Mx(
+        params, w, lattice.anchor_block(params, w, float(r[0]))))) for r in rows])
+    zero = oracle == 0
+    assert np.array_equal(got == 0, zero)
+    assert np.all(np.abs(got - oracle)[~zero] <= 1e-12 * oracle[~zero])
+
+
 def test_certify_det_profile_flagship_bytes(tmp_path):
-    """Flagship profile CSV, pinned from the sample-by-sample scan."""
+    """Flagship profile CSV, pinned from the banded scan once it passed the
+    determinant oracle; x and the fingerprint ids are the bytes of the
+    sample-by-sample scan."""
     prof = tmp_path / "p.csv"
     assert run(["certify", "--window", "bump", "--alpha", "1.0", "--beta",
                 BETA_IRR, "--out", str(tmp_path / "c.json"),
                 "--det-profile", str(prof)]) == 0
+    _assert_profile_matches_det_oracle(prof, window.bump(), 1.0, float(BETA_IRR))
     assert hashlib.sha256(prof.read_bytes()).hexdigest() == (
-        "750962723a3ea547c015c2748e8d6521ec7267818b56f7d644b5e72ec16458b8")
+        "430bfda9964363b73c0105861037376d0da9ff152ca1143cd150ae08fc12746a")
 
 
 def test_certify_det_profile_many_gaps_bytes(tmp_path):
     """gevrey:2 at alpha*beta ~ 0.95: 70 gaps sharing 49 structures, so the
-    fingerprint ids repeat across gaps; pinned from the per-sample scan."""
+    fingerprint ids repeat across gaps; 484 samples hold an underflowed
+    entry and |det| exactly 0.  Pinned once it passed the oracle."""
     prof = tmp_path / "p.csv"
     assert run(["certify", "--window", "gevrey:2", "--alpha", "1.3",
                 "--beta", "0.73076923", "--extent", "16",
@@ -174,13 +192,15 @@ def test_certify_det_profile_many_gaps_bytes(tmp_path):
     lines = prof.read_text().strip().split("\n")[1:]
     assert len(lines) == 70 * 32
     assert len({l.split(",")[2] for l in lines}) == 49
+    _assert_profile_matches_det_oracle(prof, window.gevrey(2), 1.3, 0.73076923)
+    assert sum(float(l.split(",")[1]) == 0 for l in lines) == 484
     assert hashlib.sha256(prof.read_bytes()).hexdigest() == (
-        "335f22c1a321383bbf34a32d47f5b10c866851dc97ff95a34514819a213a9c26")
+        "63992240a7ad1c01148a50fc8f64aa8e8b4af799fb3cfbff0db8522a6b43d69b")
 
 
 def test_certify_det_profile_sampled_window_bytes(tmp_path):
-    """Complex Brownian window read back from its CSV; pinned from the
-    per-sample scan."""
+    """Complex Brownian window read back from its CSV; pinned once it passed
+    the oracle."""
     win, prof = tmp_path / "w.csv", tmp_path / "p.csv"
     assert run(["random-window", "--seed", "3", "--dt", "0.00390625",
                 "--quadrature-n", "256", "--out", str(win)]) == 0
@@ -188,8 +208,36 @@ def test_certify_det_profile_sampled_window_bytes(tmp_path):
                 "--beta", "0.70710678118654757",
                 "--out", str(tmp_path / "c.json"),
                 "--det-profile", str(prof)]) == 0
+    _assert_profile_matches_det_oracle(prof, window.sampled_from_csv(win), 0.8,
+                                       0.70710678118654757)
     assert hashlib.sha256(prof.read_bytes()).hexdigest() == (
-        "e59c254da7ea21013192d1dd87e83f27bb44eefaa2fae976ea6c823bb8f7a22b")
+        "8f04e7fb2821658d4fda0b44426e17488fa53ae2cf441c7d2b23e65429203b78")
+
+
+def test_certificate_reports_how_far_the_scan_fell_short(tmp_path):
+    """floor_shortfall_log10 is the number of decades the floor must drop
+    for a run of 3 samples to reach it: <= 0 on a certified window, and on
+    a miss a floor that much lower (plus 0.01 decade) finds an interval."""
+    out = tmp_path / "c.json"
+    base = ["--window", "gevrey:2", "--alpha", "1.3", "--beta", "0.73076923",
+            "--extent", "16", "--out", str(out)]
+    assert run(["certify", *base]) == 2
+    miss = json.loads(out.read_text())
+    assert miss["reason"] == "no determinant floor found"
+    short = miss["floor_shortfall_log10"]
+    assert short > 0 and short >= -8 - miss["log10_det_best"] - 1e-9
+    floor = 10.0 ** (-8 - short - 0.01)
+    run(["certify", *base, "--delta-floor", repr(floor)])
+    found = json.loads(out.read_text())
+    assert found["interval"] is not None and found["delta"] >= floor
+    assert found["log10_det_best"] == miss["log10_det_best"]
+    assert found["floor_shortfall_log10"] == pytest.approx(-0.01, abs=1e-9)
+
+    assert run(["certify", "--window", "bump", "--alpha", "1.0", "--beta",
+                BETA_IRR, "--extent", "8", "--out", str(out)]) == 0
+    cert = json.loads(out.read_text())
+    assert cert["floor_shortfall_log10"] <= 0
+    assert cert["log10_det_best"] >= math.log10(cert["delta"])
 
 
 @pytest.mark.parametrize("alpha, beta, key", [
@@ -205,6 +253,7 @@ def test_certify_det_profile_header_only_on_failed_hypothesis(
     assert code == 2
     assert doc["hypothesis_report"][key] is False
     assert prof.read_text() == "x,abs_det,fingerprint_id\n"
+    assert doc["log10_det_best"] is None and doc["floor_shortfall_log10"] is None
 
 
 # ---------------------------------------------------------------------------
@@ -330,9 +379,11 @@ def test_scan_parses_a_csv_window_once(tmp_path, monkeypatch):
                 "0.5,0.6,0.7,0.8", "--beta-grid", "0.70710678,0.9",
                 "--extent", "8", "--out", str(out)]) == 0
     assert calls == [str(path)]
-    # recorded when every grid point parsed the CSV on its own
+    # recorded when the banded scan replaced the dense one: the verdicts and
+    # sigma_min are those of every grid point parsing the CSV on its own, and
+    # each delta is within 1e-12 relative of that run's
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-        "58359ecf321427b48a5c049cf004ca30d82bb64c0add6aaf3de28ba2c9655a31")
+        "d2f7ac43764355c1853b7c08267f8e17d14d881cde8be51b5f1d69c3dddc9328")
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])
@@ -844,17 +895,28 @@ def test_framebounds_complete_sections_bytes_pinned(tmp_path, wspec, extent):
         _SECTION_PINS[wspec, extent]
 
 
-@pytest.mark.parametrize("wspec, alpha, beta, sha", [
+@pytest.mark.parametrize("wspec, alpha, beta, sha, sha_before_scan_fields", [
     ("bump", "1.0", "0.70710678118654752",
+     "139fe9de9d26a1f8f5e49a6d28ea0881d8cf26e23955cabfd1c8fc78a5cc9121",
      "91abf65531f6342de3a6b8de391d584ae5ad4d78036a157f2afa50464ab91c61"),
     ("gevrey:2", "0.9", "0.61803398874989485",
+     "0c7a61ff1bfd8592fcca2d2be2f4466f1dc488d7dd89fb664cb097b42d919d63",
      "879f29187cc8b16ec769e416034bc2aec2599db86c1e33b5d6fdd3456a928fe0"),
 ], ids=["bump", "gevrey2"])
-def test_certify_long_extent_bytes_pinned(tmp_path, wspec, alpha, beta, sha):
+def test_certify_long_extent_bytes_pinned(tmp_path, wspec, alpha, beta, sha,
+                                          sha_before_scan_fields):
+    """Without its two scan lines the certificate keeps the bytes it had
+    before log10_det_best and floor_shortfall_log10 existed."""
     out = tmp_path / "c.json"
     assert run(["certify", "--window", wspec, "--alpha", alpha, "--beta", beta,
                 "--extent", "1024", "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == sha
+    lines = out.read_text().splitlines(keepends=True)
+    kept = [line for line in lines if not line.lstrip().startswith(
+        ('"log10_det_best"', '"floor_shortfall_log10"'))]
+    assert len(kept) == len(lines) - 2
+    assert hashlib.sha256("".join(kept).encode()).hexdigest() == \
+        sha_before_scan_fields
 
 
 # ---------------------------------------------------------------------------

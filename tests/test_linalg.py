@@ -1,5 +1,6 @@
 """Preconditioned Jacobi SVD: agreement with LAPACK, small-singular-value
-accuracy, and agreement with a one-sided Jacobi rotation loop."""
+accuracy, and agreement with a one-sided Jacobi rotation loop.  Banded
+log-determinants: agreement with np.linalg.det."""
 
 import math
 from types import SimpleNamespace
@@ -248,3 +249,52 @@ def test_decomposition_blocks_agree_with_rotation_loop():
     assert len(decomp.blocks) > 1
     for block in decomp.blocks:
         _assert_agree(block.matrix)
+
+
+# ---------------------------------------------------------------------------
+# banded log-determinants
+
+def _banded_stack(rng, k, sizes, dtype, zero_share):
+    """(band, dense matrices) of random banded matrices with planted zeros."""
+    band = np.zeros((sizes[0], 2 * k + 1, len(sizes)), dtype=dtype)
+    dense = []
+    for i, s in enumerate(sizes):
+        M = np.zeros((s, s), dtype=dtype)
+        for r in range(s):
+            for c in range(max(r - k, 0), min(r + k + 1, s)):
+                v = rng.standard_normal()
+                if dtype == complex:
+                    v += 1j * rng.standard_normal()
+                M[r, c] = band[r, c - r + k, i] = 0.0 if rng.random() < zero_share else v
+        dense.append(M)
+    return band, dense
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_banded_log_abs_det_matches_dense_det(dtype, k):
+    rng = np.random.default_rng(31 + k)
+    zeros = 0
+    for _ in range(40):
+        sizes = np.sort(rng.integers(1, 12, rng.integers(1, 6)))[::-1]
+        band, dense = _banded_stack(rng, k, sizes, dtype, 0.25)
+        got = linalg.banded_log_abs_det(band, k, sizes)
+        for log_abs, M in zip(got, dense):
+            ref = abs(np.linalg.det(M))
+            if ref == 0.0:
+                zeros += 1
+                assert log_abs == -math.inf
+            else:
+                assert math.exp(log_abs) == pytest.approx(ref, rel=1e-12)
+    assert zeros > 0
+
+
+def test_banded_log_abs_det_stays_finite_past_underflow():
+    """A diagonal of 1e-200 over 5 rows: |det| = 1e-1000 underflows, its log
+    does not."""
+    band = np.full((5, 3, 1), 0.0)
+    band[:, 1, 0] = 1e-200
+    band[:-1, 2, 0] = 1.0
+    got = linalg.banded_log_abs_det(band, 1, np.array([5]))
+    assert np.linalg.det(np.diag(np.full(5, 1e-200))) == 0.0
+    assert got[0] == pytest.approx(-1000 * math.log(10.0), rel=1e-14)

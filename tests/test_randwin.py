@@ -183,12 +183,13 @@ def test_verify_nonvanishing_positive_for_constant_path():
     assert min_abs > 0.0
 
 
-def test_verify_nonvanishing_planted_zero():
+def test_verify_nonvanishing_planted_zero(monkeypatch):
     xs = np.linspace(0.0, 1.0, 513)           # grid contains 0.5 exactly
     vals = np.ones(513, dtype=complex)
     vals[256] = 0.0
     w = W.sampled(xs, vals)
-    min_abs, argmin = R.verify_nonvanishing(w, n_core=4097)
+    monkeypatch.setattr(R, "_CORE_GRID_N", 4097)
+    min_abs, argmin = R.verify_nonvanishing(w)
     assert min_abs == 0.0
     assert argmin == pytest.approx(0.5, abs=1e-12)
 

@@ -177,27 +177,31 @@ def test_sup_norm_grids_other_kinds():
         assert W.sup_norm(w) == float(np.max(np.abs(W.evaluate(w, xs))))
 
 
-def test_inv_sup_characteristic():
-    assert W.inv_sup_on_core(W.characteristic(), 0.2, 101) == 1.0
+def test_inv_sup_characteristic(monkeypatch):
+    monkeypatch.setattr(W, "_CORE_GRID_N", 101)
+    assert W.inv_sup_on_core(W.characteristic(), 0.2) == 1.0
 
 
-def test_inv_sup_bump_attained_at_core_edges():
-    got = W.inv_sup_on_core(W.bump(), 0.5, 1001)
+def test_inv_sup_bump_attained_at_core_edges(monkeypatch):
+    monkeypatch.setattr(W, "_CORE_GRID_N", 1001)
+    got = W.inv_sup_on_core(W.bump(), 0.5)
     assert got == pytest.approx(math.exp(16.0 / 15.0), rel=1e-12)
 
 
-def test_inv_sup_odd_bump_hits_zero():
-    assert W.inv_sup_on_core(W.odd_bump(), 0.1, 1001) == math.inf
+def test_inv_sup_odd_bump_hits_zero(monkeypatch):
+    monkeypatch.setattr(W, "_CORE_GRID_N", 1001)
+    assert W.inv_sup_on_core(W.odd_bump(), 0.1) == math.inf
 
 
 def test_inv_sup_empty_core():
     with pytest.raises(EmptyCore):
-        W.inv_sup_on_core(W.characteristic(), 0.6, 101)
+        W.inv_sup_on_core(W.characteristic(), 0.6)
 
 
-def test_inv_sup_monotone_in_eps():
+def test_inv_sup_monotone_in_eps(monkeypatch):
+    monkeypatch.setattr(W, "_CORE_GRID_N", 2001)
     w = W.bump()
-    vals = [W.inv_sup_on_core(w, eps, 2001) for eps in (0.1, 0.3, 0.5, 0.7)]
+    vals = [W.inv_sup_on_core(w, eps) for eps in (0.1, 0.3, 0.5, 0.7)]
     assert all(a >= b for a, b in zip(vals, vals[1:]))
 
 
@@ -258,7 +262,7 @@ def _same_bits(a, b):
                                np.atleast_1d(b).view(np.uint64)))
 
 
-def test_fourier_transform_matches_dense_grid_bitwise():
+def test_fourier_transform_matches_dense_grid_bitwise(monkeypatch):
     xs = np.linspace(0.0, 1.0, 2048)
     rng = np.random.default_rng(11)
     walk = np.cumsum(rng.normal(size=(2, 2048)), axis=1)
@@ -268,8 +272,10 @@ def test_fourier_transform_matches_dense_grid_bitwise():
             xis = np.linspace(1.0, 80.0, n_xi)
             assert _same_bits(W.fourier_transform(w, xis), _dense_fourier(w, xis))
         coarse = np.linspace(-3.0, 40.0, 37)
-        assert _same_bits(W.fourier_transform(w, coarse, quad_nodes=1000),
-                          _dense_fourier(w, coarse, quad_nodes=1000))
+        with monkeypatch.context() as patch:
+            patch.setattr(W, "FOURIER_QUAD_NODES", 1000)
+            assert _same_bits(W.fourier_transform(w, coarse),
+                              _dense_fourier(w, coarse, quad_nodes=1000))
         for xi in (0.0, 2.5, -7.25):
             got = W.fourier_transform(w, xi)
             assert type(got) is complex
