@@ -9,6 +9,7 @@ length, irrationality class, boundedness of g and 1/g on the core).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -21,7 +22,7 @@ from .lattice import (BlockSpec, LatticeParams, anchor_block, band_halfwidth,
                       build_Mx, entry_args, epsilon, int_bounds, int_range,
                       separator_row, size_bound, structure_breakpoints,
                       structure_fingerprint)
-from .linalg import banded_log_abs_det, svdvals_accurate
+from .linalg import banded_log_abs_det, stack_sigma_min
 from .window import Window, evaluate, inv_sup_on_core, sup_norm
 
 __all__ = [
@@ -63,13 +64,22 @@ class CertifyConfig:
 @dataclass(frozen=True, eq=False)
 class DeterminantProfile:
     """Sampled map x -> log|det M_x| over the gaps between structure
-    breakpoints."""
+    breakpoints of G(g; alpha, beta)."""
 
     x_samples: np.ndarray
     log_abs_det: np.ndarray       # natural log; -inf where det M_x is 0
-    fingerprints: list            # one per gap, indexed by gap_index
     gap_index: np.ndarray
     breakpoints: np.ndarray
+    params: LatticeParams
+    window: Window
+    specs: list                   # anchor block of each gap, at its first sample
+
+    @functools.cached_property
+    def fingerprints(self) -> list:
+        """structure_fingerprint of each gap, indexed by gap_index; built
+        when first read."""
+        return [structure_fingerprint(self.params, self.window, spec)
+                for spec in self.specs]
 
     @property
     def abs_det(self) -> np.ndarray:
@@ -119,26 +129,48 @@ class DecompBlock:
 
 @dataclass(frozen=True, eq=False)
 class BlockDecomposition:
+    """Anchor blocks and 1x1 separator blocks, as arrays ascending in rows
+    and columns."""
+
     x: float
     extent: int
-    blocks: list              # DecompBlock, ascending in rows and columns
-    discarded_rows: list
+    anchor_rows: np.ndarray       # first row of each anchor block
+    anchor_cols: np.ndarray       # first column of each anchor block
+    anchors: np.ndarray           # (N, s, s) stack of the anchor blocks
+    separator_rows: np.ndarray
+    separator_cols: np.ndarray
+    separators: np.ndarray        # (M,) entries of the 1x1 separator blocks
+    discarded_rows: np.ndarray    # rows of [-extent, extent] in no block
+
+    @property
+    def n_blocks(self) -> int:
+        return len(self.anchors) + len(self.separators)
+
+    @functools.cached_property
+    def blocks(self) -> list:
+        """DecompBlock of every block, ascending in rows and columns; built
+        when first read."""
+        blocks = ([DecompBlock("anchor", n, m, mat) for n, m, mat in zip(
+                      self.anchor_rows.tolist(), self.anchor_cols.tolist(),
+                      self.anchors)]
+                  + [DecompBlock("separator", n, m, entry) for n, m, entry in zip(
+                      self.separator_rows.tolist(), self.separator_cols.tolist(),
+                      self.separators.reshape(-1, 1, 1))])
+        return sorted(blocks, key=lambda b: b.row_lo)
 
     @property
     def sigma_min(self) -> float:
-        """Smallest singular value over the blocks, bit for bit as
-        svdvals_accurate gives it: |entry| for the real 1x1 separators (its
-        own 1x1 rule) in one pass, the SVD for the anchors and the complex
-        separators."""
-        seps = np.array([b.matrix[0, 0] for b in self.blocks
-                         if b.kind == "separator"], dtype=complex)
+        """Smallest singular value over the blocks, bit for bit the min of
+        svdvals_accurate over every block: |entry| for the real separators
+        (its own 1x1 rule) in one pass, stack_sigma_min over the anchor
+        stack and over the complex separators."""
+        seps = self.separators
         if not np.isfinite(seps).all():
             raise ValueError("matrix has a non-finite entry")
         real = seps.imag == 0
-        svd = ([b.matrix for b in self.blocks if b.kind == "anchor"]
-               + list(seps[~real, None, None]))
         return float(min(np.abs(seps.real[real]).min(initial=np.inf),
-                         *(svdvals_accurate(m)[-1] for m in svd)))
+                         stack_sigma_min(self.anchors),
+                         stack_sigma_min(seps[~real, None, None])))
 
 
 @dataclass(frozen=True)
@@ -259,9 +291,9 @@ def scan_determinant(params: LatticeParams, w: Window,
     nodes = [_chebyshev_nodes(lo, hi, samples_per_gap)
              for lo, hi in zip(edges[:-1], edges[1:])]
     specs, log_abs_det = _log_abs_dets(params, w, nodes)
-    fps = [structure_fingerprint(params, w, spec) for spec in specs]
-    gaps = np.repeat(np.arange(len(fps)), samples_per_gap)
-    return DeterminantProfile(np.concatenate(nodes), log_abs_det, fps, gaps, bps)
+    gaps = np.repeat(np.arange(len(specs)), samples_per_gap)
+    return DeterminantProfile(np.concatenate(nodes), log_abs_det, gaps, bps,
+                              params, w, specs)
 
 
 def _runs(mask, groups=None) -> list:
@@ -342,7 +374,7 @@ def build_block_decomposition(params: LatticeParams, w: Window, x: float,
     sep_rows, sep_args = separator_row(params, w, x, cols)
     # falls[i]: non-increasing steps among the separator rows of cols[:i+1]
     falls = np.cumsum(np.concatenate(([0], sep_rows[1:] <= sep_rows[:-1]))).tolist()
-    sep_rows = sep_rows.tolist()
+    rows_of = sep_rows.tolist()
 
     def glue(r0, c0, r1, c1):
         """Whether a block starting at row r1, column c1 lies below and right
@@ -350,24 +382,25 @@ def build_block_decomposition(params: LatticeParams, w: Window, x: float,
         columns between them rising strictly inside (r0, r1)."""
         i, j = c0 + 1 - first, c1 - 1 - first
         return r0 < r1 and c0 < c1 and (i > j or (
-            r0 < sep_rows[i] and sep_rows[j] < r1 and falls[i] == falls[j]))
+            r0 < rows_of[i] and rows_of[j] < r1 and falls[i] == falls[j]))
 
     forward, backward = [_walk(land, glue, size, extent, step, edge)
                          for step in (1, -1)]
-    anchors = backward[::-1] + [edge] + forward
-    mats = build_Mx(params, w, BlockSpec(*np.array(anchors).T, size, x))
-    seps = [m - first for (_, m0), (_, m1) in zip(anchors, anchors[1:])
-            for m in range(m0 + size, m1)]
-    entries = evaluate(w, sep_args[seps]).reshape(-1, 1, 1)
-    blocks = sorted([DecompBlock("anchor", n, m, mat)
-                     for (n, m), mat in zip(anchors, mats)]
-                    + [DecompBlock("separator", sep_rows[i], first + i, entry)
-                       for i, entry in zip(seps, entries)],
-                    key=lambda b: b.row_lo)
-    used = {n + i for n, _ in anchors for i in range(size)}
-    used.update(sep_rows[i] for i in seps)
-    discarded = [n for n in range(-extent, extent + 1) if n not in used]
-    return BlockDecomposition(x, extent, blocks, discarded)
+    anchor_rows, anchor_cols = np.array(backward[::-1] + [edge] + forward).T
+    mats = build_Mx(params, w, BlockSpec(anchor_rows, anchor_cols, size, x))
+    # every column between the first and the last anchor block that no
+    # anchor block holds is a separator column
+    span = np.arange(size)
+    free = np.ones(anchor_cols[-1] + size - anchor_cols[0], dtype=bool)
+    free[anchor_cols[:, None] + span - anchor_cols[0]] = False
+    seps = np.flatnonzero(free) + (anchor_cols[0] - first)
+    # the outermost anchor blocks may reach past row -extent or extent
+    used = np.concatenate(((anchor_rows[:, None] + span).ravel(), sep_rows[seps]))
+    discarded = np.ones(len(rows), dtype=bool)
+    discarded[used[np.abs(used) <= extent] + extent] = False
+    return BlockDecomposition(x, extent, anchor_rows, anchor_cols, mats,
+                              sep_rows[seps], seps + first,
+                              evaluate(w, sep_args[seps]), rows[discarded])
 
 
 def assemble_composite(params: LatticeParams, w: Window,
@@ -458,7 +491,7 @@ def certify_frame(params: LatticeParams, w: Window,
     return FrameCertificate(verdict, reason, report,
                             interval_lo=found.lo, interval_hi=found.hi,
                             delta=found.delta, block_sigma_min=sigma,
-                            extent=config.extent, n_blocks=len(decomp.blocks),
+                            extent=config.extent, n_blocks=decomp.n_blocks,
                             profile=profile)
 
 

@@ -3,10 +3,17 @@ values, and log-determinants of stacks of banded matrices."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.linalg import lapack
 
-__all__ = ["jacobi_svdvals", "svdvals_accurate", "banded_log_abs_det"]
+__all__ = ["jacobi_svdvals", "svdvals_accurate", "stack_sigma_min",
+           "banded_log_abs_det"]
+
+# stack_sigma_min: the screen's tolerance of an s x s block A is
+# SCREEN_SLACK * s * eps * ||A||_F
+SCREEN_SLACK = 32
 
 
 def jacobi_svdvals(A) -> np.ndarray:
@@ -52,6 +59,41 @@ def svdvals_accurate(A) -> np.ndarray:
     if min(A.shape) == 0:
         return np.zeros(0)
     return jacobi_svdvals(A)
+
+
+def stack_sigma_min(stack) -> float:
+    """min over i of svdvals_accurate(stack[i])[-1], bit for bit, for an
+    (N, m, n) stack; inf for an empty one.
+
+    One batched LAPACK SVD (``gesdd``, in real arithmetic when the stack has
+    no imaginary part) estimates every block's smallest singular value
+    est_i, and only the candidates go to ``svdvals_accurate``.  Both SVDs are
+    backward stable: each returns the singular values of A + E with
+    ||E||_2 <= p(s) eps ||A||_2 for a modest p of the size s = max(m, n) (the
+    LAPACK Users' Guide bound; ``dgejsv``'s real embedding of a complex block
+    has the same 2-norm), so by Weyl's inequality each is within
+    p(s) eps ||A_i||_F of the true sigma_min.  With
+    tol_i = SCREEN_SLACK * s * eps * ||A_i||_F covering both errors, est_i
+    and the accurate value J_i differ by at most tol_i.  If block k has the
+    smallest J, then est_k - tol_k <= J_k <= J_j <= est_j + tol_j for every
+    j: block k is a candidate, est_i - tol_i <= min_j (est_j + tol_j), and the
+    smallest J over the candidates is J_k.  Candidates with the same bytes
+    have the same J, so each is computed once.
+    """
+    A = np.asarray(stack)
+    if A.ndim != 3:
+        raise ValueError("expected a stack of matrices")
+    if not np.isfinite(A).all():
+        raise ValueError("matrix has a non-finite entry")
+    if len(A) == 0:
+        return math.inf
+    work = A.real if np.iscomplexobj(A) and not A.imag.any() else A
+    est = np.linalg.svd(work, compute_uv=False)[:, -1]
+    tol = (SCREEN_SLACK * max(A.shape[1:]) * np.finfo(float).eps
+           * np.linalg.norm(work, axis=(1, 2)))
+    candidates = np.flatnonzero(est - tol <= (est + tol).min())
+    distinct = {A[i].tobytes(): A[i] for i in candidates.tolist()}
+    return float(min(svdvals_accurate(a)[-1] for a in distinct.values()))
 
 
 def banded_log_abs_det(band: np.ndarray, k: int, sizes: np.ndarray) -> np.ndarray:

@@ -8,12 +8,13 @@ option or window form would otherwise break only the benchmark run.
 
 import importlib
 import importlib.util
+import math
 import sys
 from pathlib import Path
 
 import pytest
 
-from gaborcert import cli
+from gaborcert import certify, cli, lattice, window
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -29,7 +30,8 @@ def _load(stem):
     return sys.modules[name]
 
 
-TARGETS = _load("tracer").TARGETS
+TRACER = _load("tracer")
+TARGETS = TRACER.TARGETS
 WORKLOADS = _load("workloads")
 CHECKS = _load("checks")
 
@@ -66,3 +68,17 @@ def test_workload_commands_parse(workload):
 def test_benchmark_window_specs_parse_to_recorded_kind(spec):
     w = cli.parse_window(spec)
     assert (w.kind, w.order) == CHECKS.WINDOW_KINDS[spec]
+
+
+def test_tracer_counts_a_decomposition():
+    """--trace 1 reads result.blocks and b.kind of every decomposition."""
+    params = lattice.lattice_params(1.0, 1.0 / math.sqrt(2.0))
+    w = window.bump()
+    cert = certify.certify_frame(params, w)
+    interval = (cert.interval_lo, cert.interval_hi)
+    dec = certify.build_block_decomposition(params, w, 0.5 * sum(interval),
+                                            cert.extent, interval)
+    counts = TRACER._decomp_counts((params, w), dec)
+    assert counts == {"certify.blocks": dec.n_blocks,
+                      "certify.anchors_placed": len(dec.anchors)}
+    assert dec.n_blocks == cert.n_blocks

@@ -1,15 +1,18 @@
 """Determinant scans, certified intervals, block decompositions, rational analysis."""
 
+import dataclasses
 import math
+import types
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from gaborcert import certify as C
 from gaborcert import lattice as L
+from gaborcert import linalg as LA
 from gaborcert import window as W
 from gaborcert.errors import (HopNotFound, HypothesisViolated,
                               TooCloseToForbiddenRatio)
@@ -261,9 +264,8 @@ def test_interval_characteristic_widest_gap():
 def test_interval_not_found_for_zero_profile():
     p = L.lattice_params(0.7, 1.0)
     prof = C.scan_determinant(p, W.characteristic(), 16)
-    zero = C.DeterminantProfile(prof.x_samples, np.full_like(prof.log_abs_det, -np.inf),
-                                prof.fingerprints, prof.gap_index,
-                                prof.breakpoints)
+    zero = dataclasses.replace(prof, log_abs_det=np.full_like(prof.log_abs_det,
+                                                              -np.inf))
     assert C.find_certified_interval(zero, 1e-8) is None
 
 
@@ -307,7 +309,7 @@ def test_interval_matches_sample_loop(cells):
     xs = np.cumsum([dx for _, dx, _ in cells])
     with np.errstate(divide="ignore"):
         log_abs = np.log([d for _, _, d in cells])
-    prof = C.DeterminantProfile(xs, log_abs, [None] * len(cells), gaps, np.array([]))
+    prof = C.DeterminantProfile(xs, log_abs, gaps, np.array([]), None, None, [])
     assert C.find_certified_interval(prof, 1e-8) == _widest_run_loop(prof, 1e-8)
     assert prof.floor_shortfall_log10(1e-8) == _shortfall_loop(prof, 1e-8)
     # a run of 3 reaches the floor exactly when the shortfall is not positive
@@ -776,7 +778,7 @@ def _decomposition_per_hop(params, w, x, extent, interval):
             blocks = blocks + hop if step > 0 else hop + blocks
     used = {n for b in blocks for n in range(b.row_lo, b.row_hi + 1)}
     discarded = [n for n in range(-extent, extent + 1) if n not in used]
-    return C.BlockDecomposition(x, extent, blocks, discarded)
+    return types.SimpleNamespace(blocks=blocks, discarded_rows=discarded)
 
 
 def _replayed(build, params, w, x, extent, interval):
@@ -788,7 +790,7 @@ def _replayed(build, params, w, x, extent, interval):
         return str(exc)
     blocks = [(b.kind, b.row_lo, b.col_lo, b.matrix.dtype, b.matrix.shape,
                b.matrix.tobytes()) for b in dec.blocks]
-    return blocks, dec.discarded_rows
+    return blocks, np.asarray(dec.discarded_rows).tolist()
 
 
 _REPLAY_CASES = pytest.mark.parametrize("w, alpha, beta", [
@@ -858,30 +860,139 @@ def test_replay_matches_per_hop_loop_on_moved_separator_rows(monkeypatch, w,
     assert got == _replayed(_decomposition_per_hop, p, w, x, 64, (lo, hi))
 
 
+def _count_svd_calls(monkeypatch):
+    """The blocks stack_sigma_min hands to svdvals_accurate, as it calls it."""
+    calls, svd = [], LA.svdvals_accurate
+    monkeypatch.setattr(LA, "svdvals_accurate",
+                        lambda a: calls.append(a) or svd(a))
+    return calls
+
+
+def _per_block_sigma_min(dec):
+    """Reference: the smallest svdvals_accurate value over every block."""
+    return min(float(LA.svdvals_accurate(b.matrix)[-1]) for b in dec.blocks)
+
+
+def _screen_candidates(stack):
+    """Indices of the blocks that stack_sigma_min's documented screen keeps."""
+    work = stack.real if not stack.imag.any() else stack
+    est = np.linalg.svd(work, compute_uv=False)[:, -1]
+    tol = (LA.SCREEN_SLACK * max(stack.shape[1:]) * np.finfo(float).eps
+           * np.linalg.norm(work, axis=(1, 2)))
+    return np.flatnonzero(est - tol <= (est + tol).min())
+
+
 @_REPLAY_CASES
 def test_sigma_min_matches_per_block_svd(monkeypatch, w, alpha, beta):
     p = L.lattice_params(alpha, beta)
     lo, hi = _interval(p, w)
     dec = C.build_block_decomposition(p, w, 0.5 * (lo + hi), 1024, (lo, hi))
-    want = min(float(C.svdvals_accurate(b.matrix)[-1]) for b in dec.blocks)
-    calls, svd = [], C.svdvals_accurate
-    monkeypatch.setattr(C, "svdvals_accurate", lambda a: calls.append(a) or svd(a))
+    want = _per_block_sigma_min(dec)
+    calls = _count_svd_calls(monkeypatch)
     got = dec.sigma_min
     assert type(got) is float and got.hex() == want.hex()
-    # the SVD runs for the anchors and the complex separators only
-    complex_seps = [b for b in dec.blocks
-                    if b.kind == "separator" and b.matrix.imag.any()]
-    assert len(calls) == sum(b.kind == "anchor" for b in dec.blocks) + len(complex_seps)
-    assert bool(complex_seps) == (w.kind == "sampled")
+    # the SVD runs once per distinct screened candidate, among the anchors
+    # and the complex separators only
+    complex_seps = dec.separators[dec.separators.imag != 0]
+    assert bool(len(complex_seps)) == (w.kind == "sampled")
+    distinct = {dec.anchors[i].tobytes()
+                for i in _screen_candidates(dec.anchors)}
+    if len(complex_seps):
+        stack = complex_seps[:, None, None]
+        distinct |= {stack[i].tobytes() for i in _screen_candidates(stack)}
+    assert len({a.tobytes() for a in calls}) == len(calls) <= len(distinct)
+    if w.kind == "bump":
+        assert len(dec.anchors) > 200 and len(calls) < 5
 
 
 def test_sigma_min_rejects_a_non_finite_separator():
-    anchor = C.DecompBlock("anchor", 0, 0, np.eye(2, dtype=complex))
     for bad in (np.nan, np.inf, complex(1.0, np.inf)):
-        sep = C.DecompBlock("separator", 2, 2, np.array([[bad]], dtype=complex))
-        dec = C.BlockDecomposition(0.0, 2, [anchor, sep], [])
+        dec = C.BlockDecomposition(
+            0.0, 2, np.array([0]), np.array([0]), np.eye(2, dtype=complex)[None],
+            np.array([2]), np.array([2]), np.array([bad], dtype=complex),
+            np.array([-2, -1], dtype=np.int64))
         with pytest.raises(ValueError, match="non-finite"):
             dec.sigma_min
+
+
+def test_sigma_min_rejects_a_non_finite_anchor():
+    for bad in (np.nan, np.inf, complex(1.0, np.inf)):
+        anchors = np.stack([np.eye(2, dtype=complex)] * 3)
+        anchors[1, 0, 1] = bad
+        dec = C.BlockDecomposition(
+            0.0, 2, np.array([-2, 0, 2]), np.array([-2, 0, 2]), anchors,
+            np.array([], dtype=np.int64), np.array([], dtype=np.int64),
+            np.array([], dtype=complex), np.array([], dtype=np.int64))
+        with pytest.raises(ValueError, match="non-finite"):
+            dec.sigma_min
+
+
+def test_decomposition_arrays_match_its_blocks(flagship):
+    params, w, cert = flagship
+    interval = (cert.interval_lo, cert.interval_hi)
+    dec = C.build_block_decomposition(params, w, 0.5 * sum(interval), 64,
+                                      interval)
+    assert "blocks" not in vars(dec)          # built only when read
+    anchors = [b for b in dec.blocks if b.kind == "anchor"]
+    seps = [b for b in dec.blocks if b.kind == "separator"]
+    assert dec.n_blocks == len(dec.blocks) == len(anchors) + len(seps)
+    assert [(b.row_lo, b.col_lo) for b in anchors] == list(
+        zip(dec.anchor_rows.tolist(), dec.anchor_cols.tolist()))
+    assert [(b.row_lo, b.col_lo) for b in seps] == list(
+        zip(dec.separator_rows.tolist(), dec.separator_cols.tolist()))
+    assert all(np.shares_memory(b.matrix, dec.anchors) for b in anchors)
+    assert dec.blocks is dec.blocks
+
+
+def test_singular_block_gives_the_singular_verdict(monkeypatch, flagship):
+    # a zero row makes one anchor block singular: dgejsv gives sigma 0.0
+    params, w, _ = flagship
+    build = C.build_block_decomposition
+
+    def singular(*args):
+        dec = build(*args)
+        anchors = dec.anchors.copy()
+        anchors[-1, -1] = 0.0
+        return dataclasses.replace(dec, anchors=anchors)
+
+    monkeypatch.setattr(C, "build_block_decomposition", singular)
+    cert = C.certify_frame(params, w)
+    assert cert.verdict == "not_certified"
+    assert cert.reason == "singular block in the decomposition"
+    assert cert.block_sigma_min == 0.0
+    assert cert.n_blocks == 29
+
+
+_WINDOW_KINDS = {
+    "bump": W.bump(), "gevrey": W.gevrey(2), "poly_bump": W.poly_bump(),
+    "characteristic": W.characteristic(), "odd_bump": W.odd_bump(),
+    "sampled": _sampled_window(),
+}
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(st.sampled_from(sorted(_WINDOW_KINDS)), st.floats(0.3, 0.95),
+       st.floats(0.3, 0.95), st.sampled_from([0, 8, 64, 1024]))
+def test_sigma_min_matches_per_block_svd_on_random_lattices(kind, u, density,
+                                                            extent):
+    """alpha = u * support length and alpha*beta = density, over every
+    window kind, anchored in the middle third of the widest breakpoint gap:
+    the screened sigma_min has every bit of the per-block loop."""
+    w = _WINDOW_KINDS[kind]
+    alpha = u * w.support_length
+    p = L.lattice_params(alpha, density / alpha)
+    assume(C._anchor_row_covered(p, w))
+    edges = np.concatenate(([0.0], L.structure_breakpoints(p, w), [alpha]))
+    gap = int(np.argmax(np.diff(edges)))
+    third = (edges[gap + 1] - edges[gap]) / 3.0
+    lo, hi = edges[gap] + third, edges[gap + 1] - third
+    try:
+        dec = C.build_block_decomposition(p, w, 0.5 * (lo + hi), extent,
+                                          (lo, hi))
+    except HopNotFound:
+        assume(False)
+    assert dec.sigma_min.hex() == _per_block_sigma_min(dec).hex()
 
 
 def test_replay_calls_each_layer_once(monkeypatch, flagship):

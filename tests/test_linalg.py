@@ -1,5 +1,6 @@
 """Preconditioned Jacobi SVD: agreement with LAPACK, small-singular-value
-accuracy, and agreement with a one-sided Jacobi rotation loop.  Banded
+accuracy, and agreement with a one-sided Jacobi rotation loop.  The screened
+smallest singular value of a stack: the bits of the per-block loop.  Banded
 log-determinants: agreement with np.linalg.det."""
 
 import math
@@ -249,6 +250,95 @@ def test_decomposition_blocks_agree_with_rotation_loop():
     assert len(decomp.blocks) > 1
     for block in decomp.blocks:
         _assert_agree(block.matrix)
+
+
+# ---------------------------------------------------------------------------
+# the screened smallest singular value of a stack
+
+def _count_svd_calls(monkeypatch):
+    calls, svd = [], linalg.svdvals_accurate
+    monkeypatch.setattr(linalg, "svdvals_accurate",
+                        lambda a: calls.append(a) or svd(a))
+    return calls
+
+
+def _assert_stack_sigma_min(stack):
+    """stack_sigma_min has every bit of the per-block loop."""
+    want = min(float(linalg.svdvals_accurate(a)[-1]) for a in stack)
+    got = linalg.stack_sigma_min(stack)
+    assert type(got) is float and got.hex() == want.hex()
+
+
+def test_stack_sigma_min_repeated_block_is_one_call(monkeypatch):
+    block = np.array([[1.0, 0.5, 0.0], [0.25, 1.0, 0.5], [0.0, 0.25, 1.0]])
+    stack = np.repeat(block[None].astype(complex), 200, axis=0)
+    want = float(linalg.svdvals_accurate(block)[-1])
+    calls = _count_svd_calls(monkeypatch)
+    assert linalg.stack_sigma_min(stack).hex() == want.hex()
+    assert len(calls) == 1
+
+
+def _ulp_moves(part, steps):
+    """part moved by one ulp up where steps > 0 and down where steps < 0."""
+    return np.where(steps > 0, np.nextafter(part, np.inf),
+                    np.where(steps < 0, np.nextafter(part, -np.inf), part))
+
+
+@pytest.mark.parametrize("last", [False, True], ids=["anywhere", "last"])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_stack_sigma_min_near_ties_keep_every_bit(monkeypatch, dtype, last):
+    # copies of one block whose entries move by +-1 ulp all pass the screen,
+    # and their accurate values differ in the last bits
+    rng = np.random.default_rng(5)
+    block = rng.standard_normal((6, 6)) + np.eye(6)
+    stack = _ulp_moves(block, rng.choice([-1, 0, 1], size=(40, 6, 6)))
+    if dtype is complex:
+        imag = rng.standard_normal((6, 6))
+        stack = stack + 1j * _ulp_moves(imag, rng.choice([-1, 0, 1],
+                                                         size=(40, 6, 6)))
+    values = np.array([float(linalg.svdvals_accurate(a)[-1]) for a in stack])
+    low = values.min()
+    assert (values > low).sum() > 10
+    if last:
+        # the true minimum only in the last block
+        stack = np.concatenate((stack[values > low],
+                                stack[np.flatnonzero(values == low)[:1]]))
+    calls = _count_svd_calls(monkeypatch)
+    assert linalg.stack_sigma_min(stack).hex() == float(low).hex()
+    assert len(calls) <= len({a.tobytes() for a in stack})
+    if last:
+        assert stack[-1].tobytes() in {a.tobytes() for a in calls}
+
+
+def test_stack_sigma_min_singular_block_gives_zero():
+    stack = np.stack([np.eye(3), np.diag([2.0, 1.0, 0.0]), 3.0 * np.eye(3)])
+    assert linalg.stack_sigma_min(stack) == 0.0
+    _assert_stack_sigma_min(stack)
+
+
+def test_stack_sigma_min_complex_and_graded_stacks():
+    rng = np.random.default_rng(9)
+    stack = rng.standard_normal((50, 5, 5)) + 1j * rng.standard_normal((50, 5, 5))
+    _assert_stack_sigma_min(stack)
+    # column-graded blocks, where only dgejsv keeps the tiny values
+    graded = np.stack([_graded(8, np.linspace(0, 14 + k, 8), k)[0]
+                       for k in range(10)])
+    _assert_stack_sigma_min(graded)
+    _assert_stack_sigma_min(graded.astype(complex))
+    # complex 1x1 blocks go through dgejsv's real embedding
+    _assert_stack_sigma_min(stack[:, :1, :1])
+
+
+def test_stack_sigma_min_empty_stack_is_inf():
+    assert linalg.stack_sigma_min(np.zeros((0, 2, 2), dtype=complex)) == math.inf
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(1.0, np.inf)])
+def test_stack_sigma_min_rejects_non_finite(bad):
+    stack = np.stack([np.eye(3, dtype=complex)] * 4)
+    stack[3, 0, 2] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        linalg.stack_sigma_min(stack)
 
 
 # ---------------------------------------------------------------------------
