@@ -20,8 +20,8 @@ import numpy as np
 from .errors import HopNotFound, HypothesisViolated, TooCloseToForbiddenRatio
 from .lattice import (BlockSpec, LatticeParams, anchor_block, band_halfwidth,
                       build_Mx, entry_args, epsilon, int_bounds, int_range,
-                      separator_row, size_bound, structure_breakpoints,
-                      structure_fingerprint)
+                      separator_row, size_bound, structure_fingerprint,
+                      structure_gaps)
 from .linalg import banded_log_abs_det, stack_sigma_min
 from .window import Window, evaluate, inv_sup_on_core, sup_norm
 
@@ -69,7 +69,7 @@ class DeterminantProfile:
     x_samples: np.ndarray
     log_abs_det: np.ndarray       # natural log; -inf where det M_x is 0
     gap_index: np.ndarray
-    breakpoints: np.ndarray
+    edges: np.ndarray             # structure_gaps: gap i is (edges[i], edges[i+1])
     params: LatticeParams
     window: Window
     specs: list                   # anchor block of each gap, at its first sample
@@ -133,7 +133,6 @@ class BlockDecomposition:
     and columns."""
 
     x: float
-    extent: int
     anchor_rows: np.ndarray       # first row of each anchor block
     anchor_cols: np.ndarray       # first column of each anchor block
     anchors: np.ndarray           # (N, s, s) stack of the anchor blocks
@@ -206,13 +205,14 @@ class RationalReport:
     frame_supported: bool
 
 
-def _chebyshev_nodes(lo: float, hi: float, k: int) -> np.ndarray:
-    # nodes pulled inward so samples stay a gap/1000 margin away from breakpoints
+def _chebyshev_nodes(edges: np.ndarray, k: int) -> np.ndarray:
+    # (gaps, k) nodes, each a gap/1000 margin or more away from its breakpoints
+    lo, hi = edges[:-1, None], edges[1:, None]
     margin = (hi - lo) / 1000.0
     a, b = lo + margin, hi - margin
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     j = np.arange(1, k + 1)
-    return np.sort(mid + half * np.cos((2 * j - 1) * np.pi / (2 * k)))
+    return np.sort(mid + half * np.cos((2 * j - 1) * np.pi / (2 * k)), axis=1)
 
 
 # most band entries evaluated and factored in one chunk of a scan; a longer
@@ -279,20 +279,17 @@ def _log_abs_dets(params: LatticeParams, w: Window, gaps: list):
 
 
 def scan_determinant(params: LatticeParams, w: Window,
-                     samples_per_gap: int = CertifyConfig.samples_per_gap
-                     ) -> DeterminantProfile:
+                     samples_per_gap: int) -> DeterminantProfile:
     """log|det M_x| at Chebyshev nodes of every breakpoint gap in (0, alpha)."""
     if samples_per_gap < 1:
         raise ValueError(f"samples_per_gap must be >= 1, got {samples_per_gap}")
     if params.alpha >= w.support_length:
         raise HypothesisViolated("alpha must be < support length")
-    bps = structure_breakpoints(params, w)
-    edges = np.concatenate(([0.0], bps, [params.alpha]))
-    nodes = [_chebyshev_nodes(lo, hi, samples_per_gap)
-             for lo, hi in zip(edges[:-1], edges[1:])]
+    edges = structure_gaps(params, w)
+    nodes = _chebyshev_nodes(edges, samples_per_gap)
     specs, log_abs_det = _log_abs_dets(params, w, nodes)
     gaps = np.repeat(np.arange(len(specs)), samples_per_gap)
-    return DeterminantProfile(np.concatenate(nodes), log_abs_det, gaps, bps,
+    return DeterminantProfile(nodes.ravel(), log_abs_det, gaps, edges,
                               params, w, specs)
 
 
@@ -319,28 +316,24 @@ def find_certified_interval(profile: DeterminantProfile,
                              float(np.min(absdet[i:j])))
 
 
-def _walk(land: dict, glue, size: int, extent: int, step: int, edge: tuple):
+def _walk(land: list, glue, size: int, extent: int, step: int, edge: tuple):
     """(row, column) of each anchor block placed past edge, outward: below
     and to the right for step +1, above and to the left for step -1.  Each
-    hop takes the nearest landing row that glue accepts; it raises
-    HopNotFound when _HOP_BOUND rows short of row step*extent hold none, and
-    the walk ends once a block reaches that row or the rows left run out."""
+    hop takes the first landing (row, column) of land, nearest first, that
+    glue accepts; it raises HopNotFound when _HOP_BOUND rows past the last
+    block hold none and row step*extent is further still, else it ends."""
     placed = []
-    while step * (row := edge[0] + (size - 1) * (step > 0)) < extent:
-        reach = min(_HOP_BOUND, extent - step * row)
-        for n in range(row + step, row + step * (reach + 1), step):
-            if n in land:
-                upper, lower = (edge, (n, land[n]))[::step]
-                if glue(upper[0] + size - 1, upper[1] + size - 1, *lower):
-                    placed.append(edge := (n, land[n]))
-                    break
-        else:
-            if reach < _HOP_BOUND:
-                return placed
-            direction = "forward" if step > 0 else "backward"
-            raise HopNotFound(f"no {direction} landing in the interval "
-                              "within hop_bound")
-    return placed
+    far = (size - 1) * (step > 0)     # the block's last row along the walk
+    for n, m in land:
+        if step * (n - edge[0] - far) > _HOP_BOUND:
+            break
+        upper, lower = (edge, (n, m))[::step]
+        if glue(upper[0] + size - 1, upper[1] + size - 1, *lower):
+            placed.append(edge := (n, m))
+    if extent - step * (edge[0] + far) < _HOP_BOUND:
+        return placed
+    direction = "forward" if step > 0 else "backward"
+    raise HopNotFound(f"no {direction} landing in the interval within hop_bound")
 
 
 def build_block_decomposition(params: LatticeParams, w: Window, x: float,
@@ -366,9 +359,9 @@ def build_block_decomposition(params: LatticeParams, w: Window, x: float,
     rows = np.arange(-extent, extent + 1)
     start, stop = int_bounds(x - params.alpha * rows, params.inv_beta, lo, hi)
     hit = stop > start
-    land = dict(zip(rows[hit].tolist(), (start[hit] + spec.anchor_m).tolist()))
+    land = list(zip(rows[hit].tolist(), (start[hit] + spec.anchor_m).tolist()))
     # a column's separator row depends on x and the column alone
-    ends = [spec.anchor_m, *land.values()]
+    ends = [spec.anchor_m, *(m for _, m in land)]
     first = min(ends)
     cols = np.arange(first, max(ends) + 1)
     sep_rows, sep_args = separator_row(params, w, x, cols)
@@ -384,8 +377,8 @@ def build_block_decomposition(params: LatticeParams, w: Window, x: float,
         return r0 < r1 and c0 < c1 and (i > j or (
             r0 < rows_of[i] and rows_of[j] < r1 and falls[i] == falls[j]))
 
-    forward, backward = [_walk(land, glue, size, extent, step, edge)
-                         for step in (1, -1)]
+    forward, backward = [_walk([(n, m) for n, m in land[::step] if step * n > 0],
+                               glue, size, extent, step, edge) for step in (1, -1)]
     anchor_rows, anchor_cols = np.array(backward[::-1] + [edge] + forward).T
     mats = build_Mx(params, w, BlockSpec(anchor_rows, anchor_cols, size, x))
     # every column between the first and the last anchor block that no
@@ -398,7 +391,7 @@ def build_block_decomposition(params: LatticeParams, w: Window, x: float,
     used = np.concatenate(((anchor_rows[:, None] + span).ravel(), sep_rows[seps]))
     discarded = np.ones(len(rows), dtype=bool)
     discarded[used[np.abs(used) <= extent] + extent] = False
-    return BlockDecomposition(x, extent, anchor_rows, anchor_cols, mats,
+    return BlockDecomposition(x, anchor_rows, anchor_cols, mats,
                               sep_rows[seps], seps + first,
                               evaluate(w, sep_args[seps]), rows[discarded])
 
@@ -518,8 +511,7 @@ def rational_analysis(params: LatticeParams, w: Window, samples: int = 4096,
             raise TooCloseToForbiddenRatio(
                 f"alpha*beta within {sep:.3g} of a forbidden ratio")
 
-    bps = structure_breakpoints(params, w)
-    edges = np.concatenate(([0.0], bps, [params.alpha]))
+    edges = structure_gaps(params, w)
     widths = np.diff(edges)
     gi = int(np.argmax(widths))
     j_lo, j_hi = float(edges[gi]), float(edges[gi + 1])

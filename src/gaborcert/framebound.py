@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import LatticeParams, int_range, structure_breakpoints
+from .lattice import LatticeParams, entry_args, int_range, structure_gaps
 from .linalg import svdvals_accurate
 from .window import Window, evaluate, sup_norm
 
@@ -73,8 +73,7 @@ def truncated_G(params: LatticeParams, w: Window, x: float,
     """Rows n in [-extent, extent], columns those of truncated_columns."""
     cols = truncated_columns(params, w, x, extent)
     rows = np.arange(-extent, extent + 1)
-    args = x - params.alpha * rows[:, None] + cols[None, :] * params.inv_beta
-    return evaluate(w, args)
+    return evaluate(w, entry_args(params, x, rows[:, None], cols[None, :]))
 
 
 def estimate_bounds(params: LatticeParams, w: Window, extent: int,
@@ -84,8 +83,7 @@ def estimate_bounds(params: LatticeParams, w: Window, extent: int,
         raise ValueError("extent must be >= 0")
     if x_grid_size < 8:
         raise ValueError("x_grid_size must be >= 8")
-    bps = structure_breakpoints(params, w)
-    edges = np.concatenate(([0.0], bps, [params.alpha]))
+    edges = structure_gaps(params, w)
     gap = np.min(np.diff(edges))
     xs = params.alpha * (np.arange(x_grid_size) + 0.5) / x_grid_size
     for bp in edges:

@@ -38,6 +38,7 @@ __all__ = [
     "separator_row",
     "structure_fingerprint",
     "structure_breakpoints",
+    "structure_gaps",
 ]
 
 RATIONAL_TOL = 1e-12
@@ -260,6 +261,8 @@ def structure_breakpoints(params: LatticeParams, w: Window) -> np.ndarray:
     Candidates are x = c + alpha*n - m/beta for c in {a, b}, rows n within
     [-2, size_bound+2] (the rows that can intersect the anchor structure),
     and the finitely many m putting x inside (0, alpha): the x-range pins m.
+    A candidate within BREAKPOINT_TOL of a kept point, 0 and alpha included,
+    is that point: x = b + alpha - 1/beta may round to just below alpha.
     """
     alpha = params.alpha
     xs = []
@@ -269,8 +272,15 @@ def structure_breakpoints(params: LatticeParams, w: Window) -> np.ndarray:
             xs.extend(base - m * params.inv_beta
                       for m in int_range(base, -params.inv_beta, 0.0, alpha))
     xs.sort()
-    out = []
+    out = [0.0]
     for xval in xs:
-        if not out or xval - out[-1] > BREAKPOINT_TOL:
+        if xval - out[-1] > BREAKPOINT_TOL and alpha - xval > BREAKPOINT_TOL:
             out.append(xval)
-    return np.array(out)
+    return np.array(out[1:])
+
+
+def structure_gaps(params: LatticeParams, w: Window) -> np.ndarray:
+    """Edges [0, *structure_breakpoints, alpha] of (0, alpha): gap i is
+    (edges[i], edges[i+1]), wider than BREAKPOINT_TOL unless alpha is not."""
+    return np.concatenate(([0.0], structure_breakpoints(params, w),
+                           [params.alpha]))

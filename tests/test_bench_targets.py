@@ -82,3 +82,21 @@ def test_tracer_counts_a_decomposition():
     assert counts == {"certify.blocks": dec.n_blocks,
                       "certify.anchors_placed": len(dec.anchors)}
     assert dec.n_blocks == cert.n_blocks
+
+
+def test_tracer_sees_the_breakpoints_of_a_scan(tmp_path):
+    """structure_gaps calls structure_breakpoints through lattice's module
+    global, so the tracer's wrapper counts the scan's breakpoints; a direct
+    reference would leave the per-layer breakpoint metrics silently blank."""
+    t = TRACER.Tracer()
+    t.install()
+    try:
+        rc = t.run_item(cli.main, ["certify", "--window", "bump", "--alpha", "1.0",
+                                   "--beta", repr(1 / math.sqrt(2)),
+                                   "--extent", "16", "--out",
+                                   str(tmp_path / "c.json")])
+    finally:
+        t.uninstall()
+    assert rc == 0
+    assert t.totals["lattice.structure_breakpoints.calls"] == 1
+    assert t.totals["lattice.breakpoints"] > 0

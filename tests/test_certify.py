@@ -37,7 +37,7 @@ def test_scan_samples_avoid_breakpoints():
     p = L.lattice_params(0.7, 1.0)
     w = W.characteristic()
     prof = C.scan_determinant(p, w, 16)
-    edges = np.concatenate(([0.0], prof.breakpoints, [p.alpha]))
+    edges = prof.edges
     gaps = np.diff(edges)
     for x in prof.x_samples:
         dist = np.min(np.abs(edges - x))
@@ -71,7 +71,7 @@ def test_scan_fingerprints_constant_per_gap():
     """One fingerprint per gap, and every sample of the gap has it."""
     p = L.lattice_params(1.0, 1.0 / SQRT2)
     prof = C.scan_determinant(p, W.bump(), 8)
-    assert len(prof.fingerprints) == len(prof.breakpoints) + 1
+    assert len(prof.fingerprints) == len(prof.edges) - 1
     for x, gi in zip(prof.x_samples, prof.gap_index):
         spec = L.anchor_block(p, W.bump(), x)
         assert L.structure_fingerprint(p, W.bump(), spec) == prof.fingerprints[gi]
@@ -84,15 +84,20 @@ def test_scan_rejects_wide_alpha():
 
 def _scan_loop(params, w, samples_per_gap):
     """Reference: the sample-by-sample scan that the banded scan replaced,
-    with np.linalg.det on each dense anchor block as the determinant oracle."""
-    bps = L.structure_breakpoints(params, w)
-    edges = np.concatenate(([0.0], bps, [params.alpha]))
+    with np.linalg.det on each dense anchor block as the determinant oracle,
+    and the Chebyshev nodes of one gap at a time."""
+    edges = L.structure_gaps(params, w)
     xs, dets, fps, gaps = [], [], [], []
     for gi in range(len(edges) - 1):
         lo, hi = edges[gi], edges[gi + 1]
         if hi - lo <= 0:
             continue
-        for x in C._chebyshev_nodes(lo, hi, samples_per_gap):
+        margin = (hi - lo) / 1000.0
+        a, b = lo + margin, hi - margin
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+        j = np.arange(1, samples_per_gap + 1)
+        for x in np.sort(mid + half * np.cos((2 * j - 1) * np.pi
+                                             / (2 * samples_per_gap))):
             spec = L.anchor_block(params, w, x)
             M = L.build_Mx(params, w, spec)
             xs.append(x)
@@ -138,6 +143,7 @@ def test_scan_matches_sample_loop(w, alpha, beta, samples):
     p = L.lattice_params(alpha, beta)
     prof = C.scan_determinant(p, w, samples)
     xs, dets, fps, gaps = _scan_loop(p, w, samples)
+    assert _same_bits(prof.edges, L.structure_gaps(p, w))
     assert _same_bits(prof.x_samples, xs)
     assert _matches_oracle(prof.abs_det, dets)
     assert np.array_equal(np.isneginf(prof.log_abs_det), dets == 0)
@@ -216,7 +222,7 @@ def test_good_pairs_lie_in_the_band(kind, lo, length, u, density, t):
 def test_scan_rejects_a_gap_holding_two_structures(monkeypatch):
     """With no breakpoints, the one gap (0, alpha) holds several anchor
     structures; the scan trusts the breakpoints and raises, never splits."""
-    monkeypatch.setattr(C, "structure_breakpoints", lambda params, w: np.array([]))
+    monkeypatch.setattr(L, "structure_breakpoints", lambda params, w: np.array([]))
     p, w = L.lattice_params(1.0, 1.0 / SQRT2), W.bump()
     with pytest.raises(AssertionError, match="anchor structure"):
         C.scan_determinant(p, w, 64)
@@ -228,7 +234,7 @@ def test_scan_rejects_no_samples_per_gap():
         with pytest.raises(ValueError, match="samples_per_gap"):
             C.scan_determinant(p, w, k)
     prof = C.scan_determinant(p, w, 1)
-    assert len(prof.x_samples) == len(prof.fingerprints) == len(prof.breakpoints) + 1
+    assert len(prof.x_samples) == len(prof.fingerprints) == len(prof.edges) - 1
 
 
 def test_gap_structure_check_holds_anchor_m():
@@ -257,7 +263,7 @@ def test_interval_characteristic_widest_gap():
     assert found.delta == pytest.approx(1.0, abs=1e-12)
     # widest gap of the 0.1-spaced breakpoints in (0, 0.7) has width 0.1;
     # the run spans one gap
-    edges = np.concatenate(([0.0], prof.breakpoints, [p.alpha]))
+    edges = prof.edges
     assert np.searchsorted(edges, found.lo) == np.searchsorted(edges, found.hi)
 
 
@@ -524,6 +530,17 @@ def test_anchor_row_covered_despite_large_inv_beta():
     assert cert.hypothesis_report["anchor_row_covered"] is True
 
 
+def test_certify_characteristic_at_beta_one_raises_nothing():
+    """At beta = 1 the breakpoint candidate b + alpha - 1/beta equals alpha
+    but may round just below it; the scan raised on the ulp-wide last gap
+    this left, for 31 of these 500 alphas."""
+    config = C.CertifyConfig(extent=4)
+    for alpha in np.random.default_rng(0).uniform(0.2, 0.95, 500).tolist():
+        cert = C.certify_frame(L.lattice_params(alpha, 1.0), W.characteristic(),
+                               config)
+        assert cert.certified
+
+
 def _anchor_row_covered_floor_ceil(params, w, tol=1e-12):
     """The floor/ceil k range, padded by one on each side, that int_range
     replaced."""
@@ -676,8 +693,7 @@ def _rational_loops(params, w, samples, config):
     """Reference: the per-x determinant loops of rational_analysis before
     batching, with np.linalg.det as the determinant oracle;
     (zero_count, certified_subinterval, min_abs_det_period)."""
-    edges = np.concatenate(([0.0], L.structure_breakpoints(params, w),
-                            [params.alpha]))
+    edges = L.structure_gaps(params, w)
     gi = int(np.argmax(np.diff(edges)))
     j_lo, j_hi = float(edges[gi]), float(edges[gi + 1])
     margin = (j_hi - j_lo) / 1000.0
@@ -908,7 +924,7 @@ def test_sigma_min_matches_per_block_svd(monkeypatch, w, alpha, beta):
 def test_sigma_min_rejects_a_non_finite_separator():
     for bad in (np.nan, np.inf, complex(1.0, np.inf)):
         dec = C.BlockDecomposition(
-            0.0, 2, np.array([0]), np.array([0]), np.eye(2, dtype=complex)[None],
+            0.0, np.array([0]), np.array([0]), np.eye(2, dtype=complex)[None],
             np.array([2]), np.array([2]), np.array([bad], dtype=complex),
             np.array([-2, -1], dtype=np.int64))
         with pytest.raises(ValueError, match="non-finite"):
@@ -920,7 +936,7 @@ def test_sigma_min_rejects_a_non_finite_anchor():
         anchors = np.stack([np.eye(2, dtype=complex)] * 3)
         anchors[1, 0, 1] = bad
         dec = C.BlockDecomposition(
-            0.0, 2, np.array([-2, 0, 2]), np.array([-2, 0, 2]), anchors,
+            0.0, np.array([-2, 0, 2]), np.array([-2, 0, 2]), anchors,
             np.array([], dtype=np.int64), np.array([], dtype=np.int64),
             np.array([], dtype=complex), np.array([], dtype=np.int64))
         with pytest.raises(ValueError, match="non-finite"):
@@ -983,7 +999,7 @@ def test_sigma_min_matches_per_block_svd_on_random_lattices(kind, u, density,
     alpha = u * w.support_length
     p = L.lattice_params(alpha, density / alpha)
     assume(C._anchor_row_covered(p, w))
-    edges = np.concatenate(([0.0], L.structure_breakpoints(p, w), [alpha]))
+    edges = L.structure_gaps(p, w)
     gap = int(np.argmax(np.diff(edges)))
     third = (edges[gap + 1] - edges[gap]) / 3.0
     lo, hi = edges[gap] + third, edges[gap + 1] - third

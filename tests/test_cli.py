@@ -771,6 +771,16 @@ def test_module_entry_point():
     assert proc.returncode == 0
 
 
+def test_certify_char_at_beta_one_exits_zero():
+    # a breakpoint rounding to just below alpha left an ulp-wide last gap,
+    # and certify died there with an AssertionError traceback
+    proc = subprocess.run([sys.executable, "-m", "gaborcert.cli", "certify",
+                           "--window", "char", "--alpha", "0.21239572664639683",
+                           "--beta", "1.0"], capture_output=True, text=True)
+    assert proc.returncode == 0 and "Traceback" not in proc.stderr
+    assert json.loads(proc.stdout)["verdict"] == "Certified"
+
+
 # ---------------------------------------------------------------------------
 # random-window through the shared artifact writer; scan --seed
 

@@ -334,7 +334,8 @@ def test_breakpoints_char_lattice():
 
 def test_breakpoints_match_brute_force_over_wide_m():
     """Every crossing x = c + alpha*n - m/beta in (0, alpha), with m scanned
-    far beyond the range the x-interval pins, and nothing else."""
+    far beyond the range the x-interval pins, and nothing else; 0 and alpha
+    absorb the crossings within BREAKPOINT_TOL of them."""
     rng = np.random.default_rng(5)
     for w in (W.bump(), W.characteristic(), W.characteristic(-3.7, -1.2),
               W.poly_bump(2.5, 6.0)):
@@ -347,18 +348,42 @@ def test_breakpoints_match_brute_force_over_wide_m():
             base = np.add.outer([w.support_lo, w.support_hi], alpha * ns)
             xs = (base[..., None]
                   - np.arange(-wide, wide + 1) * p.inv_beta).ravel()
-            expect = []
-            for x in np.sort(xs[(xs > 0.0) & (xs < alpha)]):
-                if not expect or x - expect[-1] > L.BREAKPOINT_TOL:
+            expect = [0.0]
+            for x in np.sort(xs[(xs > 0.0) & (alpha - xs > L.BREAKPOINT_TOL)]):
+                if x - expect[-1] > L.BREAKPOINT_TOL:
                     expect.append(x)
-            assert np.array_equal(L.structure_breakpoints(p, w), expect)
+            assert np.array_equal(L.structure_breakpoints(p, w), expect[1:])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["bump", "gevrey", "characteristic", "odd_bump",
+                        "poly_bump", "sampled"]),
+       st.floats(-3.0, 3.0), st.floats(0.05, 4.0),
+       st.floats(0.02, 0.98), st.floats(0.02, 0.98))
+# b + alpha - 1/beta = alpha exactly, but rounds to just below it
+@example("characteristic", 0.0, 1.0, 0.21239572664639683, 0.21239572664639683)
+def test_gaps_partition_zero_to_alpha(kind, lo, length, u, density):
+    """structure_gaps runs from 0 to alpha, and every gap is wider than
+    BREAKPOINT_TOL, so no Chebyshev node of a gap reaches its ends."""
+    hi = lo + length
+    w = {"bump": W.bump, "gevrey": lambda: W.gevrey(2),
+         "odd_bump": W.odd_bump,
+         "characteristic": lambda: W.characteristic(lo, hi),
+         "poly_bump": lambda: W.poly_bump(lo, hi),
+         "sampled": lambda: W.sampled(np.linspace(lo, hi, 5),
+                                      np.arange(5) + 1j)}[kind]()
+    alpha = u * w.support_length
+    p = params(alpha, density / alpha)
+    edges = L.structure_gaps(p, w)
+    assert edges[0] == 0.0 and edges[-1] == alpha
+    assert np.all(np.diff(edges) > L.BREAKPOINT_TOL)
+    assert np.array_equal(edges[1:-1], L.structure_breakpoints(p, w))
 
 
 def test_fingerprint_constant_between_breakpoints():
     w = W.bump()
     p = params(1.0, 1.0 / SQRT2)
-    bps = L.structure_breakpoints(p, w)
-    edges = np.concatenate(([0.0], bps, [p.alpha]))
+    edges = L.structure_gaps(p, w)
     rng = np.random.default_rng(3)
     for lo, hi in zip(edges[:-1], edges[1:]):
         margin = (hi - lo) / 100.0

@@ -26,7 +26,6 @@ DEFAULTED = {
     "certify.certify_frame.config",
     "certify.rational_analysis.config",
     "certify.rational_analysis.samples",
-    "certify.scan_determinant.samples_per_gap",
     "cli.json_dumps.indent",
     "cli.main.argv",
     "lattice.RationalClass.p",
@@ -66,4 +65,4 @@ def test_defaulted_parameters_are_the_recorded_set():
         f"added {sorted(found - DEFAULTED)}, removed {sorted(DEFAULTED - found)}: "
         "update DEFAULTED in tests/test_surface.py and argue the new count "
         f"({len(found)}, was {len(DEFAULTED)}) in CHANGES.md")
-    assert len(DEFAULTED) == 31
+    assert len(DEFAULTED) == 30
