@@ -215,8 +215,8 @@ def _chebyshev_nodes(edges: np.ndarray, k: int) -> np.ndarray:
     return np.sort(mid + half * np.cos((2 * j - 1) * np.pi / (2 * k)), axis=1)
 
 
-# most band entries evaluated and factored in one chunk of a scan; a longer
-# scan takes several
+# most band entries evaluated at once by a scan, and most band entries in one
+# row of a stack of samples that the banded LU factors in one pass
 _BATCH_ENTRIES = 1 << 15
 _ZERO_TOL = 1e-10           # rational_analysis: |det| below this is a zero
 _PERIOD_OVERSAMPLE = 8      # rational_analysis: period grid points per alpha/q
@@ -224,57 +224,75 @@ _HOP_BOUND = 10_000         # _walk: rows tried per hop; an extent <= 9,999 ends
 _COVER_TOL = 1e-12          # _anchor_row_covered: longest bad overlap ignored
 
 
-def _one_structure(params: LatticeParams, w: Window, x: float, ends,
-                   error: type) -> BlockSpec:
-    """anchor_block at x; raises error when an x in ends has another anchor_m
-    or size.  build_Mx and the scan's band read only these two, and both
-    are monotone in x, in floating point too (x + m/beta is, and so is the
-    size for a fixed anchor_m): equal values at two x hold for every x
-    between."""
+def _one_structure(params: LatticeParams, w: Window, x: float,
+                   ends) -> BlockSpec:
+    """anchor_block at x; raises ValueError when an x in ends has another
+    anchor_m or size.  build_Mx and the scan's band read only these two,
+    and both are monotone in x, in floating point too (x + m/beta is, and
+    so is the size for a fixed anchor_m): equal values at two x hold for
+    every x between."""
     spec = anchor_block(params, w, x)
     for end in ends:
         other = anchor_block(params, w, end)
         if (other.anchor_m, other.size) != (spec.anchor_m, spec.size):
-            raise error(f"the anchor structure changes between x={x!r} "
-                        f"and x={end!r}")
+            raise ValueError(f"the anchor structure changes between "
+                             f"x={x!r} and x={end!r}")
     return spec
 
 
 def _log_abs_dets(params: LatticeParams, w: Window, gaps: list):
-    """(anchor block at each gap's first x, log|det M_x| of every x in gap
-    order) for sorted x arrays, one per breakpoint gap; the breakpoints are
-    complete, so a structure change inside a gap is a bug.
+    """(anchor block of each gap at its first x, log|det M_x| of every x in
+    gap order) for sorted x arrays, one per breakpoint gap; the breakpoints
+    are complete, so a structure change inside a gap is a bug.
 
-    Only the band |j - i| <= band_halfwidth of each block is evaluated, by
-    build_Mx's expression (entry_args), so every entry has build_Mx's bits.
-    The samples go largest block first, in chunks of at most _BATCH_ENTRIES
-    band entries, and banded_log_abs_det factors each chunk at once, in real
-    arithmetic when its band is real.
+    One anchor_block call over every gap's first and last x finds the
+    structures.  Only the band |j - i| <= band_halfwidth of each block is
+    evaluated, by build_Mx's expression (entry_args), so every entry has
+    build_Mx's bits.  The samples go largest block first, in stacks of at
+    most _BATCH_ENTRIES // (2k+1), and banded_log_abs_det factors each
+    stack in one pass, evaluating the band in slabs of rows of at most
+    _BATCH_ENTRIES entries (at least one row) as the LU reaches them.  The
+    arithmetic is real when the window is: a closed form, or a sampled
+    window with no imaginary part.
     """
-    specs = [_one_structure(params, w, xs[0], xs[-1:], AssertionError)
-             for xs in gaps]
+    ends = np.array([(xs[0], xs[-1]) for xs in gaps])
+    spec = anchor_block(params, w, ends)
+    m, s = spec.anchor_m[:, 0], spec.size[:, 0]
+    moved = np.flatnonzero((spec.anchor_m[:, 1] != m) | (spec.size[:, 1] != s))
+    if len(moved):
+        lo, hi = ends[moved[0]].tolist()
+        raise AssertionError(f"the anchor structure changes between x={lo!r} "
+                             f"and x={hi!r}")
+    specs = [BlockSpec(0, *block) for block in zip(m.tolist(), s.tolist(),
+                                                   ends[:, 0])]
     counts = [len(xs) for xs in gaps]
-    x = np.concatenate(gaps)
-    first = np.repeat([spec.anchor_m for spec in specs], counts)
-    size = np.repeat([spec.size for spec in specs], counts)
-    k = min(band_halfwidth(params, w), int(size.max()) - 1)
-    width = 2 * k + 1
+    size = np.repeat(s, counts)
     order = np.argsort(-size, kind="stable")
+    x, first, size = (np.concatenate(gaps)[order], np.repeat(m, counts)[order],
+                      size[order])
+    k = min(band_halfwidth(params, w), int(size[0]) - 1)
+    width = 2 * k + 1
+    real = w.grid_vals is None or not w.grid_vals.imag.any()
     out = np.empty(len(x))
-    start = 0
-    while start < len(order):
-        step = max(1, _BATCH_ENTRIES // (int(size[order[start]]) * width))
-        sel = order[start:start + step]
-        start += len(sel)
-        s = size[sel]
-        r = np.arange(s[0])[:, None, None]
-        c = r - k + np.arange(width)[:, None]
-        args = entry_args(params, x[sel], r, first[sel] + c)
-        # a slot outside its matrix gets an argument outside the support: 0
-        args[(c < 0) | (c >= s) | (r >= s)] = w.support_hi
-        band = evaluate(w, args)
-        out[sel] = banded_log_abs_det(band if band.imag.any() else band.real,
-                                      k, s)
+    # one band row of a stack fits the budget
+    cap = max(1, _BATCH_ENTRIES // width)
+    for start in range(0, len(x), cap):
+        sel = slice(start, start + cap)
+
+        def rows(r0, live, x=x[sel], first=first[sel], size=size[sel]):
+            """Band rows r0.. of the first live samples, as many as fit
+            _BATCH_ENTRIES entries and at least one."""
+            step = max(1, _BATCH_ENTRIES // (width * live))
+            r = np.arange(r0, min(r0 + step, int(size[0])))[:, None, None]
+            c = r - k + np.arange(width)[:, None]
+            s = size[:live]
+            args = entry_args(params, x[:live], r, first[:live] + c)
+            # a slot outside its matrix gets an argument outside the support: 0
+            args[(c < 0) | (c >= s) | (r >= s)] = w.support_hi
+            band = evaluate(w, args)
+            return band.real if real else band
+
+        out[order[sel]] = banded_log_abs_det(rows, k, size[sel])
     return specs, out
 
 
@@ -352,7 +370,7 @@ def build_block_decomposition(params: LatticeParams, w: Window, x: float,
         raise ValueError("extent must be >= 0")
     if not lo <= x <= hi:
         raise ValueError("x must lie in the certified interval")
-    spec = _one_structure(params, w, x, interval, ValueError)
+    spec = _one_structure(params, w, x, interval)
     size, edge = spec.size, (0, spec.anchor_m)
     # the column where each row lands: one anchor_m on the interval makes it
     # shorter than 1/beta, so x - alpha*n + k/beta falls inside for one k at most

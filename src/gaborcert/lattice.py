@@ -110,7 +110,7 @@ class BlockSpec:
 
     anchor_n: int                 # or, with anchor_m, an array of blocks
     anchor_m: int
-    size: int
+    size: int                     # an array only from anchor_block of an array x
     x_value: float                # or an array of x sharing the structure
 
 
@@ -188,14 +188,23 @@ def int_bounds(base, step: float, lo: float, hi: float):
                        lambda v: np.ceil(v).astype(np.int64), np.any)
 
 
-def anchor_block(params: LatticeParams, w: Window, x: float) -> BlockSpec:
+def anchor_block(params: LatticeParams, w: Window, x) -> BlockSpec:
     """Anchor block at row 0: first good column m and maximal diagonal run.
 
     size-1 is the largest l >= 0 with x + m/beta + l*(1/beta-alpha) < b;
     l = 0 is the float expression that int_range has just accepted for m.
+    An array x gives the block at each x: anchor_m and size are int arrays
+    of its shape, from int_bounds, so equal element by element.
     """
     a, b = w.support_lo, w.support_hi
     inv_beta = params.inv_beta
+    if np.ndim(x):
+        x = np.asarray(x, dtype=float)
+        m, stop = int_bounds(x, inv_beta, a, b)
+        if (bad := stop <= m).any():
+            raise HypothesisViolated(f"row 0 has no good pair at x={x[bad][0]}")
+        size = int_bounds(x + m * inv_beta, inv_beta - params.alpha, a, b)[1]
+        return BlockSpec(0, m, size, x)
     ms = int_range(x, inv_beta, a, b)
     if not ms:
         raise HypothesisViolated(f"row 0 has no good pair at x={x}")

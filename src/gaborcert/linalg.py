@@ -96,37 +96,49 @@ def stack_sigma_min(stack) -> float:
     return float(min(svdvals_accurate(a)[-1] for a in distinct.values()))
 
 
-def banded_log_abs_det(band: np.ndarray, k: int, sizes: np.ndarray) -> np.ndarray:
+def banded_log_abs_det(rows, k: int, sizes: np.ndarray) -> np.ndarray:
     """log|det| of a stack of banded matrices, by one partial-pivoting LU.
 
-    ``band[r, t, i]`` is entry (r, r - k + t) of matrix i, for rows r below
-    its size ``sizes[i]``; every other slot holds 0, so each matrix has at
-    most k sub- and k superdiagonals.  The sample axis comes last, and the
-    sizes must be non-increasing, so the matrices still being factored at
-    step j are the first count(sizes > j).  Each step works on the sliding
+    ``rows(r0, live)`` gives a slab of band rows r0..r1-1 of the first live
+    matrices, for an r1 > r0 of its choosing, as an (r1 - r0, 2k + 1, live)
+    array: ``slab[r - r0, t, i]`` is entry (r, r - k + t) of matrix i, for
+    rows r below its size ``sizes[i]``; every other slot holds 0, so each
+    matrix has at most k sub- and k superdiagonals.  Every slab has one
+    dtype, which sets the arithmetic.  The sizes must be non-increasing, so
+    the matrices still being factored at step j are the first
+    count(sizes > j); a slab is asked for when the last one runs out, never
+    past row max(sizes) - 1.  Each step works on the sliding
     (k+1) x (2k+1) window of rows j..j+k and columns j..j+2k (pivoting
     fills at most k more superdiagonals, as in LAPACK's gbtrf): it picks the
     pivot of column j by LAPACK's rule (the first largest |Re| + |Im|),
     swaps it into row j and eliminates below it.  The result is the sum of
     log|u_jj|, finite where |det| underflows, and -inf after a zero pivot.
     """
-    rows, width, n = band.shape
-    window = np.zeros((k + 1, width, n), dtype=band.dtype)
-    pivots = np.ones((rows, n), dtype=band.dtype)
+    n, size = len(sizes), int(sizes[0])
+    slab, lo = rows(0, n), 0
+    window = np.zeros((k + 1, 2 * k + 1, n), dtype=slab.dtype)
+    # each matrix's log|u_jj|, added in row order from 0.0, so a sample's
+    # bits do not depend on the others in its stack
+    logsum = np.zeros(n)
     lanes = np.arange(n)
 
     def slide(row, live):
         """Drop the window's top row and left column; row enters at the bottom."""
+        nonlocal slab, lo
         win = window[:, :, :live]
         win[:-1, :-1] = win[1:, 1:]
         win[:-1, -1] = 0
-        win[-1] = band[row, :, :live] if row < rows else 0
+        if lo + len(slab) <= row < size:
+            slab, lo = rows(row, live), row
+        win[-1] = slab[row - lo, :, :live] if row < size else 0
         return win
 
     for r in range(k):
         slide(r, n)
-    for j, live in enumerate(np.count_nonzero(
-            sizes[None, :] > np.arange(rows)[:, None], axis=1).tolist()):
+    # count(sizes > j) at each step j, from the sorted sizes
+    live_counts = np.searchsorted(-np.asarray(sizes), -np.arange(size),
+                                  side="left")
+    for j, live in enumerate(live_counts.tolist()):
         win = slide(j + k, live)
         col = win[:, 0]
         mag = (np.abs(col.real) + np.abs(col.imag) if col.dtype.kind == "c"
@@ -135,11 +147,10 @@ def banded_log_abs_det(band: np.ndarray, k: int, sizes: np.ndarray) -> np.ndarra
         top = win[0].copy()
         win[0] = win[p, :, lanes[:live]].T
         win[p, :, lanes[:live]] = top.T
-        piv = pivots[j, :live] = win[0, 0]
+        piv = win[0, 0]
+        with np.errstate(divide="ignore"):
+            logsum[:live] += np.log(np.abs(piv))
         # a zero pivot heads a zero column: there is nothing to eliminate
         factors = win[1:, 0] / np.where(piv == 0, 1, piv)
         win[1:, 1:] -= factors[:, None] * win[0, 1:]
-    # summed in row order (sum would go pairwise for one sample), so a
-    # sample's bits do not depend on the others in its stack
-    with np.errstate(divide="ignore"):
-        return np.cumsum(np.log(np.abs(pivots)), axis=0)[-1]
+    return logsum

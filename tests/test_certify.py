@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 import types
 from fractions import Fraction
 
@@ -152,22 +153,30 @@ def test_scan_matches_sample_loop(w, alpha, beta, samples):
 
 
 def test_scan_splits_batches_past_entry_cap(monkeypatch):
-    """A cap of 20 band entries splits each scan into chunks of one sample
-    or of at most 20 entries; the log-determinants keep every bit."""
+    """A budget of 20 band entries makes stacks of at most 20 // (2k+1)
+    samples, evaluated in slabs of at most 20 entries; the log-determinants
+    keep every bit."""
     zero_pivots = []
     for w, alpha, beta, samples in SCAN_CASES:
         p = L.lattice_params(alpha, beta)
         whole = C.scan_determinant(p, w, samples)
-        chunks = []
+        stacks, slabs = [], []
+
+        def factor(rows, k, sizes):
+            stacks.append((len(sizes), 2 * k + 1))
+            return banded_log_abs_det(
+                lambda r0, live: slabs.append(slab := rows(r0, live)) or slab,
+                k, sizes)
+
         with monkeypatch.context() as patch:
             patch.setattr(C, "_BATCH_ENTRIES", 20)
-            patch.setattr(C, "banded_log_abs_det",
-                          lambda band, k, sizes: chunks.append((len(sizes), band.size))
-                          or banded_log_abs_det(band, k, sizes))
+            patch.setattr(C, "banded_log_abs_det", factor)
             split = C.scan_determinant(p, w, samples)
-        assert len(chunks) > len(whole.fingerprints)
-        assert all(n == 1 or entries <= 20 for n, entries in chunks)
-        assert sum(n for n, _ in chunks) == len(whole.x_samples)
+        assert len(stacks) > len(whole.fingerprints)
+        assert all(n <= 20 // width for n, width in stacks)
+        assert sum(n for n, _ in stacks) == len(whole.x_samples)
+        assert all(slab.size <= 20 for slab in slabs)
+        assert any(len(slab) == 1 for slab in slabs)
         assert _same_bits(split.log_abs_det, whole.log_abs_det)
         assert split.fingerprints == whole.fingerprints
         zero_pivots.append(int(np.isneginf(whole.log_abs_det).sum()))
@@ -177,7 +186,7 @@ def test_scan_splits_batches_past_entry_cap(monkeypatch):
 def test_scan_evaluates_at_most_the_cap_per_call(monkeypatch):
     """alpha = 1, alpha*beta = 0.99: anchor blocks up to size 200 in 3,168
     samples, yet no evaluate call of the scan sees more than _BATCH_ENTRIES
-    arguments, and together they see the band and little more."""
+    arguments, and together they see the band and less than 10% more."""
     p, w = L.lattice_params(1.0, 0.99), W.bump()
     seen = []
     monkeypatch.setattr(C, "evaluate",
@@ -189,6 +198,43 @@ def test_scan_evaluates_at_most_the_cap_per_call(monkeypatch):
     k = L.band_halfwidth(p, w)
     band = sum(s * (2 * k + 1) - k * (k + 1) for s in sizes)      # k < every size
     assert band <= sum(seen) < 1.1 * band
+
+
+def _partly_real_window():
+    """_sampled_window with its imaginary part kept only on (0.4, 0.45): at
+    alpha = 0.4, beta = sqrt 2 some gaps' anchor blocks are real, others
+    complex."""
+    w = _sampled_window()
+    vals = w.grid_vals
+    return W.sampled(w.grid_x, vals.real + 1j * vals.imag
+                     * ((w.grid_x > 0.4) & (w.grid_x < 0.45)))
+
+
+@pytest.mark.parametrize("w, alpha, beta, samples", SCAN_CASES + [
+    (_partly_real_window(), 0.4, SQRT2, 32)])
+def test_scan_bits_do_not_depend_on_stack_mates(w, alpha, beta, samples):
+    """Each gap scanned alone has the bits of the whole scan: the
+    arithmetic is real or complex per window, never per stack of samples."""
+    p = L.lattice_params(alpha, beta)
+    prof = C.scan_determinant(p, w, samples)
+    alone = [C._log_abs_dets(p, w, [xs])[1]
+             for xs in prof.x_samples.reshape(-1, samples)]
+    assert _same_bits(np.concatenate(alone), prof.log_abs_det)
+
+
+def test_scan_memory_does_not_grow_with_the_block_size():
+    """alpha = 1, alpha*beta ~ 0.995: anchor blocks up to size 400 in 12,896
+    samples; the scan's tracemalloc peak stays under 6 MiB, where an s x n
+    array of the samples would take 5 MiB more."""
+    p, w = L.lattice_params(1.0, 0.9949999), W.bump()
+    tracemalloc.start()
+    try:
+        prof = C.scan_determinant(p, w, 32)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(prof.x_samples) > 12_000
+    assert peak < 6 << 20
 
 
 @given(st.sampled_from(["bump", "gevrey", "characteristic", "odd_bump",

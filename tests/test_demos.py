@@ -1,5 +1,7 @@
-"""Smoke test: every demo runs end to end on the library API."""
+"""Every demo runs end to end on the library API, and the coverage draws
+keep their verdicts."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -29,3 +31,18 @@ def test_demo_runs(demo, line):
     assert line in proc.stdout.splitlines()
     # upper_bound_rowsum is a row-count estimate, not a bound
     assert "rigorous" not in proc.stdout
+
+
+def test_coverage_table_fast_bands():
+    """The verdicts of the three fast bands of the coverage draws,
+    0.50-0.90, as recorded in ROADMAP's coverage table."""
+    spec = importlib.util.spec_from_file_location(
+        "coverage_table", ROOT / "demos" / "coverage_table.py")
+    demo = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(demo)
+    bands = demo.coverage_draws()
+    assert [len(draws) for draws in bands] == [12] * 5
+    row0 = "row 0 has no good pair on part of (0, alpha)"
+    floor = "no determinant floor found"
+    assert [demo.band_verdicts(draws)[:2] for draws in bands[:3]] == [
+        (7, {row0: 5}), (8, {row0: 3, floor: 1}), (9, {floor: 3})]

@@ -230,6 +230,30 @@ def test_anchor_block_invariants_random():
         assert spec.size <= L.size_bound(p, w)
 
 
+def test_anchor_block_of_an_array_matches_each_x():
+    """anchor_block of an x array has each x's anchor_m and size, and raises
+    where the scalar call raises for some x: row 0 holds no good pair."""
+    rng = np.random.default_rng(12)
+    raised = 0
+    for w in (W.bump(), W.characteristic()):
+        for _ in range(100):
+            alpha = rng.uniform(0.3, 0.9) * w.support_length
+            p = params(alpha, rng.uniform(0.3, 0.97) / alpha)
+            xs = rng.uniform(0.0, alpha, (3, 4))
+            try:
+                each = [L.anchor_block(p, w, x) for x in xs.ravel().tolist()]
+            except HypothesisViolated:
+                raised += 1
+                with pytest.raises(HypothesisViolated, match="no good pair"):
+                    L.anchor_block(p, w, xs)
+                continue
+            spec = L.anchor_block(p, w, xs)
+            assert spec.anchor_m.shape == spec.size.shape == xs.shape
+            assert spec.anchor_m.ravel().tolist() == [s.anchor_m for s in each]
+            assert spec.size.ravel().tolist() == [s.size for s in each]
+    assert raised > 0
+
+
 def test_build_Mx_poly_bump_diagonal():
     w = W.poly_bump(0.0, 1.0)
     p = params(0.7, 1.0)
