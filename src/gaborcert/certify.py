@@ -456,11 +456,9 @@ def _hypothesis_report(params: LatticeParams, w: Window) -> dict:
         "anchor_row_covered": _anchor_row_covered(params, w),
         "sup_norm_finite": math.isfinite(sup_norm(w)),
     }
-    if report["density_lt_one"] and report["alpha_lt_support"]:
-        eps = epsilon(params, w)
-        report["inv_sup_finite"] = math.isfinite(inv_sup_on_core(w, eps))
-    else:
-        report["inv_sup_finite"] = False
+    report["inv_sup_finite"] = (
+        report["density_lt_one"] and report["alpha_lt_support"]
+        and math.isfinite(inv_sup_on_core(w, epsilon(params, w))))
     return report
 
 

@@ -105,7 +105,7 @@ def upper_bound_rowsum(params: LatticeParams, w: Window) -> float:
     bound; not a bound.  A section's sigma_max can exceed it: 0.4186 against
     0.3679 for the bump at (1.3, 0.45), extent 16.  The Schur test does
     bound it, by sqrt(R*C)*||g||_inf with R and C the most good pairs in a
-    row and in a column.  ROADMAP.md direction 3 replaces this estimate
+    row and in a column.  ROADMAP.md direction 4 replaces this estimate
     with the Walnut bounds.
     """
     return (math.floor(params.beta * w.support_length) + 1) * sup_norm(w)

@@ -29,16 +29,15 @@ __all__ = [
 DEFAULT_DT = 2.0 ** -12
 DEFAULT_QUADRATURE_N = 2048
 
-#: x rows per block of synthesize_window: at the defaults a block holds
-#: about 2 MiB of trapezoid terms, where the dense (x, t) grid took 128 MiB
-SYNTH_ROW_BLOCK = 32
+#: bytes of trapezoid terms per block of synthesize_window: 32 x rows at
+#: the default dt, where the dense (x, t) grid took 128 MiB, and at least 1
+SYNTH_BLOCK_BYTES = 2 ** 21
 
 #: bytes one chunk of mc_path_integrals may hold: at most 64 per path and
 #: time step (the real increments, their complex sum, its cumsum and the
 #: path), so dt = 2^-8 keeps the full chunk of 8192 paths
 MC_CHUNK_BYTES = 2 ** 27
 _MC_CHUNK_PATHS = 8192
-_CORE_GRID_N = 4096         # points of verify_nonvanishing's grid
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,7 +96,7 @@ def synthesize_window(path: BrownianPath,
     The kernel vanishes for t >= x, so trapezoid over the whole path grid up
     to time 1 equals the integral over [0, x].
 
-    Rows of x go in blocks of SYNTH_ROW_BLOCK.  A block evaluates the kernel
+    Rows of x go in blocks of SYNTH_BLOCK_BYTES.  A block evaluates the kernel
     only on the columns with t below its largest x, plus one column where the
     kernel is exactly 0, and writes the trapezoid terms of that slice into a
     zeroed buffer of full width.  Each row then sums the same nonzero terms
@@ -113,10 +112,11 @@ def synthesize_window(path: BrownianPath,
     B = path.values[keep]
     d = np.diff(t)
     xs = np.linspace(0.0, 1.0, quadrature_n)
-    buf = np.zeros((SYNTH_ROW_BLOCK, len(d)), dtype=complex)
+    rows = max(1, SYNTH_BLOCK_BYTES // (16 * len(d)))
+    buf = np.zeros((rows, len(d)), dtype=complex)
     vals = np.empty(len(xs), dtype=complex)
-    for r0 in range(0, len(xs), SYNTH_ROW_BLOCK):
-        x = xs[r0:r0 + SYNTH_ROW_BLOCK]
+    for r0 in range(0, len(xs), rows):
+        x = xs[r0:r0 + rows]
         # blocks ascend in x, so the slice only widens and the buffer beyond
         # it is still zero
         c = min(int(np.searchsorted(t, x[-1])) + 1, len(t))
@@ -144,9 +144,8 @@ def gaussian_moments(u: np.ndarray, t: float, r: float) -> tuple[float, float]:
 
 
 def verify_nonvanishing(w: Window) -> tuple[float, float]:
-    """min |g| over a uniform _CORE_GRID_N-point grid on [1/8, 7/8] and its
-    location."""
-    xs = np.linspace(0.125, 0.875, _CORE_GRID_N)
+    """min |g| over a uniform 4096-point grid on [1/8, 7/8], and where."""
+    xs = np.linspace(0.125, 0.875, 4096)
     mags = np.abs(evaluate(w, xs))
     i = int(np.argmin(mags))
     return float(mags[i]), float(xs[i])

@@ -41,8 +41,6 @@ FOURIER_QUAD_NODES = 2 ** 14
 #: frequencies per block of fourier_transform: about 4 MiB per complex
 #: array at the default 2^14 nodes
 FOURIER_XI_BLOCK = 16
-_SUP_GRID_N = 4096          # points of sup_norm's dense grid
-_CORE_GRID_N = 4096         # points of inv_sup_on_core's grid
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,13 +145,45 @@ _FORMULAS = {
 }
 
 
-#: sup |g| of the closed-form kinds, poly_bump's as w2 * w2 (w2 ** 2 can
-#: differ in the last bit); sup_norm grids the other kinds
+#: sup |g| of each kind, poly_bump's as w2 * w2 (w2 ** 2 can differ in the last bit)
 _SUP_NORMS = {
     "bump": lambda w: math.exp(-1.0),
     "gevrey": lambda w: math.exp(-1.0),
     "characteristic": lambda w: 1.0,
+    # grid value, 2e-7 below the true sup; framebounds' references pin rowsum_bound
+    "odd_bump": lambda w: float(np.max(np.abs(evaluate(
+        w, np.linspace(w.support_lo, w.support_hi, 4096))))),
     "poly_bump": lambda w: (w.support_length / 2.0) * (w.support_length / 2.0),
+    "sampled": lambda w: float(np.max(np.abs(w.grid_vals))),
+}
+
+
+@np.errstate(divide="ignore", invalid="ignore")
+def _sampled_log_min(w: Window, lo: float, hi: float) -> float:
+    # |g| is convex on each segment of the clipped polyline: with the foot of 0
+    # inside a segment, the distance is the cross product, exactly 0 through 0
+    v = evaluate(w, np.clip(w.grid_x, lo, hi))
+    p, length = v[:-1], np.abs(np.diff(v))
+    u = np.diff(v) / length                 # nan on a zero-length segment
+    foot = -(u.real * p.real + u.imag * p.imag)
+    cross = np.abs(u.real * p.imag - u.imag * p.real)   # products rounded, not fused
+    dist = np.where((foot > 0) & (foot < length), cross, np.abs(p))
+    return float(np.log(min(np.min(dist), abs(v[-1]))))
+
+
+#: log min |g| on a core [lo, hi] inside the open support, -inf exactly where
+#: g vanishes there (or gevrey's log overflows, at orders above 20): bump and
+#: gevrey fall as |x| grows, poly_bump is concave, the odd bump rises, then falls
+_CORE_LOG_MIN = {
+    "bump": lambda w, lo, hi: 1.0 / (max(-lo, hi) ** 4 - 1.0),
+    "gevrey": np.errstate(over="ignore")(
+        lambda w, lo, hi: -(1.0 - np.float64(max(-lo, hi)) ** 4) ** -w.order),
+    "characteristic": lambda w, lo, hi: 0.0,
+    "odd_bump": lambda w, lo, hi: -math.inf if lo <= 0.0 <= hi else min(
+        math.log(t) + 1.0 / (t ** 2 - 1.0) for t in (abs(lo), abs(hi))),
+    "poly_bump": lambda w, lo, hi: min(
+        math.log(x - w.support_lo) + math.log(w.support_hi - x) for x in (lo, hi)),
+    "sampled": _sampled_log_min,
 }
 
 
@@ -172,46 +202,21 @@ def evaluate(w: Window, x):
 
 
 def sup_norm(w: Window) -> float:
-    """sup |g|, in closed form for the kinds in _SUP_NORMS, else on a grid."""
-    if w.kind in _SUP_NORMS:
-        return _SUP_NORMS[w.kind](w)
-    xs = np.linspace(w.support_lo, w.support_hi, _SUP_GRID_N)
-    return float(np.max(np.abs(evaluate(w, xs))))
+    """sup |g|, from the table _SUP_NORMS."""
+    return _SUP_NORMS[w.kind](w)
 
 
 def inv_sup_on_core(w: Window, eps: float) -> float:
-    """max of 1/|g| over a uniform _CORE_GRID_N-point grid on [lo+eps, hi-eps].
-
-    Returns math.inf if any sampled value vanishes.  Raises EmptyCore when
-    the shrunken interval is empty.
-    """
+    """ln max 1/|g| on the core [lo+eps, hi-eps] from _CORE_LOG_MIN, inf where g
+    vanishes there or the core rounds onto a support end; EmptyCore if empty."""
     if eps <= 0:
         raise ValueError("eps must be positive")
     lo, hi = w.support_lo + eps, w.support_hi - eps
     if lo >= hi:
         raise EmptyCore(f"[{lo}, {hi}] is empty")
-    xs = np.linspace(lo, hi, _CORE_GRID_N)
-    mags = np.abs(evaluate(w, xs))
-    if np.any(mags == 0.0):
+    if lo == w.support_lo or hi == w.support_hi:
         return math.inf
-    # zoom on the argmin to catch interior zeros that fall between grid
-    # nodes (e.g. an odd window whose zero is missed by an even grid count);
-    # a zero makes the local minimum shrink with every zoom, while a positive
-    # minimum (however tiny) stabilizes after a round or two
-    zlo, zhi = xs[max(np.argmin(mags) - 1, 0)], xs[min(np.argmin(mags) + 1,
-                                                      _CORE_GRID_N - 1)]
-    for _ in range(60):
-        zs = np.linspace(zlo, zhi, 33)
-        zmags = np.abs(evaluate(w, zs))
-        if np.min(zmags) == 0.0:
-            return math.inf
-        if np.min(zmags) >= 0.5 * np.max(zmags):   # positive minimum
-            break
-        i = int(np.argmin(zmags))
-        zlo, zhi = zs[max(i - 1, 0)], zs[min(i + 1, 32)]
-    else:
-        return math.inf                   # never flattened out: an interior zero
-    return float(np.max(1.0 / mags))
+    return -_CORE_LOG_MIN[w.kind](w, lo, hi)
 
 
 def fourier_transform(w: Window, xi):

@@ -682,6 +682,17 @@ def test_hypothesis_report_keys(flagship):
     assert all(cert.hypothesis_report.values())
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("alpha, density", [(1.0, 0.99930117),
+                                            (1e-4, 0.50000137)])
+def test_bump_core_holds_where_its_minimum_underflows(alpha, density):
+    """At these lattices min g on the core is e^-714 and e^-5000, below the
+    smallest double; the hypothesis holds all the same."""
+    params = L.lattice_params(alpha, density / alpha)
+    assert not params.rational_class.is_rational
+    assert C._hypothesis_report(params, W.bump())["inv_sup_finite"] is True
+
+
 # ---------------------------------------------------------------------------
 # rational machinery
 

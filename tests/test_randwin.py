@@ -1,13 +1,19 @@
 """Brownian paths, kernel synthesis, moment formulas, non-vanishing checks."""
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from gaborcert import randwin as R
 from gaborcert import window as W
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +180,34 @@ def test_synthesize_window_traced_peak_under_32_mib():
     assert _traced_peak(R.synthesize_window, path) < 32 * 2 ** 20
 
 
+@pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                    reason="reads the peak resident set from /proc")
+def test_random_window_peak_rss_at_dt_2_16(tmp_path):
+    """Blocks sized in bytes keep two x rows at 2^16 path steps: about
+    95 MiB resident, where blocks of 32 rows took about 215 MiB.
+
+    The child reports VmHWM, the peak of its own address space: its
+    ru_maxrss would also hold the high-water mark of the process that
+    spawned it."""
+    code = ("import sys\n"
+            "from gaborcert import cli\n"
+            "rc = cli.main(['random-window', '--dt', sys.argv[1],"
+            " '--out', sys.argv[2]])\n"
+            "hwm = [line.split()[1] for line in open('/proc/self/status')"
+            " if line.startswith('VmHWM:')]\n"
+            "print(rc, *hwm)\n")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src")] + ([path] if path else [])))
+    proc = subprocess.run([sys.executable, "-c", code, repr(2.0 ** -16),
+                           str(tmp_path / "w.csv")], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    rc, kib = map(int, proc.stdout.split())
+    assert rc == 0
+    assert kib < 130 * 1024
+
+
 # ---------------------------------------------------------------------------
 # non-vanishing
 
@@ -183,15 +217,13 @@ def test_verify_nonvanishing_positive_for_constant_path():
     assert min_abs > 0.0
 
 
-def test_verify_nonvanishing_planted_zero(monkeypatch):
-    xs = np.linspace(0.0, 1.0, 513)           # grid contains 0.5 exactly
-    vals = np.ones(513, dtype=complex)
-    vals[256] = 0.0
-    w = W.sampled(xs, vals)
-    monkeypatch.setattr(R, "_CORE_GRID_N", 4097)
+def test_verify_nonvanishing_planted_zero():
+    x0 = np.linspace(0.125, 0.875, 4096)[2047]   # a node of the check's grid
+    xs = np.sort(np.append(np.linspace(0.0, 1.0, 513), x0))
+    w = W.sampled(xs, np.where(xs == x0, 0.0, 1.0))
     min_abs, argmin = R.verify_nonvanishing(w)
     assert min_abs == 0.0
-    assert argmin == pytest.approx(0.5, abs=1e-12)
+    assert argmin == x0
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +293,18 @@ def test_synthesis_matches_dense_grid_on_special_paths():
     _assert_synthesis_bits(long_path, 256)
     # fewer rows than one block, and a block size that divides nothing
     _assert_synthesis_bits(R.sample_path(6, dt=2 ** -8), 7)
-    _assert_synthesis_bits(R.sample_path(7, dt=2 ** -8), 2 * R.SYNTH_ROW_BLOCK + 1)
+    rows = R.SYNTH_BLOCK_BYTES // (16 * 2 ** 8)
+    _assert_synthesis_bits(R.sample_path(7, dt=2 ** -8), 2 * rows + 1)
+
+
+@pytest.mark.parametrize("log2_steps, rows", [(12, 32), (16, 2), (17, 1)])
+def test_synthesis_block_rows_follow_the_byte_budget(log2_steps, rows):
+    """SYNTH_BLOCK_BYTES of complex terms per block: 32 rows at the default
+    dt, and blocks of two rows and of one at finer steps, still bit for bit
+    the dense grid."""
+    assert max(1, R.SYNTH_BLOCK_BYTES // (16 * 2 ** log2_steps)) == rows
+    if log2_steps > 12:
+        _assert_synthesis_bits(R.sample_path(8, dt=2.0 ** -log2_steps), 5)
 
 
 def test_kernel_matches_dense_kernel_bitwise():

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -171,25 +172,30 @@ def test_sup_norm_closed_forms_bitwise():
     assert power > 0       # w2 ** 2 would have moved these
 
 
-def test_sup_norm_grids_other_kinds():
-    for w in (W.odd_bump(), W.sampled([0.0, 0.3, 1.0], [0.0, 2.0 - 1.0j, 0.0])):
-        xs = np.linspace(w.support_lo, w.support_hi, 4096)
-        assert W.sup_norm(w) == float(np.max(np.abs(W.evaluate(w, xs))))
+def test_sup_norm_odd_bump_keeps_its_grid_bits():
+    xs = np.linspace(-1.0, 1.0, 4096)
+    want = float(np.max(np.abs(W.evaluate(W.odd_bump(), xs))))
+    assert W.sup_norm(W.odd_bump()).hex() == want.hex()
 
 
-def test_inv_sup_characteristic(monkeypatch):
-    monkeypatch.setattr(W, "_CORE_GRID_N", 101)
-    assert W.inv_sup_on_core(W.characteristic(), 0.2) == 1.0
+def test_sup_norm_sampled_is_its_peak_node():
+    w = W.sampled([0.0, 0.3, 1.0], [0.0, 2.0 - 1.0j, 0.0])
+    assert W.sup_norm(w) == math.sqrt(5.0)
 
 
-def test_inv_sup_bump_attained_at_core_edges(monkeypatch):
-    monkeypatch.setattr(W, "_CORE_GRID_N", 1001)
-    got = W.inv_sup_on_core(W.bump(), 0.5)
-    assert got == pytest.approx(math.exp(16.0 / 15.0), rel=1e-12)
+# ---------------------------------------------------------------------------
+# the core hypothesis: ln max 1/|g| on [a + eps, b - eps]
+
+def test_inv_sup_characteristic():
+    assert W.inv_sup_on_core(W.characteristic(), 0.2) == 0.0
 
 
-def test_inv_sup_odd_bump_hits_zero(monkeypatch):
-    monkeypatch.setattr(W, "_CORE_GRID_N", 1001)
+def test_inv_sup_bump_attained_at_core_edges():
+    assert W.inv_sup_on_core(W.bump(), 0.5) == pytest.approx(16.0 / 15.0,
+                                                            rel=1e-15)
+
+
+def test_inv_sup_odd_bump_hits_zero():
     assert W.inv_sup_on_core(W.odd_bump(), 0.1) == math.inf
 
 
@@ -198,11 +204,94 @@ def test_inv_sup_empty_core():
         W.inv_sup_on_core(W.characteristic(), 0.6)
 
 
-def test_inv_sup_monotone_in_eps(monkeypatch):
-    monkeypatch.setattr(W, "_CORE_GRID_N", 2001)
+def test_inv_sup_monotone_in_eps():
     w = W.bump()
     vals = [W.inv_sup_on_core(w, eps) for eps in (0.1, 0.3, 0.5, 0.7)]
     assert all(a >= b for a, b in zip(vals, vals[1:]))
+
+
+@pytest.mark.filterwarnings("error")
+def test_inv_sup_sampled_planted_near_zero():
+    """The segments through -1 + 1e-9 i pass 5e-10 from 0; a grid sees
+    only the nodes' neighbourhood of |g| ~ 1."""
+    w = W.sampled(np.linspace(0.0, 1.0, 5), [1, 1, -1 + 1e-9j, 1, 1])
+    assert W.inv_sup_on_core(w, 0.1) == pytest.approx(math.log(2e9),
+                                                      rel=1e-9)
+
+
+@pytest.mark.filterwarnings("error")
+def test_inv_sup_sampled_sign_change_is_a_zero():
+    for vals in ([1.0, -1.0, 1.0], [1 + 1j, -1 - 1j, 1.0], [1.0, 0.0, 1.0],
+                 [1e200, -1e200, 1.0], [0.0, 0.0, 0.0]):
+        assert W.inv_sup_on_core(W.sampled([0.0, 1.0, 2.0], vals), 0.1) \
+            == math.inf, vals
+
+
+@pytest.mark.filterwarnings("error")
+def test_inv_sup_gevrey_log_overflow_is_inf():
+    # ln max 1/|g| = (1 - 0.9^4)^-1000 = e^1067 is beyond the largest double
+    assert W.inv_sup_on_core(W.gevrey(1000), 0.1) == math.inf
+    assert W.inv_sup_on_core(W.gevrey(400), 0.1) < math.inf
+
+
+def test_inv_sup_core_rounding_onto_the_support_end():
+    # a + eps == a: the core holds the support end, where g is 0
+    assert W.inv_sup_on_core(W.bump(), 1e-17) == math.inf
+    assert W.inv_sup_on_core(W.characteristic(), 1e-17) == math.inf
+
+
+_CORE_KIND_WINDOWS = {
+    "bump": st.just(W.bump()),
+    "gevrey": st.integers(1, 3).map(W.gevrey),
+    "characteristic": st.floats(-5.0, 5.0).flatmap(
+        lambda lo: st.floats(1e-3, 5.0).map(
+            lambda n: W.characteristic(lo, lo + n))),
+    "odd_bump": st.just(W.odd_bump()),
+    "poly_bump": st.floats(-5.0, 5.0).flatmap(
+        lambda lo: st.floats(1e-3, 5.0).map(lambda n: W.poly_bump(lo, lo + n))),
+    # node values on a lattice of halves: segments through 0 are common
+    "sampled": st.integers(2, 9).flatmap(lambda n: st.tuples(
+        st.lists(st.floats(0.05, 1.0), min_size=n - 1, max_size=n - 1),
+        st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)),
+                 min_size=n, max_size=n))).map(
+        lambda gv: W.sampled(np.concatenate(([0.0], np.cumsum(gv[0]))),
+                             [0.5 * complex(re, im) for re, im in gv[1]])),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(w=st.sampled_from(sorted(_CORE_KIND_WINDOWS)).flatmap(
+           lambda kind: _CORE_KIND_WINDOWS[kind]),
+       ends=st.tuples(st.floats(0.05, 0.95), st.floats(0.05, 0.95)).filter(
+           lambda u: abs(u[0] - u[1]) > 1e-3))
+def test_core_log_min_bounds_a_dense_grid(w, ends):
+    """The table's log min |g| is at most ln|g| at every node of a dense
+    grid on the core, and for the closed forms it is ln|g| at an end."""
+    u0, u1 = sorted(ends)
+    lo = w.support_lo + u0 * w.support_length
+    hi = w.support_lo + u1 * w.support_length
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = W._CORE_LOG_MIN[w.kind](w, lo, hi)
+    mags = np.abs(W.evaluate(w, np.linspace(lo, hi, 4001)))
+    assert mags.min() > 0.0 or got == -math.inf
+    if got == -math.inf:
+        # only where g has a zero on the core: the odd bump's at 0, or a
+        # sampled segment's, within half a grid step of a node
+        assert w.kind in ("odd_bump", "sampled")
+        if w.kind == "odd_bump":
+            assert lo <= 0.0 <= hi
+        else:
+            slope = np.max(np.abs(np.diff(w.grid_vals) / np.diff(w.grid_x)))
+            assert mags.min() <= slope * (hi - lo) / 8000 * (1 + 1e-9)
+        return
+    with np.errstate(divide="ignore"):
+        grid_min = float(np.min(np.log(mags)))
+    assert got <= grid_min + 4 * np.spacing(max(1.0, abs(grid_min)))
+    if w.kind != "sampled":
+        at_ends = np.log(np.abs(W.evaluate(w, np.array([lo, hi]))))
+        assert got == pytest.approx(float(np.min(at_ends)), rel=1e-12,
+                                    abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
