@@ -17,7 +17,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import HopNotFound, HypothesisViolated, TooCloseToForbiddenRatio
+from .errors import (BudgetExceeded, HopNotFound, HypothesisViolated,
+                     TooCloseToForbiddenRatio)
 from .lattice import (BlockSpec, LatticeParams, anchor_block, band_halfwidth,
                       build_Mx, entry_args, epsilon, int_bounds, int_range,
                       separator_row, size_bound, structure_fingerprint,
@@ -159,17 +160,9 @@ class BlockDecomposition:
 
     @property
     def sigma_min(self) -> float:
-        """Smallest singular value over the blocks, bit for bit the min of
-        svdvals_accurate over every block: |entry| for the real separators
-        (its own 1x1 rule) in one pass, stack_sigma_min over the anchor
-        stack and over the complex separators."""
-        seps = self.separators
-        if not np.isfinite(seps).all():
-            raise ValueError("matrix has a non-finite entry")
-        real = seps.imag == 0
-        return float(min(np.abs(seps.real[real]).min(initial=np.inf),
-                         stack_sigma_min(self.anchors),
-                         stack_sigma_min(seps[~real, None, None])))
+        """Smallest singular value over the blocks, bit for bit svdvals_accurate's."""
+        return min(stack_sigma_min(self.anchors),
+                   stack_sigma_min(self.separators.reshape(-1, 1, 1)))
 
 
 @dataclass(frozen=True)
@@ -215,9 +208,6 @@ def _chebyshev_nodes(edges: np.ndarray, k: int) -> np.ndarray:
     return np.sort(mid + half * np.cos((2 * j - 1) * np.pi / (2 * k)), axis=1)
 
 
-# most band entries evaluated at once by a scan, and most band entries in one
-# row of a stack of samples that the banded LU factors in one pass
-_BATCH_ENTRIES = 1 << 15
 _ZERO_TOL = 1e-10           # rational_analysis: |det| below this is a zero
 _PERIOD_OVERSAMPLE = 8      # rational_analysis: period grid points per alpha/q
 _HOP_BOUND = 10_000         # _walk: rows tried per hop; an extent <= 9,999 ends it first
@@ -246,15 +236,10 @@ def _log_abs_dets(params: LatticeParams, w: Window, gaps: list):
     are complete, so a structure change inside a gap is a bug.
 
     One anchor_block call over every gap's first and last x finds the
-    structures.  Only the band |j - i| <= band_halfwidth of each block is
-    evaluated, by build_Mx's expression (entry_args), so every entry has
-    build_Mx's bits.  The samples go largest block first, in stacks of at
-    most _BATCH_ENTRIES // (2k+1), and banded_log_abs_det factors each
-    stack in one pass, evaluating the band in slabs of rows of at most
-    _BATCH_ENTRIES entries (at least one row) as the LU reaches them.  The
-    arithmetic is real when the window is: a closed form, or a sampled
-    window with no imaginary part.
-    """
+    structures.  banded_log_abs_det factors the band |j - i| <= band_halfwidth
+    of each block, with build_Mx's bits (entry_args), in real arithmetic when
+    the window is real: a closed form, or a sampled window with no imaginary
+    part."""
     ends = np.array([(xs[0], xs[-1]) for xs in gaps])
     spec = anchor_block(params, w, ends)
     m, s = spec.anchor_m[:, 0], spec.size[:, 0]
@@ -266,34 +251,22 @@ def _log_abs_dets(params: LatticeParams, w: Window, gaps: list):
     specs = [BlockSpec(0, *block) for block in zip(m.tolist(), s.tolist(),
                                                    ends[:, 0])]
     counts = [len(xs) for xs in gaps]
-    size = np.repeat(s, counts)
-    order = np.argsort(-size, kind="stable")
-    x, first, size = (np.concatenate(gaps)[order], np.repeat(m, counts)[order],
-                      size[order])
-    k = min(band_halfwidth(params, w), int(size[0]) - 1)
-    width = 2 * k + 1
+    x = np.concatenate(gaps)
+    first, size = np.repeat(m, counts), np.repeat(s, counts)
+    k = min(band_halfwidth(params, w), int(s.max()) - 1)
     real = w.grid_vals is None or not w.grid_vals.imag.any()
-    out = np.empty(len(x))
-    # one band row of a stack fits the budget
-    cap = max(1, _BATCH_ENTRIES // width)
-    for start in range(0, len(x), cap):
-        sel = slice(start, start + cap)
 
-        def rows(r0, live, x=x[sel], first=first[sel], size=size[sel]):
-            """Band rows r0.. of the first live samples, as many as fit
-            _BATCH_ENTRIES entries and at least one."""
-            step = max(1, _BATCH_ENTRIES // (width * live))
-            r = np.arange(r0, min(r0 + step, int(size[0])))[:, None, None]
-            c = r - k + np.arange(width)[:, None]
-            s = size[:live]
-            args = entry_args(params, x[:live], r, first[:live] + c)
-            # a slot outside its matrix gets an argument outside the support: 0
-            args[(c < 0) | (c >= s) | (r >= s)] = w.support_hi
-            band = evaluate(w, args)
-            return band.real if real else band
+    def band(r, i):
+        """Band rows r of the samples i, 0 outside each block."""
+        r = r[:, None, None]
+        c = r - k + np.arange(2 * k + 1)[:, None]
+        args = entry_args(params, x[i], r, first[i] + c)
+        # a slot outside its matrix gets an argument outside the support: 0
+        args[(c < 0) | (c >= size[i]) | (r >= size[i])] = w.support_hi
+        vals = evaluate(w, args)
+        return vals.real if real else vals
 
-        out[order[sel]] = banded_log_abs_det(rows, k, size[sel])
-    return specs, out
+    return specs, banded_log_abs_det(band, k, size)
 
 
 def scan_determinant(params: LatticeParams, w: Window,
@@ -480,7 +453,11 @@ def certify_frame(params: LatticeParams, w: Window,
         if not ok:
             return FrameCertificate("not_certified", _REASONS[key], report,
                                     extent=config.extent)
-    profile = scan_determinant(params, w, config.samples_per_gap)
+    try:
+        profile = scan_determinant(params, w, config.samples_per_gap)
+    except BudgetExceeded as exc:
+        return FrameCertificate("not_certified", str(exc), report,
+                                extent=config.extent)
     found = find_certified_interval(profile, config.delta_floor)
     if found is None:
         return FrameCertificate("not_certified", "no determinant floor found",

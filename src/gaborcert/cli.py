@@ -13,6 +13,7 @@ import functools
 import inspect
 import json
 import math
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -89,6 +90,8 @@ def _write_meta(out_path, args_ns) -> None:
 _WINDOWS = {"bump": window.bump, "oddbump": window.odd_bump,
             "char": window.characteristic, "characteristic": window.characteristic,
             "polybump": window.poly_bump, "gevrey": window.gevrey}
+#: each constructor's signature, read on the first parse of its kind
+_grammar = functools.cache(lambda make: inspect.signature(make, eval_str=True))
 
 
 def parse_window(spec: str) -> window.Window:
@@ -107,7 +110,7 @@ def parse_window(spec: str) -> window.Window:
     if name not in _WINDOWS:
         raise CliError(f"unknown window {spec!r} "
                        f"(expected {'|'.join(_WINDOWS)}|<file.csv>)")
-    signature = inspect.signature(_WINDOWS[name], eval_str=True)
+    signature = _grammar(_WINDOWS[name])
     try:
         bound = signature.bind(*fields)
         return _WINDOWS[name](**{key: signature.parameters[key].annotation(value)
@@ -278,8 +281,11 @@ def cmd_scan(args) -> int:
     except (CliError, ValueError) as exc:
         w = exc
     tasks = [(w, a, b, config) for a in alphas for b in betas]
-    # a fork pool starts all its workers at the first submit
-    workers = min(args.workers, len(tasks))
+    # a fork pool starts all its workers at the first submit: no more than
+    # the grid points or the CPUs this process may run on
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else (os.cpu_count() or 1))
+    workers = min(args.workers, len(tasks), cpus)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_scan_point, tasks))   # ordered assembly

@@ -23,3 +23,7 @@ class HopNotFound(GaborCertError):
 
 class TooCloseToForbiddenRatio(GaborCertError):
     """alpha*beta is too close to a small-denominator collision ratio."""
+
+
+class BudgetExceeded(GaborCertError):
+    """A computation would need more memory than its documented budget."""

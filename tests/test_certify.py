@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import time
 import tracemalloc
 import types
 from fractions import Fraction
@@ -162,14 +163,16 @@ def test_scan_splits_batches_past_entry_cap(monkeypatch):
         whole = C.scan_determinant(p, w, samples)
         stacks, slabs = [], []
 
-        def factor(rows, k, sizes):
-            stacks.append((len(sizes), 2 * k + 1))
-            return banded_log_abs_det(
-                lambda r0, live: slabs.append(slab := rows(r0, live)) or slab,
-                k, sizes)
+        def factor(band, k, sizes):
+            def entries(r, i):
+                if r[0] == 0:               # a stack's first slab
+                    stacks.append((len(i), 2 * k + 1))
+                slabs.append(slab := band(r, i))
+                return slab
+            return banded_log_abs_det(entries, k, sizes)
 
         with monkeypatch.context() as patch:
-            patch.setattr(C, "_BATCH_ENTRIES", 20)
+            patch.setattr(LA, "_BATCH_ENTRIES", 20)
             patch.setattr(C, "banded_log_abs_det", factor)
             split = C.scan_determinant(p, w, samples)
         assert len(stacks) > len(whole.fingerprints)
@@ -185,16 +188,18 @@ def test_scan_splits_batches_past_entry_cap(monkeypatch):
 
 def test_scan_evaluates_at_most_the_cap_per_call(monkeypatch):
     """alpha = 1, alpha*beta = 0.99: anchor blocks up to size 200 in 3,168
-    samples, yet no evaluate call of the scan sees more than _BATCH_ENTRIES
-    arguments, and together they see the band and less than 10% more."""
+    samples, yet under a budget of 2^13 entries no evaluate call of the scan
+    sees more than that, and together they see the band and less than 10%
+    more."""
     p, w = L.lattice_params(1.0, 0.99), W.bump()
     seen = []
+    monkeypatch.setattr(LA, "_BATCH_ENTRIES", 1 << 13)
     monkeypatch.setattr(C, "evaluate",
                         lambda w, x: seen.append(np.size(x)) or W.evaluate(w, x))
     prof = C.scan_determinant(p, w, 32)
     sizes = np.array([L.anchor_block(p, w, x).size for x in prof.x_samples])
     assert sizes.max() >= 190 and sizes.min() > L.band_halfwidth(p, w)
-    assert len(seen) > 1 and max(seen) <= C._BATCH_ENTRIES
+    assert len(seen) > 1 and max(seen) <= 1 << 13
     k = L.band_halfwidth(p, w)
     band = sum(s * (2 * k + 1) - k * (k + 1) for s in sizes)      # k < every size
     assert band <= sum(seen) < 1.1 * band
@@ -235,6 +240,29 @@ def test_scan_memory_does_not_grow_with_the_block_size():
         tracemalloc.stop()
     assert len(prof.x_samples) > 12_000
     assert peak < 6 << 20
+
+
+@pytest.mark.parametrize("w, k, mib, peak_mib", [
+    (W.bump(), 10_000, 6104, 50), (W.characteristic(), 5_000, 1526, 25),
+], ids=["bump", "char"])
+def test_certify_refuses_an_lu_window_past_the_budget(w, k, mib, peak_mib):
+    """alpha = 1e-4, alpha*beta about 0.5: one matrix's banded LU at
+    k does not fit linalg's budget, so certify answers
+    NotCertified with a reason naming k and the MiB, in under 2 s.  The
+    tracemalloc peak, 25 and 12 MiB when measured, stays under twice that."""
+    p = L.lattice_params(1e-4, 5000.0137)
+    start = time.perf_counter()
+    cert = C.certify_frame(p, w)
+    assert time.perf_counter() - start < 2.0
+    assert cert.verdict == "not_certified" and cert.profile is None
+    assert f"k = {k} needs up to {mib} MiB per matrix" in cert.reason
+    tracemalloc.start()
+    try:
+        C.certify_frame(p, w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < peak_mib << 20
 
 
 @given(st.sampled_from(["bump", "gevrey", "characteristic", "odd_bump",

@@ -3,8 +3,10 @@
 import hashlib
 import json
 import math
+import os
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -344,15 +346,23 @@ class _RecordingPool:
         return map(fn, tasks)
 
 
-@pytest.mark.parametrize("grid, pool_sizes", [
-    ("1.5,1.6,1.7", [3]),       # alpha*beta >= 1: Skipped rows, no certify
-    ("1.5", []),
-    ("", []),
-], ids=["three-points", "one-point", "empty"])
-def test_scan_workers_capped_at_grid_points(tmp_path, monkeypatch, grid,
+@pytest.mark.parametrize("grid, cpus, pool_sizes", [
+    ("1.5,1.6,1.7", 8, [3]),    # alpha*beta >= 1: Skipped rows, no certify
+    ("1.5", 8, []),
+    ("", 8, []),
+    ("1.5,1.6,1.7", 2, [2]),
+    ("1.5,1.6,1.7", None, [2]),     # no sched_getaffinity: os.cpu_count()
+], ids=["three-points", "one-point", "empty", "two-cpus", "cpu-count"])
+def test_scan_workers_capped_at_grid_points(tmp_path, monkeypatch, grid, cpus,
                                             pool_sizes):
     monkeypatch.setattr(_RecordingPool, "sizes", [])
     monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
+    if cpus is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(cpus)), raising=False)
     out = tmp_path / "s.csv"
     assert run(["scan", f"--alpha-grid={grid}", "--beta-grid", "0.9",
                 "--workers", "5000", "--out", str(out)]) == 0
@@ -607,6 +617,15 @@ def test_meta_sidecar_excluded_from_artifact(tmp_path):
 # ---------------------------------------------------------------------------
 # window descriptors and the installed entry point
 
+def test_parse_window_reads_each_grammar_once(monkeypatch):
+    assert cli.parse_window("gevrey:4").order == 4
+    # cli's own name for the module: the real inspect stays untouched
+    monkeypatch.setattr(cli, "inspect", types.SimpleNamespace(signature=None))
+    assert cli.parse_window("gevrey:5").order == 5
+    with pytest.raises(cli.CliError, match="bad window descriptor 'gevrey:4:5'"):
+        cli.parse_window("gevrey:4:5")
+
+
 def test_parse_window_variants():
     assert cli.parse_window("gevrey:4").order == 4
     assert cli.parse_window("char:0:2").support_hi == 2.0
@@ -779,6 +798,22 @@ def test_certify_char_at_beta_one_exits_zero():
                            "--beta", "1.0"], capture_output=True, text=True)
     assert proc.returncode == 0 and "Traceback" not in proc.stderr
     assert json.loads(proc.stdout)["verdict"] == "Certified"
+
+
+@pytest.mark.parametrize("spec, k", [("bump", 10_000), ("char", 5_000)])
+def test_certify_past_the_lu_budget_exits_two(tmp_path, spec, k):
+    # at alpha = 1e-4 the bump's LU window took 1.5 GiB per matrix and the
+    # run ended in a MemoryError traceback
+    lattice_args = ["--window", spec, "--alpha", "0.0001", "--beta", "5000.0137"]
+    proc = subprocess.run([sys.executable, "-m", "gaborcert.cli", "certify",
+                           *lattice_args], capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 2 and "Traceback" not in proc.stderr
+    cert = json.loads(proc.stdout)
+    assert cert["verdict"] == "NotCertified" and f"k = {k} " in cert["reason"]
+    out = tmp_path / "s.csv"
+    assert run(["scan", *lattice_args, "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[1].endswith(",NotCertified,,")
 
 
 # ---------------------------------------------------------------------------

@@ -4,12 +4,14 @@ smallest singular value of a stack: the bits of the per-block loop.  Banded
 log-determinants: agreement with np.linalg.det."""
 
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from gaborcert import certify, cli, framebound, lattice, linalg, randwin
+from gaborcert.errors import BudgetExceeded
 
 
 def _jacobi_loop(A, tol: float = 1e-13, max_sweeps: int = 60) -> np.ndarray:
@@ -157,6 +159,10 @@ def test_zero_and_empty_edge_cases():
     assert linalg.svdvals_accurate(np.zeros((0, 3))).shape == (0,)
 
 
+_EXTREMES = [0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 2.2250738585072014e-308,
+             np.finfo(float).max, -np.finfo(float).max, 1.0, -1.0]
+
+
 def _dgejsv_svdvals(A):
     """Reference: the LAPACK path of jacobi_svdvals for a real matrix."""
     sva, _, _, work, _, info = linalg.lapack.dgejsv(A, joba=0, jobu=3, jobv=3)
@@ -165,24 +171,23 @@ def _dgejsv_svdvals(A):
 
 
 def test_real_one_by_one_is_dgejsv_bit_for_bit():
+    """stack_sigma_min answers a real-valued 1x1 block [v] by |v|: dgejsv's
+    bits, from 0 and -0 through subnormals to the largest double."""
     rng = np.random.default_rng(11)
     n = 4000
     values = np.concatenate([
-        [0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 2.2250738585072014e-308,
-         np.finfo(float).max, -np.finfo(float).max, 1.0, -1.0],
+        _EXTREMES,
         rng.uniform(-1.0, 1.0, n),
         rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-300.0, 300.0, n),
         rng.uniform(0.0, 1e-310, n),                  # subnormals
     ])
     for v in values:
         A = np.array([[v]])
-        got = linalg.jacobi_svdvals(A)
-        want = _dgejsv_svdvals(A)
-        assert got.dtype == want.dtype and got.shape == want.shape == (1,)
-        assert got.view(np.uint64)[0] == want.view(np.uint64)[0], v
-        # a real-valued complex 1x1 goes in as real
-        assert np.array_equal(linalg.jacobi_svdvals(A.astype(complex)).view(
-            np.uint64), got.view(np.uint64))
+        want = _dgejsv_svdvals(A)[-1]
+        assert linalg.stack_sigma_min(A[None]).hex() == want.hex(), v
+        assert linalg.stack_sigma_min(A[None].astype(complex)).hex() == want.hex(), v
+        # jacobi_svdvals takes a real-valued complex 1x1 in as real
+        assert linalg.jacobi_svdvals(A.astype(complex))[0].hex() == want.hex(), v
 
 
 def test_complex_one_by_one_keeps_the_embedding():
@@ -341,12 +346,52 @@ def test_stack_sigma_min_rejects_non_finite(bad):
         linalg.stack_sigma_min(stack)
 
 
+def _one_by_one_stacks():
+    rng = np.random.default_rng(13)
+    scale = 10.0 ** rng.uniform(-20, 0, 60)
+    re, im = rng.standard_normal(60) * scale, rng.standard_normal(60) * scale
+    mixed = np.where(rng.random(60) < 0.5, re, re + 1j * im)
+    extremes = np.array(_EXTREMES[2:] + [1e300 + 1e300j, 5e-324j, -1e-300j])
+    return {"mixed": mixed, "real": re, "real-as-complex": re.astype(complex),
+            "complex": re + 1j * im, "empty": re[:0].astype(complex),
+            "extremes": extremes, "extremes-and-zeros": np.append(extremes, -0.0)}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", ["mixed", "real", "real-as-complex", "complex",
+                                  "empty", "extremes", "extremes-and-zeros"])
+def test_stack_sigma_min_of_1x1_blocks(monkeypatch, name):
+    """(M, 1, 1) stacks: the bits of the per-block loop, and the real-valued
+    entries [a] answered by |a| without an SVD; a complex entry near the
+    largest double raises no overflow warning."""
+    entries = _one_by_one_stacks()[name]
+    stack = entries.reshape(-1, 1, 1)
+    want = min((float(linalg.svdvals_accurate(a)[-1]) for a in stack),
+               default=math.inf)
+    calls = _count_svd_calls(monkeypatch)
+    got = linalg.stack_sigma_min(stack)
+    assert type(got) is float and got.hex() == want.hex()
+    assert all(a.imag.any() for a in calls)
+    if not np.iscomplexobj(entries) or not entries.imag.any():
+        assert calls == []
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(1.0, np.inf)])
+def test_stack_sigma_min_of_1x1_blocks_rejects_non_finite(bad):
+    for entries in _one_by_one_stacks().values():
+        stack = np.append(entries, bad).reshape(-1, 1, 1)
+        with pytest.raises(ValueError, match="non-finite"):
+            linalg.stack_sigma_min(stack)
+        with pytest.raises(ValueError, match="non-finite"):
+            linalg.svdvals_accurate(stack[-1])
+
+
 # ---------------------------------------------------------------------------
 # banded log-determinants
 
 def _banded_stack(rng, k, sizes, dtype, zero_share):
     """(band, dense matrices) of random banded matrices with planted zeros."""
-    band = np.zeros((sizes[0], 2 * k + 1, len(sizes)), dtype=dtype)
+    band = np.zeros((max(sizes), 2 * k + 1, len(sizes)), dtype=dtype)
     dense = []
     for i, s in enumerate(sizes):
         M = np.zeros((s, s), dtype=dtype)
@@ -360,27 +405,47 @@ def _banded_stack(rng, k, sizes, dtype, zero_share):
     return band, dense
 
 
-def _slabs(band, rows):
-    """Row source of band: slabs of the given number of rows, never asked
-    past the last row."""
-    def source(r0, live):
-        assert 0 <= r0 < len(band) and 0 < live <= band.shape[2]
-        return band[r0:r0 + rows, :, :live]
-    return source
+def _band(band, slabs=None):
+    """Entry function of band: rows r of matrices i, each asked for once,
+    in row order, never past the last row; each slab goes to slabs."""
+    asked = {}
+
+    def entries(r, i):
+        assert r.dtype.kind == i.dtype.kind == "i" and len(r) > 0
+        assert np.array_equal(r, np.arange(r[0], r[0] + len(r)))
+        assert 0 <= r[0] and r[-1] < len(band) and len(set(i.tolist())) == len(i)
+        for m in i.tolist():
+            assert asked.setdefault(m, 0) == r[0]
+            asked[m] = r[-1] + 1
+        slab = band[r][:, :, i]
+        if slabs is not None:
+            slabs.append(slab)
+        return slab
+    return entries
 
 
 @pytest.mark.parametrize("dtype", [float, complex])
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
-def test_banded_log_abs_det_matches_dense_det(dtype, k):
+def test_banded_log_abs_det_matches_dense_det(monkeypatch, dtype, k):
     rng = np.random.default_rng(31 + k)
-    zeros = 0
+    width, zeros = 2 * k + 1, 0
     for _ in range(40):
         sizes = np.sort(rng.integers(1, 12, rng.integers(1, 6)))[::-1]
         band, dense = _banded_stack(rng, k, sizes, dtype, 0.25)
-        got = linalg.banded_log_abs_det(_slabs(band, len(band)), k, sizes)
+        got = linalg.banded_log_abs_det(_band(band), k, sizes)
+        # budgets of 1, 2 and 5 band rows of one matrix: stacks of 1, 2
+        # and 5 matrices, in slabs of 1 row up to 5
         for rows in (1, 2, 5):
-            split = linalg.banded_log_abs_det(_slabs(band, rows), k, sizes)
+            slabs = []
+            with monkeypatch.context() as patch:
+                patch.setattr(linalg, "_BATCH_ENTRIES", rows * width)
+                split = linalg.banded_log_abs_det(_band(band, slabs), k, sizes)
             assert split.tobytes() == got.tobytes()
+            assert all(slab.shape[2] <= rows and
+                       (len(slab) == 1 or slab.size <= rows * width)
+                       for slab in slabs)
+            assert len(slabs[0]) == min(max(sizes),
+                                        max(1, rows // min(rows, len(sizes))))
         for log_abs, M in zip(got, dense):
             ref = abs(np.linalg.det(M))
             if ref == 0.0:
@@ -391,12 +456,71 @@ def test_banded_log_abs_det_matches_dense_det(dtype, k):
     assert zeros > 0
 
 
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_banded_log_abs_det_unsorted_sizes_in_input_order(dtype):
+    """Sizes in any order: each result has the bits of its matrix factored
+    alone."""
+    rng = np.random.default_rng(17)
+    for k in (0, 1, 3):
+        sizes = rng.permutation([3, 9, 1, 9, 5, 2, 7, 1, 12, 4])
+        band, dense = _banded_stack(rng, k, sizes, dtype, 0.1)
+        got = linalg.banded_log_abs_det(_band(band), k, sizes)
+        for i, s in enumerate(sizes.tolist()):
+            alone = linalg.banded_log_abs_det(_band(band[:s, :, [i]]), k, [s])
+            assert got[i].tobytes() == alone.tobytes()
+            assert math.exp(got[i]) == pytest.approx(
+                abs(np.linalg.det(dense[i])), rel=1e-12)
+
+
+def test_banded_log_abs_det_lu_budget(monkeypatch):
+    """Stacks are cut so that each LU fits _LU_BYTES, and one matrix whose
+    LU alone does not fit raises before any evaluation."""
+    rng = np.random.default_rng(3)
+    k, sizes = 2, np.array([4, 8, 6, 8, 5])
+    one = 2 * 16 * (k + 1) * (2 * k + 1)
+    band, _ = _banded_stack(rng, k, sizes, float, 0.0)
+    whole, slabs = linalg.banded_log_abs_det(_band(band), k, sizes), []
+    monkeypatch.setattr(linalg, "_LU_BYTES", 2 * one)
+    split = linalg.banded_log_abs_det(_band(band, slabs), k, sizes)
+    assert split.tobytes() == whole.tobytes()
+    assert max(slab.shape[2] for slab in slabs) == 2
+    monkeypatch.setattr(linalg, "_LU_BYTES", one - 1)
+    with pytest.raises(BudgetExceeded, match=r"k = 2 needs up to \d+ MiB per matrix"):
+        linalg.banded_log_abs_det(_band(band, slabs := []), k, sizes)
+    assert slabs == []
+
+
+def test_banded_log_abs_det_peak_memory_fits_the_budget(monkeypatch):
+    """Complex stacks cut by _LU_BYTES to 100 matrices: the tracemalloc peak
+    of the LU, its window and a step's temporaries, stays within _LU_BYTES
+    plus one slab and numpy's ufunc buffers (getbufsize entries for each of
+    three operands)."""
+    rng = np.random.default_rng(5)
+    k, n, s = 20, 300, 30
+    band = rng.standard_normal((s, 2 * k + 1, n)) + 1j * rng.standard_normal((s, 2 * k + 1, n))
+    cols = np.arange(s)[:, None] - k + np.arange(2 * k + 1)
+    band[(cols < 0) | (cols >= s)] = 0
+    sizes, t = np.full(n, s), np.arange(2 * k + 1)
+    whole = linalg.banded_log_abs_det(_band(band), k, sizes)
+    monkeypatch.setattr(linalg, "_LU_BYTES", 100 * 2 * 16 * (k + 1) * (2 * k + 1))
+    tracemalloc.start()
+    try:
+        split = linalg.banded_log_abs_det(lambda r, i: band[np.ix_(r, t, i)],
+                                          k, sizes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert split.tobytes() == whole.tobytes()
+    slack = 16 * (linalg._BATCH_ENTRIES + 3 * np.getbufsize())
+    assert peak <= linalg._LU_BYTES + slack, (peak, linalg._LU_BYTES)
+
+
 def test_banded_log_abs_det_stays_finite_past_underflow():
     """A diagonal of 1e-200 over 5 rows: |det| = 1e-1000 underflows, its log
     does not."""
     band = np.full((5, 3, 1), 0.0)
     band[:, 1, 0] = 1e-200
     band[:-1, 2, 0] = 1.0
-    got = linalg.banded_log_abs_det(_slabs(band, 5), 1, np.array([5]))
+    got = linalg.banded_log_abs_det(_band(band), 1, np.array([5]))
     assert np.linalg.det(np.diag(np.full(5, 1e-200))) == 0.0
     assert got[0] == pytest.approx(-1000 * math.log(10.0), rel=1e-14)
