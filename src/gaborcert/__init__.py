@@ -3,5 +3,6 @@
 __version__ = "0.1.0"
 
 from . import certify, framebound, lattice, linalg, randwin, window  # noqa: F401
-from .errors import (DegenerateFit, EmptyCore, GaborCertError, HopNotFound,  # noqa: F401
-                     HypothesisViolated, TooCloseToForbiddenRatio)
+from .errors import (BudgetExceeded, DegenerateFit, EmptyCore,  # noqa: F401
+                     GaborCertError, HopNotFound, HypothesisViolated,
+                     TooCloseToForbiddenRatio)

@@ -60,6 +60,8 @@ class CertifyConfig:
         if not (math.isfinite(self.delta_floor) and self.delta_floor > 0):
             raise ValueError(f"delta_floor must be a positive finite number, "
                              f"got {self.delta_floor}")
+        if self.extent < 0:
+            raise ValueError(f"extent must be >= 0, got {self.extent}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,14 +75,15 @@ class DeterminantProfile:
     edges: np.ndarray             # structure_gaps: gap i is (edges[i], edges[i+1])
     params: LatticeParams
     window: Window
-    specs: list                   # anchor block of each gap, at its first sample
+    specs: BlockSpec              # anchor block of each gap at its first sample, arrays
 
     @functools.cached_property
     def fingerprints(self) -> list:
         """structure_fingerprint of each gap, indexed by gap_index; built
         when first read."""
-        return [structure_fingerprint(self.params, self.window, spec)
-                for spec in self.specs]
+        return [structure_fingerprint(self.params, self.window, BlockSpec(0, *gap))
+                for gap in zip(self.specs.anchor_m.tolist(), self.specs.size.tolist(),
+                               self.specs.x_value.tolist())]
 
     @property
     def abs_det(self) -> np.ndarray:
@@ -189,7 +192,6 @@ class FrameCertificate:
 class RationalReport:
     p: int
     q: int
-    forbidden: list
     zero_count: int
     certified_subinterval: Optional[tuple]
     denominator_threshold: float
@@ -231,9 +233,9 @@ def _one_structure(params: LatticeParams, w: Window, x: float,
 
 
 def _log_abs_dets(params: LatticeParams, w: Window, gaps: list):
-    """(anchor block of each gap at its first x, log|det M_x| of every x in
-    gap order) for sorted x arrays, one per breakpoint gap; the breakpoints
-    are complete, so a structure change inside a gap is a bug.
+    """(anchor blocks of the gaps at their first x as arrays, log|det M_x|
+    of every x in gap order) for sorted x arrays, one per breakpoint gap;
+    the breakpoints are complete, so a structure change inside a gap is a bug.
 
     One anchor_block call over every gap's first and last x finds the
     structures.  banded_log_abs_det factors the band |j - i| <= band_halfwidth
@@ -248,8 +250,6 @@ def _log_abs_dets(params: LatticeParams, w: Window, gaps: list):
         lo, hi = ends[moved[0]].tolist()
         raise AssertionError(f"the anchor structure changes between x={lo!r} "
                              f"and x={hi!r}")
-    specs = [BlockSpec(0, *block) for block in zip(m.tolist(), s.tolist(),
-                                                   ends[:, 0])]
     counts = [len(xs) for xs in gaps]
     x = np.concatenate(gaps)
     first, size = np.repeat(m, counts), np.repeat(s, counts)
@@ -266,7 +266,7 @@ def _log_abs_dets(params: LatticeParams, w: Window, gaps: list):
         vals = evaluate(w, args)
         return vals.real if real else vals
 
-    return specs, banded_log_abs_det(band, k, size)
+    return BlockSpec(0, m, s, ends[:, 0]), banded_log_abs_det(band, k, size)
 
 
 def scan_determinant(params: LatticeParams, w: Window,
@@ -279,7 +279,7 @@ def scan_determinant(params: LatticeParams, w: Window,
     edges = structure_gaps(params, w)
     nodes = _chebyshev_nodes(edges, samples_per_gap)
     specs, log_abs_det = _log_abs_dets(params, w, nodes)
-    gaps = np.repeat(np.arange(len(specs)), samples_per_gap)
+    gaps = np.repeat(np.arange(len(nodes)), samples_per_gap)
     return DeterminantProfile(nodes.ravel(), log_abs_det, gaps, edges,
                               params, w, specs)
 
@@ -486,20 +486,20 @@ def forbidden_ratios(params: LatticeParams, w: Window) -> list:
 
     These are the densities at which distinct matrix arguments collide."""
     order = size_bound(params, w)
-    out = {Fraction(m, n) for n in range(2, order + 1)
-           for m in range(1, n) if math.gcd(m, n) == 1}
-    return sorted(out)
+    return sorted(Fraction(m, n) for n in range(2, order + 1)
+                  for m in range(1, n) if math.gcd(m, n) == 1)
 
 
 def rational_analysis(params: LatticeParams, w: Window, samples: int = 4096,
                       config: CertifyConfig = CertifyConfig()) -> RationalReport:
     """Zero-count and certified-subinterval analysis at rational density p/q."""
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     rc = params.rational_class
     if not rc.is_rational:
         raise HypothesisViolated("rational_analysis requires a rational density class")
-    ratios = forbidden_ratios(params, w)
     if config.delta_sep > 0:
-        sep = min(abs(params.density - float(r)) for r in ratios)
+        sep = min(abs(params.density - float(r)) for r in forbidden_ratios(params, w))
         if sep < config.delta_sep:
             raise TooCloseToForbiddenRatio(
                 f"alpha*beta within {sep:.3g} of a forbidden ratio")
@@ -534,5 +534,5 @@ def rational_analysis(params: LatticeParams, w: Window, samples: int = 4096,
     # a zero inside J already rules out a uniform determinant floor, no matter
     # how coarsely the period grid happens to straddle it
     supported = period_min >= config.delta_floor and zero_count == 0
-    return RationalReport(rc.p, rc.q, ratios, zero_count, sub, threshold,
+    return RationalReport(rc.p, rc.q, zero_count, sub, threshold,
                           (j_lo, j_hi), float(period_min), bool(supported))

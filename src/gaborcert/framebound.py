@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import LatticeParams, entry_args, int_range, structure_gaps
+from .lattice import LatticeParams, entry_args, int_bounds, structure_gaps
 from .linalg import svdvals_accurate
 from .window import Window, evaluate, sup_norm
 
@@ -33,13 +33,6 @@ class FiniteSectionEstimate:
     per_x: np.ndarray             # columns (x, sigma_min, sigma_max)
 
 
-def _good_row_range(params: LatticeParams, w: Window, x: float, m: int):
-    """Integer rows n with (n, m) good, as an inclusive (n_lo, n_hi) range."""
-    rows = int_range(x + m * params.inv_beta, -params.alpha,
-                     w.support_lo, w.support_hi)
-    return rows.start, rows.stop - 1
-
-
 def truncated_columns(params: LatticeParams, w: Window, x: float,
                       extent: int) -> np.ndarray:
     """Columns m whose whole good-row set lies in rows [-extent, extent]: a
@@ -47,23 +40,22 @@ def truncated_columns(params: LatticeParams, w: Window, x: float,
 
     The columns with a good pair in a retained row form one range, from the
     first good column of row -extent to the last of row +extent.  Row n's
-    good columns are int_range(x - alpha*n, 1/beta, a, b), whose start and
+    good columns are int_bounds(x - alpha*n, 1/beta, a, b), whose start and
     stop are nondecreasing in n and equal for a row without good columns.
     Consecutive rows' real intervals overlap by (b-a-alpha)*beta > 0, so
     each row starts no later than the previous row stops.  Both ends of a
-    column's good-row range are nondecreasing in m too, so the cut columns
-    are trimmed from each end.  With alpha >= b-a the range also holds the
-    columns without any good pair: zero columns of the Ron-Shen matrix,
-    which are what the section should show there.
+    column's good-row range, int_bounds(x + m/beta, -alpha, a, b), are
+    nondecreasing in m too, so the cut columns are trimmed from each end.
+    With alpha >= b-a the range also holds the columns without any good
+    pair: zero columns of the Ron-Shen matrix, which are what the section
+    should show there.
     """
-    def row(n):
-        return int_range(x - params.alpha * n, params.inv_beta,
-                         w.support_lo, w.support_hi)
-
-    lo, hi = row(-extent).start, row(extent).stop
-    while lo < hi and _good_row_range(params, w, x, lo)[0] < -extent:
+    a, b, alpha, inv_beta = w.support_lo, w.support_hi, params.alpha, params.inv_beta
+    lo = int_bounds(x + alpha * extent, inv_beta, a, b)[0]
+    hi = int_bounds(x - alpha * extent, inv_beta, a, b)[1]
+    while lo < hi and int_bounds(x + lo * inv_beta, -alpha, a, b)[0] < -extent:
         lo += 1
-    while lo < hi and _good_row_range(params, w, x, hi - 1)[1] > extent:
+    while lo < hi and int_bounds(x + (hi - 1) * inv_beta, -alpha, a, b)[1] > extent + 1:
         hi -= 1
     return np.arange(lo, hi)
 

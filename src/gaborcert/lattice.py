@@ -149,9 +149,31 @@ def size_bound(params: LatticeParams, w: Window) -> int:
     return int(math.ceil(span / step)) + 1
 
 
-def _int_bounds(base, step: float, lo: float, hi: float, floor, ceil, any_):
-    """(start, stop) of int_range; floor, ceil and any_ make it serve a
-    scalar base (math.floor, math.ceil, bool) and an array (numpy's)."""
+# int_bounds' (as_float, floor, ceil, any) by the base's type: Python's for a
+# Python or numpy scalar (Python ints out, no numpy call), else numpy's
+_SCALAR_OPS = (float, math.floor, math.ceil, bool)
+_ARRAY_OPS = (functools.partial(np.asarray, dtype=float),
+              lambda v: np.floor(v).astype(np.int64),
+              lambda v: np.ceil(v).astype(np.int64), np.any)
+
+
+def _ops(base) -> tuple:
+    return _SCALAR_OPS if isinstance(base, (int, float, np.number)) else _ARRAY_OPS
+
+
+def int_bounds(base, step: float, lo: float, hi: float):
+    """(start, stop): the integers k with lo < base + k*step < hi are
+    start <= k < stop, for either sign of step.
+
+    base + k*step is monotone in k in floating point too, so the solutions
+    form a range; the floor/ceil estimate is corrected in both directions
+    against that exact expression.  Even when the range is empty, start is
+    the first k past the entry bound (lo for step > 0, hi for step < 0) and
+    stop - 1 the last k before the exit bound.  A scalar base gives Python
+    ints, any other base (an array, a list) int arrays of its shape.
+    """
+    as_float, floor, ceil, any_ = _ops(base)
+    base = as_float(base)
     if step < 0:
         # rounding is odd-symmetric: -(base + k*step) == -base + k*(-step)
         base, step, lo, hi = -base, -step, -hi, -lo
@@ -169,47 +191,25 @@ def _int_bounds(base, step: float, lo: float, hi: float, floor, ceil, any_):
 
 
 def int_range(base: float, step: float, lo: float, hi: float) -> range:
-    """Integers k with lo < base + k*step < hi, for either sign of step.
-
-    base + k*step is monotone in k in floating point too, so the solutions
-    form a range; the floor/ceil estimate is corrected in both directions
-    against that exact expression.  Even when the range is empty, its start
-    is the first k past the entry bound (lo for step > 0, hi for step < 0)
-    and stop - 1 the last k before the exit bound.
-    """
-    return range(*_int_bounds(base, step, lo, hi, math.floor, math.ceil, bool))
-
-
-def int_bounds(base, step: float, lo: float, hi: float):
-    """int_range of each element of an array base: (start, stop) int arrays,
-    by the same correction rule, so equal element by element."""
-    return _int_bounds(np.asarray(base, dtype=float), step, lo, hi,
-                       lambda v: np.floor(v).astype(np.int64),
-                       lambda v: np.ceil(v).astype(np.int64), np.any)
+    """int_bounds of a scalar base as a range."""
+    return range(*int_bounds(base, step, lo, hi))
 
 
 def anchor_block(params: LatticeParams, w: Window, x) -> BlockSpec:
     """Anchor block at row 0: first good column m and maximal diagonal run.
 
     size-1 is the largest l >= 0 with x + m/beta + l*(1/beta-alpha) < b;
-    l = 0 is the float expression that int_range has just accepted for m.
+    l = 0 is the float expression that int_bounds has just accepted for m.
     An array x gives the block at each x: anchor_m and size are int arrays
-    of its shape, from int_bounds, so equal element by element.
+    of its shape.
     """
     a, b = w.support_lo, w.support_hi
     inv_beta = params.inv_beta
-    if np.ndim(x):
-        x = np.asarray(x, dtype=float)
-        m, stop = int_bounds(x, inv_beta, a, b)
-        if (bad := stop <= m).any():
-            raise HypothesisViolated(f"row 0 has no good pair at x={x[bad][0]}")
-        size = int_bounds(x + m * inv_beta, inv_beta - params.alpha, a, b)[1]
-        return BlockSpec(0, m, size, x)
-    ms = int_range(x, inv_beta, a, b)
-    if not ms:
-        raise HypothesisViolated(f"row 0 has no good pair at x={x}")
-    ls = int_range(x + ms.start * inv_beta, inv_beta - params.alpha, a, b)
-    return BlockSpec(0, ms.start, ls.stop, x)
+    m, stop = int_bounds(x, inv_beta, a, b)
+    if _ops(x)[3](bad := stop <= m):       # any, with no numpy call for a scalar x
+        raise HypothesisViolated(f"row 0 has no good pair at x={np.asarray(x)[bad][0]}")
+    size = int_bounds(x + m * inv_beta, inv_beta - params.alpha, a, b)[1]
+    return BlockSpec(0, m, size, x)
 
 
 def band_halfwidth(params: LatticeParams, w: Window) -> int:
@@ -248,10 +248,7 @@ def separator_row(params: LatticeParams, w: Window, x: float, m) -> tuple:
     a, b = w.support_lo, w.support_hi
     eps = epsilon(params, w)
     base = x + m * params.inv_beta
-    if np.ndim(base):
-        n = int_bounds(base, -params.alpha, a, b)[0]
-    else:
-        n = int_range(base, -params.alpha, a, b).start
+    n = int_bounds(base, -params.alpha, a, b)[0]
     n = n + (base - params.alpha * n > b - eps)
     return n, base - params.alpha * n
 
@@ -274,15 +271,15 @@ def structure_breakpoints(params: LatticeParams, w: Window) -> np.ndarray:
     is that point: x = b + alpha - 1/beta may round to just below alpha.
     """
     alpha = params.alpha
-    xs = []
-    for n in range(-2, size_bound(params, w) + 3):
-        for c in (w.support_lo, w.support_hi):
-            base = c + alpha * n
-            xs.extend(base - m * params.inv_beta
-                      for m in int_range(base, -params.inv_beta, 0.0, alpha))
-    xs.sort()
+    rows = np.arange(-2, size_bound(params, w) + 3)
+    bases = ((w.support_lo, w.support_hi) + alpha * rows[:, None]).ravel()
+    start, stop = int_bounds(bases, -params.inv_beta, 0.0, alpha)
+    # the candidates' base and m, base by base: m runs start..stop-1
+    of = np.repeat(np.arange(len(bases)), stop - start)
+    m = np.arange(len(of)) - (np.cumsum(stop - start) - stop)[of]
+    xs = np.sort(bases[of] - m * params.inv_beta)
     out = [0.0]
-    for xval in xs:
+    for xval in xs.tolist():
         if xval - out[-1] > BREAKPOINT_TOL and alpha - xval > BREAKPOINT_TOL:
             out.append(xval)
     return np.array(out[1:])

@@ -74,6 +74,11 @@ def test_scan_fingerprints_constant_per_gap():
     p = L.lattice_params(1.0, 1.0 / SQRT2)
     prof = C.scan_determinant(p, W.bump(), 8)
     assert len(prof.fingerprints) == len(prof.edges) - 1
+    # specs holds each gap's anchor block at its first sample, as arrays
+    first = [L.anchor_block(p, W.bump(), x) for x in prof.x_samples[::8].tolist()]
+    assert prof.specs.x_value.tolist() == [spec.x_value for spec in first]
+    assert prof.specs.anchor_m.tolist() == [spec.anchor_m for spec in first]
+    assert prof.specs.size.tolist() == [spec.size for spec in first]
     for x, gi in zip(prof.x_samples, prof.gap_index):
         spec = L.anchor_block(p, W.bump(), x)
         assert L.structure_fingerprint(p, W.bump(), spec) == prof.fingerprints[gi]
@@ -321,7 +326,7 @@ def test_gap_structure_check_holds_anchor_m():
     with pytest.raises(AssertionError, match="anchor structure"):
         C._log_abs_dets(p, w, [xs])
     specs, log_abs = C._log_abs_dets(p, w, [xs[:1], xs[1:]])
-    assert [(s.anchor_m, s.size) for s in specs] == [(0, 2), (-1, 2)]
+    assert list(zip(specs.anchor_m.tolist(), specs.size.tolist())) == [(0, 2), (-1, 2)]
     dets = [np.linalg.det(L.build_Mx(p, w, L.anchor_block(p, w, x))) for x in xs]
     assert _matches_oracle(np.exp(log_abs), np.array(dets))
 
@@ -683,14 +688,15 @@ def test_anchor_row_covered_matches_floor_ceil_loop():
 @pytest.mark.parametrize("kwargs", [
     {"samples_per_gap": 2}, {"samples_per_gap": 0}, {"samples_per_gap": -1},
     {"delta_floor": 0.0}, {"delta_floor": -1.0}, {"delta_floor": math.nan},
-    {"delta_floor": math.inf},
+    {"delta_floor": math.inf}, {"extent": -1},
 ])
 def test_certify_config_rejects_unusable_scan_settings(kwargs):
-    # fewer than 3 samples per gap can never certify, and a floor <= 0
-    # certifies on the rounding noise of a singular determinant
+    # fewer than 3 samples per gap can never certify, a floor <= 0
+    # certifies on the rounding noise of a singular determinant, and a
+    # negative extent names no rows
     with pytest.raises(ValueError, match=next(iter(kwargs))):
         C.CertifyConfig(**kwargs)
-    C.CertifyConfig(samples_per_gap=3, delta_floor=5e-324)
+    C.CertifyConfig(samples_per_gap=3, delta_floor=5e-324, extent=0)
 
 
 def test_certify_monotone_in_extent(flagship):
@@ -749,6 +755,38 @@ def test_rational_analysis_separation_guard():
     p = L.lattice_params(0.6, 10.0 / 9.0)     # alpha*beta = 2/3, forbidden
     with pytest.raises(TooCloseToForbiddenRatio):
         C.rational_analysis(p, W.characteristic())
+
+
+@pytest.mark.parametrize("samples", [0, -1])
+def test_rational_analysis_rejects_no_samples(monkeypatch, samples):
+    """samples < 1 is refused by name before any work."""
+    def no_work(*args):
+        raise AssertionError("rational_analysis did work first")
+
+    monkeypatch.setattr(C, "structure_gaps", no_work)
+    monkeypatch.setattr(C, "forbidden_ratios", no_work)
+    p = L.lattice_params(0.6, 10.0 / 9.0)
+    with pytest.raises(ValueError, match="samples must be >= 1"):
+        C.rational_analysis(p, W.characteristic(), samples=samples,
+                            config=C.CertifyConfig(delta_sep=0.0))
+
+
+def test_rational_analysis_builds_farey_list_only_for_the_guard(monkeypatch):
+    """With delta_sep = 0 the forbidden ratios are never built; the report
+    equals the one of a run that may build them."""
+    p, w = L.lattice_params(0.6, 10.0 / 9.0), W.characteristic()
+    cfg = C.CertifyConfig(delta_sep=0.0)
+    ref = C.rational_analysis(p, w, samples=256, config=cfg)
+
+    def refuse(*args):
+        raise AssertionError("forbidden_ratios called with delta_sep = 0")
+
+    monkeypatch.setattr(C, "forbidden_ratios", refuse)
+    rep = C.rational_analysis(p, w, samples=256, config=cfg)
+    assert dataclasses.astuple(rep) == dataclasses.astuple(ref)
+    assert "forbidden" not in {f.name for f in dataclasses.fields(rep)}
+    with pytest.raises(AssertionError, match="forbidden_ratios called"):
+        C.rational_analysis(p, w, samples=256)
 
 
 def test_rational_analysis_characteristic_zero_free():

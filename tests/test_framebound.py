@@ -63,8 +63,9 @@ def _columns_by_row_union(p, w, x, extent):
         cols.update(L.int_range(x - p.alpha * n, p.inv_beta,
                                 w.support_lo, w.support_hi))
     complete = {m for m in cols
-                if -extent <= (rows := F._good_row_range(p, w, x, m))[0]
-                and rows[1] <= extent}
+                if -extent <= (rows := L.int_range(x + m * p.inv_beta, -p.alpha,
+                                                   w.support_lo, w.support_hi)).start
+                and rows.stop - 1 <= extent}
     return np.array(sorted(cols)), np.array(sorted(complete))
 
 

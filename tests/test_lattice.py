@@ -186,6 +186,23 @@ def test_int_bounds_matches_int_range_elementwise(case):
     # start and stop, not just the members: both stay meaningful when empty
     assert list(zip(start.tolist(), stop.tolist())) == [
         (r.start, r.stop) for r in ranges]
+    # one body for every type of base: each form gives the Python float's
+    # (start, stop), a scalar form as Python ints, anything else as arrays
+    for b in bases.tolist():
+        expect = L.int_bounds(b, step, lo, hi)
+        for form in (b, np.float64(b)):
+            got = L.int_bounds(form, step, lo, hi)
+            assert got == expect and all(type(v) is int for v in got)
+        k = round(b)
+        for form in (k, np.int64(k)):
+            got = L.int_bounds(form, step, lo, hi)
+            assert got == L.int_bounds(float(k), step, lo, hi)
+            assert all(type(v) is int for v in got)
+        zero_d = L.int_bounds(np.array(b), step, lo, hi)
+        assert [np.shape(v) for v in zero_d] == [(), ()]
+        assert tuple(map(int, zero_d)) == expect
+        listed = L.int_bounds([b, b], step, lo, hi)
+        assert [v.tolist() for v in listed] == [[expect[0]] * 2, [expect[1]] * 2]
 
 
 def test_int_range_open_at_exact_bounds():
@@ -354,6 +371,42 @@ def test_breakpoints_char_lattice():
     bps = L.structure_breakpoints(p, w)
     expect = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6]
     assert np.allclose(bps, expect, atol=1e-9)
+
+
+def _breakpoints_row_by_row(p, w):
+    """Reference: structure_breakpoints with one int_range call per row and
+    support end, and a sorted Python list of candidates."""
+    xs = []
+    for n in range(-2, L.size_bound(p, w) + 3):
+        for c in (w.support_lo, w.support_hi):
+            base = c + p.alpha * n
+            xs.extend(base - m * p.inv_beta
+                      for m in L.int_range(base, -p.inv_beta, 0.0, p.alpha))
+    xs.sort()
+    out = [0.0]
+    for xval in xs:
+        if xval - out[-1] > L.BREAKPOINT_TOL and p.alpha - xval > L.BREAKPOINT_TOL:
+            out.append(xval)
+    return np.array(out[1:])
+
+
+def test_breakpoints_match_row_by_row_reference():
+    """The one-array candidate pass has the bits of the per-row loop, on
+    random lattices over six windows and at alpha = 1e-4."""
+    rng = np.random.default_rng(19)
+    windows = (W.bump(), W.characteristic(), W.characteristic(-3.7, -1.2),
+               W.poly_bump(2.5, 6.0), W.characteristic(0.2, 0.9),
+               W.sampled(np.linspace(-0.3, 1.4, 7), np.arange(7) + 1j))
+    lattices = [(W.bump(), 1e-4, 5000.0137), (W.characteristic(), 1e-4, 5000.0137)]
+    for _ in range(600):
+        w = windows[rng.integers(len(windows))]
+        alpha = rng.uniform(0.01, 1.0 - 1e-15) * w.support_length
+        lattices.append((w, alpha, rng.uniform(0.01, 1.0 - 1e-15) / alpha))
+    for w, alpha, beta in lattices:
+        p = L.LatticeParams(alpha, beta)
+        got = L.structure_breakpoints(p, w)
+        expect = _breakpoints_row_by_row(p, w)
+        assert got.dtype == expect.dtype and got.tobytes() == expect.tobytes()
 
 
 def test_breakpoints_match_brute_force_over_wide_m():

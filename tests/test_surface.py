@@ -66,3 +66,12 @@ def test_defaulted_parameters_are_the_recorded_set():
         "update DEFAULTED in tests/test_surface.py and argue the new count "
         f"({len(found)}, was {len(DEFAULTED)}) in CHANGES.md")
     assert len(DEFAULTED) == 30
+
+
+def test_every_error_class_is_exported_from_the_root():
+    from gaborcert import BudgetExceeded, errors
+
+    classes = {name: obj for name, obj in vars(errors).items()
+               if inspect.isclass(obj) and issubclass(obj, errors.GaborCertError)}
+    assert "BudgetExceeded" in classes and BudgetExceeded is errors.BudgetExceeded
+    assert all(getattr(gaborcert, name, None) is cls for name, cls in classes.items())
