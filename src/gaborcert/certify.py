@@ -24,7 +24,7 @@ from .lattice import (BlockSpec, LatticeParams, anchor_block, band_halfwidth,
                       separator_row, size_bound, structure_fingerprint,
                       structure_gaps)
 from .linalg import banded_log_abs_det, stack_sigma_min
-from .window import Window, evaluate, inv_sup_on_core, sup_norm
+from .window import Window, evaluate, inside_values, inv_sup_on_core, sup_norm
 
 __all__ = [
     "CertifyConfig",
@@ -239,9 +239,8 @@ def _log_abs_dets(params: LatticeParams, w: Window, gaps: list):
 
     One anchor_block call over every gap's first and last x finds the
     structures.  banded_log_abs_det factors the band |j - i| <= band_halfwidth
-    of each block, with build_Mx's bits (entry_args), in real arithmetic when
-    the window is real: a closed form, or a sampled window with no imaginary
-    part."""
+    of each block, with build_Mx's bits (entry_args), in float64 when
+    Window.is_real."""
     ends = np.array([(xs[0], xs[-1]) for xs in gaps])
     spec = anchor_block(params, w, ends)
     m, s = spec.anchor_m[:, 0], spec.size[:, 0]
@@ -254,17 +253,18 @@ def _log_abs_dets(params: LatticeParams, w: Window, gaps: list):
     x = np.concatenate(gaps)
     first, size = np.repeat(m, counts), np.repeat(s, counts)
     k = min(band_halfwidth(params, w), int(s.max()) - 1)
-    real = w.grid_vals is None or not w.grid_vals.imag.any()
+    dtype = float if w.is_real else complex
 
     def band(r, i):
         """Band rows r of the samples i, 0 outside each block."""
         r = r[:, None, None]
         c = r - k + np.arange(2 * k + 1)[:, None]
         args = entry_args(params, x[i], r, first[i] + c)
-        # a slot outside its matrix gets an argument outside the support: 0
-        args[(c < 0) | (c >= size[i]) | (r >= size[i])] = w.support_hi
-        vals = evaluate(w, args)
-        return vals.real if real else vals
+        good = ((c >= 0) & (c < size[i]) & (r < size[i])
+                & (args > w.support_lo) & (args < w.support_hi))
+        vals = np.zeros(args.shape, dtype=dtype)
+        vals[good] = inside_values(w, args[good])
+        return vals
 
     return BlockSpec(0, m, s, ends[:, 0]), banded_log_abs_det(band, k, size)
 
@@ -490,6 +490,34 @@ def forbidden_ratios(params: LatticeParams, w: Window) -> list:
                   for m in range(1, n) if math.gcd(m, n) == 1)
 
 
+def _farey_neighbours(x: Fraction, order: int) -> tuple:
+    """The largest fraction <= x and the smallest >= x with denominator up
+    to order, in either order, from x's continued fraction as in
+    Fraction.limit_denominator: its last convergent p1/q1 within the order
+    and the semiconvergent on the other side of x are neighbours in the
+    Farey sequence F_order."""
+    if x.denominator <= order:
+        return x, x
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    n, d = x.numerator, x.denominator
+    while q0 + (a := n // d) * q1 <= order:
+        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q0 + a * q1
+        n, d = d, n - a * d
+    t = (order - q0) // q1
+    return Fraction(p0 + t * p1, q0 + t * q1), Fraction(p1, q1)
+
+
+def _forbidden_separation(params: LatticeParams, w: Window) -> float:
+    """min |alpha*beta - float(r)| over forbidden_ratios(params, w), bit for
+    bit, without the list.  float() and the subtraction round monotonically,
+    so on each side of alpha*beta the nearest fraction of the list is the
+    nearest in float too: its Farey neighbour in F_order, with alpha*beta
+    first clamped to the list's ends 1/order and (order-1)/order."""
+    order, d = size_bound(params, w), params.density
+    x = min(max(Fraction(d), Fraction(1, order)), Fraction(order - 1, order))
+    return min(abs(d - float(r)) for r in _farey_neighbours(x, order))
+
+
 def rational_analysis(params: LatticeParams, w: Window, samples: int = 4096,
                       config: CertifyConfig = CertifyConfig()) -> RationalReport:
     """Zero-count and certified-subinterval analysis at rational density p/q."""
@@ -499,7 +527,7 @@ def rational_analysis(params: LatticeParams, w: Window, samples: int = 4096,
     if not rc.is_rational:
         raise HypothesisViolated("rational_analysis requires a rational density class")
     if config.delta_sep > 0:
-        sep = min(abs(params.density - float(r)) for r in forbidden_ratios(params, w))
+        sep = _forbidden_separation(params, w)
         if sep < config.delta_sep:
             raise TooCloseToForbiddenRatio(
                 f"alpha*beta within {sep:.3g} of a forbidden ratio")

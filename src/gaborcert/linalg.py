@@ -151,7 +151,6 @@ def _stack_log_abs_det(band, k: int, stack, sizes) -> np.ndarray:
     slab, lo = rows(0, n), 0
     window = np.zeros((k + 1, width, n), dtype=slab.dtype)
     logsum = np.zeros(n)        # log|u_jj| added in row order, lane by lane
-    lanes = np.arange(n)
     # step j shifts the window up and left and takes in row j + k; steps < 0 only fill it
     lives = [n] * k + np.searchsorted(-sizes, -np.arange(size), side="left").tolist()
     for j, live in enumerate(lives, start=-k):
@@ -167,9 +166,10 @@ def _stack_log_abs_det(band, k: int, stack, sizes) -> np.ndarray:
         mag = (np.abs(col.real) + np.abs(col.imag) if col.dtype.kind == "c"
                else np.abs(col))
         p = mag.argmax(axis=0)
-        top = win[0].copy()
-        win[0] = win[p, :, lanes[:live]].T
-        win[p, :, lanes[:live]] = top.T
+        moved = np.flatnonzero(p)       # lanes whose pivot is not in row j
+        top = win[0, :, moved]
+        win[0, :, moved] = win[p[moved], :, moved]
+        win[p[moved], :, moved] = top
         piv = win[0, 0]
         with np.errstate(divide="ignore"):
             logsum[:live] += np.log(np.abs(piv))

@@ -193,21 +193,28 @@ def test_scan_splits_batches_past_entry_cap(monkeypatch):
 
 def test_scan_evaluates_at_most_the_cap_per_call(monkeypatch):
     """alpha = 1, alpha*beta = 0.99: anchor blocks up to size 200 in 3,168
-    samples, yet under a budget of 2^13 entries no evaluate call of the scan
-    sees more than that, and together they see the band and less than 10%
-    more."""
+    samples, yet under a budget of 2^13 entries no inside_values call of the
+    scan sees more than that, and together they see each good pair of the
+    band exactly once."""
     p, w = L.lattice_params(1.0, 0.99), W.bump()
     seen = []
     monkeypatch.setattr(LA, "_BATCH_ENTRIES", 1 << 13)
-    monkeypatch.setattr(C, "evaluate",
-                        lambda w, x: seen.append(np.size(x)) or W.evaluate(w, x))
+    monkeypatch.setattr(C, "inside_values",
+                        lambda w, x: seen.append(np.size(x)) or W.inside_values(w, x))
     prof = C.scan_determinant(p, w, 32)
-    sizes = np.array([L.anchor_block(p, w, x).size for x in prof.x_samples])
+    specs = [L.anchor_block(p, w, x) for x in prof.x_samples]
+    sizes = np.array([spec.size for spec in specs])
     assert sizes.max() >= 190 and sizes.min() > L.band_halfwidth(p, w)
     assert len(seen) > 1 and max(seen) <= 1 << 13
     k = L.band_halfwidth(p, w)
-    band = sum(s * (2 * k + 1) - k * (k + 1) for s in sizes)      # k < every size
-    assert band <= sum(seen) < 1.1 * band
+    offsets = np.arange(-k, k + 1)
+    good = 0
+    for spec in specs:
+        r = np.arange(spec.size)[:, None]
+        c = r + offsets
+        good += int(L.is_good(p, w, spec.x_value, r, spec.anchor_m + c)[
+            (c >= 0) & (c < spec.size)].sum())
+    assert sum(seen) == good
 
 
 def _partly_real_window():
@@ -764,29 +771,64 @@ def test_rational_analysis_rejects_no_samples(monkeypatch, samples):
         raise AssertionError("rational_analysis did work first")
 
     monkeypatch.setattr(C, "structure_gaps", no_work)
-    monkeypatch.setattr(C, "forbidden_ratios", no_work)
+    monkeypatch.setattr(C, "_forbidden_separation", no_work)
     p = L.lattice_params(0.6, 10.0 / 9.0)
     with pytest.raises(ValueError, match="samples must be >= 1"):
         C.rational_analysis(p, W.characteristic(), samples=samples,
                             config=C.CertifyConfig(delta_sep=0.0))
 
 
-def test_rational_analysis_builds_farey_list_only_for_the_guard(monkeypatch):
-    """With delta_sep = 0 the forbidden ratios are never built; the report
-    equals the one of a run that may build them."""
+def test_rational_analysis_never_builds_the_farey_list(monkeypatch):
+    """The forbidden ratios are never built: with delta_sep = 0 the report
+    equals the one of a run that may build them, and the default guard
+    refuses a forbidden density from the Farey neighbours alone."""
     p, w = L.lattice_params(0.6, 10.0 / 9.0), W.characteristic()
     cfg = C.CertifyConfig(delta_sep=0.0)
     ref = C.rational_analysis(p, w, samples=256, config=cfg)
 
     def refuse(*args):
-        raise AssertionError("forbidden_ratios called with delta_sep = 0")
+        raise AssertionError("forbidden_ratios called")
 
     monkeypatch.setattr(C, "forbidden_ratios", refuse)
     rep = C.rational_analysis(p, w, samples=256, config=cfg)
     assert dataclasses.astuple(rep) == dataclasses.astuple(ref)
     assert "forbidden" not in {f.name for f in dataclasses.fields(rep)}
-    with pytest.raises(AssertionError, match="forbidden_ratios called"):
+    with pytest.raises(TooCloseToForbiddenRatio, match="within 0 of"):
         C.rational_analysis(p, w, samples=256)
+
+
+def test_forbidden_separation_is_the_farey_list_minimum():
+    """On 300 random lattices with size bound <= 60, about a fifth of them
+    at alpha = 1 and the float of a Farey fraction or one ulp beside it, the
+    separation from the Farey neighbours has the bits of the minimum over
+    forbidden_ratios."""
+    rng = np.random.default_rng(23)
+    w, seen = W.bump(), 0
+    while seen < 300:
+        alpha = rng.uniform(0.05, 1.95)
+        density = rng.uniform(0.01, 0.99)
+        if rng.random() < 0.2:
+            alpha, q = 1.0, int(rng.integers(2, 61))
+            ratio = int(rng.integers(1, q)) / q
+            density = np.nextafter(ratio, rng.choice([0.0, ratio, 1.0]))
+        p = L.lattice_params(alpha, density / alpha)
+        if p.density >= 1.0 or L.size_bound(p, w) > 60:
+            continue
+        seen += 1
+        want = min(abs(p.density - float(r)) for r in C.forbidden_ratios(p, w))
+        assert C._forbidden_separation(p, w) == want, (alpha, density)
+
+
+def test_forbidden_ratio_guard_at_size_bound_1000_is_fast():
+    """alpha = 1, beta = 0.998: alpha*beta = 499/500 is itself a forbidden
+    ratio of the bump's size bound 1,000, refused without the 304,191
+    fractions of the list."""
+    p = L.lattice_params(1.0, 0.998)
+    assert L.size_bound(p, W.bump()) == 1000
+    start = time.perf_counter()
+    with pytest.raises(TooCloseToForbiddenRatio, match="within 0 of"):
+        C.rational_analysis(p, W.bump())
+    assert time.perf_counter() - start < 0.1
 
 
 def test_rational_analysis_characteristic_zero_free():

@@ -171,21 +171,22 @@ def _assert_profile_matches_det_oracle(prof, w, alpha, beta):
 
 def test_certify_det_profile_flagship_bytes(tmp_path):
     """Flagship profile CSV, pinned from the banded scan once it passed the
-    determinant oracle; x and the fingerprint ids are the bytes of the
-    sample-by-sample scan."""
+    determinant oracle, and again once the bump was read at |x|; x and the
+    fingerprint ids are the bytes of the sample-by-sample scan."""
     prof = tmp_path / "p.csv"
     assert run(["certify", "--window", "bump", "--alpha", "1.0", "--beta",
                 BETA_IRR, "--out", str(tmp_path / "c.json"),
                 "--det-profile", str(prof)]) == 0
     _assert_profile_matches_det_oracle(prof, window.bump(), 1.0, float(BETA_IRR))
     assert hashlib.sha256(prof.read_bytes()).hexdigest() == (
-        "430bfda9964363b73c0105861037376d0da9ff152ca1143cd150ae08fc12746a")
+        "35cb8235cadaa557cb40892e25a5b597ba571c7bc168d974986eab1e26dbb790")
 
 
 def test_certify_det_profile_many_gaps_bytes(tmp_path):
     """gevrey:2 at alpha*beta ~ 0.95: 70 gaps sharing 49 structures, so the
     fingerprint ids repeat across gaps; 484 samples hold an underflowed
-    entry and |det| exactly 0.  Pinned once it passed the oracle."""
+    entry and |det| exactly 0.  Pinned once it passed the oracle, and again
+    once gevrey was read at |x|."""
     prof = tmp_path / "p.csv"
     assert run(["certify", "--window", "gevrey:2", "--alpha", "1.3",
                 "--beta", "0.73076923", "--extent", "16",
@@ -197,7 +198,7 @@ def test_certify_det_profile_many_gaps_bytes(tmp_path):
     _assert_profile_matches_det_oracle(prof, window.gevrey(2), 1.3, 0.73076923)
     assert sum(float(l.split(",")[1]) == 0 for l in lines) == 484
     assert hashlib.sha256(prof.read_bytes()).hexdigest() == (
-        "63992240a7ad1c01148a50fc8f64aa8e8b4af799fb3cfbff0db8522a6b43d69b")
+        "6a3ba7d7401fe30b7a56b7eeebd5bce99c1bdf6f7b51e70ecbeaf75ec2b52d95")
 
 
 def test_certify_det_profile_sampled_window_bytes(tmp_path):
@@ -877,11 +878,12 @@ def test_scan_seed_recorded_in_meta(tmp_path):
 
 # ---------------------------------------------------------------------------
 # section columns as one range, separators evaluated together: byte-identity
-# pins recorded from the per-row column union and the per-entry separators
+# pins recorded from the per-row column union and the per-entry separators;
+# the CSVs of bump and gevrey re-pinned once the even kinds were read at |x|
 
 @pytest.mark.parametrize("wspec, alpha, beta, extent, csv_sha, summary_sha", [
     ("bump", "1.3", "0.45", "16",
-     "3c386291226c032013cb07ce27a1e43ab83638a59e333c5a0b798efb4074f776",
+     "79893979765a5c8a2c35fef5c5e818efd3bdbebe39e4b3a172afe986746698b7",
      "67ae23fd0b58ebf0812cde90da847ca587e0c2d486a7bef71f9bb977711880ab"),
     ("bump", "0.7", "0.45", "16",        # beta*(b-a) < 1: rows without columns
      "48c99c7c3a1bdacb767040383f45b6b08654f810d6c53a5a989cf4a74b2dd7f3",
@@ -890,7 +892,7 @@ def test_scan_seed_recorded_in_meta(tmp_path):
      "d252ba15b97a89d88227f29852801259d5376046148f3c43574ec20b7c8e5343",
      "7a14820c566fd1f4b1fd1b3b6c5bb3563f23ffce0aa51069964acbce6ac2f691"),
     ("gevrey:3", "1.1", "0.7", "64",
-     "af7fadfee5debe5f5e24bffe3d1fed4e8e236d0301e13c8ec14407d1eb574452",
+     "ddfaf8e2493f323fde76d5ef7d59442f81e77e8a44f872dca456940f5b75e0cf",
      "20e66e765226a0a73b59e91e236b5a1830201fa68ff43548a7a9d1ea35cbec6e"),
 ], ids=["bump-16", "bump-16-painless", "oddbump-32", "gevrey3-64"])
 def test_framebounds_artifact_bytes_pinned(tmp_path, wspec, alpha, beta,
@@ -905,9 +907,9 @@ def test_framebounds_artifact_bytes_pinned(tmp_path, wspec, alpha, beta,
 
 
 _SECTION_PINS = {      # (window, extent): (CSV sha256, summary sha256)
-    ("bump", "16"): ("e15bbbb98e79061be7e7126ebbd48d874f643d521f337bcb9c1892468fe71ec2",
+    ("bump", "16"): ("b915432ecbf1b97776cbeda88075dd529247632bb48c738a8d727244e408ac15",
                      "7972adfecdecdd04cee6730baeff1ded78078a93d48d6ef5271e79ddcc45dcb7"),
-    ("bump", "32"): ("3cd995e327eddfec00700d21ef7f19f3fb9bd54197b57af3cf1d379824f726d7",
+    ("bump", "32"): ("1dd97260610c164875d0bb7e18d8c1942fbaafadd1f872948d11b2c279d1dac2",
                      "3fd23dccf3a2375a658577a990459471a7b8bf8253a6c1cafd37aa680be11946"),
     ("bump", "64"): ("f470cf64ee506db3fe8f023e65e240629b052bf59740dfa4283b93083b544ce2",
                      "5b3d31543d2b159259d726f4a7035d3abd28c1e2597ccc86f7a0df6ca00ac136"),

@@ -524,3 +524,67 @@ def test_banded_log_abs_det_stays_finite_past_underflow():
     got = linalg.banded_log_abs_det(_band(band), 1, np.array([5]))
     assert np.linalg.det(np.diag(np.full(5, 1e-200))) == 0.0
     assert got[0] == pytest.approx(-1000 * math.log(10.0), rel=1e-14)
+
+
+def _swap_every_lane_lu(band, k, stack, sizes, pivots):
+    """Reference of linalg._stack_log_abs_det that swaps rows in every lane
+    by fancy indexing (a lane whose pivot is in row j swaps it with itself);
+    appends each step's pivot rows to pivots."""
+    n, size, width = len(stack), int(sizes[0]), 2 * k + 1
+
+    def rows(r0, live):
+        step = max(1, linalg._BATCH_ENTRIES // (width * live))
+        return band(np.arange(r0, min(r0 + step, size)), stack[:live])
+
+    slab, lo = rows(0, n), 0
+    window = np.zeros((k + 1, width, n), dtype=slab.dtype)
+    logsum = np.zeros(n)
+    lanes = np.arange(n)
+    lives = [n] * k + np.searchsorted(-sizes, -np.arange(size), side="left").tolist()
+    for j, live in enumerate(lives, start=-k):
+        win = window[:, :, :live]
+        win[:-1, :-1] = win[1:, 1:]
+        win[:-1, -1] = 0
+        if lo + len(slab) <= j + k < size:
+            slab, lo = rows(j + k, live), j + k
+        win[-1] = slab[j + k - lo, :, :live] if j + k < size else 0
+        if j < 0:
+            continue
+        col = win[:, 0]
+        mag = (np.abs(col.real) + np.abs(col.imag) if col.dtype.kind == "c"
+               else np.abs(col))
+        p = mag.argmax(axis=0)
+        pivots.append(p)
+        top = win[0].copy()
+        win[0] = win[p, :, lanes[:live]].T
+        win[p, :, lanes[:live]] = top.T
+        piv = win[0, 0]
+        with np.errstate(divide="ignore"):
+            logsum[:live] += np.log(np.abs(piv))
+        factors = win[1:, 0] / np.where(piv == 0, 1, piv)
+        win[1:, 1:] -= factors[:, None] * win[0, 1:]
+    return logsum
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("k", [1, 2, 3, 5])
+def test_pivot_swaps_in_moved_lanes_keep_every_bit(dtype, k):
+    """Swapping only the lanes whose pivot left row j gives the bits of the
+    every-lane swap, on stacks whose pivots come from every row 0..k of the
+    window and whose diagonally dominant lanes never swap."""
+    rng = np.random.default_rng(40 + k)
+    sizes = np.array([4 * k + 6, 4 * k + 6, 3 * k + 2, 2 * k + 1, k + 1, k, 2, 1])
+    band, _ = _banded_stack(rng, k, sizes, dtype, 0.1)
+    for i, s in enumerate(sizes.tolist()):
+        for j in range(s):                  # plant a large entry below row j
+            t = rng.integers(0, min(k, s - 1 - j) + 1)
+            band[j + t, k - t, i] *= 1e3
+    steady = np.array([1, 4])
+    band[:, k, steady] += 1e9               # diagonal dominance: no swap
+    stack = np.arange(len(sizes))
+    pivots = []
+    want = _swap_every_lane_lu(_band(band), k, stack, sizes, pivots)
+    got = linalg._stack_log_abs_det(_band(band), k, stack, sizes)
+    assert got.tobytes() == want.tobytes()
+    assert set(np.concatenate(pivots).tolist()) == set(range(k + 1))
+    assert not any(p[steady[steady < len(p)]].any() for p in pivots)

@@ -108,11 +108,13 @@ def test_window_rejects_non_finite_support(lo, hi):
 
 
 def _eval_inside_chain(w, x):
-    """The per-kind branch chain that the formula table replaced."""
+    """The per-kind branch chain that the formula table replaced; the even
+    kinds keep its x ** 4 at x >= 0 and reach x < 0 by evenness."""
+    t = np.abs(x)
     if w.kind == "bump":
-        return np.exp(1.0 / (x ** 4 - 1.0)).astype(complex)
+        return np.exp(1.0 / (t ** 4 - 1.0)).astype(complex)
     if w.kind == "gevrey":
-        return np.exp(-((1.0 - x ** 4) ** (-float(w.order)))).astype(complex)
+        return np.exp(-((1.0 - t ** 4) ** (-float(w.order)))).astype(complex)
     if w.kind == "characteristic":
         return np.ones_like(x, dtype=complex)
     if w.kind == "odd_bump":
@@ -137,6 +139,47 @@ def test_formula_table_matches_branch_chain_bits():
         x = x[(x > w.support_lo) & (x < w.support_hi)]
         got = W.evaluate(w, x)
         assert got.tobytes() == _eval_inside_chain(w, x).tobytes(), w.kind
+
+
+@pytest.mark.parametrize("w", [W.bump(), W.gevrey(1), W.gevrey(2), W.gevrey(3)],
+                         ids=["bump", "gevrey1", "gevrey2", "gevrey3"])
+def test_even_kinds_are_even_bit_for_bit(w):
+    """g(-x) has every bit of g(x) over 10^5 points, and at x >= 0 the bits
+    of the x ** 4 formula (numpy's power takes another path for a negative
+    base, whose last bits can differ)."""
+    x = np.random.default_rng(5).random(100_000)
+    got = W.evaluate(w, x)
+    assert W.evaluate(w, -x).tobytes() == got.tobytes()
+    if w.kind == "bump":
+        formula = np.exp(1.0 / (x ** 4 - 1.0))
+    else:
+        formula = np.exp(-((1.0 - x ** 4) ** (-float(w.order))))
+    assert got.real.tobytes() == formula.tobytes() and not got.imag.any()
+
+
+def test_odd_bump_is_odd_bit_for_bit():
+    x = np.random.default_rng(6).random(100_000)
+    got, mirrored = W.evaluate(W.odd_bump(), x), W.evaluate(W.odd_bump(), -x)
+    assert mirrored.real.tobytes() == (-got.real).tobytes()
+    assert not mirrored.imag.any()
+
+
+def test_inside_values_is_real_exactly_for_real_windows():
+    """Closed forms and a sampled grid without imaginary part give float64
+    with the bits of evaluate's real part; a complex grid stays complex, and
+    evaluate is complex for every kind."""
+    xs = np.linspace(0.0, 1.0, 33)
+    real_grid = W.sampled(xs, np.sin(np.pi * xs))
+    cases = [(W.bump(), True), (W.gevrey(2), True), (W.characteristic(), True),
+             (W.odd_bump(), True), (W.poly_bump(), True), (real_grid, True),
+             (W.sampled(xs, np.sin(np.pi * xs) + 0.5j * xs ** 2), False)]
+    x = np.random.default_rng(7).random(1000) * 0.98 + 0.01
+    for w, real in cases:
+        assert w.is_real is real, w.kind
+        vals, full = W.inside_values(w, x), W.evaluate(w, x)
+        assert vals.shape == x.shape and full.dtype == complex
+        assert vals.dtype == (float if real else complex), w.kind
+        assert np.asarray(vals, dtype=complex).tobytes() == full.tobytes(), w.kind
 
 
 def test_window_call_is_evaluate():
