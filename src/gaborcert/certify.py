@@ -24,7 +24,7 @@ from .lattice import (BlockSpec, LatticeParams, anchor_block, band_halfwidth,
                       separator_row, size_bound, structure_fingerprint,
                       structure_gaps)
 from .linalg import banded_log_abs_det, stack_sigma_min
-from .window import Window, evaluate, inside_values, inv_sup_on_core, sup_norm
+from .window import Window, evaluate, inv_sup_on_core, sup_norm
 
 __all__ = [
     "CertifyConfig",
@@ -216,19 +216,21 @@ _HOP_BOUND = 10_000         # _walk: rows tried per hop; an extent <= 9,999 ends
 _COVER_TOL = 1e-12          # _anchor_row_covered: longest bad overlap ignored
 
 
-def _one_structure(params: LatticeParams, w: Window, x: float,
-                   ends) -> BlockSpec:
-    """anchor_block at x; raises ValueError when an x in ends has another
-    anchor_m or size.  build_Mx and the scan's band read only these two,
-    and both are monotone in x, in floating point too (x + m/beta is, and
-    so is the size for a fixed anchor_m): equal values at two x hold for
-    every x between."""
+def _one_structure(params: LatticeParams, w: Window, x, ends) -> BlockSpec:
+    """anchor_block at x, a float or a float array; raises ValueError where
+    an x in ends (each of x's shape) has another anchor_m or size.  build_Mx
+    and the scan's band read only these two, and both are monotone in x, in
+    floating point too (x + m/beta is, and so is the size for a fixed
+    anchor_m): equal values at two x hold for every x between."""
     spec = anchor_block(params, w, x)
     for end in ends:
         other = anchor_block(params, w, end)
-        if (other.anchor_m, other.size) != (spec.anchor_m, spec.size):
-            raise ValueError(f"the anchor structure changes between "
-                             f"x={x!r} and x={end!r}")
+        moved = np.flatnonzero((other.anchor_m != spec.anchor_m)
+                               | (other.size != spec.size))
+        if len(moved):
+            lo, hi = (np.ravel(v)[moved[0]].item() for v in (x, end))
+            raise ValueError(f"the anchor structure changes between x={lo!r} "
+                             f"and x={hi!r}")
     return spec
 
 
@@ -237,36 +239,25 @@ def _log_abs_dets(params: LatticeParams, w: Window, gaps: list):
     of every x in gap order) for sorted x arrays, one per breakpoint gap;
     the breakpoints are complete, so a structure change inside a gap is a bug.
 
-    One anchor_block call over every gap's first and last x finds the
-    structures.  banded_log_abs_det factors the band |j - i| <= band_halfwidth
-    of each block, with build_Mx's bits (entry_args), in float64 when
-    Window.is_real."""
-    ends = np.array([(xs[0], xs[-1]) for xs in gaps])
-    spec = anchor_block(params, w, ends)
-    m, s = spec.anchor_m[:, 0], spec.size[:, 0]
-    moved = np.flatnonzero((spec.anchor_m[:, 1] != m) | (spec.size[:, 1] != s))
-    if len(moved):
-        lo, hi = ends[moved[0]].tolist()
-        raise AssertionError(f"the anchor structure changes between x={lo!r} "
-                             f"and x={hi!r}")
+    banded_log_abs_det factors the band |j - i| <= band_halfwidth of each
+    block, entries evaluate(w, entry_args(...)) as in build_Mx."""
+    spec = _one_structure(params, w, np.array([xs[0] for xs in gaps]),
+                          [np.array([xs[-1] for xs in gaps])])
     counts = [len(xs) for xs in gaps]
     x = np.concatenate(gaps)
-    first, size = np.repeat(m, counts), np.repeat(s, counts)
-    k = min(band_halfwidth(params, w), int(s.max()) - 1)
-    dtype = float if w.is_real else complex
+    first, size = np.repeat(spec.anchor_m, counts), np.repeat(spec.size, counts)
+    k = min(band_halfwidth(params, w), int(spec.size.max()) - 1)
 
     def band(r, i):
-        """Band rows r of the samples i, 0 outside each block."""
+        """Band rows r of the samples i, 0 outside each block: its slots
+        take the argument NaN, where g is 0."""
         r = r[:, None, None]
         c = r - k + np.arange(2 * k + 1)[:, None]
         args = entry_args(params, x[i], r, first[i] + c)
-        good = ((c >= 0) & (c < size[i]) & (r < size[i])
-                & (args > w.support_lo) & (args < w.support_hi))
-        vals = np.zeros(args.shape, dtype=dtype)
-        vals[good] = inside_values(w, args[good])
-        return vals
+        args[(c < 0) | (c >= size[i]) | (r >= size[i])] = np.nan
+        return evaluate(w, args)
 
-    return BlockSpec(0, m, s, ends[:, 0]), banded_log_abs_det(band, k, size)
+    return spec, banded_log_abs_det(band, k, size)
 
 
 def scan_determinant(params: LatticeParams, w: Window,
@@ -332,8 +323,8 @@ def build_block_decomposition(params: LatticeParams, w: Window, x: float,
     """Replay the glueing argument: anchor blocks landing in the certified
     interval, joined by separator rows, covering rows [-extent, extent].
 
-    The interval's ends must have x's anchor_m and size; both are monotone
-    in x, so every landing x - alpha*n + m/beta inside has them too.  Rows
+    The interval's ends must share anchor_m and size; both are monotone in
+    x, so x and every landing x - alpha*n + m/beta inside have them too.  Rows
     between consecutive blocks that are neither block rows nor separator
     rows are discarded (removing rows only weakens the lower bound, never the
     verdict's validity).
@@ -355,7 +346,7 @@ def build_block_decomposition(params: LatticeParams, w: Window, x: float,
     ends = [spec.anchor_m, *(m for _, m in land)]
     first = min(ends)
     cols = np.arange(first, max(ends) + 1)
-    sep_rows, sep_args = separator_row(params, w, x, cols)
+    sep_rows = separator_row(params, w, x, cols)[0]
     # falls[i]: non-increasing steps among the separator rows of cols[:i+1]
     falls = np.cumsum(np.concatenate(([0], sep_rows[1:] <= sep_rows[:-1]))).tolist()
     rows_of = sep_rows.tolist()
@@ -378,13 +369,14 @@ def build_block_decomposition(params: LatticeParams, w: Window, x: float,
     free = np.ones(anchor_cols[-1] + size - anchor_cols[0], dtype=bool)
     free[anchor_cols[:, None] + span - anchor_cols[0]] = False
     seps = np.flatnonzero(free) + (anchor_cols[0] - first)
+    sep_rows, sep_cols = sep_rows[seps], seps + first
     # the outermost anchor blocks may reach past row -extent or extent
-    used = np.concatenate(((anchor_rows[:, None] + span).ravel(), sep_rows[seps]))
+    used = np.concatenate(((anchor_rows[:, None] + span).ravel(), sep_rows))
     discarded = np.ones(len(rows), dtype=bool)
     discarded[used[np.abs(used) <= extent] + extent] = False
-    return BlockDecomposition(x, anchor_rows, anchor_cols, mats,
-                              sep_rows[seps], seps + first,
-                              evaluate(w, sep_args[seps]), rows[discarded])
+    return BlockDecomposition(x, anchor_rows, anchor_cols, mats, sep_rows, sep_cols,
+                              evaluate(w, entry_args(params, x, sep_rows, sep_cols)),
+                              rows[discarded])
 
 
 def assemble_composite(params: LatticeParams, w: Window,

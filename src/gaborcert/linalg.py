@@ -71,14 +71,14 @@ def stack_sigma_min(stack) -> float:
     (N, m, n) stack; inf for an empty one.
 
     A real-valued 1x1 block [a] gives |a|, exactly what ``dgejsv`` returns.
-    One batched LAPACK SVD (``gesdd``, in real arithmetic when the stack has
-    no imaginary part) estimates every other block's smallest singular value
-    est_i, and only the candidates go to ``svdvals_accurate``.  Both SVDs are
-    backward stable: each returns the singular values of A + E with
-    ||E||_2 <= p(s) eps ||A||_2 for a modest p of the size s = max(m, n) (the
-    LAPACK Users' Guide bound; ``dgejsv``'s real embedding of a complex block
-    has the same 2-norm), so by Weyl's inequality each is within
-    p(s) eps ||A_i||_F of the true sigma_min.  With
+    One batched LAPACK SVD (``gesdd``, in the stack's dtype) estimates every
+    other block's smallest singular value est_i, and only the candidates go
+    to ``svdvals_accurate``.  Both SVDs are backward stable: each returns
+    the singular values of A + E with ||E||_2 <= p(s) eps ||A||_2 for a
+    modest p of the size s = max(m, n) (the LAPACK Users' Guide bound;
+    ``dgejsv``'s real embedding of a complex block has the same 2-norm), so
+    by Weyl's inequality each is within p(s) eps ||A_i||_F of the true
+    sigma_min.  With
     tol_i = SCREEN_SLACK * s * eps * ||A_i||_F covering both errors, est_i
     and the accurate value J_i differ by at most tol_i.  If block k has the
     smallest J, then est_k - tol_k <= J_k <= J_j <= est_j + tol_j for every
@@ -98,11 +98,10 @@ def stack_sigma_min(stack) -> float:
         A = A[~real]
     if len(A) == 0:
         return low
-    work = A.real if np.iscomplexobj(A) and not A.imag.any() else A
-    est = np.linalg.svd(work, compute_uv=False)[:, -1]
+    est = np.linalg.svd(A, compute_uv=False)[:, -1]
     with np.errstate(over="ignore"):    # a norm past the largest double: tol = inf
         tol = (SCREEN_SLACK * max(A.shape[1:]) * np.finfo(float).eps
-               * np.linalg.norm(work, axis=(1, 2)))
+               * np.linalg.norm(A, axis=(1, 2)))
     candidates = np.flatnonzero(est - tol <= (est + tol).min())
     distinct = {A[i].tobytes(): A[i] for i in candidates.tolist()}
     return min(low, float(min(svdvals_accurate(a)[-1] for a in distinct.values())))

@@ -28,7 +28,6 @@ __all__ = [
     "odd_bump",
     "poly_bump",
     "sampled",
-    "inside_values",
     "evaluate",
     "sup_norm",
     "inv_sup_on_core",
@@ -151,7 +150,9 @@ def _interp(w: Window, x):
 #: differ, so g(-x) is g(|x|) bit for bit
 _FORMULAS = {
     "bump": lambda w, x: np.exp(1.0 / (np.abs(x) ** 4 - 1.0)),
-    "gevrey": lambda w, x: np.exp(-((1.0 - np.abs(x) ** 4) ** (-float(w.order)))),
+    # the power overflows near the support ends, where g is 0 all the same
+    "gevrey": np.errstate(over="ignore")(
+        lambda w, x: np.exp(-((1.0 - np.abs(x) ** 4) ** (-float(w.order))))),
     "characteristic": lambda w, x: np.ones_like(x),
     "odd_bump": lambda w, x: x * np.exp(1.0 / (x ** 2 - 1.0)),
     "poly_bump": lambda w, x: (x - w.support_lo) * (w.support_hi - x),
@@ -186,12 +187,13 @@ def _sampled_log_min(w: Window, lo: float, hi: float) -> float:
 
 
 #: log min |g| on a core [lo, hi] inside the open support, -inf exactly where
-#: g vanishes there (or gevrey's log overflows, at orders above 20): bump and
-#: gevrey fall as |x| grows, poly_bump is concave, the odd bump rises, then falls
+#: g vanishes there: bump and gevrey fall as |x| grows, poly_bump is concave,
+#: the odd bump rises, then falls.  Gevrey's log passes the largest double at
+#: orders above 20 and rounds toward zero to its negative: g has no zero inside
 _CORE_LOG_MIN = {
     "bump": lambda w, lo, hi: 1.0 / (max(-lo, hi) ** 4 - 1.0),
-    "gevrey": np.errstate(over="ignore")(
-        lambda w, lo, hi: -(1.0 - np.float64(max(-lo, hi)) ** 4) ** -w.order),
+    "gevrey": np.errstate(over="ignore")(lambda w, lo, hi: max(
+        -(1.0 - np.float64(max(-lo, hi)) ** 4) ** -w.order, -np.finfo(float).max)),
     "characteristic": lambda w, lo, hi: 0.0,
     "odd_bump": lambda w, lo, hi: -math.inf if lo <= 0.0 <= hi else min(
         math.log(t) + 1.0 / (t ** 2 - 1.0) for t in (abs(lo), abs(hi))),
@@ -201,24 +203,15 @@ _CORE_LOG_MIN = {
 }
 
 
-def inside_values(w: Window, x: np.ndarray) -> np.ndarray:
-    """g at a float array of points strictly inside the open support: float64
-    when w.is_real, complex otherwise."""
-    return _FORMULAS[w.kind](w, x)
-
-
 def evaluate(w: Window, x):
-    """Evaluate the window, as complex; exactly 0 outside the open support interval."""
+    """g at x: float64 when w.is_real, complex otherwise, and exactly 0
+    outside the open support interval (and at NaN).  A scalar x gives a
+    Python float or complex."""
     arr = np.asarray(x, dtype=float)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    out = np.zeros(arr.shape, dtype=complex)
     inside = (arr > w.support_lo) & (arr < w.support_hi)
-    if np.any(inside):
-        out[inside] = inside_values(w, arr[inside])
-    if scalar:
-        return complex(out[0])
-    return out
+    out = np.zeros(arr.shape, dtype=float if w.is_real else complex)
+    out[inside] = _FORMULAS[w.kind](w, arr[inside])
+    return out.item() if out.ndim == 0 else out
 
 
 def sup_norm(w: Window) -> float:

@@ -193,19 +193,21 @@ def test_scan_splits_batches_past_entry_cap(monkeypatch):
 
 def test_scan_evaluates_at_most_the_cap_per_call(monkeypatch):
     """alpha = 1, alpha*beta = 0.99: anchor blocks up to size 200 in 3,168
-    samples, yet under a budget of 2^13 entries no inside_values call of the
-    scan sees more than that, and together they see each good pair of the
-    band exactly once."""
+    samples, yet under a budget of 2^13 entries no evaluate call of the
+    scan sees more than that, and together they reach the bump's formula
+    with each good pair of the band exactly once."""
     p, w = L.lattice_params(1.0, 0.99), W.bump()
-    seen = []
+    calls, seen, bump = [], [], W._FORMULAS["bump"]
     monkeypatch.setattr(LA, "_BATCH_ENTRIES", 1 << 13)
-    monkeypatch.setattr(C, "inside_values",
-                        lambda w, x: seen.append(np.size(x)) or W.inside_values(w, x))
+    monkeypatch.setattr(C, "evaluate",
+                        lambda w, x: calls.append(np.size(x)) or W.evaluate(w, x))
+    monkeypatch.setitem(W._FORMULAS, "bump",
+                        lambda w, x: seen.append(np.size(x)) or bump(w, x))
     prof = C.scan_determinant(p, w, 32)
     specs = [L.anchor_block(p, w, x) for x in prof.x_samples]
     sizes = np.array([spec.size for spec in specs])
     assert sizes.max() >= 190 and sizes.min() > L.band_halfwidth(p, w)
-    assert len(seen) > 1 and max(seen) <= 1 << 13
+    assert len(calls) == len(seen) > 1 and max(calls) <= 1 << 13
     k = L.band_halfwidth(p, w)
     offsets = np.arange(-k, k + 1)
     good = 0
@@ -310,7 +312,7 @@ def test_scan_rejects_a_gap_holding_two_structures(monkeypatch):
     structures; the scan trusts the breakpoints and raises, never splits."""
     monkeypatch.setattr(L, "structure_breakpoints", lambda params, w: np.array([]))
     p, w = L.lattice_params(1.0, 1.0 / SQRT2), W.bump()
-    with pytest.raises(AssertionError, match="anchor structure"):
+    with pytest.raises(ValueError, match="anchor structure"):
         C.scan_determinant(p, w, 64)
 
 
@@ -330,7 +332,7 @@ def test_gap_structure_check_holds_anchor_m():
     xs = np.array([0.2, 0.2 + p.inv_beta])
     a0, a1 = (L.anchor_block(p, w, x) for x in xs)
     assert L.structure_fingerprint(p, w, a0) == L.structure_fingerprint(p, w, a1)
-    with pytest.raises(AssertionError, match="anchor structure"):
+    with pytest.raises(ValueError, match="anchor structure"):
         C._log_abs_dets(p, w, [xs])
     specs, log_abs = C._log_abs_dets(p, w, [xs[:1], xs[1:]])
     assert list(zip(specs.anchor_m.tolist(), specs.size.tolist())) == [(0, 2), (-1, 2)]
@@ -734,6 +736,19 @@ def test_bump_core_holds_where_its_minimum_underflows(alpha, density):
     assert C._hypothesis_report(params, W.bump())["inv_sup_finite"] is True
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("order", [100, 1000])
+def test_gevrey_core_holds_where_its_log_overflows(order):
+    """At (1.8, 0.54123) the core is [-0.9, 0.9]: ln max 1/g is e^107 at
+    order 100 and e^1067, past the largest double, at order 1000.  Gevrey
+    has no zero there, so the scan runs, and its band's powers overflow to
+    g = 0 near the support ends without a warning."""
+    params = L.lattice_params(1.8, 0.54123)
+    cert = C.certify_frame(params, W.gevrey(order), C.CertifyConfig(extent=16))
+    assert all(cert.hypothesis_report.values())
+    assert cert.reason == "no determinant floor found"
+
+
 # ---------------------------------------------------------------------------
 # rational machinery
 
@@ -904,20 +919,21 @@ def test_rational_analysis_matches_sample_loops(w, alpha, beta):
 def _separators_per_hop(params, w, x, col_lo, col_hi, row_lo, row_hi):
     """Reference: the separator blocks for columns col_lo..col_hi with rows
     rising strictly inside (row_lo, row_hi), or None; one scalar
-    separator_row per column, then one evaluate call for the hop."""
+    separator_row per column, then one evaluate call for the hop, at the
+    entries' arguments."""
     cols = range(col_lo, col_hi + 1)
-    rows, args = [], []
+    rows = []
     prev_n = row_lo
     for m in cols:
-        n, arg = L.separator_row(params, w, x, m)
+        n, _ = L.separator_row(params, w, x, m)
         if not (prev_n < n < row_hi):
             return None
         rows.append(n)
-        args.append(arg)
         prev_n = n
-    if not args:
+    if not rows:
         return []
-    entries = W.evaluate(w, np.array(args)).reshape(-1, 1, 1)
+    entries = W.evaluate(w, L.entry_args(params, x, np.array(rows),
+                                         np.array(cols))).reshape(-1, 1, 1)
     return [C.DecompBlock("separator", n, m, entry)
             for n, m, entry in zip(rows, cols, entries)]
 
@@ -1011,7 +1027,8 @@ def test_replay_matches_per_hop_loop(monkeypatch, w, alpha, beta, hop_bound):
             if isinstance(got, str):
                 seen["messages"] += 1
             else:
-                assert all(b[3] == complex for b in got[0])
+                assert all(b[3] == (float if w.is_real else complex)
+                           for b in got[0])
                 seen["separators"] += sum(b[0] == "separator" for b in got[0])
     assert seen["messages" if hop_bound else "separators"] > 0
 
@@ -1039,6 +1056,18 @@ def test_replay_matches_per_hop_loop_on_moved_separator_rows(monkeypatch, w,
     x = 0.5 * (lo + hi)
     got = _replayed(C.build_block_decomposition, p, w, x, 64, (lo, hi))
     assert got == _replayed(_decomposition_per_hop, p, w, x, 64, (lo, hi))
+
+
+@_REPLAY_CASES
+def test_separators_are_ron_shen_entries(w, alpha, beta):
+    """Each 1x1 separator block is its entry of the Ron-Shen matrix,
+    evaluate(w, entry_args(...)) bit for bit, as every anchor block is."""
+    p = L.lattice_params(alpha, beta)
+    lo, hi = _interval(p, w)
+    dec = C.build_block_decomposition(p, w, 0.5 * (lo + hi), 1024, (lo, hi))
+    assert len(dec.separators) > 0
+    assert _same_bits(dec.separators, W.evaluate(w, L.entry_args(
+        p, dec.x, dec.separator_rows, dec.separator_cols)))
 
 
 def _count_svd_calls(monkeypatch):

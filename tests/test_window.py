@@ -138,7 +138,9 @@ def test_formula_table_matches_branch_chain_bits():
         x = w.support_lo + w.support_length * rng.random(4000)
         x = x[(x > w.support_lo) & (x < w.support_hi)]
         got = W.evaluate(w, x)
-        assert got.tobytes() == _eval_inside_chain(w, x).tobytes(), w.kind
+        assert got.dtype == (float if w.is_real else complex), w.kind
+        want = _eval_inside_chain(w, x)
+        assert got.astype(complex).tobytes() == want.tobytes(), w.kind
 
 
 @pytest.mark.parametrize("w", [W.bump(), W.gevrey(1), W.gevrey(2), W.gevrey(3)],
@@ -164,22 +166,27 @@ def test_odd_bump_is_odd_bit_for_bit():
     assert not mirrored.imag.any()
 
 
-def test_inside_values_is_real_exactly_for_real_windows():
-    """Closed forms and a sampled grid without imaginary part give float64
-    with the bits of evaluate's real part; a complex grid stays complex, and
-    evaluate is complex for every kind."""
+def test_evaluate_is_real_exactly_for_real_windows():
+    """Closed forms and a sampled grid without imaginary part give float64,
+    a complex grid complex, at points inside and outside the support and at
+    NaN, which gives 0; a scalar gives a Python float or complex."""
     xs = np.linspace(0.0, 1.0, 33)
     real_grid = W.sampled(xs, np.sin(np.pi * xs))
     cases = [(W.bump(), True), (W.gevrey(2), True), (W.characteristic(), True),
              (W.odd_bump(), True), (W.poly_bump(), True), (real_grid, True),
              (W.sampled(xs, np.sin(np.pi * xs) + 0.5j * xs ** 2), False)]
-    x = np.random.default_rng(7).random(1000) * 0.98 + 0.01
+    x = np.random.default_rng(7).random(1000) * 4.0 - 2.0
+    x[::10] = np.nan
     for w, real in cases:
         assert w.is_real is real, w.kind
-        vals, full = W.inside_values(w, x), W.evaluate(w, x)
-        assert vals.shape == x.shape and full.dtype == complex
+        vals = W.evaluate(w, x)
+        assert vals.shape == x.shape, w.kind
         assert vals.dtype == (float if real else complex), w.kind
-        assert np.asarray(vals, dtype=complex).tobytes() == full.tobytes(), w.kind
+        inside = (x > w.support_lo) & (x < w.support_hi)
+        assert not vals[~inside].any() and inside.any(), w.kind
+        for t in (0.3, 5.0, math.nan):
+            assert type(W.evaluate(w, t)) is (float if real else complex), w.kind
+        assert W.evaluate(w, 0.3) == vals.dtype.type(W.evaluate(w, [0.3])[0])
 
 
 def test_window_call_is_evaluate():
@@ -271,10 +278,20 @@ def test_inv_sup_sampled_sign_change_is_a_zero():
 
 
 @pytest.mark.filterwarnings("error")
-def test_inv_sup_gevrey_log_overflow_is_inf():
-    # ln max 1/|g| = (1 - 0.9^4)^-1000 = e^1067 is beyond the largest double
-    assert W.inv_sup_on_core(W.gevrey(1000), 0.1) == math.inf
-    assert W.inv_sup_on_core(W.gevrey(400), 0.1) < math.inf
+def test_inv_sup_gevrey_log_overflow_stays_finite():
+    # ln max 1/|g| = (1 - 0.9^4)^-1000 = e^1067 is beyond the largest double,
+    # yet gevrey has no zero in (-1, 1): it rounds toward zero, to that double
+    assert W.inv_sup_on_core(W.gevrey(1000), 0.1) == np.finfo(float).max
+    assert W.inv_sup_on_core(W.gevrey(400), 0.1) == pytest.approx(
+        (1.0 - 0.9 ** 4) ** -400, rel=1e-12)
+
+
+@pytest.mark.filterwarnings("error")
+def test_gevrey_is_zero_near_its_ends_without_a_warning():
+    # (1 - x^4)^-100 overflows to inf a little inside the support ends
+    vals = W.evaluate(W.gevrey(100), np.array([-1.0 + 1e-7, -0.5, 0.0, 0.5,
+                                               1.0 - 1e-7]))
+    assert vals[0] == vals[-1] == 0.0 and (vals[1:-1] > 0.0).all()
 
 
 def test_inv_sup_core_rounding_onto_the_support_end():
