@@ -177,7 +177,6 @@ class FrameCertificate:
     interval_hi: Optional[float] = None
     delta: Optional[float] = None
     block_sigma_min: Optional[float] = None
-    extent: int = 0
     n_blocks: Optional[int] = None
     # the scan behind the verdict; None when a hypothesis failed first
     profile: Optional[DeterminantProfile] = field(default=None, compare=False,
@@ -346,7 +345,7 @@ def build_block_decomposition(params: LatticeParams, w: Window, x: float,
     ends = [spec.anchor_m, *(m for _, m in land)]
     first = min(ends)
     cols = np.arange(first, max(ends) + 1)
-    sep_rows = separator_row(params, w, x, cols)[0]
+    sep_rows = separator_row(params, w, x, cols)
     # falls[i]: non-increasing steps among the separator rows of cols[:i+1]
     falls = np.cumsum(np.concatenate(([0], sep_rows[1:] <= sep_rows[:-1]))).tolist()
     rows_of = sep_rows.tolist()
@@ -415,7 +414,7 @@ def _anchor_row_covered(params: LatticeParams, w: Window) -> bool:
 
 def _hypothesis_report(params: LatticeParams, w: Window) -> dict:
     report = {
-        "density_lt_one": params.density < 1.0,
+        "density_lt_one": params.subcritical,
         "irrational_class": not params.rational_class.is_rational,
         "alpha_lt_support": params.alpha < w.support_length,
         "anchor_row_covered": _anchor_row_covered(params, w),
@@ -443,17 +442,15 @@ def certify_frame(params: LatticeParams, w: Window,
     report = _hypothesis_report(params, w)
     for key, ok in report.items():
         if not ok:
-            return FrameCertificate("not_certified", _REASONS[key], report,
-                                    extent=config.extent)
+            return FrameCertificate("not_certified", _REASONS[key], report)
     try:
         profile = scan_determinant(params, w, config.samples_per_gap)
     except BudgetExceeded as exc:
-        return FrameCertificate("not_certified", str(exc), report,
-                                extent=config.extent)
+        return FrameCertificate("not_certified", str(exc), report)
     found = find_certified_interval(profile, config.delta_floor)
     if found is None:
         return FrameCertificate("not_certified", "no determinant floor found",
-                                report, extent=config.extent, profile=profile)
+                                report, profile=profile)
     mid = 0.5 * (found.lo + found.hi)
     try:
         decomp = build_block_decomposition(params, w, mid, config.extent,
@@ -461,16 +458,14 @@ def certify_frame(params: LatticeParams, w: Window,
     except HopNotFound as exc:
         return FrameCertificate("not_certified", str(exc), report,
                                 interval_lo=found.lo, interval_hi=found.hi,
-                                delta=found.delta, extent=config.extent,
-                                profile=profile)
+                                delta=found.delta, profile=profile)
     sigma = decomp.sigma_min
     verdict = "certified" if sigma > 0.0 else "not_certified"
     reason = None if sigma > 0.0 else "singular block in the decomposition"
     return FrameCertificate(verdict, reason, report,
                             interval_lo=found.lo, interval_hi=found.hi,
                             delta=found.delta, block_sigma_min=sigma,
-                            extent=config.extent, n_blocks=decomp.n_blocks,
-                            profile=profile)
+                            n_blocks=decomp.n_blocks, profile=profile)
 
 
 def forbidden_ratios(params: LatticeParams, w: Window) -> list:

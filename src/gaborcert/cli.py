@@ -21,7 +21,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import __version__, certify, framebound, lattice, randwin, window
-from .errors import GaborCertError, HypothesisViolated
+from .errors import GaborCertError
 
 __all__ = ["main", "parse_window", "parse_config", "json_dumps"]
 
@@ -190,7 +190,7 @@ def _emit(args, text: str, sidecars=()) -> None:
 # subcommands
 
 def _certificate_dict(args, cert: certify.FrameCertificate,
-                      rc: lattice.RationalClass, w: window.Window) -> dict:
+                      params: lattice.LatticeParams, w: window.Window) -> dict:
     # the scan's numbers; None when a hypothesis failed before any scan
     scan = cert.profile
     return {
@@ -203,35 +203,27 @@ def _certificate_dict(args, cert: certify.FrameCertificate,
         "floor_shortfall_log10": (None if scan is None else
                                   scan.floor_shortfall_log10(args.delta_floor)),
         "block_sigma_min": cert.block_sigma_min,
-        "extent": cert.extent,
+        "extent": args.extent,
         "n_blocks": cert.n_blocks,
         "hypothesis_report": cert.hypothesis_report,
         "params": {"alpha": args.alpha, "beta": args.beta,
-                   "rational_class": rc.label()},
+                   "rational_class": params.rational_class.label()},
         "window": w.descriptor(),
         "tool_version": __version__,
         "seed": args.seed,
     }
 
 
-def _certify_one(w: window.Window, alpha: float, beta: float,
-                 config: certify.CertifyConfig):
-    """(certificate, rational class); density >= 1 is a clean negative."""
-    try:
-        params = lattice.lattice_params(alpha, beta)
-    except HypothesisViolated:
-        cert = certify.FrameCertificate(
-            "not_certified", "density alpha*beta >= 1",
-            {"density_lt_one": False}, extent=config.extent)
-        return cert, lattice.classify_ratio(alpha * beta)
-    return certify.certify_frame(params, w, config), params.rational_class
+def _lattice(args) -> tuple[lattice.LatticeParams, window.Window]:
+    w = parse_window(args.window)
+    _require(args, "alpha", "beta")
+    return lattice.lattice_params(args.alpha, args.beta), w
 
 
 def cmd_certify(args) -> int:
-    _require(args, "alpha", "beta")
-    w = parse_window(args.window)
-    cert, rc = _certify_one(w, args.alpha, args.beta, _certify_config(args))
-    _emit(args, json_dumps(_certificate_dict(args, cert, rc, w)) + "\n")
+    params, w = _lattice(args)
+    cert = certify.certify_frame(params, w, _certify_config(args))
+    _emit(args, json_dumps(_certificate_dict(args, cert, params, w)) + "\n")
     if args.det_profile:
         ids, rows = {}, ["x,abs_det,fingerprint_id"]
         # a failed hypothesis leaves no scan and the profile header-only
@@ -251,7 +243,8 @@ def _scan_point(task):
     Top level so ProcessPoolExecutor can pickle it; a per-row failure becomes
     an Error row plus a message and never aborts the sweep.  w is the parsed
     window or the exception parsing raised, which each point that is not
-    skipped raises in turn.
+    skipped raises in turn.  alpha*beta >= 1 is Skipped, tested before any
+    validation, so an infinite alpha or beta is Skipped too.
     """
     w, alpha, beta, config = task
     point = f"{fmt(alpha)},{fmt(beta)}"
@@ -260,7 +253,7 @@ def _scan_point(task):
     try:
         if isinstance(w, Exception):
             raise w
-        cert, _ = _certify_one(w, alpha, beta, config)
+        cert = certify.certify_frame(lattice.lattice_params(alpha, beta), w, config)
     except (GaborCertError, ValueError) as exc:
         return f"{point},Error,,", f"alpha={fmt(alpha)} beta={fmt(beta)}: {exc}"
     verdict = "Certified" if cert.certified else "NotCertified"
@@ -297,12 +290,6 @@ def cmd_scan(args) -> int:
     _emit(args, "alpha,beta,verdict,delta,sigma_min\n"
           + "".join(row + "\n" for row, _ in results))
     return 0
-
-
-def _lattice(args) -> tuple[lattice.LatticeParams, window.Window]:
-    w = parse_window(args.window)
-    _require(args, "alpha", "beta")
-    return lattice.lattice_params(args.alpha, args.beta), w
 
 
 def cmd_framebounds(args) -> int:

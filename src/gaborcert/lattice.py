@@ -79,6 +79,13 @@ class LatticeParams:
     def inv_beta(self) -> float:
         return 1.0 / self.beta
 
+    @property
+    def subcritical(self) -> bool:
+        """alpha*beta < 1 in both float forms read here, the density and the
+        anchor diagonal's step 1/beta - alpha: alpha = fl(1/beta) can give
+        alpha*beta < 1 with 1/beta - alpha exactly 0."""
+        return self.density < 1.0 and self.inv_beta - self.alpha > 0
+
 
 def classify_ratio(value: float) -> RationalClass:
     """Classify a float as a small-denominator rational or operationally irrational.
@@ -94,13 +101,12 @@ def classify_ratio(value: float) -> RationalClass:
 
 
 def lattice_params(alpha: float, beta: float) -> LatticeParams:
-    """Construct lattice parameters; rejects alpha*beta >= 1."""
+    """Lattice parameters from valid numbers; alpha*beta >= 1 is a hypothesis
+    the certificate reports (LatticeParams.subcritical), not an input error."""
     if not (alpha > 0 and beta > 0 and all(
             map(math.isfinite, (alpha, beta, 1.0 / beta, alpha * beta)))):
         raise ValueError(f"alpha and beta must be positive with alpha, beta, 1/beta "
                          f"and alpha*beta finite; got alpha={alpha!r}, beta={beta!r}")
-    if alpha * beta >= 1.0:
-        raise HypothesisViolated(f"alpha*beta = {alpha * beta} >= 1")
     return LatticeParams(alpha, beta)
 
 
@@ -129,24 +135,26 @@ def is_good(params: LatticeParams, w: Window, x, n, m):
     return out
 
 
+def _require_subcritical(params: LatticeParams) -> None:
+    if not params.subcritical:
+        raise HypothesisViolated(f"requires alpha*beta < 1 and 1/beta - alpha > 0, got "
+                                 f"{params.density} and {params.inv_beta - params.alpha}")
+
+
 def epsilon(params: LatticeParams, w: Window) -> float:
     """Margin (1/2) min(b-a-alpha, alpha, 1/beta-alpha)."""
     a, b = w.support_lo, w.support_hi
     if params.alpha >= b - a:
         raise HypothesisViolated(f"alpha = {params.alpha} >= support length {b - a}")
-    if params.density >= 1.0:
-        raise HypothesisViolated(f"alpha*beta = {params.density} >= 1")
+    _require_subcritical(params)
     return 0.5 * min(b - a - params.alpha, params.alpha,
                      params.inv_beta - params.alpha)
 
 
 def size_bound(params: LatticeParams, w: Window) -> int:
     """Uniform bound on the anchor-block size: ceil((b-a)/(1/beta-alpha)) + 1."""
-    span = w.support_length
-    step = params.inv_beta - params.alpha
-    if step <= 0:
-        raise HypothesisViolated("requires alpha*beta < 1")
-    return int(math.ceil(span / step)) + 1
+    _require_subcritical(params)
+    return int(math.ceil(w.support_length / (params.inv_beta - params.alpha))) + 1
 
 
 # int_bounds' (as_float, floor, ceil, any) by the base's type: Python's for a
@@ -238,19 +246,18 @@ def build_Mx(params: LatticeParams, w: Window, spec: BlockSpec) -> np.ndarray:
         np.asarray(spec.anchor_m)[..., None, None] + idx))
 
 
-def separator_row(params: LatticeParams, w: Window, x: float, m) -> tuple:
+def separator_row(params: LatticeParams, w: Window, x: float, m):
     """Row n whose last good column is m, with argument in [a+eps, b-eps].
 
     Takes the minimal good n for column m and shifts down by one row when the
     argument is too close to b, for eps = epsilon(params, w).  An integer
-    array m gives the rows and arguments of every column as arrays.
+    array m gives the row of every column as an array.
     """
     a, b = w.support_lo, w.support_hi
     eps = epsilon(params, w)
     base = x + m * params.inv_beta
     n = int_bounds(base, -params.alpha, a, b)[0]
-    n = n + (base - params.alpha * n > b - eps)
-    return n, base - params.alpha * n
+    return n + (base - params.alpha * n > b - eps)
 
 
 def structure_fingerprint(params: LatticeParams, w: Window, spec: BlockSpec):

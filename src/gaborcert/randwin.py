@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .window import Window, evaluate, sampled
 
@@ -52,17 +51,24 @@ class BrownianPath:
         return self.dt * np.arange(len(self.values))
 
 
-def sample_path(seed: int, dt: float = DEFAULT_DT,
-                component_var: float = 1.0) -> BrownianPath:
-    """Counter-based (Philox) complex Brownian path on [0, 1]; bit-reproducible."""
+def _philox(seed: int, dt: float) -> np.random.Generator:
+    """The Philox stream keyed by seed, once seed and time step dt pass."""
     if not 0 < dt < 1:
         raise ValueError(f"dt must lie in (0, 1) so the path has a node "
                          f"inside (0, 1), got {dt}")
+    if not 0 <= seed < 2 ** 128:       # Philox's key range
+        raise ValueError(f"seed must lie in [0, 2**128), got {seed}")
+    return np.random.Generator(np.random.Philox(key=seed))
+
+
+def sample_path(seed: int, dt: float = DEFAULT_DT,
+                component_var: float = 1.0) -> BrownianPath:
+    """Counter-based (Philox) complex Brownian path on [0, 1]; bit-reproducible."""
+    rng = _philox(seed, dt)
     if not (math.isfinite(component_var) and component_var >= 0):
         raise ValueError(f"component_var must be a non-negative finite "
                          f"number, got {component_var}")
     n = int(math.ceil(1.0 / dt))
-    rng = np.random.Generator(np.random.Philox(key=seed))
     scale = math.sqrt(component_var * dt)
     inc = rng.normal(scale=scale, size=(2, n))
     values = np.empty(n + 1, dtype=complex)
@@ -138,7 +144,7 @@ def gaussian_moments(u: np.ndarray, t: float, r: float) -> tuple[float, float]:
     u = np.asarray(u, dtype=float)
     xs = np.linspace(0.0, t, len(u))
     mean = r * float(np.trapezoid(u, xs))
-    cum = cumulative_trapezoid(u, xs, initial=0.0)
+    cum = np.concatenate(([0.0], np.cumsum(np.diff(xs) * (u[1:] + u[:-1]) / 2.0)))
     var = float(np.trapezoid(cum ** 2, xs))
     return mean, var
 
@@ -157,9 +163,11 @@ def mc_path_integrals(n_paths: int, dt: float, seed: int) -> np.ndarray:
 
     Batched Philox streams; per-path results match sample_path statistics.
     A chunk holds at most _MC_CHUNK_PATHS paths and MC_CHUNK_BYTES of arrays."""
+    rng = _philox(seed, dt)
+    if n_paths < 0:
+        raise ValueError(f"n_paths must be >= 0, got {n_paths}")
     n = int(round(1.0 / dt))
     scale = math.sqrt(dt)
-    rng = np.random.Generator(np.random.Philox(key=seed))
     out = np.empty(n_paths, dtype=complex)
     chunk = max(1, min(_MC_CHUNK_PATHS, MC_CHUNK_BYTES // (64 * n)))
     done = 0

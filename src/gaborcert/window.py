@@ -260,6 +260,8 @@ def fourier_decay_fit(w: Window, xi_max: float, n_xi: int) -> tuple[float, float
     Only frequencies with |ghat| > 1e-12 enter the fit; fewer than 8 usable
     points raises DegenerateFit.
     """
+    if not xi_max > 1.0:
+        raise ValueError(f"xi_max must be > 1, got {xi_max}")
     xis = np.linspace(1.0, xi_max, n_xi)
     mags = np.abs(fourier_transform(w, xis))
     usable = mags > 1e-12

@@ -53,7 +53,8 @@ def test_criterion_1_good_pair_inequalities():
         xs = rng.uniform(1e-9, al - 1e-9, 20)
         ms = rng.integers(-30, 31, 20)
         for xv, mv in zip(xs, ms):
-            nv, arg = L.separator_row(params, w, float(xv), int(mv))
+            nv = L.separator_row(params, w, float(xv), int(mv))
+            arg = float(xv) + int(mv) * params.inv_beta - params.alpha * nv
             assert a + eps <= arg <= b - eps
             assert L.is_good(params, w, float(xv), nv, int(mv))
             assert not L.is_good(params, w, float(xv), nv, int(mv) + 1)

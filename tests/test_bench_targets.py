@@ -77,7 +77,8 @@ def test_tracer_counts_a_decomposition():
     cert = certify.certify_frame(params, w)
     interval = (cert.interval_lo, cert.interval_hi)
     dec = certify.build_block_decomposition(params, w, 0.5 * sum(interval),
-                                            cert.extent, interval)
+                                            certify.CertifyConfig().extent,
+                                            interval)
     counts = TRACER._decomp_counts((params, w), dec)
     assert counts == {"certify.blocks": dec.n_blocks,
                       "certify.anchors_placed": len(dec.anchors)}

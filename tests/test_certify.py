@@ -827,7 +827,7 @@ def test_forbidden_separation_is_the_farey_list_minimum():
             ratio = int(rng.integers(1, q)) / q
             density = np.nextafter(ratio, rng.choice([0.0, ratio, 1.0]))
         p = L.lattice_params(alpha, density / alpha)
-        if p.density >= 1.0 or L.size_bound(p, w) > 60:
+        if not p.subcritical or L.size_bound(p, w) > 60:
             continue
         seen += 1
         want = min(abs(p.density - float(r)) for r in C.forbidden_ratios(p, w))
@@ -925,7 +925,7 @@ def _separators_per_hop(params, w, x, col_lo, col_hi, row_lo, row_hi):
     rows = []
     prev_n = row_lo
     for m in cols:
-        n, _ = L.separator_row(params, w, x, m)
+        n = L.separator_row(params, w, x, m)
         if not (prev_n < n < row_hi):
             return None
         rows.append(n)
@@ -1045,8 +1045,7 @@ def test_replay_matches_per_hop_loop_on_moved_separator_rows(monkeypatch, w,
     # (1/beta - alpha)/2), and fit between the blocks they glue; moving them
     # makes the rise test and each end test of a hop decide
     def moved(params, w, x, m):
-        n, arg = row(params, w, x, m)
-        return n + move(np.asarray(m)), arg
+        return row(params, w, x, m) + move(np.asarray(m))
 
     row = L.separator_row
     monkeypatch.setattr(L, "separator_row", moved)

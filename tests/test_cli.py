@@ -56,6 +56,45 @@ def test_certify_exit_two_on_density_ge_one(capsys):
     assert doc["reason"] == "density alpha*beta >= 1"
 
 
+# alpha = fl(1/beta): alpha*beta rounds below 1 while 1/beta - alpha is 0
+EDGE_PAIR = ["--alpha", "0.5223730547138972", "--beta", "1.9143407014890885"]
+
+
+def test_certify_exit_two_on_the_edge_pair(capsys):
+    # the report passed it, then epsilon returned 0: "error: eps must be
+    # positive", exit 1
+    code = run(["certify", *EDGE_PAIR])
+    out = capsys.readouterr()
+    assert code == 2 and out.err == ""
+    doc = json.loads(out.out)
+    assert doc["hypothesis_report"]["density_lt_one"] is False
+    assert doc["reason"] == "density alpha*beta >= 1"
+
+
+def test_certify_density_ge_one_is_certify_frames_certificate(capsys):
+    # the CLI built its own certificate, with a one-key report
+    assert run(["certify", "--alpha", "1.2", "--beta", "0.9"]) == 2
+    doc = json.loads(capsys.readouterr().out)
+    want = certify.certify_frame(lattice.lattice_params(1.2, 0.9), window.bump())
+    assert doc["hypothesis_report"] == want.hypothesis_report
+    assert (doc["reason"], doc["extent"]) == (want.reason, 32)
+
+
+def test_certify_huge_density_exits_two(capsys):
+    assert run(["certify", "--alpha", "1e12", "--beta", "0.1"]) == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["hypothesis_report"]["density_lt_one"] is False
+
+
+@pytest.mark.parametrize("subcommand", ["framebounds", "breakpoints"])
+@pytest.mark.parametrize("lattice_args", [["--alpha", "1.2", "--beta", "0.9"],
+                                          EDGE_PAIR], ids=["1.2-0.9", "edge"])
+def test_sections_at_density_ge_one_exit_one(capsys, subcommand, lattice_args):
+    assert run([subcommand, *lattice_args]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: requires alpha*beta < 1 and 1/beta - alpha > 0")
+
+
 def test_exit_one_on_bad_window():
     assert run(["certify", "--window", "nosuch", "--alpha", "1.0",
                 "--beta", "0.5"]) == 1
@@ -284,6 +323,14 @@ def test_scan_skips_density_ge_one(tmp_path):
     rows = out.read_text().strip().split("\n")[1:]
     assert rows[0].split(",")[2] == "Certified"
     assert rows[1].split(",")[2] == "Skipped"
+
+
+def test_scan_edge_pair_is_not_certified(tmp_path, capsys):
+    out = tmp_path / "s.csv"
+    assert run(["scan", *EDGE_PAIR, "--out", str(out)]) == 0
+    row = out.read_text().strip().split("\n")[1]
+    assert row.split(",")[2:] == ["NotCertified", "", ""]
+    assert capsys.readouterr().err == ""
 
 
 def test_scan_error_rows_keep_five_fields(tmp_path, capsys):
@@ -528,6 +575,15 @@ def test_fourier_decay_json(tmp_path):
     assert doc["c_hat"] > 0.0
 
 
+@pytest.mark.parametrize("xi_max", ["1", "0.5"])
+def test_fourier_decay_xi_max_at_most_one_exits_one(tmp_path, capsys, xi_max):
+    # 1 fitted 200 copies of xi = 1, 0.5 an inverted grid; both exited 0
+    out = tmp_path / "f.json"
+    assert run(["fourier-decay", "--xi-max", xi_max, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: xi_max must be > 1")
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # config files
 
@@ -736,7 +792,10 @@ def test_scan_non_finite_points(tmp_path, capsys):
     (["--component-var", "-1"], "component_var"),    # math domain error
     (["--component-var", "inf"], "component_var"),
     (["--component-var", "nan"], "component_var"),
-], ids=["dt-inf", "dt-1", "dt-2.5", "dt-nan", "var-neg", "var-inf", "var-nan"])
+    (["--seed", "-1"], "seed"),       # numpy's "key must be positive ..."
+    (["--seed", str(2 ** 128)], "seed"),
+], ids=["dt-inf", "dt-1", "dt-2.5", "dt-nan", "var-neg", "var-inf", "var-nan",
+        "seed-neg", "seed-2^128"])
 def test_random_window_bad_path_settings_exit_one(tmp_path, capsys, flags,
                                                   setting):
     out = tmp_path / "w.csv"

@@ -43,11 +43,42 @@ def test_rational_class_label():
     assert L.classify_ratio(1.0 / SQRT2).label() == "irrational"
 
 
-def test_density_ge_one_rejected():
-    with pytest.raises(HypothesisViolated):
-        L.lattice_params(1.0, 1.0)
+def test_density_ge_one_is_a_hypothesis_not_an_input_error():
+    for alpha, beta in [(1.0, 1.0), (1.2, 0.9), (1e12, 0.1)]:
+        assert not L.lattice_params(alpha, beta).subcritical
     with pytest.raises(ValueError):
         L.lattice_params(-1.0, 0.5)
+
+
+# alpha = fl(1/beta): alpha*beta rounds below 1 while 1/beta - alpha is 0
+EDGE_PAIR = (0.5223730547138972, 1.9143407014890885)
+
+
+def test_edge_pair_is_not_subcritical():
+    p = params(*EDGE_PAIR)
+    assert p.density < 1.0 and p.inv_beta - p.alpha == 0.0
+    assert not p.subcritical
+    for guarded in (L.epsilon, L.size_bound):
+        with pytest.raises(HypothesisViolated) as err:
+            guarded(p, W.bump())
+        assert f"got {p.density!r} and 0.0" in str(err.value)
+
+
+@settings(max_examples=300, deadline=None)
+@given(beta=st.floats(0.2, 3.0), ulps=st.integers(-2, 2))
+def test_subcritical_lattices_have_a_positive_margin(beta, ulps):
+    """Near alpha = 1/beta, epsilon and size_bound raise exactly when
+    subcritical is false, and are positive and finite where it is true."""
+    alpha = 1.0 / beta
+    for _ in range(abs(ulps)):
+        alpha = math.nextafter(alpha, math.copysign(math.inf, ulps))
+    p, w = params(alpha, beta), W.characteristic(0.0, 6.0)   # alpha < 6
+    if p.subcritical:
+        assert L.epsilon(p, w) > 0 and L.size_bound(p, w) >= 2
+    else:
+        for guarded in (L.epsilon, L.size_bound):
+            with pytest.raises(HypothesisViolated):
+                guarded(p, w)
 
 
 @pytest.mark.parametrize("alpha, beta", [
@@ -311,12 +342,18 @@ def test_build_Mx_stack_matches_scalar_builds():
 # ---------------------------------------------------------------------------
 # separator rows
 
+def _separator_arg(p, x, m, n):
+    """(x + m/beta) - alpha*n, the argument separator_row keeps inside
+    [a + eps, b - eps]."""
+    return x + m * p.inv_beta - p.alpha * n
+
+
 def test_separator_row_hand_cases():
     w = W.characteristic()
     p = params(0.7, 1.0)
-    assert L.separator_row(p, w, 0.1, 0) == (-1, pytest.approx(0.8))
-    assert L.separator_row(p, w, 0.25, 0) == (0, pytest.approx(0.25))
-    assert L.separator_row(p, w, 0.1, 1) == (1, pytest.approx(0.4))
+    for x, m, n, arg in [(0.1, 0, -1, 0.8), (0.25, 0, 0, 0.25), (0.1, 1, 1, 0.4)]:
+        assert L.separator_row(p, w, x, m) == n
+        assert _separator_arg(p, x, m, n) == pytest.approx(arg)
 
 
 def test_separator_row_postconditions_random():
@@ -329,7 +366,8 @@ def test_separator_row_postconditions_random():
         eps = L.epsilon(p, w)
         x = rng.uniform(1e-9, alpha - 1e-9)
         m = int(rng.integers(-30, 31))
-        n, arg = L.separator_row(p, w, x, m)
+        n = L.separator_row(p, w, x, m)
+        arg = _separator_arg(p, x, m, n)
         assert w.support_lo + eps <= arg <= w.support_hi - eps
         assert L.is_good(p, w, x, n, m)
         assert not L.is_good(p, w, x, n, m + 1)
@@ -343,9 +381,9 @@ def test_separator_row_array_matches_scalar():
             p = params(alpha, rng.uniform(0.2, 0.97) / alpha)
             x = rng.uniform(0.0, alpha)
             ms = np.arange(-40, 41)
-            rows, args = L.separator_row(p, w, x, ms)
-            want = [L.separator_row(p, w, x, m) for m in ms.tolist()]
-            assert list(zip(rows.tolist(), args.tolist())) == want
+            rows = L.separator_row(p, w, x, ms)
+            assert rows.tolist() == [L.separator_row(p, w, x, m)
+                                     for m in ms.tolist()]
 
 
 # ---------------------------------------------------------------------------

@@ -47,6 +47,14 @@ def test_path_rejects_bad_arguments():
         R.sample_path(0, dt=0.0)
 
 
+@pytest.mark.parametrize("seed", [-1, 2 ** 128])
+def test_seed_outside_philox_key_range_is_named(seed):
+    for draw in (R.sample_path, lambda s: R.mc_path_integrals(2, 2 ** -8, s)):
+        with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\*\*128\)"):
+            draw(seed)
+    assert len(R.sample_path(2 ** 128 - 1, dt=2 ** -4).values) == 17
+
+
 def test_constant_path_hook():
     p = R.constant_path(2.0, dt=2 ** -6)
     assert np.all(p.values == 2.0)
@@ -129,6 +137,42 @@ def test_gaussian_moments_linear_u():
     mean, var = R.gaussian_moments(u, t=1.0, r=2.0)
     assert mean == pytest.approx(1.0, rel=1e-6)
     assert var == pytest.approx(1.0 / 20.0, rel=1e-5)
+
+
+@pytest.mark.parametrize("dt", [0.0, 2.0, 1.0, -0.5, math.nan, math.inf])
+def test_mc_path_integrals_rejects_dt_outside_unit_interval(dt):
+    # 0 and 2 raised ZeroDivisionError, -0.5 numpy's "negative dimensions"
+    with pytest.raises(ValueError, match="dt must lie in"):
+        R.mc_path_integrals(4, dt, 0)
+
+
+def test_mc_path_integrals_rejects_negative_n_paths():
+    with pytest.raises(ValueError, match="n_paths must be >= 0, got -3"):
+        R.mc_path_integrals(-3, 2 ** -8, 0)
+    assert R.mc_path_integrals(0, 2 ** -8, 0).shape == (0,)
+
+
+def test_gaussian_moments_match_cumulative_trapezoid_bits():
+    from scipy.integrate import cumulative_trapezoid
+
+    rng = np.random.default_rng(21)
+    for n in (2, 3, 17, 256, 4097):
+        u, t, r = rng.normal(size=n), rng.uniform(0.1, 3.0), rng.normal()
+        xs = np.linspace(0.0, t, n)
+        cum = cumulative_trapezoid(u, xs, initial=0.0)
+        assert R.gaussian_moments(u, t, r) == (r * float(np.trapezoid(u, xs)),
+                                               float(np.trapezoid(cum ** 2, xs)))
+
+
+def test_cli_import_leaves_scipy_integrate_unloaded():
+    code = ("import sys\nimport gaborcert.cli\n"
+            "print('scipy.integrate' in sys.modules)\n")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src")] + ([path] if path else [])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.stdout.strip() == "False", proc.stderr
 
 
 def test_mc_path_integrals_match_moments():

@@ -386,6 +386,13 @@ def test_fourier_decay_fit_char_below_stretched_range():
     assert s_hat < 0.45
 
 
+@pytest.mark.parametrize("xi_max", [1.0, 0.5, -3.0, math.nan])
+def test_fourier_decay_fit_rejects_xi_max_at_most_one(xi_max):
+    # 1 returned the optimizer's start s_hat = 0.5, 0.5 its lower bound 1e-6
+    with pytest.raises(ValueError, match="xi_max must be > 1"):
+        W.fourier_decay_fit(W.bump(), xi_max, 200)
+
+
 def test_fourier_decay_fit_degenerate():
     zero = W.sampled([0.0, 0.5, 1.0], [0.0, 0.0, 0.0])
     with pytest.raises(DegenerateFit):
