@@ -48,8 +48,7 @@ def rational_report():
           f"{[str(r) for r in ratios]}")
     # 2/3 is itself forbidden, so the separation guard must be disabled
     # explicitly to look at this density at all
-    report = certify.rational_analysis(
-        params, w, samples=2048, config=certify.CertifyConfig(delta_sep=0.0))
+    report = certify.rational_analysis(params, w, samples=2048, delta_sep=0.0)
     j_lo, j_hi = report.interval
     print(f"structure gap J = ({j_lo:.6f}, {j_hi:.6f}), "
           f"zero count Z = {report.zero_count}")

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import (BudgetExceeded, HopNotFound, HypothesisViolated,
                      TooCloseToForbiddenRatio)
 from .lattice import (BlockSpec, LatticeParams, anchor_block, band_halfwidth,
-                      build_Mx, entry_args, epsilon, int_bounds, int_range,
+                      build_Mx, entry_args, epsilon, int_bounds,
                       separator_row, size_bound, structure_fingerprint,
                       structure_gaps)
 from .linalg import banded_log_abs_det, stack_sigma_min
@@ -49,7 +49,6 @@ class CertifyConfig:
     samples_per_gap: int = 32
     delta_floor: float = 1e-8
     extent: int = 32
-    delta_sep: float = 1e-3       # <= 0 disables the forbidden-ratio separation check
 
     def __post_init__(self):
         # a certified interval needs 3 samples in one gap, and a floor of 0
@@ -404,7 +403,8 @@ def _anchor_row_covered(params: LatticeParams, w: Window) -> bool:
     a, b = w.support_lo, w.support_hi
     if params.inv_beta <= w.support_length:
         return True
-    for k in int_range(b, params.inv_beta, (b - a) - params.inv_beta, params.alpha):
+    for k in range(*int_bounds(b, params.inv_beta, (b - a) - params.inv_beta,
+                               params.alpha)):
         lo = max(0.0, b + k * params.inv_beta)
         hi = min(params.alpha, a + (k + 1) * params.inv_beta)
         if hi - lo > _COVER_TOL:
@@ -426,8 +426,8 @@ def _hypothesis_report(params: LatticeParams, w: Window) -> dict:
     return report
 
 
+#: density_lt_one's reason is LatticeParams.subcritical_reason
 _REASONS = {
-    "density_lt_one": "density alpha*beta >= 1",
     "irrational_class": "rational density class",
     "alpha_lt_support": "support too short",
     "anchor_row_covered": "row 0 has no good pair on part of (0, alpha)",
@@ -442,7 +442,9 @@ def certify_frame(params: LatticeParams, w: Window,
     report = _hypothesis_report(params, w)
     for key, ok in report.items():
         if not ok:
-            return FrameCertificate("not_certified", _REASONS[key], report)
+            reason = (params.subcritical_reason if key == "density_lt_one"
+                      else _REASONS[key])
+            return FrameCertificate("not_certified", reason, report)
     try:
         profile = scan_determinant(params, w, config.samples_per_gap)
     except BudgetExceeded as exc:
@@ -506,16 +508,18 @@ def _forbidden_separation(params: LatticeParams, w: Window) -> float:
 
 
 def rational_analysis(params: LatticeParams, w: Window, samples: int = 4096,
-                      config: CertifyConfig = CertifyConfig()) -> RationalReport:
-    """Zero-count and certified-subinterval analysis at rational density p/q."""
+                      delta_floor: float = CertifyConfig.delta_floor,
+                      delta_sep: float = 1e-3) -> RationalReport:
+    """Zero-count and certified-subinterval analysis at rational density p/q;
+    delta_sep <= 0 disables the forbidden-ratio separation guard."""
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     rc = params.rational_class
     if not rc.is_rational:
         raise HypothesisViolated("rational_analysis requires a rational density class")
-    if config.delta_sep > 0:
+    if delta_sep > 0:
         sep = _forbidden_separation(params, w)
-        if sep < config.delta_sep:
+        if sep < delta_sep:
             raise TooCloseToForbiddenRatio(
                 f"alpha*beta within {sep:.3g} of a forbidden ratio")
 
@@ -548,6 +552,6 @@ def rational_analysis(params: LatticeParams, w: Window, samples: int = 4096,
         params, w, [part for part in gaps if len(part)])[1].min())
     # a zero inside J already rules out a uniform determinant floor, no matter
     # how coarsely the period grid happens to straddle it
-    supported = period_min >= config.delta_floor and zero_count == 0
+    supported = period_min >= delta_floor and zero_count == 0
     return RationalReport(rc.p, rc.q, zero_count, sub, threshold,
                           (j_lo, j_hi), float(period_min), bool(supported))

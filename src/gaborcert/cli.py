@@ -297,7 +297,7 @@ def cmd_framebounds(args) -> int:
     est = framebound.estimate_bounds(params, w, args.extent, args.x_grid_size)
     rows = ["x,sigma_min,sigma_max"]
     rows += [f"{fmt(x)},{fmt(smin)},{fmt(smax)}" for x, smin, smax in est.per_x]
-    summary = {"extent": est.extent,
+    summary = {"extent": args.extent,
                "sigma_min_inf": est.sigma_min_inf,
                "sigma_max_sup": est.sigma_max_sup,
                "rowsum_bound": framebound.upper_bound_rowsum(params, w)}

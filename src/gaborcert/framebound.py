@@ -27,7 +27,6 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class FiniteSectionEstimate:
-    extent: int
     sigma_min_inf: float
     sigma_max_sup: float
     per_x: np.ndarray             # columns (x, sigma_min, sigma_max)
@@ -88,7 +87,7 @@ def estimate_bounds(params: LatticeParams, w: Window, extent: int,
             raise ValueError(f"the section at x={float(x)!r} has no complete "
                              f"column at extent {extent}")
         table[i] = (x, sv[-1], sv[0])
-    return FiniteSectionEstimate(extent, float(np.min(table[:, 1])),
+    return FiniteSectionEstimate(float(np.min(table[:, 1])),
                                  float(np.max(table[:, 2])), table)
 
 

@@ -30,7 +30,6 @@ __all__ = [
     "is_good",
     "epsilon",
     "size_bound",
-    "int_range",
     "int_bounds",
     "anchor_block",
     "band_halfwidth",
@@ -86,6 +85,12 @@ class LatticeParams:
         alpha*beta < 1 with 1/beta - alpha exactly 0."""
         return self.density < 1.0 and self.inv_beta - self.alpha > 0
 
+    @property
+    def subcritical_reason(self) -> str:
+        """What subcritical requires, with the two numbers it reads."""
+        return (f"requires alpha*beta < 1 and 1/beta - alpha > 0, got "
+                f"{self.density} and {self.inv_beta - self.alpha}")
+
 
 def classify_ratio(value: float) -> RationalClass:
     """Classify a float as a small-denominator rational or operationally irrational.
@@ -137,8 +142,7 @@ def is_good(params: LatticeParams, w: Window, x, n, m):
 
 def _require_subcritical(params: LatticeParams) -> None:
     if not params.subcritical:
-        raise HypothesisViolated(f"requires alpha*beta < 1 and 1/beta - alpha > 0, got "
-                                 f"{params.density} and {params.inv_beta - params.alpha}")
+        raise HypothesisViolated(params.subcritical_reason)
 
 
 def epsilon(params: LatticeParams, w: Window) -> float:
@@ -196,11 +200,6 @@ def int_bounds(base, step: float, lo: float, hi: float):
     while any_(low := base + (k_hi + 1) * step < hi):
         k_hi += low
     return k_lo, k_hi + 1
-
-
-def int_range(base: float, step: float, lo: float, hi: float) -> range:
-    """int_bounds of a scalar base as a range."""
-    return range(*int_bounds(base, step, lo, hi))
 
 
 def anchor_block(params: LatticeParams, w: Window, x) -> BlockSpec:

@@ -17,7 +17,6 @@ from .window import Window, evaluate, sampled
 __all__ = [
     "BrownianPath",
     "sample_path",
-    "constant_path",
     "triangle_kernel",
     "synthesize_window",
     "gaussian_moments",
@@ -51,36 +50,37 @@ class BrownianPath:
         return self.dt * np.arange(len(self.values))
 
 
-def _philox(seed: int, dt: float) -> np.random.Generator:
-    """The Philox stream keyed by seed, once seed and time step dt pass."""
-    if not 0 < dt < 1:
-        raise ValueError(f"dt must lie in (0, 1) so the path has a node "
-                         f"inside (0, 1), got {dt}")
+def _philox(seed: int, dt: float) -> tuple[np.random.Generator, int]:
+    """The Philox stream keyed by seed and the step count n of the time grid
+    k*dt, k = 0..n, once seed and time step dt pass: n*dt = 1 to within
+    1e-12, so the grid's last node is t = 1, and n >= 2, so a node lies
+    inside (0, 1)."""
+    n = round(1.0 / dt) if dt > 0 and math.isfinite(1.0 / dt) else 0
+    if not (n >= 2 and abs(n * dt - 1.0) <= 1e-12):
+        raise ValueError(f"dt must lie in (0, 1) with n*dt = 1 to within "
+                         f"1e-12 for a whole number n >= 2, got {dt}")
     if not 0 <= seed < 2 ** 128:       # Philox's key range
         raise ValueError(f"seed must lie in [0, 2**128), got {seed}")
-    return np.random.Generator(np.random.Philox(key=seed))
+    return np.random.Generator(np.random.Philox(key=seed)), n
+
+
+def _path_values(rng: np.random.Generator, n: int, scale: float,
+                 paths: tuple = ()) -> np.ndarray:
+    """Values at t = dt..n*dt of complex paths started at 1, shape paths + (n,),
+    each component's increments normal with standard deviation scale."""
+    inc = rng.normal(scale=scale, size=(2, *paths, n))
+    return 1.0 + np.cumsum(inc[0] + 1j * inc[1], axis=-1)
 
 
 def sample_path(seed: int, dt: float = DEFAULT_DT,
                 component_var: float = 1.0) -> BrownianPath:
     """Counter-based (Philox) complex Brownian path on [0, 1]; bit-reproducible."""
-    rng = _philox(seed, dt)
+    rng, n = _philox(seed, dt)
     if not (math.isfinite(component_var) and component_var >= 0):
         raise ValueError(f"component_var must be a non-negative finite "
                          f"number, got {component_var}")
-    n = int(math.ceil(1.0 / dt))
-    scale = math.sqrt(component_var * dt)
-    inc = rng.normal(scale=scale, size=(2, n))
-    values = np.empty(n + 1, dtype=complex)
-    values[0] = 1.0
-    values[1:] = 1.0 + np.cumsum(inc[0] + 1j * inc[1])
-    return BrownianPath(dt, values)
-
-
-def constant_path(value: complex = 1.0, dt: float = DEFAULT_DT) -> BrownianPath:
-    """Zero-variance test hook: B identically equal to `value` on [0, 1]."""
-    n = int(math.ceil(1.0 / dt))
-    return BrownianPath(dt, np.full(n + 1, value, dtype=complex))
+    values = _path_values(rng, n, math.sqrt(component_var * dt))
+    return BrownianPath(dt, np.concatenate(([1.0], values)))
 
 
 def triangle_kernel(x, t):
@@ -163,21 +163,18 @@ def mc_path_integrals(n_paths: int, dt: float, seed: int) -> np.ndarray:
 
     Batched Philox streams; per-path results match sample_path statistics.
     A chunk holds at most _MC_CHUNK_PATHS paths and MC_CHUNK_BYTES of arrays."""
-    rng = _philox(seed, dt)
+    rng, n = _philox(seed, dt)
     if n_paths < 0:
         raise ValueError(f"n_paths must be >= 0, got {n_paths}")
-    n = int(round(1.0 / dt))
-    scale = math.sqrt(dt)
     out = np.empty(n_paths, dtype=complex)
     chunk = max(1, min(_MC_CHUNK_PATHS, MC_CHUNK_BYTES // (64 * n)))
     done = 0
     while done < n_paths:
         k = min(chunk, n_paths - done)
-        inc = rng.normal(scale=scale, size=(2, k, n))
-        B = np.cumsum(inc[0] + 1j * inc[1], axis=1) + 1.0
+        B = _path_values(rng, n, math.sqrt(dt), (k,))
         # trapezoid over values [1, B_1, ..., B_n] with spacing dt
         out[done:done + k] = dt * (0.5 * 1.0 + np.sum(B[:, :-1], axis=1)
                                    + 0.5 * B[:, -1])
-        del inc, B                  # free this chunk before drawing the next
+        del B                       # free this chunk before drawing the next
         done += k
     return out

@@ -244,8 +244,7 @@ def test_criterion_8_rational_machinery():
     with pytest.raises(TooCloseToForbiddenRatio):
         C.rational_analysis(params, w)
 
-    rep = C.rational_analysis(params, w, samples=2048,
-                              config=C.CertifyConfig(delta_sep=0.0))
+    rep = C.rational_analysis(params, w, samples=2048, delta_sep=0.0)
     assert rep.zero_count == 0
     j_lo, j_hi = rep.interval
     assert rep.denominator_threshold == (rep.zero_count + 1) / (0.6 * (j_hi - j_lo))

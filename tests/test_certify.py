@@ -1,6 +1,7 @@
 """Determinant scans, certified intervals, block decompositions, rational analysis."""
 
 import dataclasses
+import inspect
 import math
 import time
 import tracemalloc
@@ -630,7 +631,7 @@ def test_certify_characteristic_at_beta_one_raises_nothing():
 
 
 def _anchor_row_covered_floor_ceil(params, w, tol=1e-12):
-    """The floor/ceil k range, padded by one on each side, that int_range
+    """The floor/ceil k range, padded by one on each side, that int_bounds
     replaced."""
     a, b = w.support_lo, w.support_hi
     if params.inv_beta <= w.support_length:
@@ -790,7 +791,7 @@ def test_rational_analysis_rejects_no_samples(monkeypatch, samples):
     p = L.lattice_params(0.6, 10.0 / 9.0)
     with pytest.raises(ValueError, match="samples must be >= 1"):
         C.rational_analysis(p, W.characteristic(), samples=samples,
-                            config=C.CertifyConfig(delta_sep=0.0))
+                            delta_sep=0.0)
 
 
 def test_rational_analysis_never_builds_the_farey_list(monkeypatch):
@@ -798,14 +799,13 @@ def test_rational_analysis_never_builds_the_farey_list(monkeypatch):
     equals the one of a run that may build them, and the default guard
     refuses a forbidden density from the Farey neighbours alone."""
     p, w = L.lattice_params(0.6, 10.0 / 9.0), W.characteristic()
-    cfg = C.CertifyConfig(delta_sep=0.0)
-    ref = C.rational_analysis(p, w, samples=256, config=cfg)
+    ref = C.rational_analysis(p, w, samples=256, delta_sep=0.0)
 
     def refuse(*args):
         raise AssertionError("forbidden_ratios called")
 
     monkeypatch.setattr(C, "forbidden_ratios", refuse)
-    rep = C.rational_analysis(p, w, samples=256, config=cfg)
+    rep = C.rational_analysis(p, w, samples=256, delta_sep=0.0)
     assert dataclasses.astuple(rep) == dataclasses.astuple(ref)
     assert "forbidden" not in {f.name for f in dataclasses.fields(rep)}
     with pytest.raises(TooCloseToForbiddenRatio, match="within 0 of"):
@@ -848,8 +848,7 @@ def test_forbidden_ratio_guard_at_size_bound_1000_is_fast():
 
 def test_rational_analysis_characteristic_zero_free():
     p = L.lattice_params(0.6, 10.0 / 9.0)
-    cfg = C.CertifyConfig(delta_sep=0.0)
-    rep = C.rational_analysis(p, W.characteristic(), samples=1024, config=cfg)
+    rep = C.rational_analysis(p, W.characteristic(), samples=1024, delta_sep=0.0)
     assert (rep.p, rep.q) == (2, 3)
     assert rep.zero_count == 0
     assert rep.certified_subinterval is not None
@@ -859,17 +858,24 @@ def test_rational_analysis_characteristic_zero_free():
     assert rep.denominator_threshold == pytest.approx(
         1.0 / (0.6 * (j_hi - j_lo)), rel=1e-12)
     assert rep.frame_supported
+    # the floor is CertifyConfig's unless given: above the period minimum,
+    # the same analysis no longer supports a frame
+    floor = inspect.signature(C.rational_analysis).parameters["delta_floor"]
+    assert floor.default == C.CertifyConfig().delta_floor
+    high = C.rational_analysis(p, W.characteristic(), samples=1024, delta_sep=0.0,
+                               delta_floor=2 * rep.min_abs_det_period)
+    assert dataclasses.astuple(high)[:-1] == dataclasses.astuple(rep)[:-1]
+    assert not high.frame_supported
 
 
 def test_rational_analysis_odd_bump_not_supported():
     p = L.lattice_params(1.0, 0.5)
-    cfg = C.CertifyConfig(delta_sep=0.0)
-    rep = C.rational_analysis(p, W.odd_bump(), samples=1024, config=cfg)
+    rep = C.rational_analysis(p, W.odd_bump(), samples=1024, delta_sep=0.0)
     assert rep.zero_count >= 1
     assert not rep.frame_supported
 
 
-def _rational_loops(params, w, samples, config):
+def _rational_loops(params, w, samples):
     """Reference: the per-x determinant loops of rational_analysis before
     batching, with np.linalg.det as the determinant oracle;
     (zero_count, certified_subinterval, min_abs_det_period)."""
@@ -905,9 +911,8 @@ def _rational_loops(params, w, samples, config):
 ])
 def test_rational_analysis_matches_sample_loops(w, alpha, beta):
     p = L.lattice_params(alpha, beta)
-    cfg = C.CertifyConfig(delta_sep=0.0)
-    rep = C.rational_analysis(p, w, samples=1024, config=cfg)
-    zero_count, sub, period_min = _rational_loops(p, w, 1024, cfg)
+    rep = C.rational_analysis(p, w, samples=1024, delta_sep=0.0)
+    zero_count, sub, period_min = _rational_loops(p, w, 1024)
     assert (rep.zero_count, rep.certified_subinterval) == (zero_count, sub)
     assert _matches_oracle(np.array([rep.min_abs_det_period]),
                            np.array([period_min]))
@@ -940,14 +945,15 @@ def _separators_per_hop(params, w, x, col_lo, col_hi, row_lo, row_hi):
 
 def _hop_per_row(params, w, x, interval, spec, extent, edge, step):
     """Reference: the next anchor block past edge and its separators, trying
-    the rows one by one with scalar int_range; None past +-extent."""
+    the rows one by one with scalar int_bounds; None past +-extent."""
     row = edge.row_hi if step > 0 else edge.row_lo
     if step * row >= extent:
         return None
     for nt in range(row + step, row + step * (C._HOP_BOUND + 1), step):
         if step * nt > extent:
             return None
-        for mt in L.int_range(x - params.alpha * nt, params.inv_beta, *interval):
+        for mt in range(*L.int_bounds(x - params.alpha * nt, params.inv_beta,
+                                       *interval)):
             col0 = mt + spec.anchor_m
             if step > 0:
                 r0, c0, r1, c1 = edge.row_hi, edge.col_hi, nt, col0

@@ -53,7 +53,8 @@ def test_certify_exit_two_on_density_ge_one(capsys):
                 "--beta", "0.7"])
     assert code == 2
     doc = json.loads(capsys.readouterr().out)
-    assert doc["reason"] == "density alpha*beta >= 1"
+    assert doc["reason"] == ("requires alpha*beta < 1 and 1/beta - alpha > 0, "
+                             "got 1.4 and -0.5714285714285714")
 
 
 # alpha = fl(1/beta): alpha*beta rounds below 1 while 1/beta - alpha is 0
@@ -68,7 +69,10 @@ def test_certify_exit_two_on_the_edge_pair(capsys):
     assert code == 2 and out.err == ""
     doc = json.loads(out.out)
     assert doc["hypothesis_report"]["density_lt_one"] is False
-    assert doc["reason"] == "density alpha*beta >= 1"
+    # the reason names the failing number: alpha*beta rounds below 1 and
+    # "density alpha*beta >= 1" did not say what failed
+    assert doc["reason"] == ("requires alpha*beta < 1 and 1/beta - alpha > 0, "
+                             "got 0.9999999999999999 and 0.0")
 
 
 def test_certify_density_ge_one_is_certify_frames_certificate(capsys):
@@ -789,13 +793,15 @@ def test_scan_non_finite_points(tmp_path, capsys):
     (["--dt", "1"], "dt"),            # no node inside (0, 1): zero window
     (["--dt", "2.5"], "dt"),
     (["--dt", "nan"], "dt"),          # cannot convert float NaN to integer
+    (["--dt", "0.3"], "dt"),          # a 4-step path running to t = 1.2
+    (["--dt", "5e-324"], "dt"),       # OverflowError traceback
     (["--component-var", "-1"], "component_var"),    # math domain error
     (["--component-var", "inf"], "component_var"),
     (["--component-var", "nan"], "component_var"),
     (["--seed", "-1"], "seed"),       # numpy's "key must be positive ..."
     (["--seed", str(2 ** 128)], "seed"),
-], ids=["dt-inf", "dt-1", "dt-2.5", "dt-nan", "var-neg", "var-inf", "var-nan",
-        "seed-neg", "seed-2^128"])
+], ids=["dt-inf", "dt-1", "dt-2.5", "dt-nan", "dt-0.3", "dt-5e-324",
+        "var-neg", "var-inf", "var-nan", "seed-neg", "seed-2^128"])
 def test_random_window_bad_path_settings_exit_one(tmp_path, capsys, flags,
                                                   setting):
     out = tmp_path / "w.csv"

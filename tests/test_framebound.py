@@ -60,12 +60,12 @@ def _columns_by_row_union(p, w, x, extent):
     complete columns among them, as sorted arrays."""
     cols = set()
     for n in range(-extent, extent + 1):
-        cols.update(L.int_range(x - p.alpha * n, p.inv_beta,
-                                w.support_lo, w.support_hi))
+        cols.update(range(*L.int_bounds(x - p.alpha * n, p.inv_beta,
+                                        w.support_lo, w.support_hi)))
     complete = {m for m in cols
-                if -extent <= (rows := L.int_range(x + m * p.inv_beta, -p.alpha,
-                                                   w.support_lo, w.support_hi)).start
-                and rows.stop - 1 <= extent}
+                if -extent <= (rows := L.int_bounds(x + m * p.inv_beta, -p.alpha,
+                                                    w.support_lo, w.support_hi))[0]
+                and rows[1] - 1 <= extent}
     return np.array(sorted(cols)), np.array(sorted(complete))
 
 
@@ -90,8 +90,8 @@ def test_truncated_columns_match_row_union_random():
         got = F.truncated_columns(p, w, x, extent)
         assert got.dtype.kind == "i"
         assert np.array_equal(got, complete), (p, w.descriptor(), x, extent)
-        ends = (L.int_range(x - alpha * n, p.inv_beta, w.support_lo,
-                            w.support_hi) for n in (-extent, extent))
+        ends = (range(*L.int_bounds(x - alpha * n, p.inv_beta, w.support_lo,
+                                    w.support_hi)) for n in (-extent, extent))
         seen["empty end row"] += not all(ends)
         seen["trimmed"] += len(complete) < len(union)
         seen["no column"] += len(union) == 0

@@ -176,14 +176,14 @@ def _int_range_case(draw):
 def test_int_range_matches_brute_force(case):
     base, step, lo, hi = case
     ks = range(-3000, 3001)
-    assert list(L.int_range(base, step, lo, hi)) == [
+    assert list(range(*L.int_bounds(base, step, lo, hi))) == [
         k for k in ks if lo < base + k * step < hi]
     # start and stop stay one-sided answers even for an empty range
     enter = (lambda k: base + k * step > lo) if step > 0 else \
         (lambda k: base + k * step < hi)
     leave = (lambda k: base + k * step < hi) if step > 0 else \
         (lambda k: base + k * step > lo)
-    r = L.int_range(base, step, lo, hi)
+    r = range(*L.int_bounds(base, step, lo, hi))
     assert enter(r.start) and not enter(r.start - 1)
     assert leave(r.stop - 1) and not leave(r.stop)
 
@@ -213,7 +213,7 @@ def test_int_bounds_matches_int_range_elementwise(case):
     bases, step, lo, hi = case
     start, stop = L.int_bounds(bases, step, lo, hi)
     assert start.shape == stop.shape == bases.shape
-    ranges = [L.int_range(b, step, lo, hi) for b in bases.tolist()]
+    ranges = [range(*L.int_bounds(b, step, lo, hi)) for b in bases.tolist()]
     # start and stop, not just the members: both stay meaningful when empty
     assert list(zip(start.tolist(), stop.tolist())) == [
         (r.start, r.stop) for r in ranges]
@@ -237,9 +237,9 @@ def test_int_bounds_matches_int_range_elementwise(case):
 
 
 def test_int_range_open_at_exact_bounds():
-    assert L.int_range(0.0, 0.5, 0.0, 1.0) == range(1, 2)
-    assert L.int_range(0.0, -0.5, 0.0, 1.0) == range(-1, 0)
-    assert L.int_range(0.0, 0.5, 0.0, 0.5) == range(1, 1)
+    assert L.int_bounds(0.0, 0.5, 0.0, 1.0) == (1, 2)
+    assert L.int_bounds(0.0, -0.5, 0.0, 1.0) == (-1, 0)
+    assert L.int_bounds(0.0, 0.5, 0.0, 0.5) == (1, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -412,14 +412,14 @@ def test_breakpoints_char_lattice():
 
 
 def _breakpoints_row_by_row(p, w):
-    """Reference: structure_breakpoints with one int_range call per row and
+    """Reference: structure_breakpoints with one scalar int_bounds call per row and
     support end, and a sorted Python list of candidates."""
     xs = []
     for n in range(-2, L.size_bound(p, w) + 3):
         for c in (w.support_lo, w.support_hi):
             base = c + p.alpha * n
             xs.extend(base - m * p.inv_beta
-                      for m in L.int_range(base, -p.inv_beta, 0.0, p.alpha))
+                      for m in range(*L.int_bounds(base, -p.inv_beta, 0.0, p.alpha)))
     xs.sort()
     out = [0.0]
     for xval in xs:

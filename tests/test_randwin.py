@@ -16,6 +16,11 @@ from gaborcert import window as W
 ROOT = Path(__file__).resolve().parents[1]
 
 
+def _constant_path(value, dt):
+    """B identically equal to value on the grid k*dt, k = 0..1/dt."""
+    return R.BrownianPath(dt, np.full(round(1 / dt) + 1, value, dtype=complex))
+
+
 # ---------------------------------------------------------------------------
 # paths
 
@@ -55,10 +60,28 @@ def test_seed_outside_philox_key_range_is_named(seed):
     assert len(R.sample_path(2 ** 128 - 1, dt=2 ** -4).values) == 17
 
 
-def test_constant_path_hook():
-    p = R.constant_path(2.0, dt=2 ** -6)
-    assert np.all(p.values == 2.0)
-    assert len(p.values) == 2 ** 6 + 1
+@pytest.mark.parametrize("dt", [0.3, 5e-324, 1.0 - 1e-13])
+def test_dt_that_does_not_divide_one_is_named(dt):
+    # 0.3 gave a 4-step path to t = 1.2 and an mc mean of 0.900, 5e-324 an
+    # OverflowError from the step count; 1 - 1e-13 is 1/n only for n = 1,
+    # a grid with no node inside (0, 1)
+    for draw in (lambda: R.sample_path(0, dt=dt),
+                 lambda: R.mc_path_integrals(4, dt, 0)):
+        with pytest.raises(ValueError, match=r"dt must lie in \(0, 1\) with "
+                                             r"n\*dt = 1 to within 1e-12"):
+            draw()
+
+
+def test_grid_of_one_over_n_ends_at_one():
+    steps = [*range(2, 2000), *range(2000, 10 ** 5 + 1, 37), 10 ** 5]
+    cases = [(1.0 / k, k) for k in steps] + [(1e-3, 1000)] + [
+        (2.0 ** -e, 2 ** e) for e in range(1, 1024)]
+    for dt, n in cases:
+        assert R._philox(0, dt)[1] == n, dt
+    # ceil(1/dt) gave dt = 1/49 a 50th step, to t = 50/49
+    for k in (2, 3, 7, 10, 49, 1000):
+        times = R.sample_path(1, dt=1.0 / k).times
+        assert len(times) == k + 1 and abs(times[-1] - 1.0) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +118,7 @@ def test_synthesize_rejects_fewer_than_two_nodes():
 def test_synthesize_constant_path_matches_fine_quadrature():
     # B = 1: g(x) = integral of h(x, t) dt; oracle is a 10x finer t-grid.
     # Compare at tabulation nodes so only the t-quadrature error enters.
-    coarse = R.synthesize_window(R.constant_path(1.0, dt=2 ** -10), 64)
+    coarse = R.synthesize_window(_constant_path(1.0, 2 ** -10), 64)
     for i in (20, 32, 45, 55):
         x = coarse.grid_x[i]
         ts = np.linspace(0.0, x, 10 * 2 ** 10)
@@ -256,7 +279,7 @@ def test_random_window_peak_rss_at_dt_2_16(tmp_path):
 # non-vanishing
 
 def test_verify_nonvanishing_positive_for_constant_path():
-    w = R.synthesize_window(R.constant_path(1.0, dt=2 ** -10), 512)
+    w = R.synthesize_window(_constant_path(1.0, 2 ** -10), 512)
     min_abs, _ = R.verify_nonvanishing(w)
     assert min_abs > 0.0
 
@@ -325,7 +348,7 @@ def test_synthesis_matches_dense_grid_on_special_paths():
     # products are signed zeros, and whole rows near x = 0 and x = 1 sum
     # nothing else
     for value in (1.0, -1.0, 1j, -1j, 1 + 1j, -1 - 1j, 1 - 1j, -1 + 1j):
-        _assert_synthesis_bits(R.constant_path(value, dt=2 ** -8), 256)
+        _assert_synthesis_bits(_constant_path(value, 2 ** -8), 256)
     _assert_synthesis_bits(R.sample_path(3, dt=2 ** -9, component_var=0.25),
                            300)
     _assert_synthesis_bits(R.sample_path(4, dt=2 ** -8, component_var=7.0), 256)

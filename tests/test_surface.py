@@ -13,7 +13,6 @@ import gaborcert
 
 DEFAULTED = {
     "certify.CertifyConfig.delta_floor",
-    "certify.CertifyConfig.delta_sep",
     "certify.CertifyConfig.extent",
     "certify.CertifyConfig.samples_per_gap",
     "certify.FrameCertificate.block_sigma_min",
@@ -23,14 +22,13 @@ DEFAULTED = {
     "certify.FrameCertificate.n_blocks",
     "certify.FrameCertificate.profile",
     "certify.certify_frame.config",
-    "certify.rational_analysis.config",
+    "certify.rational_analysis.delta_floor",
+    "certify.rational_analysis.delta_sep",
     "certify.rational_analysis.samples",
     "cli.json_dumps.indent",
     "cli.main.argv",
     "lattice.RationalClass.p",
     "lattice.RationalClass.q",
-    "randwin.constant_path.dt",
-    "randwin.constant_path.value",
     "randwin.sample_path.component_var",
     "randwin.sample_path.dt",
     "randwin.synthesize_window.quadrature_n",
@@ -64,7 +62,7 @@ def test_defaulted_parameters_are_the_recorded_set():
         f"added {sorted(found - DEFAULTED)}, removed {sorted(DEFAULTED - found)}: "
         "update DEFAULTED in tests/test_surface.py and argue the new count "
         f"({len(found)}, was {len(DEFAULTED)}) in CHANGES.md")
-    assert len(DEFAULTED) == 29
+    assert len(DEFAULTED) == 27
 
 
 def test_every_error_class_is_exported_from_the_root():
