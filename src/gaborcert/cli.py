@@ -16,7 +16,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -280,6 +279,7 @@ def cmd_scan(args) -> int:
             else (os.cpu_count() or 1))
     workers = min(args.workers, len(tasks), cpus)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_scan_point, tasks))   # ordered assembly
     else:

@@ -6,7 +6,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .errors import BudgetExceeded
 
@@ -50,6 +49,8 @@ def jacobi_svdvals(A) -> np.ndarray:
             repeat = 2
         else:
             A = A.real
+    from scipy.linalg import lapack   # here, so commands without an SVD skip it
+
     sva, _, _, work, _, info = lapack.dgejsv(A, joba=0, jobu=3, jobv=3)
     if info != 0:
         raise np.linalg.LinAlgError(f"dgejsv failed with info={info}")

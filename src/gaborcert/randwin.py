@@ -53,12 +53,17 @@ class BrownianPath:
 def _philox(seed: int, dt: float) -> tuple[np.random.Generator, int]:
     """The Philox stream keyed by seed and the step count n of the time grid
     k*dt, k = 0..n, once seed and time step dt pass: n*dt = 1 to within
-    1e-12, so the grid's last node is t = 1, and n >= 2, so a node lies
-    inside (0, 1)."""
+    1e-12, so the grid's last node is t = 1, n >= 2, so a node lies inside
+    (0, 1), and numpy can shape the (2, n) float64 increments, whose bytes
+    must not exceed the largest intp."""
     n = round(1.0 / dt) if dt > 0 and math.isfinite(1.0 / dt) else 0
     if not (n >= 2 and abs(n * dt - 1.0) <= 1e-12):
         raise ValueError(f"dt must lie in (0, 1) with n*dt = 1 to within "
                          f"1e-12 for a whole number n >= 2, got {dt}")
+    if 2 * n * 8 > np.iinfo(np.intp).max:
+        raise ValueError(f"dt must give a step count n whose (2, n) float64 "
+                         f"increments numpy can shape, got dt = {dt}, "
+                         f"n = {n:.17g}")
     if not 0 <= seed < 2 ** 128:       # Philox's key range
         raise ValueError(f"seed must lie in [0, 2**128), got {seed}")
     return np.random.Generator(np.random.Philox(key=seed)), n

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .errors import DegenerateFit, EmptyCore
 
@@ -260,6 +259,8 @@ def fourier_decay_fit(w: Window, xi_max: float, n_xi: int) -> tuple[float, float
     Only frequencies with |ghat| > 1e-12 enter the fit; fewer than 8 usable
     points raises DegenerateFit.
     """
+    from scipy.optimize import least_squares   # here, so other commands skip it
+
     if not xi_max > 1.0:
         raise ValueError(f"xi_max must be > 1, got {xi_max}")
     xis = np.linspace(1.0, xi_max, n_xi)

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -408,7 +409,8 @@ class _RecordingPool:
 def test_scan_workers_capped_at_grid_points(tmp_path, monkeypatch, grid, cpus,
                                             pool_sizes):
     monkeypatch.setattr(_RecordingPool, "sizes", [])
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
+                        _RecordingPool)
     if cpus is None:
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
@@ -795,13 +797,14 @@ def test_scan_non_finite_points(tmp_path, capsys):
     (["--dt", "nan"], "dt"),          # cannot convert float NaN to integer
     (["--dt", "0.3"], "dt"),          # a 4-step path running to t = 1.2
     (["--dt", "5e-324"], "dt"),       # OverflowError traceback
+    (["--dt", "1e-300"], "dt"),       # "Maximum allowed dimension exceeded"
     (["--component-var", "-1"], "component_var"),    # math domain error
     (["--component-var", "inf"], "component_var"),
     (["--component-var", "nan"], "component_var"),
     (["--seed", "-1"], "seed"),       # numpy's "key must be positive ..."
     (["--seed", str(2 ** 128)], "seed"),
 ], ids=["dt-inf", "dt-1", "dt-2.5", "dt-nan", "dt-0.3", "dt-5e-324",
-        "var-neg", "var-inf", "var-nan", "seed-neg", "seed-2^128"])
+        "dt-1e-300", "var-neg", "var-inf", "var-nan", "seed-neg", "seed-2^128"])
 def test_random_window_bad_path_settings_exit_one(tmp_path, capsys, flags,
                                                   setting):
     out = tmp_path / "w.csv"
@@ -880,6 +883,49 @@ def test_certify_past_the_lu_budget_exits_two(tmp_path, spec, k):
     out = tmp_path / "s.csv"
     assert run(["scan", *lattice_args, "--out", str(out)]) == 0
     assert out.read_text().splitlines()[1].endswith(",NotCertified,,")
+
+
+# ---------------------------------------------------------------------------
+# cold start: each subcommand loads only the SciPy it runs
+
+_DEFERRED = ("scipy.linalg", "scipy.optimize", "scipy.integrate",
+             "concurrent.futures.process")
+_SMALL_RANDOM_WINDOW = ["random-window", "--dt", "0.00390625",
+                        "--quadrature-n", "256"]
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (None, []),
+    (["breakpoints", "--window", "char", "--alpha", "0.7", "--beta", "1.0"], []),
+    (_SMALL_RANDOM_WINDOW, []),
+    (["scan", "--window", "char", "--alpha-grid", "0.5,0.6,0.7",
+      "--beta-grid", "1.05,1.2", "--extent", "4", "--workers", "1"], []),
+    (["certify", "--window", "bump", "--alpha", "1.0", "--beta", BETA_IRR],
+     ["scipy.linalg"]),
+    (["framebounds", "--window", "bump", "--alpha", "1.0", "--beta", BETA_IRR,
+      "--extent", "8", "--x-grid-size", "8"], ["scipy.linalg"]),
+    (["fourier-decay", "--window", "{rw}"], ["scipy.linalg", "scipy.optimize"]),
+], ids=["import", "breakpoints", "random-window", "scan-workers-1", "certify",
+        "framebounds", "fourier-decay"])
+def test_each_command_loads_only_its_scipy(tmp_path, argv, loaded):
+    # a module-level import of any of _DEFERRED costs every command its
+    # load time: about 0.65 s and 45 MiB for scipy.linalg and scipy.optimize
+    call = "0"
+    if argv is not None:
+        rw = tmp_path / "rw.csv"
+        if "{rw}" in argv:
+            assert run(_SMALL_RANDOM_WINDOW + ["--out", str(rw)]) == 0
+        argv = [a.format(rw=rw) for a in argv] + ["--out", str(tmp_path / "o")]
+        call = f"cli.main({argv!r})"
+    code = ("import sys\nfrom gaborcert import cli\n"
+            f"print({call}, [m for m in {_DEFERRED!r} if m in sys.modules])\n")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src")]
+        + ([path] if path else [])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.stdout == f"0 {loaded}\n", proc.stderr
 
 
 # ---------------------------------------------------------------------------
