@@ -13,13 +13,13 @@ import functools
 import inspect
 import json
 import math
-import os
 import sys
 import time
 
 import numpy as np
 
 from . import __version__, certify, framebound, lattice, randwin, window
+from ._workers import cpus
 from .errors import GaborCertError
 
 __all__ = ["main", "parse_window", "parse_config", "json_dumps"]
@@ -275,9 +275,7 @@ def cmd_scan(args) -> int:
     tasks = [(w, a, b, config) for a in alphas for b in betas]
     # a fork pool starts all its workers at the first submit: no more than
     # the grid points or the CPUs this process may run on
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else (os.cpu_count() or 1))
-    workers = min(args.workers, len(tasks), cpus)
+    workers = min(args.workers, len(tasks), cpus())
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:

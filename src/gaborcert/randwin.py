@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._workers import map_blocks
 from .window import Window, evaluate, sampled
 
 __all__ = [
@@ -27,8 +28,9 @@ __all__ = [
 DEFAULT_DT = 2.0 ** -12
 DEFAULT_QUADRATURE_N = 2048
 
-#: bytes of trapezoid terms per block of synthesize_window: 32 x rows at
-#: the default dt, where the dense (x, t) grid took 128 MiB, and at least 1
+#: bytes of trapezoid terms that synthesize_window holds at once, over all
+#: its threads: 32 x rows at the default dt, where the dense (x, t) grid took
+#: 128 MiB, and at least 1
 SYNTH_BLOCK_BYTES = 2 ** 21
 
 #: bytes one chunk of mc_path_integrals may hold: at most 64 per path and
@@ -107,13 +109,17 @@ def synthesize_window(path: BrownianPath,
     The kernel vanishes for t >= x, so trapezoid over the whole path grid up
     to time 1 equals the integral over [0, x].
 
-    Rows of x go in blocks of SYNTH_BLOCK_BYTES.  A block evaluates the kernel
-    only on the columns with t below its largest x, plus one column where the
-    kernel is exactly 0, and writes the trapezoid terms of that slice into a
-    zeroed buffer of full width.  Each row then sums the same nonzero terms
-    in the same positions as the dense (x, t) trapezoid: every term left out
-    was a zero, and adding a zero to a partial sum is exact.  So the values
-    have the same bits as one dense grid, without its 2048 x 4097 arrays.
+    Rows of x go in blocks; SYNTH_BLOCK_BYTES of trapezoid terms is the total
+    over the threads of _workers.map_blocks, which split it.  A block
+    evaluates the kernel only on the columns with t below its largest x, plus
+    one column where the kernel is exactly 0, and writes the trapezoid terms
+    of that slice into its thread's zeroed buffer of full width.  A thread
+    takes its blocks in ascending x, so the slice only widens and its buffer
+    beyond the slice is still zero.  Each row then sums the same nonzero
+    terms in the same positions as the dense (x, t) trapezoid: every term
+    left out was a zero, and adding a zero to a partial sum is exact.  So the
+    values have the same bits as one dense grid, without its 2048 x 4097
+    arrays, whatever the block size and the thread count.
     """
     if quadrature_n < 2:
         raise ValueError(f"quadrature_n must be >= 2, got {quadrature_n}")
@@ -123,18 +129,19 @@ def synthesize_window(path: BrownianPath,
     B = path.values[keep]
     d = np.diff(t)
     xs = np.linspace(0.0, 1.0, quadrature_n)
-    rows = max(1, SYNTH_BLOCK_BYTES // (16 * len(d)))
-    buf = np.zeros((rows, len(d)), dtype=complex)
     vals = np.empty(len(xs), dtype=complex)
-    for r0 in range(0, len(xs), rows):
-        x = xs[r0:r0 + rows]
-        # blocks ascend in x, so the slice only widens and the buffer beyond
-        # it is still zero
-        c = min(int(np.searchsorted(t, x[-1])) + 1, len(t))
-        Y = triangle_kernel(x[:, None], t[None, :c]) * B[:c]
-        terms = buf[:len(x)]
-        terms[:, :c - 1] = d[:c - 1] * (Y[:, 1:] + Y[:, :-1]) / 2.0
-        vals[r0:r0 + len(x)] = np.add.reduce(terms, axis=1)
+
+    def work(blocks):
+        buf = np.zeros((blocks.rows, len(d)), dtype=complex)
+        for lo, hi in blocks:
+            x = xs[lo:hi]
+            c = min(int(np.searchsorted(t, x[-1])) + 1, len(t))
+            Y = triangle_kernel(x[:, None], t[None, :c]) * B[:c]
+            terms = buf[:len(x)]
+            terms[:, :c - 1] = d[:c - 1] * (Y[:, 1:] + Y[:, :-1]) / 2.0
+            vals[lo:hi] = np.add.reduce(terms, axis=1)
+
+    map_blocks(work, len(xs), max(1, SYNTH_BLOCK_BYTES // (16 * len(d))))
     vals[0] = 0.0
     vals[-1] = 0.0
     return sampled(xs, vals)

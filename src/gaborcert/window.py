@@ -17,6 +17,7 @@ from typing import Optional
 
 import numpy as np
 
+from ._workers import map_blocks
 from .errors import DegenerateFit, EmptyCore
 
 __all__ = [
@@ -38,8 +39,8 @@ __all__ = [
 
 FOURIER_QUAD_NODES = 2 ** 14
 
-#: frequencies per block of fourier_transform: about 4 MiB per complex
-#: array at the default 2^14 nodes
+#: frequencies that fourier_transform holds at once, over all its threads:
+#: about 4 MiB per complex array at the default 2^14 nodes
 FOURIER_XI_BLOCK = 16
 
 
@@ -236,18 +237,23 @@ def fourier_transform(w: Window, xi):
     on FOURIER_QUAD_NODES points.
 
     The integrand is smooth and compactly supported, so trapezoid on the
-    support converges rapidly.  Frequencies go in blocks of FOURIER_XI_BLOCK
-    rows; each row is the same elementwise expression and the same sum as in
-    one dense (xi, x) grid, so blocking leaves every bit of the result.
+    support converges rapidly.  Frequencies go in blocks of rows;
+    FOURIER_XI_BLOCK rows is the total over the threads of
+    _workers.map_blocks, which split it.  Each row is the same elementwise
+    expression and the same sum as in one dense (xi, x) grid, so neither the
+    block size nor the thread count moves a bit of the result.
     """
     xi_arr = np.asarray(xi, dtype=float).ravel()
     xs = np.linspace(w.support_lo, w.support_hi, FOURIER_QUAD_NODES)
     gx = evaluate(w, xs)
     vals = np.empty(len(xi_arr), dtype=complex)
-    for i in range(0, len(xi_arr), FOURIER_XI_BLOCK):
-        block = xi_arr[i:i + FOURIER_XI_BLOCK]
-        phases = np.exp(-2j * np.pi * np.outer(block, xs))
-        vals[i:i + len(block)] = np.trapezoid(phases * gx[None, :], xs, axis=1)
+
+    def work(blocks):
+        for lo, hi in blocks:
+            phases = np.exp(-2j * np.pi * np.outer(xi_arr[lo:hi], xs))
+            vals[lo:hi] = np.trapezoid(phases * gx[None, :], xs, axis=1)
+
+    map_blocks(work, len(xi_arr), FOURIER_XI_BLOCK)
     if np.ndim(xi) == 0:
         return complex(vals[0])
     return vals

@@ -5,12 +5,14 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from gaborcert import _workers
 from gaborcert import randwin as R
 from gaborcert import window as W
 
@@ -402,3 +404,141 @@ def test_kernel_does_not_warn():
     with np.errstate(all="raise"):
         R.triangle_kernel(np.array([0.0, 1.0, 0.5, 2.0]),
                           np.array([0.0, 1.0, 0.5, -0.0]))
+
+
+# ---------------------------------------------------------------------------
+# row blocks on threads: the same bits, the same budget, nothing left running
+
+def _force_cpus(monkeypatch, k):
+    monkeypatch.setattr(_workers, "cpus", lambda: k)
+
+
+_PATHS = {"default dt": (R.sample_path(9), R.DEFAULT_QUADRATURE_N),
+          "one block": (R.sample_path(10, dt=2 ** -8), 256),
+          "two nodes": (R.sample_path(11, dt=2 ** -8), 2)}
+
+
+@pytest.mark.parametrize("case", sorted(_PATHS))
+def test_synthesis_bits_do_not_depend_on_the_thread_count(monkeypatch, case):
+    path, quadrature_n = _PATHS[case]
+    _force_cpus(monkeypatch, 1)
+    serial = R.synthesize_window(path, quadrature_n).grid_vals
+    for k in (2, 3, 5):
+        _force_cpus(monkeypatch, k)
+        assert _same_bits(R.synthesize_window(path, quadrature_n).grid_vals,
+                          serial)
+
+
+@pytest.mark.parametrize("k", [2, 3, 5])
+def test_threaded_synthesis_matches_dense_grid_bitwise(monkeypatch, k):
+    _force_cpus(monkeypatch, k)
+    for seed, (dt, quadrature_n) in enumerate(
+            [(2.0 ** -8, 256), (1e-3, 1000), (2.0 ** -10, 999)]):
+        _assert_synthesis_bits(R.sample_path(seed, dt=dt), quadrature_n)
+    rows = R.SYNTH_BLOCK_BYTES // (16 * 2 ** 8)
+    _assert_synthesis_bits(R.sample_path(7, dt=2 ** -8), 2 * rows + 1)
+    _assert_synthesis_bits(_constant_path(-1 - 1j, 2 ** -8), 2 * rows + 1)
+
+
+@pytest.mark.parametrize("log2_steps, cpus, rows", [
+    (12, 1, 32), (12, 2, 16), (12, 4, 8), (16, 1, 2), (16, 2, 1), (16, 4, 1)])
+def test_synthesis_blocks_split_the_byte_budget(monkeypatch, log2_steps, cpus,
+                                                rows):
+    """SYNTH_BLOCK_BYTES is the total over the threads: at most that many
+    rows of terms, summed over every thread's buffer, exist at once."""
+    _force_cpus(monkeypatch, cpus)
+    sizes = []
+
+    def recording(work, n, budget):
+        def spy(blocks):
+            sizes.append(blocks.rows)
+            work(blocks)
+        _workers.map_blocks(spy, n, budget)
+
+    monkeypatch.setattr(R, "map_blocks", recording)
+    path = _constant_path(1.0, 2.0 ** -log2_steps)
+    R.synthesize_window(path, 64 if log2_steps > 12 else 2048)
+    assert set(sizes) == {rows}
+    assert sum(sizes) * 16 * 2 ** log2_steps <= R.SYNTH_BLOCK_BYTES
+
+
+def test_synthesis_traced_peak_with_four_threads(monkeypatch):
+    _force_cpus(monkeypatch, 4)
+    assert _traced_peak(R.synthesize_window, R.sample_path(5)) < 32 * 2 ** 20
+
+
+def _raising_on_call(calls, exc):
+    kernel = R.triangle_kernel
+
+    def patched(x, t):
+        calls.append(1)
+        if len(calls) == 3:
+            raise exc
+        return kernel(x, t)
+    return patched
+
+
+def test_a_failing_block_reaches_the_caller(monkeypatch):
+    _force_cpus(monkeypatch, 2)
+    before = threading.active_count()
+    calls = []
+    monkeypatch.setattr(R, "triangle_kernel",
+                        _raising_on_call(calls, ArithmeticError("third block")))
+    with pytest.raises(ArithmeticError, match="third block"):
+        R.synthesize_window(R.sample_path(5))
+    assert threading.active_count() == before
+    assert len(calls) < 2048 // 16      # the other blocks were not all run
+
+
+def test_a_runtime_warning_in_a_block_still_fails(monkeypatch):
+    # the repository's pytest configuration turns RuntimeWarning into an error
+    _force_cpus(monkeypatch, 2)
+    before = threading.active_count()
+    calls = []
+
+    def warning_kernel(x, t):
+        calls.append(1)
+        if len(calls) == 3:
+            np.float64(1.0) / np.float64(0.0)
+        return kernel(x, t)
+
+    kernel = R.triangle_kernel
+    monkeypatch.setattr(R, "triangle_kernel", warning_kernel)
+    with pytest.raises(RuntimeWarning, match="divide by zero"):
+        R.synthesize_window(R.sample_path(5))
+    assert threading.active_count() == before
+
+
+def test_threads_end_with_the_call(monkeypatch):
+    _force_cpus(monkeypatch, 3)
+    before = threading.active_count()
+    R.synthesize_window(R.sample_path(5))
+    assert threading.active_count() == before
+
+
+def test_one_block_starts_no_thread(monkeypatch):
+    _force_cpus(monkeypatch, 4)
+
+    def refuse(self):
+        raise AssertionError("a one-block synthesis started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    R.synthesize_window(R.sample_path(10, dt=2 ** -8), 256)
+
+
+def test_benchmark_warm_up_starts_no_thread(tmp_path):
+    """The random_windows warm-up item is one block: it runs inline and
+    imports no thread pool, so it adds nothing to the set-up time."""
+    code = ("import sys, threading\n"
+            "from gaborcert import cli\n"
+            "started = []\n"
+            "threading.Thread.start = lambda self: started.append(self)\n"
+            "rc = cli.main(['random-window', '--seed', '0', '--dt',"
+            " '0.00390625', '--quadrature-n', '256', '--out', sys.argv[1]])\n"
+            "print(rc, len(started), 'concurrent.futures' in sys.modules)\n")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src")] + ([path] if path else [])))
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "w.csv")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.stdout == "0 0 False\n", proc.stderr

@@ -1,6 +1,7 @@
 """Window evaluation, diagnostics, and serialization."""
 
 import math
+import threading
 import tracemalloc
 import warnings
 
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gaborcert import _workers
 from gaborcert import window as W
 from gaborcert.errors import DegenerateFit, EmptyCore
 
@@ -451,6 +453,79 @@ def test_fourier_transform_traced_peak_under_32_mib():
 
 def test_fourier_transform_empty_frequency_list():
     assert W.fourier_transform(W.bump(), np.array([])).shape == (0,)
+
+
+def _force_cpus(monkeypatch, k):
+    monkeypatch.setattr(_workers, "cpus", lambda: k)
+
+
+def _complex_sampled():
+    xs = np.linspace(0.0, 1.0, 2048)
+    walk = np.cumsum(np.random.default_rng(12).normal(size=(2, 2048)), axis=1)
+    return W.sampled(xs, np.sin(np.pi * xs) * (1.0 + 0.1 * (walk[0]
+                                                              + 1j * walk[1])))
+
+
+def test_fourier_bits_do_not_depend_on_the_thread_count(monkeypatch):
+    # 7 and 200 frequencies are not multiples of a block
+    inputs = [np.linspace(1.0, 80.0, n_xi) for n_xi in (1, 7, 200)] + [3.75]
+    for w in (W.bump(), _complex_sampled()):
+        _force_cpus(monkeypatch, 1)
+        serial = [W.fourier_transform(w, xi) for xi in inputs]
+        for k in (2, 3, 5):
+            _force_cpus(monkeypatch, k)
+            for xi, want in zip(inputs, serial):
+                assert _same_bits(W.fourier_transform(w, xi), want)
+            xis = np.linspace(-3.0, 40.0, 3 * W.FOURIER_XI_BLOCK + 5)
+            assert _same_bits(W.fourier_transform(w, xis),
+                              _dense_fourier(w, xis))
+
+
+def test_fourier_traced_peak_with_four_threads(monkeypatch):
+    """FOURIER_XI_BLOCK is the total over the threads: four threads hold
+    no more than one thread, up to one block of complex phases."""
+    xis = np.linspace(1.0, 80.0, 200)
+    peaks = []
+    for k in (1, 4):
+        _force_cpus(monkeypatch, k)
+        tracemalloc.start()
+        try:
+            W.fourier_transform(W.bump(), xis)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + 16 * W.FOURIER_XI_BLOCK * W.FOURIER_QUAD_NODES
+
+
+def test_fourier_threads_end_with_the_call(monkeypatch):
+    _force_cpus(monkeypatch, 3)
+    before = threading.active_count()
+    W.fourier_transform(W.bump(), np.linspace(1.0, 80.0, 200))
+    assert threading.active_count() == before
+    calls = []
+    exp = np.exp
+
+    def failing_exp(z):
+        calls.append(1)
+        if len(calls) == 3:
+            raise ArithmeticError("third block")
+        return exp(z)
+
+    monkeypatch.setattr(np, "exp", failing_exp)
+    with pytest.raises(ArithmeticError, match="third block"):
+        W.fourier_transform(W.bump(), np.linspace(1.0, 80.0, 200))
+    assert threading.active_count() == before
+
+
+def test_fourier_one_block_starts_no_thread(monkeypatch):
+    _force_cpus(monkeypatch, 4)
+
+    def refuse(self):
+        raise AssertionError("a one-block transform started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    W.fourier_transform(W.bump(), np.linspace(1.0, 80.0, W.FOURIER_XI_BLOCK))
+    W.fourier_transform(W.bump(), 2.0)
 
 
 # ---------------------------------------------------------------------------
