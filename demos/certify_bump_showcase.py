@@ -28,7 +28,7 @@ BETA = 1.0 / math.sqrt(2.0)
 
 def main():
     w = window.bump()
-    params = lattice.lattice_params(ALPHA, BETA)
+    params = lattice.LatticeParams(ALPHA, BETA)
     print(f"window: bump on ({w.support_lo:g}, {w.support_hi:g}), "
           f"peak {window.sup_norm(w):.6f}")
     print(f"lattice: alpha={ALPHA:g}, beta={BETA:.12f}, "

@@ -33,7 +33,7 @@ def coverage_draws() -> list:
         while len(draws) < DRAWS_PER_BAND:
             density = rng.uniform(lo, hi)
             alpha = rng.uniform(0.3, 1.9)
-            params = lattice.lattice_params(alpha, density / alpha)
+            params = lattice.LatticeParams(alpha, density / alpha)
             if not params.rational_class.is_rational:
                 draws.append(params)
         bands.append(draws)

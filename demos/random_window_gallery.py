@@ -24,7 +24,7 @@ BETA = 1.0 / math.sqrt(2.0)
 
 
 def gallery(seeds=range(8)):
-    params = lattice.lattice_params(ALPHA, BETA)
+    params = lattice.LatticeParams(ALPHA, BETA)
     print(f"certifying Brownian windows at alpha={ALPHA}, beta=1/sqrt(2)")
     print(f"{'seed':>6} {'min|g| on core':>16} {'verdict':>12} "
           f"{'delta':>12} {'sigma_min':>12}")

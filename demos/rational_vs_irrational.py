@@ -24,8 +24,8 @@ def finite_section_trend():
     w = window.odd_bump()
     print("finite-section sigma_min_inf for the odd bump window")
     print(f"{'extent':>8} {'beta = 1/2':>14} {'beta = 1/sqrt2':>16}")
-    p_rat = lattice.lattice_params(1.0, 0.5)
-    p_irr = lattice.lattice_params(1.0, 1.0 / math.sqrt(2.0))
+    p_rat = lattice.LatticeParams(1.0, 0.5)
+    p_irr = lattice.LatticeParams(1.0, 1.0 / math.sqrt(2.0))
     for extent in (8, 16, 32, 64):
         # rational leg: refine the x grid with the extent so the x -> 0
         # failure mechanism stays resolved
@@ -39,7 +39,7 @@ def finite_section_trend():
 
 def rational_report():
     # characteristic window at density exactly 2/3
-    params = lattice.lattice_params(0.6, 10.0 / 9.0)
+    params = lattice.LatticeParams(0.6, 10.0 / 9.0)
     w = window.characteristic()
     print(f"rational analysis at alpha*beta = "
           f"{params.rational_class.label()}")
@@ -63,7 +63,7 @@ def rational_report():
     for alpha, beta, wname, w2 in [(1.0, 0.5, "odd bump", window.odd_bump()),
                                    (1.2, 0.5, "characteristic",
                                     window.characteristic())]:
-        cert = certify.certify_frame(lattice.lattice_params(alpha, beta), w2)
+        cert = certify.certify_frame(lattice.LatticeParams(alpha, beta), w2)
         print(f"certify {wname} at alpha={alpha}, beta={beta}: "
               f"{cert.verdict} ({cert.reason})")
 

@@ -19,10 +19,10 @@ import numpy as np
 
 from .errors import (BudgetExceeded, HopNotFound, HypothesisViolated,
                      TooCloseToForbiddenRatio)
-from .lattice import (BlockSpec, LatticeParams, anchor_block, band_halfwidth,
-                      build_Mx, entry_args, epsilon, int_bounds,
-                      separator_row, size_bound, structure_fingerprint,
-                      structure_gaps)
+from .lattice import (BlockSpec, LatticeParams, _require_alpha_in_support,
+                      anchor_block, band_halfwidth, build_Mx, entry_args,
+                      epsilon, int_bounds, separator_row, size_bound,
+                      structure_fingerprint, structure_gaps)
 from .linalg import banded_log_abs_det, stack_sigma_min
 from .window import Window, evaluate, inv_sup_on_core, sup_norm
 
@@ -63,6 +63,10 @@ class CertifyConfig:
             raise ValueError(f"extent must be >= 0, got {self.extent}")
 
 
+#: exp without the overflow warning: inf is its value past the largest double
+_exp = np.errstate(over="ignore")(np.exp)
+
+
 @dataclass(frozen=True, eq=False)
 class DeterminantProfile:
     """Sampled map x -> log|det M_x| over the gaps between structure
@@ -86,7 +90,7 @@ class DeterminantProfile:
 
     @property
     def abs_det(self) -> np.ndarray:
-        return np.exp(self.log_abs_det)
+        return _exp(self.log_abs_det)
 
     @property
     def log10_det_best(self) -> float:
@@ -263,8 +267,7 @@ def scan_determinant(params: LatticeParams, w: Window,
     """log|det M_x| at Chebyshev nodes of every breakpoint gap in (0, alpha)."""
     if samples_per_gap < 1:
         raise ValueError(f"samples_per_gap must be >= 1, got {samples_per_gap}")
-    if params.alpha >= w.support_length:
-        raise HypothesisViolated("alpha must be < support length")
+    _require_alpha_in_support(params, w)
     edges = structure_gaps(params, w)
     nodes = _chebyshev_nodes(edges, samples_per_gap)
     specs, log_abs_det = _log_abs_dets(params, w, nodes)
@@ -529,7 +532,7 @@ def rational_analysis(params: LatticeParams, w: Window, samples: int = 4096,
     j_lo, j_hi = float(edges[gi]), float(edges[gi + 1])
     margin = (j_hi - j_lo) / 1000.0
     xs = np.linspace(j_lo + margin, j_hi - margin, samples)
-    absdet = np.exp(_log_abs_dets(params, w, [xs])[1])
+    absdet = _exp(_log_abs_dets(params, w, [xs])[1])
 
     below = absdet < _ZERO_TOL
     zero_count = len(_runs(below))
@@ -548,7 +551,7 @@ def rational_analysis(params: LatticeParams, w: Window, samples: int = 4096,
         close = np.abs(grid - bp) < 1e-9
         grid[close] += 1e-9
     gaps = np.split(grid, np.searchsorted(grid, edges[1:-1]))
-    period_min = np.exp(_log_abs_dets(
+    period_min = _exp(_log_abs_dets(
         params, w, [part for part in gaps if len(part)])[1].min())
     # a zero inside J already rules out a uniform determinant floor, no matter
     # how coarsely the period grid happens to straddle it

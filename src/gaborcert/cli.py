@@ -157,14 +157,17 @@ def _float_list(text: str) -> list:
         raise CliError(f"bad number list {text!r}: {exc}") from exc
 
 
-def _nonnegative_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
+def _int_at_least(low: int):
+    """argparse type: an int >= low."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return parse
 
 
 def _certify_config(args) -> certify.CertifyConfig:
@@ -216,7 +219,7 @@ def _certificate_dict(args, cert: certify.FrameCertificate,
 def _lattice(args) -> tuple[lattice.LatticeParams, window.Window]:
     w = parse_window(args.window)
     _require(args, "alpha", "beta")
-    return lattice.lattice_params(args.alpha, args.beta), w
+    return lattice.LatticeParams(args.alpha, args.beta), w
 
 
 def cmd_certify(args) -> int:
@@ -240,19 +243,20 @@ def _scan_point(task):
     or None).
 
     Top level so ProcessPoolExecutor can pickle it; a per-row failure becomes
-    an Error row plus a message and never aborts the sweep.  w is the parsed
-    window or the exception parsing raised, which each point that is not
-    skipped raises in turn.  alpha*beta >= 1 is Skipped, tested before any
-    validation, so an infinite alpha or beta is Skipped too.
+    an Error row plus a message and never aborts the sweep.  Numbers that
+    make no lattice are an Error; a lattice that is not subcritical is
+    Skipped.  w is the parsed window or the exception parsing raised, which
+    each point that is not skipped raises in turn.
     """
     w, alpha, beta, config = task
     point = f"{fmt(alpha)},{fmt(beta)}"
-    if alpha * beta >= 1.0:
-        return f"{point},Skipped,,", None
     try:
+        params = lattice.LatticeParams(alpha, beta)
+        if not params.subcritical:
+            return f"{point},Skipped,,", None
         if isinstance(w, Exception):
             raise w
-        cert = certify.certify_frame(lattice.lattice_params(alpha, beta), w, config)
+        cert = certify.certify_frame(params, w, config)
     except (GaborCertError, ValueError) as exc:
         return f"{point},Error,,", f"alpha={fmt(alpha)} beta={fmt(beta)}: {exc}"
     verdict = "Certified" if cert.certified else "NotCertified"
@@ -374,12 +378,12 @@ def build_parser() -> _Parser:
     add(lattice_cmds, "--beta", type=float)
     add("certify scan", "--seed", type=int)   # scan records it in .meta.json
     add("random-window", "--seed", type=int, default=0)
-    add("certify scan", "--extent", type=_nonnegative_int, default=cfg.extent)
-    add("framebounds", "--extent", type=_nonnegative_int, default=16)
+    add("certify scan", "--extent", type=_int_at_least(0), default=cfg.extent)
+    add("framebounds", "--extent", type=_int_at_least(0), default=16)
     add("certify scan", "--samples-per-gap", type=int, default=cfg.samples_per_gap)
     add("certify scan", "--delta-floor", type=float, default=cfg.delta_floor)
     add("certify", "--det-profile", help="also write the determinant profile CSV here")
-    add("scan", "--workers", type=int, default=1)
+    add("scan", "--workers", type=_int_at_least(1), default=1)
     add("scan", "--alpha-grid", type=_float_list, help="comma-separated alphas")
     add("scan", "--beta-grid", type=_float_list, help="comma-separated betas")
     add("framebounds", "--x-grid-size", type=int, default=64)

@@ -23,7 +23,6 @@ from .window import Window, evaluate
 __all__ = [
     "RationalClass",
     "LatticeParams",
-    "lattice_params",
     "classify_ratio",
     "BlockSpec",
     "entry_args",
@@ -63,8 +62,18 @@ class RationalClass:
 
 @dataclass(frozen=True)
 class LatticeParams:
+    """A lattice from valid numbers; alpha*beta >= 1 is a hypothesis the
+    certificate reports (subcritical), not an input error."""
+
     alpha: float
     beta: float
+
+    def __post_init__(self):
+        alpha, beta = self.alpha, self.beta
+        if not (alpha > 0 and beta > 0 and all(
+                map(math.isfinite, (alpha, beta, 1.0 / beta, alpha * beta)))):
+            raise ValueError(f"alpha and beta must be positive with alpha, beta, 1/beta "
+                             f"and alpha*beta finite; got alpha={alpha!r}, beta={beta!r}")
 
     @property
     def density(self) -> float:
@@ -105,16 +114,6 @@ def classify_ratio(value: float) -> RationalClass:
     return RationalClass(False)
 
 
-def lattice_params(alpha: float, beta: float) -> LatticeParams:
-    """Lattice parameters from valid numbers; alpha*beta >= 1 is a hypothesis
-    the certificate reports (LatticeParams.subcritical), not an input error."""
-    if not (alpha > 0 and beta > 0 and all(
-            map(math.isfinite, (alpha, beta, 1.0 / beta, alpha * beta)))):
-        raise ValueError(f"alpha and beta must be positive with alpha, beta, 1/beta "
-                         f"and alpha*beta finite; got alpha={alpha!r}, beta={beta!r}")
-    return LatticeParams(alpha, beta)
-
-
 @dataclass(frozen=True)
 class BlockSpec:
     """Square anchor submatrix: rows anchor_n..anchor_n+size-1, columns likewise."""
@@ -145,11 +144,16 @@ def _require_subcritical(params: LatticeParams) -> None:
         raise HypothesisViolated(params.subcritical_reason)
 
 
+def _require_alpha_in_support(params: LatticeParams, w: Window) -> None:
+    if params.alpha >= w.support_length:
+        raise HypothesisViolated(f"requires alpha < support length, got alpha = "
+                                 f"{params.alpha} and support length {w.support_length}")
+
+
 def epsilon(params: LatticeParams, w: Window) -> float:
     """Margin (1/2) min(b-a-alpha, alpha, 1/beta-alpha)."""
     a, b = w.support_lo, w.support_hi
-    if params.alpha >= b - a:
-        raise HypothesisViolated(f"alpha = {params.alpha} >= support length {b - a}")
+    _require_alpha_in_support(params, w)
     _require_subcritical(params)
     return 0.5 * min(b - a - params.alpha, params.alpha,
                      params.inv_beta - params.alpha)

@@ -62,17 +62,31 @@ class Window:
     def __post_init__(self):
         if self.kind not in _FORMULAS:
             raise ValueError(f"unknown window kind {self.kind!r}")
+        is_gevrey, is_sampled = self.kind == "gevrey", self.kind == "sampled"
+        if (self.order is None) == is_gevrey:
+            raise ValueError(f"gevrey, and no other kind, takes an order; got kind "
+                             f"{self.kind!r} with order {self.order!r}")
+        if (self.grid_x is None) == is_sampled or (self.grid_vals is None) == is_sampled:
+            raise ValueError(f"sampled, and no other kind, takes grid_x and "
+                             f"grid_vals; got kind {self.kind!r}")
+        if is_gevrey and self.order < 1:
+            raise ValueError("order must be a positive integer")
+        if is_sampled:
+            xs, vals = self.grid_x, self.grid_vals
+            if np.ndim(xs) != 1 or np.shape(xs) != np.shape(vals) or len(xs) < 2:
+                raise ValueError("grid_x and grid_vals must be 1-d arrays of equal "
+                                 "length, 2 or more")
+            if not (np.isfinite(xs).all() and np.isfinite(vals).all()):
+                raise ValueError("grid_x and grid_vals must be finite")
+            if np.any(np.diff(xs) <= 0):
+                raise ValueError("grid_x must be strictly increasing")
+            if (self.support_lo, self.support_hi) != (xs[0], xs[-1]):
+                raise ValueError("a sampled window's support must be its grid hull")
         if not (math.isfinite(self.support_lo) and math.isfinite(self.support_hi)):
             raise ValueError(f"support ({self.support_lo}, {self.support_hi}) "
                              "must be finite")
         if not self.support_lo < self.support_hi:
             raise ValueError("support_lo must be < support_hi")
-        if self.kind == "sampled" and (self.support_lo, self.support_hi) != (
-                self.grid_x[0], self.grid_x[-1]):
-            raise ValueError("a sampled window's support must be its grid hull")
-
-    def __call__(self, x):
-        return evaluate(self, x)
 
     @property
     def support_length(self) -> float:
@@ -100,8 +114,6 @@ def bump() -> Window:
 
 def gevrey(order: int) -> Window:
     """exp(-(1-x^4)^(-order)) on (-1, 1), with stretched-exponential Fourier decay."""
-    if order < 1:
-        raise ValueError("order must be a positive integer")
     return Window(-1.0, 1.0, "gevrey", order=order)
 
 
@@ -127,14 +139,9 @@ def sampled(grid_x, grid_vals) -> Window:
     evaluation is 0 outside it.
     """
     xs = np.asarray(grid_x, dtype=float)
-    vals = np.asarray(grid_vals, dtype=complex)
-    if xs.ndim != 1 or xs.shape != vals.shape:
-        raise ValueError("grid_x and grid_vals must be 1-d arrays of equal length")
-    if not (np.isfinite(xs).all() and np.isfinite(vals).all()):
-        raise ValueError("grid_x and grid_vals must be finite")
-    if np.any(np.diff(xs) <= 0):
-        raise ValueError("grid_x must be strictly increasing")
-    return Window(float(xs[0]), float(xs[-1]), "sampled", grid_x=xs, grid_vals=vals)
+    # the grid's ends, which Window checks, with no index into an empty grid
+    return Window(float(xs.min(initial=math.inf)), float(xs.max(initial=-math.inf)),
+                  "sampled", grid_x=xs, grid_vals=np.asarray(grid_vals, dtype=complex))
 
 
 def _interp(w: Window, x):
@@ -269,6 +276,11 @@ def fourier_decay_fit(w: Window, xi_max: float, n_xi: int) -> tuple[float, float
 
     if not xi_max > 1.0:
         raise ValueError(f"xi_max must be > 1, got {xi_max}")
+    if not math.isfinite(xi_max):
+        raise ValueError(f"xi_max must be finite, got {xi_max}")
+    if n_xi < 8:
+        raise ValueError(f"n_xi must be >= 8, the fewest frequencies a fit "
+                         f"takes, got {n_xi}")
     xis = np.linspace(1.0, xi_max, n_xi)
     mags = np.abs(fourier_transform(w, xis))
     usable = mags > 1e-12

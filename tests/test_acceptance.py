@@ -48,7 +48,7 @@ def test_criterion_1_good_pair_inequalities():
     while checked < 10 ** 4:
         al = rng.uniform(0.3, 1.8)
         be = rng.uniform(0.52, 0.97 / al)
-        params = L.lattice_params(al, be)
+        params = L.LatticeParams(al, be)
         eps = L.epsilon(params, w)
         xs = rng.uniform(1e-9, al - 1e-9, 20)
         ms = rng.integers(-30, 31, 20)
@@ -77,7 +77,7 @@ def test_criterion_2_submatrix_vs_brute_force():
         w = zoo[trial % len(zoo)]
         alpha = rng.uniform(0.2, 0.9) * w.support_length
         beta = rng.uniform(0.3, 0.95 / alpha)
-        params = L.lattice_params(alpha, beta)
+        params = L.LatticeParams(alpha, beta)
         x = rng.uniform(1e-6, alpha - 1e-6)
         spec = L.anchor_block(params, w, x)
         M = L.build_Mx(params, w, spec)
@@ -108,7 +108,7 @@ def test_criterion_3_bump_positive_certificate():
     and positive block sigma_min; the matching truncation's sigma_min at the
     certified x stays above block_sigma_min - 1e-8.  Under 60 s at extent 32."""
     t0 = time.monotonic()
-    params = L.lattice_params(1.0, 1.0 / SQRT2)
+    params = L.LatticeParams(1.0, 1.0 / SQRT2)
     w = W.bump()
     cert = C.certify_frame(params, w, C.CertifyConfig(extent=32))
     assert cert.certified
@@ -133,7 +133,7 @@ def test_criterion_4_finite_section_trends():
     ending below half its extent-8 value.  The same window at beta=1/sqrt(2)
     on a fixed 16-point grid stabilizes (change 32 -> 64 under 5%)."""
     w = W.odd_bump()
-    p_rat = L.lattice_params(1.0, 0.5)
+    p_rat = L.LatticeParams(1.0, 0.5)
     decay = [F.estimate_bounds(p_rat, w, e, 4 * e).sigma_min_inf
              for e in (8, 16, 32, 64)]
     assert all(a > b for a, b in zip(decay, decay[1:]))
@@ -142,7 +142,7 @@ def test_criterion_4_finite_section_trends():
     assert decay == pytest.approx([5.7467e-3, 2.8739e-3, 1.4370e-3, 7.1851e-4],
                                   rel=1e-3)
 
-    p_irr = L.lattice_params(1.0, 1.0 / SQRT2)
+    p_irr = L.LatticeParams(1.0, 1.0 / SQRT2)
     stable = [F.estimate_bounds(p_irr, w, e, 16).sigma_min_inf
               for e in (32, 64)]
     rel_change = abs(stable[1] - stable[0]) / stable[0]
@@ -165,7 +165,7 @@ def test_criterion_5_block_determinant_law():
         assert tries < 500
         alpha = rng.uniform(0.6, 1.4)
         beta = rng.uniform(0.52, 0.98 / alpha)
-        params = L.lattice_params(alpha, beta)
+        params = L.LatticeParams(alpha, beta)
         cert = C.certify_frame(params, w, config)
         if not cert.certified:
             continue
@@ -210,7 +210,7 @@ def test_criterion_6_path_integral_monte_carlo():
 def test_criterion_7_random_windows_end_to_end():
     """25 seeded Brownian windows at alpha = 0.8, beta = 1/sqrt(2): at least
     24 Certified; 100 seeds all pass the non-vanishing check."""
-    params = L.lattice_params(0.8, 1.0 / SQRT2)
+    params = L.LatticeParams(0.8, 1.0 / SQRT2)
     certified = 0
     for seed in range(25):
         w = R.synthesize_window(R.sample_path(seed))
@@ -234,10 +234,10 @@ def test_criterion_8_rational_machinery():
     (0+1)/(alpha |J|).  The default separation guard refuses the forbidden
     ratio; the run below disables it deliberately."""
     from fractions import Fraction
-    params = L.lattice_params(0.6, 10.0 / 9.0)
+    params = L.LatticeParams(0.6, 10.0 / 9.0)
     w = W.characteristic()
-    assert L.size_bound(L.lattice_params(0.6, 1.0), w) == 4
-    assert C.forbidden_ratios(L.lattice_params(0.6, 1.0), w) == [
+    assert L.size_bound(L.LatticeParams(0.6, 1.0), w) == 4
+    assert C.forbidden_ratios(L.LatticeParams(0.6, 1.0), w) == [
         Fraction(1, 4), Fraction(1, 3), Fraction(1, 2),
         Fraction(2, 3), Fraction(3, 4)]
 

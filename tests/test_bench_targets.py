@@ -72,7 +72,7 @@ def test_benchmark_window_specs_parse_to_recorded_kind(spec):
 
 def test_tracer_counts_a_decomposition():
     """--trace 1 reads result.blocks and b.kind of every decomposition."""
-    params = lattice.lattice_params(1.0, 1.0 / math.sqrt(2.0))
+    params = lattice.LatticeParams(1.0, 1.0 / math.sqrt(2.0))
     w = window.bump()
     cert = certify.certify_frame(params, w)
     interval = (cert.interval_lo, cert.interval_hi)

@@ -27,7 +27,7 @@ SQRT2 = math.sqrt(2.0)
 @pytest.fixture(scope="module")
 def flagship():
     """Bump window at the paper-scale showcase lattice alpha=1, beta=1/sqrt(2)."""
-    params = L.lattice_params(1.0, 1.0 / SQRT2)
+    params = L.LatticeParams(1.0, 1.0 / SQRT2)
     w = W.bump()
     cert = C.certify_frame(params, w)
     return params, w, cert
@@ -37,7 +37,7 @@ def flagship():
 # determinant scan
 
 def test_scan_samples_avoid_breakpoints():
-    p = L.lattice_params(0.7, 1.0)
+    p = L.LatticeParams(0.7, 1.0)
     w = W.characteristic()
     prof = C.scan_determinant(p, w, 16)
     edges = prof.edges
@@ -49,7 +49,7 @@ def test_scan_samples_avoid_breakpoints():
 
 
 def test_scan_poly_bump_matches_hand_product():
-    p = L.lattice_params(0.7, 1.0)
+    p = L.LatticeParams(0.7, 1.0)
     w = W.poly_bump(0.0, 1.0)
     prof = C.scan_determinant(p, w, 16)
     # on the gap (0, 0.1) the block is diag(g(x), g(x+0.3), g(x+0.6), g(x+0.9))
@@ -65,14 +65,14 @@ def test_scan_characteristic_unit_determinants():
     for _ in range(5):
         alpha = rng.uniform(0.4, 0.9)
         beta = rng.uniform(1.05, 0.98 / alpha)
-        p = L.lattice_params(alpha, beta)
+        p = L.LatticeParams(alpha, beta)
         prof = C.scan_determinant(p, W.characteristic(), 8)
         assert np.allclose(prof.abs_det, 1.0, atol=1e-12)
 
 
 def test_scan_fingerprints_constant_per_gap():
     """One fingerprint per gap, and every sample of the gap has it."""
-    p = L.lattice_params(1.0, 1.0 / SQRT2)
+    p = L.LatticeParams(1.0, 1.0 / SQRT2)
     prof = C.scan_determinant(p, W.bump(), 8)
     assert len(prof.fingerprints) == len(prof.edges) - 1
     # specs holds each gap's anchor block at its first sample, as arrays
@@ -87,7 +87,7 @@ def test_scan_fingerprints_constant_per_gap():
 
 def test_scan_rejects_wide_alpha():
     with pytest.raises(HypothesisViolated):
-        C.scan_determinant(L.lattice_params(1.2, 0.5), W.characteristic(), 8)
+        C.scan_determinant(L.LatticeParams(1.2, 0.5), W.characteristic(), 8)
 
 
 def _scan_loop(params, w, samples_per_gap):
@@ -148,7 +148,7 @@ SCAN_CASES = [
 
 @pytest.mark.parametrize("w, alpha, beta, samples", SCAN_CASES)
 def test_scan_matches_sample_loop(w, alpha, beta, samples):
-    p = L.lattice_params(alpha, beta)
+    p = L.LatticeParams(alpha, beta)
     prof = C.scan_determinant(p, w, samples)
     xs, dets, fps, gaps = _scan_loop(p, w, samples)
     assert _same_bits(prof.edges, L.structure_gaps(p, w))
@@ -165,7 +165,7 @@ def test_scan_splits_batches_past_entry_cap(monkeypatch):
     keep every bit."""
     zero_pivots = []
     for w, alpha, beta, samples in SCAN_CASES:
-        p = L.lattice_params(alpha, beta)
+        p = L.LatticeParams(alpha, beta)
         whole = C.scan_determinant(p, w, samples)
         stacks, slabs = [], []
 
@@ -197,7 +197,7 @@ def test_scan_evaluates_at_most_the_cap_per_call(monkeypatch):
     samples, yet under a budget of 2^13 entries no evaluate call of the
     scan sees more than that, and together they reach the bump's formula
     with each good pair of the band exactly once."""
-    p, w = L.lattice_params(1.0, 0.99), W.bump()
+    p, w = L.LatticeParams(1.0, 0.99), W.bump()
     calls, seen, bump = [], [], W._FORMULAS["bump"]
     monkeypatch.setattr(LA, "_BATCH_ENTRIES", 1 << 13)
     monkeypatch.setattr(C, "evaluate",
@@ -235,7 +235,7 @@ def _partly_real_window():
 def test_scan_bits_do_not_depend_on_stack_mates(w, alpha, beta, samples):
     """Each gap scanned alone has the bits of the whole scan: the
     arithmetic is real or complex per window, never per stack of samples."""
-    p = L.lattice_params(alpha, beta)
+    p = L.LatticeParams(alpha, beta)
     prof = C.scan_determinant(p, w, samples)
     alone = [C._log_abs_dets(p, w, [xs])[1]
              for xs in prof.x_samples.reshape(-1, samples)]
@@ -246,7 +246,7 @@ def test_scan_memory_does_not_grow_with_the_block_size():
     """alpha = 1, alpha*beta ~ 0.995: anchor blocks up to size 400 in 12,896
     samples; the scan's tracemalloc peak stays under 6 MiB, where an s x n
     array of the samples would take 5 MiB more."""
-    p, w = L.lattice_params(1.0, 0.9949999), W.bump()
+    p, w = L.LatticeParams(1.0, 0.9949999), W.bump()
     tracemalloc.start()
     try:
         prof = C.scan_determinant(p, w, 32)
@@ -265,7 +265,7 @@ def test_certify_refuses_an_lu_window_past_the_budget(w, k, mib, peak_mib):
     k does not fit linalg's budget, so certify answers
     NotCertified with a reason naming k and the MiB, in under 2 s.  The
     tracemalloc peak, 25 and 12 MiB when measured, stays under twice that."""
-    p = L.lattice_params(1e-4, 5000.0137)
+    p = L.LatticeParams(1e-4, 5000.0137)
     start = time.perf_counter()
     cert = C.certify_frame(p, w)
     assert time.perf_counter() - start < 2.0
@@ -295,7 +295,7 @@ def test_good_pairs_lie_in_the_band(kind, lo, length, u, density, t):
          "sampled": lambda: W.sampled(np.linspace(lo, hi, 5),
                                       np.arange(5) + 1j)}[kind]()
     alpha = u * w.support_length
-    p = L.lattice_params(alpha, density / alpha)
+    p = L.LatticeParams(alpha, density / alpha)
     try:
         spec = L.anchor_block(p, w, t * alpha)
     except HypothesisViolated:      # row 0 holds no good pair at this x
@@ -312,13 +312,13 @@ def test_scan_rejects_a_gap_holding_two_structures(monkeypatch):
     """With no breakpoints, the one gap (0, alpha) holds several anchor
     structures; the scan trusts the breakpoints and raises, never splits."""
     monkeypatch.setattr(L, "structure_breakpoints", lambda params, w: np.array([]))
-    p, w = L.lattice_params(1.0, 1.0 / SQRT2), W.bump()
+    p, w = L.LatticeParams(1.0, 1.0 / SQRT2), W.bump()
     with pytest.raises(ValueError, match="anchor structure"):
         C.scan_determinant(p, w, 64)
 
 
 def test_scan_rejects_no_samples_per_gap():
-    p, w = L.lattice_params(1.0, 1.0 / SQRT2), W.bump()
+    p, w = L.LatticeParams(1.0, 1.0 / SQRT2), W.bump()
     for k in (0, -1):
         with pytest.raises(ValueError, match="samples_per_gap"):
             C.scan_determinant(p, w, k)
@@ -329,7 +329,7 @@ def test_scan_rejects_no_samples_per_gap():
 def test_gap_structure_check_holds_anchor_m():
     """x and x + 1/beta share the fingerprint, one column apart: the check
     at a gap's ends compares anchor_m too."""
-    p, w = L.lattice_params(1.0, 1.0 / SQRT2), W.bump()
+    p, w = L.LatticeParams(1.0, 1.0 / SQRT2), W.bump()
     xs = np.array([0.2, 0.2 + p.inv_beta])
     a0, a1 = (L.anchor_block(p, w, x) for x in xs)
     assert L.structure_fingerprint(p, w, a0) == L.structure_fingerprint(p, w, a1)
@@ -345,7 +345,7 @@ def test_gap_structure_check_holds_anchor_m():
 # certified interval
 
 def test_interval_characteristic_widest_gap():
-    p = L.lattice_params(0.7, 1.0)
+    p = L.LatticeParams(0.7, 1.0)
     prof = C.scan_determinant(p, W.characteristic(), 16)
     found = C.find_certified_interval(prof, 1e-8)
     assert found is not None
@@ -357,7 +357,7 @@ def test_interval_characteristic_widest_gap():
 
 
 def test_interval_not_found_for_zero_profile():
-    p = L.lattice_params(0.7, 1.0)
+    p = L.LatticeParams(0.7, 1.0)
     prof = C.scan_determinant(p, W.characteristic(), 16)
     zero = dataclasses.replace(prof, log_abs_det=np.full_like(prof.log_abs_det,
                                                               -np.inf))
@@ -454,7 +454,7 @@ def test_decomposition_extent_zero_is_single_anchor(flagship):
 def test_decomposition_characteristic_irrational_unit_blocks():
     # char window with alpha = 1/sqrt(2): every block is 0/1 with unit
     # diagonal and sigma_min exactly 1; 7 blocks cover extent 16
-    p = L.lattice_params(1.0 / SQRT2, 1.0)
+    p = L.LatticeParams(1.0 / SQRT2, 1.0)
     w = W.characteristic()
     cert = C.certify_frame(p, w, C.CertifyConfig(extent=16))
     assert cert.certified
@@ -501,7 +501,7 @@ def test_decomposition_rows_ordered_and_disjoint(flagship):
 def test_decomposition_layout_pinned(window, alpha, beta, extent, layout):
     w = {"bump": W.bump(), "char": W.characteristic(),
          "gevrey2": W.gevrey(2)}[window]
-    p = L.lattice_params(alpha, beta)
+    p = L.LatticeParams(alpha, beta)
     cert = C.certify_frame(p, w, C.CertifyConfig(extent=extent))
     mid = 0.5 * (cert.interval_lo + cert.interval_hi)
     dec = C.build_block_decomposition(p, w, mid, extent,
@@ -514,7 +514,7 @@ def test_decomposition_layout_pinned(window, alpha, beta, extent, layout):
                                                   (2, "backward")])
 def test_decomposition_hop_not_found_messages(monkeypatch, hop_bound, direction):
     # the budget binds only past extent 9,999, so a small one stands in for it
-    p = L.lattice_params(0.6, 0.81 / (0.6 * SQRT2))
+    p = L.LatticeParams(0.6, 0.81 / (0.6 * SQRT2))
     w = W.gevrey(2)
     cert = C.certify_frame(p, w, C.CertifyConfig(extent=4))
     mid = 0.5 * (cert.interval_lo + cert.interval_hi)
@@ -574,14 +574,14 @@ def test_certify_flagship_bump(flagship):
 
 
 def test_certify_refuses_wide_alpha():
-    cert = C.certify_frame(L.lattice_params(1.2, 0.5), W.characteristic())
+    cert = C.certify_frame(L.LatticeParams(1.2, 0.5), W.characteristic())
     assert not cert.certified
     assert cert.reason == "rational density class"
     assert cert.hypothesis_report["alpha_lt_support"] is False
 
 
 def test_certify_refuses_rational_class():
-    cert = C.certify_frame(L.lattice_params(1.0, 0.5), W.odd_bump())
+    cert = C.certify_frame(L.LatticeParams(1.0, 0.5), W.odd_bump())
     assert not cert.certified
     assert cert.reason == "rational density class"
 
@@ -597,7 +597,7 @@ def test_rational_class_is_computed_not_declared():
 
 def test_certify_refuses_vanishing_window():
     # odd bump vanishes at an interior point: 1/g unbounded on the core
-    cert = C.certify_frame(L.lattice_params(1.0, 1.0 / SQRT2), W.odd_bump())
+    cert = C.certify_frame(L.LatticeParams(1.0, 1.0 / SQRT2), W.odd_bump())
     assert not cert.certified
     assert cert.reason == "window vanishes on the shrunken core"
 
@@ -605,7 +605,7 @@ def test_certify_refuses_vanishing_window():
 def test_certify_refuses_uncovered_anchor_row():
     # 1/beta = 3.54 > support length 2 and alpha > 1: for x in [1, alpha)
     # row 0 has no good column, so the anchor construction cannot start
-    cert = C.certify_frame(L.lattice_params(1.2, 0.4 / SQRT2), W.bump())
+    cert = C.certify_frame(L.LatticeParams(1.2, 0.4 / SQRT2), W.bump())
     assert not cert.certified
     assert cert.hypothesis_report["anchor_row_covered"] is False
     assert cert.reason == "row 0 has no good pair on part of (0, alpha)"
@@ -614,7 +614,7 @@ def test_certify_refuses_uncovered_anchor_row():
 def test_anchor_row_covered_despite_large_inv_beta():
     # support (0,1) with alpha < 1: m = 0 is good for every x in (0, alpha)
     # even though 1/beta = sqrt(2) exceeds the support length
-    cert = C.certify_frame(L.lattice_params(0.8, 1.0 / SQRT2),
+    cert = C.certify_frame(L.LatticeParams(0.8, 1.0 / SQRT2),
                            W.characteristic())
     assert cert.hypothesis_report["anchor_row_covered"] is True
 
@@ -625,7 +625,7 @@ def test_certify_characteristic_at_beta_one_raises_nothing():
     this left, for 31 of these 500 alphas."""
     config = C.CertifyConfig(extent=4)
     for alpha in np.random.default_rng(0).uniform(0.2, 0.95, 500).tolist():
-        cert = C.certify_frame(L.lattice_params(alpha, 1.0), W.characteristic(),
+        cert = C.certify_frame(L.LatticeParams(alpha, 1.0), W.characteristic(),
                                config)
         assert cert.certified
 
@@ -732,7 +732,7 @@ def test_hypothesis_report_keys(flagship):
 def test_bump_core_holds_where_its_minimum_underflows(alpha, density):
     """At these lattices min g on the core is e^-714 and e^-5000, below the
     smallest double; the hypothesis holds all the same."""
-    params = L.lattice_params(alpha, density / alpha)
+    params = L.LatticeParams(alpha, density / alpha)
     assert not params.rational_class.is_rational
     assert C._hypothesis_report(params, W.bump())["inv_sup_finite"] is True
 
@@ -744,22 +744,42 @@ def test_gevrey_core_holds_where_its_log_overflows(order):
     order 100 and e^1067, past the largest double, at order 1000.  Gevrey
     has no zero there, so the scan runs, and its band's powers overflow to
     g = 0 near the support ends without a warning."""
-    params = L.lattice_params(1.8, 0.54123)
+    params = L.LatticeParams(1.8, 0.54123)
     cert = C.certify_frame(params, W.gevrey(order), C.CertifyConfig(extent=16))
     assert all(cert.hypothesis_report.values())
     assert cert.reason == "no determinant floor found"
 
 
+@pytest.mark.filterwarnings("error")
+def test_determinant_past_the_largest_double_raises_no_warning():
+    """polybump:0:100 at (50.123, 0.019731) is a legal lattice whose |det|
+    reaches 10^560: exp's correct value there is inf, and it warned of the
+    overflow.  The verdict is not pinned."""
+    cert = C.certify_frame(L.LatticeParams(50.123, 0.019731),
+                           W.poly_bump(0.0, 100.0), C.CertifyConfig(extent=16))
+    assert cert.profile.log10_det_best > 560 and cert.delta == math.inf
+    assert np.isinf(cert.profile.abs_det).any()
+
+
 # ---------------------------------------------------------------------------
 # rational machinery
+
+@pytest.mark.filterwarnings("error")
+def test_rational_analysis_past_the_largest_double_raises_no_warning():
+    # every |det| of this period exceeds the largest double: inf, no warning
+    p, w = L.LatticeParams(5000.0, 0.000196), W.poly_bump(0.0, 1e4)
+    assert p.rational_class.label() == "rational(49/50)"
+    report = C.rational_analysis(p, w, samples=256, delta_sep=0)
+    assert report.min_abs_det_period == math.inf and report.frame_supported
+
 
 def test_forbidden_ratios_small_orders():
     """The order is the size bound: 2, 3 and 4 at these lattices."""
     w = W.characteristic()
     orders = {2: (0.5, 0.5), 3: (0.5, 1.0), 4: (0.6, 1.0)}
     for order, (alpha, beta) in orders.items():
-        assert L.size_bound(L.lattice_params(alpha, beta), w) == order
-    ratios = {order: C.forbidden_ratios(L.lattice_params(*ab), w)
+        assert L.size_bound(L.LatticeParams(alpha, beta), w) == order
+    ratios = {order: C.forbidden_ratios(L.LatticeParams(*ab), w)
               for order, ab in orders.items()}
     assert ratios[2] == [Fraction(1, 2)]
     assert ratios[3] == [
@@ -771,11 +791,11 @@ def test_forbidden_ratios_small_orders():
 
 def test_rational_analysis_requires_rational_class():
     with pytest.raises(HypothesisViolated):
-        C.rational_analysis(L.lattice_params(1.0, 1.0 / SQRT2), W.bump())
+        C.rational_analysis(L.LatticeParams(1.0, 1.0 / SQRT2), W.bump())
 
 
 def test_rational_analysis_separation_guard():
-    p = L.lattice_params(0.6, 10.0 / 9.0)     # alpha*beta = 2/3, forbidden
+    p = L.LatticeParams(0.6, 10.0 / 9.0)     # alpha*beta = 2/3, forbidden
     with pytest.raises(TooCloseToForbiddenRatio):
         C.rational_analysis(p, W.characteristic())
 
@@ -788,7 +808,7 @@ def test_rational_analysis_rejects_no_samples(monkeypatch, samples):
 
     monkeypatch.setattr(C, "structure_gaps", no_work)
     monkeypatch.setattr(C, "_forbidden_separation", no_work)
-    p = L.lattice_params(0.6, 10.0 / 9.0)
+    p = L.LatticeParams(0.6, 10.0 / 9.0)
     with pytest.raises(ValueError, match="samples must be >= 1"):
         C.rational_analysis(p, W.characteristic(), samples=samples,
                             delta_sep=0.0)
@@ -798,7 +818,7 @@ def test_rational_analysis_never_builds_the_farey_list(monkeypatch):
     """The forbidden ratios are never built: with delta_sep = 0 the report
     equals the one of a run that may build them, and the default guard
     refuses a forbidden density from the Farey neighbours alone."""
-    p, w = L.lattice_params(0.6, 10.0 / 9.0), W.characteristic()
+    p, w = L.LatticeParams(0.6, 10.0 / 9.0), W.characteristic()
     ref = C.rational_analysis(p, w, samples=256, delta_sep=0.0)
 
     def refuse(*args):
@@ -826,7 +846,7 @@ def test_forbidden_separation_is_the_farey_list_minimum():
             alpha, q = 1.0, int(rng.integers(2, 61))
             ratio = int(rng.integers(1, q)) / q
             density = np.nextafter(ratio, rng.choice([0.0, ratio, 1.0]))
-        p = L.lattice_params(alpha, density / alpha)
+        p = L.LatticeParams(alpha, density / alpha)
         if not p.subcritical or L.size_bound(p, w) > 60:
             continue
         seen += 1
@@ -838,7 +858,7 @@ def test_forbidden_ratio_guard_at_size_bound_1000_is_fast():
     """alpha = 1, beta = 0.998: alpha*beta = 499/500 is itself a forbidden
     ratio of the bump's size bound 1,000, refused without the 304,191
     fractions of the list."""
-    p = L.lattice_params(1.0, 0.998)
+    p = L.LatticeParams(1.0, 0.998)
     assert L.size_bound(p, W.bump()) == 1000
     start = time.perf_counter()
     with pytest.raises(TooCloseToForbiddenRatio, match="within 0 of"):
@@ -847,7 +867,7 @@ def test_forbidden_ratio_guard_at_size_bound_1000_is_fast():
 
 
 def test_rational_analysis_characteristic_zero_free():
-    p = L.lattice_params(0.6, 10.0 / 9.0)
+    p = L.LatticeParams(0.6, 10.0 / 9.0)
     rep = C.rational_analysis(p, W.characteristic(), samples=1024, delta_sep=0.0)
     assert (rep.p, rep.q) == (2, 3)
     assert rep.zero_count == 0
@@ -869,7 +889,7 @@ def test_rational_analysis_characteristic_zero_free():
 
 
 def test_rational_analysis_odd_bump_not_supported():
-    p = L.lattice_params(1.0, 0.5)
+    p = L.LatticeParams(1.0, 0.5)
     rep = C.rational_analysis(p, W.odd_bump(), samples=1024, delta_sep=0.0)
     assert rep.zero_count >= 1
     assert not rep.frame_supported
@@ -910,7 +930,7 @@ def _rational_loops(params, w, samples):
     (_sampled_window(), 0.7, 1.0),
 ])
 def test_rational_analysis_matches_sample_loops(w, alpha, beta):
-    p = L.lattice_params(alpha, beta)
+    p = L.LatticeParams(alpha, beta)
     rep = C.rational_analysis(p, w, samples=1024, delta_sep=0.0)
     zero_count, sub, period_min = _rational_loops(p, w, 1024)
     assert (rep.zero_count, rep.certified_subinterval) == (zero_count, sub)
@@ -1022,7 +1042,7 @@ def test_replay_matches_per_hop_loop(monkeypatch, w, alpha, beta, hop_bound):
     # holds x's own anchor; the small budgets make some hops fail
     if hop_bound is not None:
         monkeypatch.setattr(C, "_HOP_BOUND", hop_bound)
-    p = L.lattice_params(alpha, beta)
+    p = L.LatticeParams(alpha, beta)
     lo, hi = _interval(p, w)
     seen = {"separators": 0, "messages": 0}
     for x in (lo, 0.5 * (lo + hi), hi):
@@ -1056,7 +1076,7 @@ def test_replay_matches_per_hop_loop_on_moved_separator_rows(monkeypatch, w,
     row = L.separator_row
     monkeypatch.setattr(L, "separator_row", moved)
     monkeypatch.setattr(C, "separator_row", moved)
-    p = L.lattice_params(alpha, beta)
+    p = L.LatticeParams(alpha, beta)
     lo, hi = _interval(p, w)
     x = 0.5 * (lo + hi)
     got = _replayed(C.build_block_decomposition, p, w, x, 64, (lo, hi))
@@ -1067,7 +1087,7 @@ def test_replay_matches_per_hop_loop_on_moved_separator_rows(monkeypatch, w,
 def test_separators_are_ron_shen_entries(w, alpha, beta):
     """Each 1x1 separator block is its entry of the Ron-Shen matrix,
     evaluate(w, entry_args(...)) bit for bit, as every anchor block is."""
-    p = L.lattice_params(alpha, beta)
+    p = L.LatticeParams(alpha, beta)
     lo, hi = _interval(p, w)
     dec = C.build_block_decomposition(p, w, 0.5 * (lo + hi), 1024, (lo, hi))
     assert len(dec.separators) > 0
@@ -1099,7 +1119,7 @@ def _screen_candidates(stack):
 
 @_REPLAY_CASES
 def test_sigma_min_matches_per_block_svd(monkeypatch, w, alpha, beta):
-    p = L.lattice_params(alpha, beta)
+    p = L.LatticeParams(alpha, beta)
     lo, hi = _interval(p, w)
     dec = C.build_block_decomposition(p, w, 0.5 * (lo + hi), 1024, (lo, hi))
     want = _per_block_sigma_min(dec)
@@ -1196,7 +1216,7 @@ def test_sigma_min_matches_per_block_svd_on_random_lattices(kind, u, density,
     the screened sigma_min has every bit of the per-block loop."""
     w = _WINDOW_KINDS[kind]
     alpha = u * w.support_length
-    p = L.lattice_params(alpha, density / alpha)
+    p = L.LatticeParams(alpha, density / alpha)
     assume(C._anchor_row_covered(p, w))
     edges = L.structure_gaps(p, w)
     gap = int(np.argmax(np.diff(edges)))

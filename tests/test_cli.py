@@ -80,7 +80,7 @@ def test_certify_density_ge_one_is_certify_frames_certificate(capsys):
     # the CLI built its own certificate, with a one-key report
     assert run(["certify", "--alpha", "1.2", "--beta", "0.9"]) == 2
     doc = json.loads(capsys.readouterr().out)
-    want = certify.certify_frame(lattice.lattice_params(1.2, 0.9), window.bump())
+    want = certify.certify_frame(lattice.LatticeParams(1.2, 0.9), window.bump())
     assert doc["hypothesis_report"] == want.hypothesis_report
     assert (doc["reason"], doc["extent"]) == (want.reason, 32)
 
@@ -203,7 +203,7 @@ def test_certify_det_profile(tmp_path):
 def _assert_profile_matches_det_oracle(prof, w, alpha, beta):
     """Each row's abs_det within 1e-12 relative of np.linalg.det on the dense
     anchor block at its x, and 0 exactly where the oracle is 0."""
-    params = lattice.lattice_params(alpha, beta)
+    params = lattice.LatticeParams(alpha, beta)
     rows = [line.split(",") for line in prof.read_text().split()[1:]]
     got = np.array([float(r[1]) for r in rows])
     oracle = np.array([abs(np.linalg.det(lattice.build_Mx(
@@ -331,11 +331,24 @@ def test_scan_skips_density_ge_one(tmp_path):
 
 
 def test_scan_edge_pair_is_not_certified(tmp_path, capsys):
+    # alpha*beta rounds below 1, but the lattice is not subcritical: Skipped
+    # by the predicate certify's report reads, as density >= 1 is
     out = tmp_path / "s.csv"
     assert run(["scan", *EDGE_PAIR, "--out", str(out)]) == 0
     row = out.read_text().strip().split("\n")[1]
-    assert row.split(",")[2:] == ["NotCertified", "", ""]
+    assert row.split(",")[2:] == ["Skipped", "", ""]
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_scan_workers_below_one_exit_one(tmp_path, capsys, workers):
+    # -3 ran serially and exited 0
+    out = tmp_path / "s.csv"
+    assert run(["scan", "--alpha", "0.9", "--beta", "0.9", "--workers", workers,
+                "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: argument --workers: must be >= 1")
+    assert not out.exists()
 
 
 def test_scan_error_rows_keep_five_fields(tmp_path, capsys):
@@ -533,7 +546,7 @@ def test_breakpoints_csv(tmp_path):
     assert lines[0] == "x"
     got = np.array([float(v) for v in lines[1:]])
     expect = lattice.structure_breakpoints(
-        lattice.lattice_params(0.7, 1.0), window.characteristic())
+        lattice.LatticeParams(0.7, 1.0), window.characteristic())
     assert np.allclose(got, expect, atol=1e-15)
 
 
@@ -581,12 +594,25 @@ def test_fourier_decay_json(tmp_path):
     assert doc["c_hat"] > 0.0
 
 
-@pytest.mark.parametrize("xi_max", ["1", "0.5"])
-def test_fourier_decay_xi_max_at_most_one_exits_one(tmp_path, capsys, xi_max):
+@pytest.mark.parametrize("flags, message", [
     # 1 fitted 200 copies of xi = 1, 0.5 an inverted grid; both exited 0
+    (["--xi-max", "1"], "xi_max must be > 1"),
+    (["--xi-max", "0.5"], "xi_max must be > 1"),
+    # numpy's "invalid value encountered in multiply", twice, then
+    # "fewer than 8 usable frequencies"
+    (["--xi-max", "inf"], "xi_max must be finite"),
+    # numpy's "Number of samples, -1, must be non-negative."
+    (["--n-xi", "-1"], "n_xi must be >= 8"),
+    (["--n-xi", "7"], "n_xi must be >= 8"),
+], ids=["1", "0.5", "xi-max-inf", "n-xi--1", "n-xi-7"])
+def test_fourier_decay_xi_max_at_most_one_exits_one(tmp_path, capsys, flags,
+                                                    message):
+    """Every setting fourier_decay_fit checks before any transform, the
+    first of them xi_max <= 1."""
     out = tmp_path / "f.json"
-    assert run(["fourier-decay", "--xi-max", xi_max, "--out", str(out)]) == 1
-    assert capsys.readouterr().err.startswith("error: xi_max must be > 1")
+    assert run(["fourier-decay", *flags, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
     assert not out.exists()
 
 
@@ -770,20 +796,21 @@ def test_non_finite_lattice_exits_one(tmp_path, capsys, subcommand, alpha, beta)
 
 
 def test_scan_non_finite_points(tmp_path, capsys):
-    # alpha*beta >= 1, inf included, stays Skipped; nan and an overflowing
-    # 1/beta become Error rows that name both values
+    # the numbers make the lattice first, as in certify: inf, nan and an
+    # overflowing 1/beta become Error rows that name both values
     out = tmp_path / "s.csv"
     assert run(["scan", "--alpha-grid", "inf,nan,0.5", "--beta-grid",
                 "0.5,1e-320", "--extent", "4", "--out", str(out)]) == 0
     tiny = cli.fmt(1e-320)
     rows = out.read_text().strip().split("\n")[1:]
     assert [r.split(",")[:3] for r in rows] == [
-        ["inf", "0.5", "Skipped"], ["inf", tiny, "Skipped"],
+        ["inf", "0.5", "Error"], ["inf", tiny, "Error"],
         ["nan", "0.5", "Error"], ["nan", tiny, "Error"],
         ["0.5", "0.5", "NotCertified"], ["0.5", tiny, "Error"]]
     err = capsys.readouterr().err.strip().split("\n")
-    assert len(err) == 3
-    for line, (alpha, beta) in zip(err, [("nan", "0.5"), ("nan", "1e-320"),
+    assert len(err) == 5
+    for line, (alpha, beta) in zip(err, [("inf", "0.5"), ("inf", "1e-320"),
+                                         ("nan", "0.5"), ("nan", "1e-320"),
                                          ("0.5", "1e-320")]):
         assert line.startswith(f"error: alpha={cli.fmt(float(alpha))} ")
         assert line.endswith(f"got alpha={float(alpha)!r}, "
@@ -833,6 +860,16 @@ def test_framebounds_nan_window_row_exits_one(tmp_path, capsys):
                 "--beta", "1.1", "--extent", "8", "--x-grid-size", "8",
                 "--out", str(out)]) == 1
     assert "must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_header_only_window_csv_exits_one(tmp_path, capsys):
+    # an IndexError traceback
+    path, out = tmp_path / "empty.csv", tmp_path / "c.json"
+    path.write_text("x,re,im\n")
+    assert run(["certify", "--window", str(path), "--alpha", "0.5",
+                "--beta", "0.5", "--out", str(out)]) == 1
+    assert "2 or more" in capsys.readouterr().err
     assert not out.exists()
 
 

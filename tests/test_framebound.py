@@ -13,7 +13,7 @@ SQRT2 = math.sqrt(2.0)
 
 
 def test_truncated_G_hand_example():
-    p = L.lattice_params(0.7, 1.0)
+    p = L.LatticeParams(0.7, 1.0)
     w = W.characteristic()
     G = F.truncated_G(p, w, 0.1, extent=1)
     expect = np.array([[1, 0], [1, 0], [0, 1]], dtype=complex)
@@ -22,7 +22,7 @@ def test_truncated_G_hand_example():
 
 
 def test_truncated_G_extent_zero_row_zero_good_pairs():
-    p = L.lattice_params(0.8, 1.0 / SQRT2)
+    p = L.LatticeParams(0.8, 1.0 / SQRT2)
     w = W.bump()
     G = F.truncated_G(p, w, 0.3, extent=0)
     assert G.shape[0] == 1
@@ -32,7 +32,7 @@ def test_truncated_G_extent_zero_row_zero_good_pairs():
 
 
 def test_row_count_and_sparsity():
-    p = L.lattice_params(1.0, 1.0 / SQRT2)
+    p = L.LatticeParams(1.0, 1.0 / SQRT2)
     w = W.bump()
     for extent in (0, 3, 10):
         G = F.truncated_G(p, w, 0.25, extent)
@@ -42,7 +42,7 @@ def test_row_count_and_sparsity():
 
 
 def test_shift_covariance():
-    p = L.lattice_params(0.8, 1.0 / SQRT2)
+    p = L.LatticeParams(0.8, 1.0 / SQRT2)
     w = W.bump()
     x = 0.31
     ext = 6
@@ -102,7 +102,7 @@ def test_truncated_columns_match_row_union_random():
 def test_alpha_beyond_support_keeps_zero_columns():
     """Translates of [0, 1] by 1.5 leave gaps, so no frame: the columns
     without any good pair stay in the section and sigma_min is 0."""
-    p = L.lattice_params(1.5, 0.5)
+    p = L.LatticeParams(1.5, 0.5)
     w = W.characteristic()
     cols = F.truncated_columns(p, w, 0.75, 8)
     rows = np.arange(-8, 9)
@@ -113,11 +113,11 @@ def test_alpha_beyond_support_keeps_zero_columns():
 
 def test_estimate_bounds_rejects_negative_extent():
     with pytest.raises(ValueError, match="extent"):
-        F.estimate_bounds(L.lattice_params(1.0, 1.0 / SQRT2), W.bump(), -1, 8)
+        F.estimate_bounds(L.LatticeParams(1.0, 1.0 / SQRT2), W.bump(), -1, 8)
 
 
 def test_estimate_bounds_names_section_without_complete_column():
-    p = L.lattice_params(1.0, 0.5)
+    p = L.LatticeParams(1.0, 0.5)
     with pytest.raises(ValueError, match=r"x=0\.0625 .* extent 0"):
         F.estimate_bounds(p, W.bump(), 0, 8)
 
@@ -128,7 +128,7 @@ def test_estimate_bounds_names_section_without_complete_column():
 def test_sigma_max_within_schur_bound(alpha, beta, extent):
     """||G|| <= sqrt(R*C)*sup|g|, R and C the most good pairs in a row and
     in a column; the row-count estimate is not such a bound."""
-    p = L.lattice_params(alpha, beta)
+    p = L.LatticeParams(alpha, beta)
     w = W.bump()
     est = F.estimate_bounds(p, w, extent, 16)
     for x in est.per_x[:, 0]:
@@ -142,7 +142,7 @@ def test_sigma_max_within_schur_bound(alpha, beta, extent):
 
 
 def test_estimate_bounds_characteristic_exact():
-    p = L.lattice_params(1.0 / SQRT2, 1.0)
+    p = L.LatticeParams(1.0 / SQRT2, 1.0)
     w = W.characteristic()
     est = F.estimate_bounds(p, w, extent=16, x_grid_size=16)
     assert est.sigma_min_inf == pytest.approx(1.0, abs=1e-12)
@@ -151,7 +151,7 @@ def test_estimate_bounds_characteristic_exact():
 
 
 def test_sigma_max_below_schur_bound():
-    p = L.lattice_params(1.0, 1.0 / SQRT2)
+    p = L.LatticeParams(1.0, 1.0 / SQRT2)
     w = W.bump()
     est = F.estimate_bounds(p, w, extent=12, x_grid_size=12)
     rows = math.floor(p.beta * w.support_length) + 1
@@ -161,13 +161,13 @@ def test_sigma_max_below_schur_bound():
 
 def test_estimate_bounds_rejects_tiny_grid():
     with pytest.raises(ValueError):
-        F.estimate_bounds(L.lattice_params(1.0, 1.0 / SQRT2), W.bump(), 8, 4)
+        F.estimate_bounds(L.LatticeParams(1.0, 1.0 / SQRT2), W.bump(), 8, 4)
 
 
 def test_upper_bound_rowsum_examples():
-    assert F.upper_bound_rowsum(L.lattice_params(0.7, 1.0),
+    assert F.upper_bound_rowsum(L.LatticeParams(0.7, 1.0),
                                 W.characteristic()) == 2.0
-    assert F.upper_bound_rowsum(L.lattice_params(1.0, 1.0 / SQRT2),
+    assert F.upper_bound_rowsum(L.LatticeParams(1.0, 1.0 / SQRT2),
                                 W.bump()) == pytest.approx(2.0 * math.exp(-1.0))
-    assert F.upper_bound_rowsum(L.lattice_params(0.7, 0.3),
+    assert F.upper_bound_rowsum(L.LatticeParams(0.7, 0.3),
                                 W.characteristic()) == 1.0

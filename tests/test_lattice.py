@@ -16,7 +16,7 @@ SQRT2 = math.sqrt(2.0)
 
 
 def params(alpha, beta):
-    return L.lattice_params(alpha, beta)
+    return L.LatticeParams(alpha, beta)
 
 
 def fingerprint(p, w, x):
@@ -45,9 +45,9 @@ def test_rational_class_label():
 
 def test_density_ge_one_is_a_hypothesis_not_an_input_error():
     for alpha, beta in [(1.0, 1.0), (1.2, 0.9), (1e12, 0.1)]:
-        assert not L.lattice_params(alpha, beta).subcritical
+        assert not L.LatticeParams(alpha, beta).subcritical
     with pytest.raises(ValueError):
-        L.lattice_params(-1.0, 0.5)
+        L.LatticeParams(-1.0, 0.5)
 
 
 # alpha = fl(1/beta): alpha*beta rounds below 1 while 1/beta - alpha is 0
@@ -88,14 +88,27 @@ def test_subcritical_lattices_have_a_positive_margin(beta, ulps):
 ])
 def test_non_finite_lattice_inputs_rejected(alpha, beta):
     # inf used to reach classify_ratio (OverflowError), nan and an
-    # overflowing 1/beta ended in "cannot convert ... NaN to integer"
+    # overflowing 1/beta ended in "cannot convert ... NaN to integer";
+    # the constructor raises, so no such LatticeParams exists
     with pytest.raises(ValueError, match="must be") as err:
-        L.lattice_params(alpha, beta)
+        L.LatticeParams(alpha, beta)
     assert f"alpha={alpha!r}" in str(err.value)
     assert f"beta={beta!r}" in str(err.value)
 
 
-def test_lattice_params_hold_alpha_and_beta_only():
+@pytest.mark.parametrize("alpha, beta", [
+    (-0.7071, 1.0),     # certify_frame died with "eps must be positive"
+    (0.5, -1.0), (0.0, 0.5), (0.5, 0.0), (-0.0, 0.5),
+])
+def test_non_positive_lattice_inputs_rejected(alpha, beta):
+    with pytest.raises(ValueError) as err:
+        L.LatticeParams(alpha, beta)
+    assert str(err.value) == (
+        "alpha and beta must be positive with alpha, beta, 1/beta and "
+        f"alpha*beta finite; got alpha={alpha!r}, beta={beta!r}")
+
+
+def test_lattice_holds_alpha_and_beta_only():
     assert [f.name for f in dataclasses.fields(L.LatticeParams)] == [
         "alpha", "beta"]
     with pytest.raises(TypeError):
@@ -111,7 +124,7 @@ def test_rational_class_is_classified_once(monkeypatch):
     assert p.rational_class.label() == "rational(3/5)"
     assert p.rational_class is p.rational_class
     assert calls == [0.6]
-    q = L.lattice_params(1.0, 1.0 / SQRT2)
+    q = L.LatticeParams(1.0, 1.0 / SQRT2)
     assert q.rational_class.label() == "irrational"
     assert len(calls) == 2
 

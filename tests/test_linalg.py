@@ -228,7 +228,7 @@ def _assert_agree(A):
 @pytest.mark.parametrize("spec", ["bump", "oddbump", "gevrey:3"])
 @pytest.mark.parametrize("extent", [16, 32, 64])
 def test_sections_agree_with_rotation_loop(spec, extent):
-    params = lattice.lattice_params(1.1, 1.0 / (1.1 * math.sqrt(5.0)))
+    params = lattice.LatticeParams(1.1, 1.0 / (1.1 * math.sqrt(5.0)))
     G = framebound.truncated_G(params, cli.parse_window(spec), 0.37 * 1.1,
                                extent)
     assert G.shape[1] <= 64
@@ -237,14 +237,14 @@ def test_sections_agree_with_rotation_loop(spec, extent):
 
 def test_brownian_section_agrees_with_rotation_loop():
     w = randwin.synthesize_window(randwin.sample_path(3, dt=2 ** -8), 128)
-    params = lattice.lattice_params(0.8, 1.0 / math.sqrt(2.0))
+    params = lattice.LatticeParams(0.8, 1.0 / math.sqrt(2.0))
     G = framebound.truncated_G(params, w, 0.29, 16)
     assert np.any(G.imag)
     _assert_agree(G)
 
 
 def test_decomposition_blocks_agree_with_rotation_loop():
-    params = lattice.lattice_params(1.0, 1.0 / math.sqrt(2.0))
+    params = lattice.LatticeParams(1.0, 1.0 / math.sqrt(2.0))
     w = cli.parse_window("bump")
     config = certify.CertifyConfig(extent=16)
     cert = certify.certify_frame(params, w, config)

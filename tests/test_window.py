@@ -84,6 +84,10 @@ def test_sampled_rejects_bad_grids():
                      ([0.0, np.nan, 1.0], [0.0, 1.0, 0.0])):
         with pytest.raises(ValueError, match="finite"):
             W.sampled(xs, vals)
+    # an empty grid (a header-only CSV) died with an IndexError
+    for xs in ([], [0.5], [[0.0, 1.0]]):
+        with pytest.raises(ValueError, match="1-d arrays of equal length, 2 or more"):
+            W.sampled(xs, np.zeros(np.shape(xs)))
 
 
 def test_sampled_support_is_its_grid():
@@ -100,6 +104,28 @@ def test_window_rejects_unknown_kind():
     # rejected when built, not at the first evaluation
     with pytest.raises(ValueError, match="unknown window kind 'triangle'"):
         W.Window(0.0, 1.0, "triangle")
+
+
+_GRID = np.linspace(0.0, 1.0, 5)
+
+
+@pytest.mark.parametrize("kind, payload, message", [
+    # a constant window that came back Certified, its descriptor order 0
+    ("gevrey", dict(order=0), "order must be a positive integer"),
+    ("gevrey", {}, "takes an order"),
+    ("bump", dict(order=7), "takes an order"),      # Certified, with order 7
+    ("sampled", dict(grid_x=np.array([0.0, 0.5, 0.5, 1.0]),
+                     grid_vals=np.ones(4, dtype=complex)), "strictly increasing"),
+    ("sampled", {}, "takes grid_x and grid_vals"),
+    ("sampled", dict(grid_x=_GRID), "takes grid_x and grid_vals"),
+    ("characteristic", dict(grid_x=_GRID, grid_vals=_GRID + 0j),
+     "takes grid_x and grid_vals"),
+], ids=["gevrey-order-0", "gevrey-no-order", "bump-order", "sampled-not-increasing",
+        "sampled-no-grid", "sampled-no-values", "char-grid"])
+def test_invalid_windows_cannot_be_built(kind, payload, message):
+    lo, hi = (-1.0, 1.0) if kind in ("gevrey", "bump") else (0.0, 1.0)
+    with pytest.raises(ValueError, match=message):
+        W.Window(lo, hi, kind, **payload)
 
 
 @pytest.mark.parametrize("lo, hi", [(-math.inf, 1.0), (0.0, math.inf),
@@ -189,11 +215,6 @@ def test_evaluate_is_real_exactly_for_real_windows():
         for t in (0.3, 5.0, math.nan):
             assert type(W.evaluate(w, t)) is (float if real else complex), w.kind
         assert W.evaluate(w, 0.3) == vals.dtype.type(W.evaluate(w, [0.3])[0])
-
-
-def test_window_call_is_evaluate():
-    w = W.bump()
-    assert w(0.3) == W.evaluate(w, 0.3)
 
 
 # ---------------------------------------------------------------------------
