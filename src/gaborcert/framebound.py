@@ -71,9 +71,17 @@ def estimate_bounds(params: LatticeParams, w: Window, extent: int,
                     x_grid_size: int) -> FiniteSectionEstimate:
     """sigma extremes over a uniform x grid on (0, alpha), nudged off breakpoints.
 
-    The sections go serially, not through _workers.map_blocks: SciPy's dgejsv
-    wrapper holds the GIL, and two threads over 64 sections of 129 x 70 took
-    no less time than one.
+    The sections go serially, not through _workers.map_blocks.  SciPy's
+    dgejsv wrapper holds the GIL: over the 9,600 sections of the seed-0
+    framebounds_sections benchmark items (2-CPU Xeon, SciPy 1.17, OpenBLAS)
+    two threads took 2.4-3.6 s, one 2.0-2.3 s.  The same routine through
+    ctypes on scipy.linalg.cython_lapack's dgejsv capsule releases the GIL
+    and gives the same singular values, but two threads pay only with one
+    BLAS thread: 1.6-2.2 s at OPENBLAS_NUM_THREADS=1, and 2.8-3.7 s at 2,
+    the default there, where the BLAS threads and the section threads share
+    the two CPUs.  Even serially, 2 BLAS threads gain nothing on these
+    sections: the 150 items took 2.7-3.3 s wall and 5.3-6.5 s CPU, against
+    2.6-3.4 s wall and as much CPU with one.
     """
     if extent < 0:
         raise ValueError("extent must be >= 0")

@@ -16,9 +16,11 @@ __all__ = ["jacobi_svdvals", "svdvals_accurate", "stack_sigma_min",
 # SCREEN_SLACK * s * eps * ||A||_F
 SCREEN_SLACK = 32
 # banded_log_abs_det's budgets: band entries evaluated at once (one row of a
-# stack, one slab of rows), and bytes of one stack's LU, its window and a
-# step's window-sized temporary at 16 bytes (complex128) an entry; the peak
-# adds a slab and numpy's ufunc buffers.  One matrix fits up to k = 4,095.
+# stack, one slab of rows), and bytes of one stack's LU at 16 bytes
+# (complex128) an entry: its window, the copy of row j and the k factors of a
+# swap and an elimination, and a step's k x 2k temporary, twice the window in
+# all; the peak adds a slab, per-lane real and boolean rows and numpy's ufunc
+# buffers.  One matrix fits up to k = 4,095.
 _BATCH_ENTRIES = 1 << 15
 _LU_BYTES = 1 << 30
 
@@ -121,10 +123,20 @@ def banded_log_abs_det(band, k: int, sizes) -> np.ndarray:
     rows in slabs of at most _BATCH_ENTRIES entries, at least one row, as
     the LU reaches them.  Each step works on the sliding (k+1) x (2k+1)
     window of rows j..j+k and columns j..j+2k (pivoting fills at most k more
-    superdiagonals, as in LAPACK's gbtrf): it picks the pivot of column j by
-    LAPACK's rule (the first largest |Re| + |Im|), swaps it into row j and
-    eliminates below it.  The result is the sum of log|u_jj| (the same bits
-    in any stack), finite where |det| underflows, -inf after a zero pivot.
+    superdiagonals, as in LAPACK's gbtrf).  Its pivot is LAPACK's, the first
+    largest |Re| + |Im| of column j: rows j+1..j+k in turn displace the
+    largest so far only where strictly larger, so a tie keeps the upper row.
+    The pivot row and row j trade places through a copy of row j and one
+    lane mask per row (np.copyto), which leaves the lanes whose pivot is in
+    row j alone; the rows below are eliminated with factors divided only
+    where the pivot is nonzero (a zero pivot heads a zero column).  A NaN is
+    never larger, so the search passes over one below row j where argmax
+    would take it; its lane gives NaN either way, as every row of a matrix
+    is a pivot row once and elimination spreads a NaN along each row it
+    reaches.  Finite entries give no NaN short of overflow, and certify's
+    are values of a window, finite by construction.  The result is the sum
+    of log|u_jj| (the same bits in any stack), finite where |det|
+    underflows, -inf after a zero pivot.
     """
     sizes, width = np.asarray(sizes), 2 * k + 1
     if (need := 2 * 16 * (k + 1) * width) > _LU_BYTES:
@@ -150,30 +162,52 @@ def _stack_log_abs_det(band, k: int, stack, sizes) -> np.ndarray:
 
     slab, lo = rows(0, n), 0
     window = np.zeros((k + 1, width, n), dtype=slab.dtype)
+    top = np.empty((width, n), dtype=slab.dtype)       # row j while it swaps
+    quotients = np.empty((k, n), dtype=slab.dtype)
     logsum = np.zeros(n)        # log|u_jj| added in row order, lane by lane
     # step j shifts the window up and left and takes in row j + k; steps < 0 only fill it
     lives = [n] * k + np.searchsorted(-sizes, -np.arange(size), side="left").tolist()
-    for j, live in enumerate(lives, start=-k):
-        win = window[:, :, :live]
-        win[:-1, :-1] = win[1:, 1:]
-        win[:-1, -1] = 0
-        if lo + len(slab) <= j + k < size:
-            slab, lo = rows(j + k, live), j + k
-        win[-1] = slab[j + k - lo, :, :live] if j + k < size else 0
-        if j < 0:
-            continue
-        col = win[:, 0]
-        mag = (np.abs(col.real) + np.abs(col.imag) if col.dtype.kind == "c"
-               else np.abs(col))
-        p = mag.argmax(axis=0)
-        moved = np.flatnonzero(p)       # lanes whose pivot is not in row j
-        top = win[0, :, moved]
-        win[0, :, moved] = win[p[moved], :, moved]
-        win[p[moved], :, moved] = top
-        piv = win[0, 0]
-        with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore"):
+        for j, live in enumerate(lives, start=-k):
+            win = window[:, :, :live]
+            win[:-1, :-1] = win[1:, 1:]
+            win[:-1, -1] = 0
+            if lo + len(slab) <= j + k < size:
+                slab, lo = rows(j + k, live), j + k
+            win[-1] = slab[j + k - lo, :, :live] if j + k < size else 0
+            if j < 0:
+                continue
+            if k:
+                _swap_in_pivot(win, top[:, :live])
+            piv = win[0, 0]
             logsum[:live] += np.log(np.abs(piv))
-        # a zero pivot heads a zero column: there is nothing to eliminate
-        factors = win[1:, 0] / np.where(piv == 0, 1, piv)
-        win[1:, 1:] -= factors[:, None] * win[0, 1:]
+            # a zero pivot heads a zero column, whose own zeros are its factors
+            factors = quotients[:, :live]
+            np.copyto(factors, win[1:, 0])
+            np.divide(win[1:, 0], piv, out=factors, where=piv != 0)
+            win[1:, 1:] -= factors[:, None] * win[0, 1:]
     return logsum
+
+
+def _swap_in_pivot(win, top) -> None:
+    """Swap row 0 of each lane of the (k+1, 2k+1, lanes) window win with the
+    row of its pivot, the first largest |Re| + |Im| in column 0; top is
+    (2k+1, lanes) scratch."""
+    col = win[:, 0]
+    mag = (np.abs(col.real) + np.abs(col.imag) if col.dtype.kind == "c"
+           else np.abs(col))
+    # beats[r - 1]: row r is larger than rows 0..r-1, whose largest mag[0] carries
+    k, beats = len(win) - 1, []
+    for r in range(1, k + 1):
+        beats.append(gt := mag[r] > mag[0])
+        if r < k:
+            np.copyto(mag[0], mag[r], where=gt)
+    # the pivot is the last row that beats all above it; later: some row below beats
+    np.copyto(top, win[0])
+    later = beats[-1]
+    for r in range(k, 0, -1):
+        at = later if r == k else np.greater(beats[r - 1], later)
+        np.copyto(win[0], win[r], where=at)
+        np.copyto(win[r], top, where=at)
+        if 1 < r < k:
+            later |= beats[r - 1]

@@ -33,9 +33,10 @@ def test_demo_runs(demo, line):
     assert "rigorous" not in proc.stdout
 
 
-def test_coverage_table_fast_bands():
-    """The verdicts of the three fast bands of the coverage draws,
-    0.50-0.90, as recorded in ROADMAP's coverage table."""
+def test_coverage_table_bands():
+    """The verdicts of all five bands of the coverage draws, 0.50-0.99, as
+    recorded in ROADMAP's coverage table; the two near-critical bands run
+    the longest determinant scans."""
     spec = importlib.util.spec_from_file_location(
         "coverage_table", ROOT / "demos" / "coverage_table.py")
     demo = importlib.util.module_from_spec(spec)
@@ -44,5 +45,6 @@ def test_coverage_table_fast_bands():
     assert [len(draws) for draws in bands] == [12] * 5
     row0 = "row 0 has no good pair on part of (0, alpha)"
     floor = "no determinant floor found"
-    assert [demo.band_verdicts(draws)[:2] for draws in bands[:3]] == [
-        (7, {row0: 5}), (8, {row0: 3, floor: 1}), (9, {floor: 3})]
+    assert [demo.band_verdicts(draws)[:2] for draws in bands] == [
+        (7, {row0: 5}), (8, {row0: 3, floor: 1}), (9, {floor: 3}),
+        (8, {floor: 4}), (3, {floor: 9})]

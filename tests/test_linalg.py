@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy.linalg import lapack
 
-from gaborcert import certify, cli, framebound, lattice, linalg, randwin
+from gaborcert import certify, cli, framebound, lattice, linalg, randwin, window
 from gaborcert.errors import BudgetExceeded
 
 
@@ -389,20 +389,30 @@ def test_stack_sigma_min_of_1x1_blocks_rejects_non_finite(bad):
 # ---------------------------------------------------------------------------
 # banded log-determinants
 
+def _band_of(dense, k):
+    """The band of square matrices of one dtype, and their sizes."""
+    sizes = np.array([len(M) for M in dense])
+    band = np.zeros((max(sizes), 2 * k + 1, len(dense)), dtype=dense[0].dtype)
+    for i, M in enumerate(dense):
+        for r in range(len(M)):
+            for c in range(max(r - k, 0), min(r + k + 1, len(M))):
+                band[r, c - r + k, i] = M[r, c]
+    return band, sizes
+
+
 def _banded_stack(rng, k, sizes, dtype, zero_share):
     """(band, dense matrices) of random banded matrices with planted zeros."""
-    band = np.zeros((max(sizes), 2 * k + 1, len(sizes)), dtype=dtype)
     dense = []
-    for i, s in enumerate(sizes):
+    for s in sizes:
         M = np.zeros((s, s), dtype=dtype)
         for r in range(s):
             for c in range(max(r - k, 0), min(r + k + 1, s)):
                 v = rng.standard_normal()
                 if dtype == complex:
                     v += 1j * rng.standard_normal()
-                M[r, c] = band[r, c - r + k, i] = 0.0 if rng.random() < zero_share else v
+                M[r, c] = 0.0 if rng.random() < zero_share else v
         dense.append(M)
-    return band, dense
+    return _band_of(dense, k)[0], dense
 
 
 def _band(band, slabs=None):
@@ -526,10 +536,11 @@ def test_banded_log_abs_det_stays_finite_past_underflow():
     assert got[0] == pytest.approx(-1000 * math.log(10.0), rel=1e-14)
 
 
-def _swap_every_lane_lu(band, k, stack, sizes, pivots):
-    """Reference of linalg._stack_log_abs_det that swaps rows in every lane
-    by fancy indexing (a lane whose pivot is in row j swaps it with itself);
-    appends each step's pivot rows to pivots."""
+def _swap_every_lane_lu(band, k, stack, sizes, pivots, columns=None):
+    """Reference of linalg._stack_log_abs_det that picks each pivot by
+    argmax and swaps rows in every lane by fancy indexing (a lane whose
+    pivot is in row j swaps it with itself); appends each step's pivot rows
+    to pivots and, if given, its column's |Re| + |Im| to columns."""
     n, size, width = len(stack), int(sizes[0]), 2 * k + 1
 
     def rows(r0, live):
@@ -555,6 +566,8 @@ def _swap_every_lane_lu(band, k, stack, sizes, pivots):
                else np.abs(col))
         p = mag.argmax(axis=0)
         pivots.append(p)
+        if columns is not None:
+            columns.append(mag)
         top = win[0].copy()
         win[0] = win[p, :, lanes[:live]].T
         win[p, :, lanes[:live]] = top.T
@@ -588,3 +601,123 @@ def test_pivot_swaps_in_moved_lanes_keep_every_bit(dtype, k):
     assert got.tobytes() == want.tobytes()
     assert set(np.concatenate(pivots).tolist()) == set(range(k + 1))
     assert not any(p[steady[steady < len(p)]].any() for p in pivots)
+
+
+def _tie_prone(rng, k, dtype, size):
+    """A banded matrix of entries whose |Re| + |Im| tie often: small
+    integers, and for complex both z and i*z."""
+    values = (np.arange(-2.0, 3.0) if dtype == float
+              else np.array([0, 1, -1, 1j, -1j, 1 + 1j, -1 + 1j, 2, -2j,
+                             1 + 2j, -2 + 1j]))
+    M = rng.choice(values, (size, size)).astype(dtype)
+    rows, cols = np.indices(M.shape)
+    M[abs(rows - cols) > k] = 0
+    return M
+
+
+def _ties(mag):
+    """Lanes whose nonzero largest |Re| + |Im| is in two rows or more."""
+    top = mag.max(axis=0)
+    return ((mag == top).sum(axis=0) > 1) & (top > 0)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_pivot_ties_zeros_and_infinities_keep_every_bit(dtype, k):
+    """The first of equal largest |Re| + |Im| is the pivot, as argmax has it:
+    a and -a, z and i*z, every step of small-integer matrices; an all-zero
+    column (also of -0.0) and one +-inf entry in each row of the first
+    column give the reference's bits too.  At k = 1 a real tie leaves the
+    same remaining row up to sign whichever row pivots (the factor is +-1),
+    so there only the complex ties tell the two rules apart."""
+    rng = np.random.default_rng(60 + k)
+    size = 3 * k + 4
+    dense = [_tie_prone(rng, k, dtype, size) for _ in range(24)]
+    zero = _tie_prone(rng, k, dtype, size)
+    zero[:k + 1, 0] = 0.0
+    zero[1, 0] = -0.0
+    dense.append(zero)
+    infs = [np.inf, -np.inf] if dtype == float else [
+        complex(np.inf, 0.0), complex(0.0, -np.inf), complex(-np.inf, 1.0)]
+    for p in range(k + 1):
+        for inf in infs:
+            M = _banded_stack(rng, k, [size], dtype, 0.0)[1][0]
+            M[p, 0] = inf
+            dense.append(M)
+    band, sizes = _band_of(dense, k)
+    stack, pivots, columns = np.arange(len(dense)), [], []
+    want = _swap_every_lane_lu(_band(band), k, stack, sizes, pivots, columns)
+    got = linalg._stack_log_abs_det(_band(band), k, stack, sizes)
+    assert got.tobytes() == want.tobytes()
+    # ties below the top row, where a "first largest" rule by >= would
+    # take the lower row; zero pivots; infinite pivots from every row
+    ties = [_ties(mag) for mag in columns]
+    assert any(t.any() for t in ties)
+    assert k == 1 or any((t & (p > 0)).any() for t, p in zip(ties, pivots))
+    assert (want[:25] == -np.inf).any() and want[24] == -np.inf
+    assert (want[25:] == np.inf).all()
+    assert set(pivots[0][25:].tolist()) == set(range(k + 1))
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_nan_in_the_pivot_column_gives_nan_in_its_lane_alone(dtype):
+    """A NaN is never larger than a number, so the pivot search passes
+    over one below row j where argmax would take it; either way its lane's
+    log|det| is NaN and every other lane keeps its bits."""
+    rng = np.random.default_rng(70)
+    k, size = 2, 8
+    dense = _banded_stack(rng, k, [size] * 6, dtype, 0.0)[1]
+    for lane, row in enumerate((0, 1, 2)):
+        dense[lane][row, 0] = np.nan
+    band, sizes = _band_of(dense, k)
+    stack, pivots = np.arange(len(dense)), []
+    with np.errstate(invalid="ignore"):     # complex division by a NaN pivot
+        want = _swap_every_lane_lu(_band(band), k, stack, sizes, pivots)
+        got = linalg._stack_log_abs_det(_band(band), k, stack, sizes)
+    assert np.isnan(got[:3]).all() and np.isnan(want[:3]).all()
+    assert got[3:].tobytes() == want[3:].tobytes()
+    assert np.isfinite(got[3:]).all()
+    assert pivots[0][1:3].tolist() == [1, 2]        # argmax takes the NaN rows
+
+
+def _sampled_complex():
+    xs = np.linspace(0.0, 1.0, 129)
+    return window.sampled(xs, np.sin(np.pi * xs) + 0.4j * xs * (1 - xs))
+
+
+@pytest.mark.parametrize("spec, alpha, beta, k", [
+    ("bump", 1.0, 0.9173, 1),
+    ("gevrey:2", 1.1, 0.8543, 1),
+    ("polybump", 0.5, 1.8871, 1),
+    ("char", 0.6, 1.5541, 1),
+    ("bump", 0.75, 1.2133, 2),
+    ("sampled", 0.6, 1.5541, 1),
+])
+def test_scan_bands_keep_every_bit_of_the_reference_lu(monkeypatch, spec,
+                                                       alpha, beta, k):
+    """The bands scan_determinant factors, near-critical alpha*beta: every
+    lane of the LU step has the bits of the argmax, every-lane-swap
+    reference, in one stack as in the scan's own stacks."""
+    captured, factor = [], certify.banded_log_abs_det
+
+    def capture(band, k, sizes):
+        captured.append((band, k, np.asarray(sizes), out := factor(band, k, sizes)))
+        return out
+
+    monkeypatch.setattr(certify, "banded_log_abs_det", capture)
+    w = _sampled_complex() if spec == "sampled" else cli.parse_window(spec)
+    params = lattice.LatticeParams(alpha, beta)
+    assert 0.85 <= params.density <= 0.97
+    certify.scan_determinant(params, w, 32)
+    [(band, got_k, sizes, out)] = captured
+    stack, pivots, columns = np.argsort(-sizes, kind="stable"), [], []
+    assert got_k == k
+    assert (band(np.arange(1), stack[:1]).dtype.kind == "c") == (spec == "sampled")
+    want = _swap_every_lane_lu(band, k, stack, sizes[stack], pivots, columns)
+    got = linalg._stack_log_abs_det(band, k, stack, sizes[stack])
+    assert got.tobytes() == want.tobytes() == out[stack].tobytes()
+    # pivots leave row j; the characteristic window's 0/1 entries tie instead
+    if spec == "char":
+        assert any(_ties(mag).any() for mag in columns)
+    else:
+        assert any(p.any() for p in pivots)
