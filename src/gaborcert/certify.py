@@ -82,8 +82,8 @@ class DeterminantProfile:
 
     @functools.cached_property
     def fingerprints(self) -> list:
-        """structure_fingerprint of each gap, indexed by gap_index; built
-        when first read."""
+        """structure_fingerprint (size, starts, stops) of each gap, indexed
+        by gap_index; built when first read."""
         return [structure_fingerprint(self.params, self.window, BlockSpec(0, *gap))
                 for gap in zip(self.specs.anchor_m.tolist(), self.specs.size.tolist(),
                                self.specs.x_value.tolist())]

@@ -46,24 +46,25 @@ def fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def json_dumps(obj, indent: int = 0) -> str:
+def json_dumps(obj) -> str:
     """JSON with every float rendered at 17 significant digits."""
-    pad = " " * indent
-    if isinstance(obj, dict):
-        items = ",\n".join(
-            f'{pad}  {json.dumps(str(k))}: {json_dumps(v, indent + 2).lstrip()}'
-            for k, v in obj.items())
-        return f"{pad}{{\n{items}\n{pad}}}" if obj else pad + "{}"
-    if isinstance(obj, (list, tuple)):
-        items = ",\n".join(json_dumps(v, indent + 2) for v in obj)
-        return f"{pad}[\n{items}\n{pad}]" if len(obj) else pad + "[]"
-    if isinstance(obj, (float, np.floating)):
-        if math.isnan(obj) or math.isinf(obj):
-            return pad + json.dumps(str(obj))
-        return pad + fmt(obj)
-    if isinstance(obj, (int, np.integer)) and not isinstance(obj, bool):
-        return pad + str(int(obj))
-    return pad + json.dumps(obj)
+    def dump(obj, pad: str) -> str:
+        if isinstance(obj, dict):
+            items = ",\n".join(
+                f'{pad}  {json.dumps(str(k))}: {dump(v, pad + "  ").lstrip()}'
+                for k, v in obj.items())
+            return f"{pad}{{\n{items}\n{pad}}}" if obj else pad + "{}"
+        if isinstance(obj, (list, tuple)):
+            items = ",\n".join(dump(v, pad + "  ") for v in obj)
+            return f"{pad}[\n{items}\n{pad}]" if len(obj) else pad + "[]"
+        if isinstance(obj, (float, np.floating)):
+            if math.isnan(obj) or math.isinf(obj):
+                return pad + json.dumps(str(obj))
+            return pad + fmt(obj)
+        if isinstance(obj, (int, np.integer)) and not isinstance(obj, bool):
+            return pad + str(int(obj))
+        return pad + json.dumps(obj)
+    return dump(obj, "")
 
 
 def _write_text(path, text: str) -> None:
@@ -228,12 +229,11 @@ def cmd_certify(args) -> int:
     _emit(args, json_dumps(_certificate_dict(args, cert, params, w)) + "\n")
     if args.det_profile:
         ids, rows = {}, ["x,abs_det,fingerprint_id"]
-        # a failed hypothesis leaves no scan and the profile header-only
-        if cert.profile is not None:
-            p = cert.profile
-            for x, ad, gi in zip(p.x_samples, p.abs_det, p.gap_index):
-                fid = ids.setdefault(p.fingerprints[gi], len(ids))
-                rows.append(f"{fmt(x)},{fmt(ad)},{fid}")
+        # header only if a failed hypothesis left no scan; one id lookup per gap
+        if (p := cert.profile) is not None:
+            fids = [ids.setdefault(fp, len(ids)) for fp in p.fingerprints]
+            rows += [f"{fmt(x)},{fmt(ad)},{fids[gi]}"
+                     for x, ad, gi in zip(p.x_samples, p.abs_det, p.gap_index)]
         _write_text(args.det_profile, "\n".join(rows) + "\n")
     return EXIT_CERTIFIED if cert.certified else EXIT_NOT_CERTIFIED
 

@@ -264,11 +264,14 @@ def separator_row(params: LatticeParams, w: Window, x: float, m):
 
 
 def structure_fingerprint(params: LatticeParams, w: Window, spec: BlockSpec):
-    """(size, row-major good-pair mask) of the anchor block spec at spec.x_value."""
-    idx = np.arange(spec.size)
-    mask = is_good(params, w, spec.x_value, (spec.anchor_n + idx)[:, None],
-                   (spec.anchor_m + idx)[None, :])
-    return spec.size, tuple(mask.ravel().tolist())
+    """(size, starts, stops): row i of block spec is good in its columns
+    starts[i] <= j < stops[i], none at (0, 0).  int_bounds reads entry_args'
+    float expression, monotone in m: equal fingerprints iff equal masks."""
+    base = spec.x_value - params.alpha * (spec.anchor_n + np.arange(spec.size))
+    bounds = np.subtract(int_bounds(base, params.inv_beta, w.support_lo, w.support_hi),
+                         spec.anchor_m).clip(0, spec.size)
+    bounds *= bounds[0] < bounds[1]
+    return spec.size, *map(tuple, bounds.tolist())
 
 
 def structure_breakpoints(params: LatticeParams, w: Window) -> np.ndarray:

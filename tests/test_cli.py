@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 import types
@@ -285,6 +286,27 @@ def test_certificate_reports_how_far_the_scan_fell_short(tmp_path):
     cert = json.loads(out.read_text())
     assert cert["floor_shortfall_log10"] <= 0
     assert cert["log10_det_best"] >= math.log10(cert["delta"])
+
+
+def test_certify_det_profile_near_critical_under_2gib_cap(tmp_path):
+    """Bump at alpha*beta = 0.9979999: 1,003 gaps of anchor blocks 498 to 998
+    wide, 998 structures.  Fingerprints of s*s Python bools held 4.3 GiB of
+    tuple slots, and under this 2 GiB cap the run died with a MemoryError."""
+    prof = tmp_path / "p.csv"
+    # one BLAS thread, so the cap measures the run and not BLAS start-up
+    proc = subprocess.run([sys.executable, "-m", "gaborcert.cli", "certify",
+                           "--window", "bump", "--alpha", "1.0", "--beta",
+                           "0.9979999", "--extent", "16", "--det-profile", str(prof)],
+                          capture_output=True, text=True, timeout=60,
+                          env=dict(os.environ, OPENBLAS_NUM_THREADS="1"),
+                          preexec_fn=lambda: resource.setrlimit(
+                              resource.RLIMIT_AS, (2 << 30, 2 << 30)))
+    assert proc.returncode == 2 and "Traceback" not in proc.stderr, proc.stderr
+    lines = prof.read_text().splitlines()
+    assert len(lines) == 1 + 1003 * 32
+    # ids count the structures in order of first appearance
+    first = list(dict.fromkeys(int(line.rsplit(",", 1)[1]) for line in lines[1:]))
+    assert first == list(range(998))
 
 
 @pytest.mark.parametrize("alpha, beta, key", [

@@ -405,9 +405,8 @@ def test_separator_row_array_matches_scalar():
 def test_fingerprint_hand_case():
     w = W.characteristic()
     p = params(0.7, 1.0)
-    size, mask = fingerprint(p, w, 0.1)
-    assert size == 3
-    assert np.array_equal(np.array(mask).reshape(3, 3), np.eye(3, dtype=bool))
+    # the 3x3 mask is the identity: row i is good in column i only
+    assert fingerprint(p, w, 0.1) == (3, (0, 1, 2), (1, 2, 3))
 
 
 def test_fingerprints_differ_across_breakpoint():
@@ -520,22 +519,38 @@ def test_fingerprint_constant_between_breakpoints():
         assert len(fps) == 1
 
 
-def test_fingerprint_mask_is_tuple_of_bools():
-    """The mask tuple equals the element-by-element tuple of Python bools."""
+def test_fingerprint_runs_rebuild_the_is_good_mask():
+    """Each row's run [start, stop) rebuilds is_good's mask exactly, on the
+    anchor block of each random draw and on blocks moved off it, where rows
+    with no good column occur; fingerprints are equal iff masks are."""
     rng = np.random.default_rng(11)
+    pairs, empty_rows = set(), 0
     for w in (W.bump(), W.characteristic(), W.odd_bump()):
         for _ in range(40):
             alpha = rng.uniform(0.2, 0.9) * w.support_length
             p = params(alpha, rng.uniform(0.2, 0.95) / alpha)
             x = rng.uniform(1e-9, alpha - 1e-9)
             try:
-                spec = L.anchor_block(p, w, x)
+                anchor = L.anchor_block(p, w, x)
             except HypothesisViolated:
                 continue
-            idx = np.arange(spec.size)
-            good = L.is_good(p, w, x, (spec.anchor_n + idx)[:, None],
-                             (spec.anchor_m + idx)[None, :])
-            size, mask = L.structure_fingerprint(p, w, spec)
-            assert (size, mask) == (spec.size,
-                                    tuple(bool(v) for v in good.ravel()))
-            assert all(type(v) is bool for v in mask)
+            moved = [dataclasses.replace(anchor, anchor_n=n,
+                                         anchor_m=anchor.anchor_m + d)
+                     for d in (-3, -2, -1, 1, 2, 3) for n in (0, d)]
+            for spec in [anchor, *moved]:
+                idx = np.arange(spec.size)
+                good = L.is_good(p, w, x, (spec.anchor_n + idx)[:, None],
+                                 (spec.anchor_m + idx)[None, :])
+                fp = size, starts, stops = L.structure_fingerprint(p, w, spec)
+                assert size == spec.size
+                assert all(type(v) is int for v in starts + stops)
+                runs = ((np.array(starts)[:, None] <= idx)
+                        & (idx < np.array(stops)[:, None]))
+                assert np.array_equal(runs, good)
+                empty_rows += sum(start == stop == 0
+                                  for start, stop in zip(starts, stops))
+                pairs.add((fp, (size, good.tobytes())))
+    assert empty_rows > 0
+    # equal fingerprints <=> equal masks over every pair of blocks: the
+    # fingerprints and the masks each fall into as many classes as the pairs
+    assert len({fp for fp, _ in pairs}) == len({m for _, m in pairs}) == len(pairs)
