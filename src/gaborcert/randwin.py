@@ -29,8 +29,8 @@ DEFAULT_DT = 2.0 ** -12
 DEFAULT_QUADRATURE_N = 2048
 
 #: bytes of trapezoid terms that synthesize_window holds at once, over all
-#: its threads: 32 x rows at the default dt, where the dense (x, t) grid took
-#: 128 MiB, and at least 1
+#: its threads, and as many of kernel times path: 32 x rows at the default
+#: dt, where the dense (x, t) grid took 128 MiB, and at least 1
 SYNTH_BLOCK_BYTES = 2 ** 21
 
 #: bytes one chunk of mc_path_integrals may hold: at most 64 per path and
@@ -120,6 +120,11 @@ def synthesize_window(path: BrownianPath,
     left out was a zero, and adding a zero to a partial sum is exact.  So the
     values have the same bits as one dense grid, without its 2048 x 4097
     arrays, whatever the block size and the thread count.
+
+    Each thread allocates its term buffer, and one of the same size for the
+    kernel times the path, once per call; every ufunc after the kernel
+    writes into them, with the operands and dtypes of the dense expression,
+    so a block allocates only its kernel and the bits stay those above.
     """
     if quadrature_n < 2:
         raise ValueError(f"quadrature_n must be >= 2, got {quadrature_n}")
@@ -133,13 +138,19 @@ def synthesize_window(path: BrownianPath,
 
     def work(blocks):
         buf = np.zeros((blocks.rows, len(d)), dtype=complex)
+        ybuf = np.empty((blocks.rows, len(t)), dtype=complex)
         for lo, hi in blocks:
             x = xs[lo:hi]
             c = min(int(np.searchsorted(t, x[-1])) + 1, len(t))
-            Y = triangle_kernel(x[:, None], t[None, :c]) * B[:c]
-            terms = buf[:len(x)]
-            terms[:, :c - 1] = d[:c - 1] * (Y[:, 1:] + Y[:, :-1]) / 2.0
-            vals[lo:hi] = np.add.reduce(terms, axis=1)
+            # d * (Y[:, 1:] + Y[:, :-1]) / 2.0 with Y = kernel * B, one ufunc
+            # at a time with the same operands in order
+            Y = ybuf[:len(x), :c]
+            np.multiply(triangle_kernel(x[:, None], t[None, :c]), B[:c], out=Y)
+            terms = buf[:len(x), :c - 1]
+            np.add(Y[:, 1:], Y[:, :-1], out=terms)
+            np.multiply(d[:c - 1], terms, out=terms)
+            np.divide(terms, 2.0, out=terms)
+            vals[lo:hi] = np.add.reduce(buf[:len(x)], axis=1)
 
     map_blocks(work, len(xs), max(1, SYNTH_BLOCK_BYTES // (16 * len(d))))
     vals[0] = 0.0

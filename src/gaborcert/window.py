@@ -40,8 +40,8 @@ __all__ = [
 FOURIER_QUAD_NODES = 2 ** 14
 
 #: frequencies that fourier_transform holds at once, over all its threads:
-#: about 4 MiB per complex array at the default 2^14 nodes
-FOURIER_XI_BLOCK = 16
+#: two complex arrays of 2 MiB each at the default 2^14 nodes
+FOURIER_XI_BLOCK = 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -246,19 +246,36 @@ def fourier_transform(w: Window, xi):
     The integrand is smooth and compactly supported, so trapezoid on the
     support converges rapidly.  Frequencies go in blocks of rows;
     FOURIER_XI_BLOCK rows is the total over the threads of
-    _workers.map_blocks, which split it.  Each row is the same elementwise
-    expression and the same sum as in one dense (xi, x) grid, so neither the
-    block size nor the thread count moves a bit of the result.
+    _workers.map_blocks, which split it.  Each thread allocates its phase and
+    term arrays once, of its share of those rows, and every ufunc of a block
+    writes into them, so no block allocates an array of its size and the
+    budget bounds what the call holds.  Each row is the same ufuncs, in the same order, on the same
+    operands and dtypes, and the same sum as np.trapezoid over one dense
+    (xi, x) grid, so neither the block size nor the thread count moves a bit
+    of the result.
     """
     xi_arr = np.asarray(xi, dtype=float).ravel()
     xs = np.linspace(w.support_lo, w.support_hi, FOURIER_QUAD_NODES)
     gx = evaluate(w, xs)
+    d = np.diff(xs)
     vals = np.empty(len(xi_arr), dtype=complex)
 
     def work(blocks):
+        phase_buf = np.empty((blocks.rows, len(xs)), dtype=complex)
+        term_buf = np.empty((blocks.rows, len(d)), dtype=complex)
         for lo, hi in blocks:
-            phases = np.exp(-2j * np.pi * np.outer(xi_arr[lo:hi], xs))
-            vals[lo:hi] = np.trapezoid(phases * gx[None, :], xs, axis=1)
+            # np.trapezoid(np.exp(-2j * np.pi * np.outer(xi, xs)) * gx, xs,
+            # axis=1), one ufunc at a time with the same operands in order
+            phases, terms = phase_buf[:hi - lo], term_buf[:hi - lo]
+            np.outer(xi_arr[lo:hi], xs, out=phases.real)
+            phases.imag = 0.0
+            np.multiply(-2j * np.pi, phases, out=phases)
+            np.exp(phases, out=phases)
+            np.multiply(phases, gx, out=phases)
+            np.add(phases[:, 1:], phases[:, :-1], out=terms)
+            np.multiply(d, terms, out=terms)
+            np.divide(terms, 2.0, out=terms)
+            vals[lo:hi] = terms.sum(axis=1)
 
     map_blocks(work, len(xi_arr), FOURIER_XI_BLOCK)
     if np.ndim(xi) == 0:
@@ -314,7 +331,8 @@ def sampled_to_csv(w: Window) -> str:
 
 def sampled_from_csv(path) -> Window:
     """Read the CSV of sampled_to_csv; a malformed row raises ValueError
-    naming the file and line."""
+    naming the file and line, and a grid that makes no sampled window one
+    naming the file."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -329,4 +347,7 @@ def sampled_from_csv(path) -> Window:
                 raise ValueError(f"{path}:{reader.line_num}: {exc}") from exc
             xs.append(x)
             vals.append(complex(real, imag))
-    return sampled(np.array(xs), np.array(vals))
+    try:
+        return sampled(np.array(xs), np.array(vals))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc

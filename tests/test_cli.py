@@ -912,6 +912,21 @@ def test_malformed_window_csv_exits_one(tmp_path, capsys, text, line):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("text, message", [
+    ("x,re,im\n", "grid_x and grid_vals must be 1-d arrays of equal length, "
+                  "2 or more"),
+    ("x,re,im\n0,0,0\n0.5,1,0\n0.4,0,0\n", "grid_x must be strictly increasing"),
+    ("x,re,im\n0,0,0\n0.5,nan,0\n1,0,0\n", "grid_x and grid_vals must be finite"),
+], ids=["header-only", "not-increasing", "nan-value"])
+def test_window_csv_that_makes_no_window_names_its_file(tmp_path, capsys, text,
+                                                         message):
+    path = tmp_path / "f.csv"
+    path.write_text(text)
+    assert run(["certify", "--window", str(path), "--alpha", "0.3",
+                "--beta", "1.2"]) == 1
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+
 def test_module_entry_point():
     proc = subprocess.run([sys.executable, "-m", "gaborcert.cli", "--version"],
                           capture_output=True, text=True)
