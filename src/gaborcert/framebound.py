@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import LatticeParams, entry_args, int_bounds, structure_gaps
-from .linalg import svdvals_accurate
 from .window import Window, evaluate, sup_norm
 
 __all__ = [
@@ -71,17 +70,14 @@ def estimate_bounds(params: LatticeParams, w: Window, extent: int,
                     x_grid_size: int) -> FiniteSectionEstimate:
     """sigma extremes over a uniform x grid on (0, alpha), nudged off breakpoints.
 
-    The sections go serially, not through _workers.map_blocks.  SciPy's
-    dgejsv wrapper holds the GIL: over the 9,600 sections of the seed-0
-    framebounds_sections benchmark items (2-CPU Xeon, SciPy 1.17, OpenBLAS)
-    two threads took 2.4-3.6 s, one 2.0-2.3 s.  The same routine through
-    ctypes on scipy.linalg.cython_lapack's dgejsv capsule releases the GIL
-    and gives the same singular values, but two threads pay only with one
-    BLAS thread: 1.6-2.2 s at OPENBLAS_NUM_THREADS=1, and 2.8-3.7 s at 2,
-    the default there, where the BLAS threads and the section threads share
-    the two CPUs.  Even serially, 2 BLAS threads gain nothing on these
-    sections: the 150 items took 2.7-3.3 s wall and 5.3-6.5 s CPU, against
-    2.6-3.4 s wall and as much CPU with one.
+    Each section's singular values come from LAPACK's bidiagonal SVD
+    (gesdd, through np.linalg.svd).  It is backward stable: every computed
+    sigma is within p(m, n) eps ||G||_2 of the exact one, for a modest p
+    (the LAPACK Users' Guide bound).  That absolute accuracy is what a frame
+    bound needs, since the optimal lower bound is inf sigma_min^2 itself.
+    Certificates keep dgejsv (linalg.stack_sigma_min): a block sigma_min
+    can lie many orders below its block's norm, where only the Jacobi SVD
+    keeps relative accuracy.
     """
     if extent < 0:
         raise ValueError("extent must be >= 0")
@@ -95,7 +91,11 @@ def estimate_bounds(params: LatticeParams, w: Window, extent: int,
         xs[close] += 1e-9 * gap
     table = np.empty((x_grid_size, 3))
     for i, x in enumerate(xs):
-        sv = svdvals_accurate(truncated_G(params, w, x, extent))
+        G = truncated_G(params, w, x, extent)
+        if not np.isfinite(G).all():
+            raise ValueError(f"the section at x={float(x)!r} has a non-finite "
+                             "entry")
+        sv = np.linalg.svd(G, compute_uv=False)
         if len(sv) == 0:
             raise ValueError(f"the section at x={float(x)!r} has no complete "
                              f"column at extent {extent}")

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gaborcert import certify, cli, lattice, randwin, window
+from gaborcert import certify, cli, framebound, lattice, randwin, window
 
 BETA_IRR = "0.70710678"     # close to 1/sqrt(2), still irrational-class
 
@@ -885,6 +885,17 @@ def test_framebounds_nan_window_row_exits_one(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_framebounds_non_finite_section_exits_one(tmp_path, capsys):
+    # the window's values overflow to inf: an error naming x, not NaN sigmas
+    out = tmp_path / "fb.csv"
+    with np.errstate(over="ignore"):
+        assert run(["framebounds", "--window", "polybump:0:1e160",
+                    "--alpha", "5e159", "--beta", "1e-160", "--extent", "4",
+                    "--x-grid-size", "8", "--out", str(out)]) == 1
+    assert "non-finite entry" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_header_only_window_csv_exits_one(tmp_path, capsys):
     # an IndexError traceback
     path, out = tmp_path / "empty.csv", tmp_path / "c.json"
@@ -977,7 +988,7 @@ _SMALL_RANDOM_WINDOW = ["random-window", "--dt", "0.00390625",
     (["certify", "--window", "bump", "--alpha", "1.0", "--beta", BETA_IRR],
      ["scipy.linalg"]),
     (["framebounds", "--window", "bump", "--alpha", "1.0", "--beta", BETA_IRR,
-      "--extent", "8", "--x-grid-size", "8"], ["scipy.linalg"]),
+      "--extent", "8", "--x-grid-size", "8"], []),
     (["fourier-decay", "--window", "{rw}"], ["scipy.linalg", "scipy.optimize"]),
 ], ids=["import", "breakpoints", "random-window", "scan-workers-1", "certify",
         "framebounds", "fourier-decay"])
@@ -1064,21 +1075,23 @@ def test_scan_seed_recorded_in_meta(tmp_path):
 # ---------------------------------------------------------------------------
 # section columns as one range, separators evaluated together: byte-identity
 # pins recorded from the per-row column union and the per-entry separators;
-# the CSVs of bump and gevrey re-pinned once the even kinds were read at |x|
+# the CSVs of bump and gevrey re-pinned once the even kinds were read at |x|,
+# and every framebounds pin once the sections' singular values came from
+# gesdd instead of dgejsv (the sections themselves kept their pins below)
 
 @pytest.mark.parametrize("wspec, alpha, beta, extent, csv_sha, summary_sha", [
     ("bump", "1.3", "0.45", "16",
-     "79893979765a5c8a2c35fef5c5e818efd3bdbebe39e4b3a172afe986746698b7",
-     "67ae23fd0b58ebf0812cde90da847ca587e0c2d486a7bef71f9bb977711880ab"),
+     "2d273518d71e86b4a5ecd315970c6324096e2577de851a88ccfc447bbdfb5d9b",
+     "44d796c18e110b737eed0bd61b6469ec1dc0c41e2a7e67e9c54f1320e90088ee"),
     ("bump", "0.7", "0.45", "16",        # beta*(b-a) < 1: rows without columns
-     "48c99c7c3a1bdacb767040383f45b6b08654f810d6c53a5a989cf4a74b2dd7f3",
-     "83a883a07d0150e4eeccc4bbc4b8ae1dcad915bd5979fff2d157417ef3478f7b"),
+     "768932bdfe8963b1888e7d76234ac4b931950bf260cedf0ac6c22ed8328e7b6f",
+     "f1e72a24ac442a4700f5f46671f3af64b3abb83253c3a52125eccf71ae5dca64"),
     ("oddbump", "0.9", "0.6", "32",
-     "d252ba15b97a89d88227f29852801259d5376046148f3c43574ec20b7c8e5343",
-     "7a14820c566fd1f4b1fd1b3b6c5bb3563f23ffce0aa51069964acbce6ac2f691"),
+     "79959b80d41bd4d89b47e98cbf060e50933447295574e1c34126678916d7f301",
+     "ebad7bdf0747d92ab4410cd5d7b291ad8d49042b3c4f545d9d9ed8042d7f6501"),
     ("gevrey:3", "1.1", "0.7", "64",
-     "ddfaf8e2493f323fde76d5ef7d59442f81e77e8a44f872dca456940f5b75e0cf",
-     "20e66e765226a0a73b59e91e236b5a1830201fa68ff43548a7a9d1ea35cbec6e"),
+     "d2ac00778c97c61463cf794fc93d6ecbd69bc96b42b3b75dffcde508e3d8ef67",
+     "551838f5bd62dcce724921e5bc05e100f985eafe106b2a0ccbba87e895ad0af0"),
 ], ids=["bump-16", "bump-16-painless", "oddbump-32", "gevrey3-64"])
 def test_framebounds_artifact_bytes_pinned(tmp_path, wspec, alpha, beta,
                                            extent, csv_sha, summary_sha):
@@ -1092,31 +1105,32 @@ def test_framebounds_artifact_bytes_pinned(tmp_path, wspec, alpha, beta,
 
 
 _SECTION_PINS = {      # (window, extent): (CSV sha256, summary sha256)
-    ("bump", "16"): ("b915432ecbf1b97776cbeda88075dd529247632bb48c738a8d727244e408ac15",
+    ("bump", "16"): ("83834f71a78ca398f8922f4ef732459b19cc8b0975e0ddbaddaf249b7e467fef",
                      "7972adfecdecdd04cee6730baeff1ded78078a93d48d6ef5271e79ddcc45dcb7"),
-    ("bump", "32"): ("1dd97260610c164875d0bb7e18d8c1942fbaafadd1f872948d11b2c279d1dac2",
-                     "3fd23dccf3a2375a658577a990459471a7b8bf8253a6c1cafd37aa680be11946"),
-    ("bump", "64"): ("f470cf64ee506db3fe8f023e65e240629b052bf59740dfa4283b93083b544ce2",
-                     "5b3d31543d2b159259d726f4a7035d3abd28c1e2597ccc86f7a0df6ca00ac136"),
-    ("oddbump", "16"): ("4c7da1d707f2a9184297914b14a07271a55babb546a78c94a052867a82644c36",
-                        "073ef8a4788f7d7b57f15b3b35ff130775a5281a5ad44c083c95151e5125f1c0"),
-    ("oddbump", "32"): ("6e71a4f797cbba74f7c54f84e3b96a21efbc5a0124c08ef5a92fca7bdeb7dc4e",
-                        "e7b2b23489cfba05b9225abb92a581a043e445c415713413983a1f089873c077"),
-    ("oddbump", "64"): ("7ab4faad5db416b25228b5bc69988b05482e3a4a5164cb249c8cfcfdd9321165",
-                        "74af138de8cfcbda51da90bdc6601e4efc80577f1204b4616be6536b32add323"),
-    ("gevrey:3", "16"): ("99814242d78376f7e15e2c90ac1bab7d7f6f11805bf75187cc8c7f14b4aaf352",
-                         "85a90850039452af6e0bc57e4a65953c882c925a70a2ab83ba6914067ed24be0"),
-    ("gevrey:3", "32"): ("26158b00f0a331e5c5dd4e0d6ae83a20c0faf2eba9b92331c808e9b3eddfb877",
+    ("bump", "32"): ("4e294c939230d3d2a59ce75a5ade8563f61b62e98bafb07d046d422507a8c803",
+                     "0b66d9230d85b58a2d85b9f600eebb7e6cfdceb82193aed8aa4b9f62733769c1"),
+    ("bump", "64"): ("42f46476500413b7cace257bdb6f0791aab078565c82932e535df6c5039b8b62",
+                     "dac019fcebe285493b2062dc784dd98320c521eebf97c0a745336436e9cd014e"),
+    ("oddbump", "16"): ("fd3c1110e4baabcecfa9b02d7b7addc40a5721136934b784adad97da26a6da85",
+                        "35535632729a14b1f9102aa24f648835bac55d2bb549df1d7350e62415056086"),
+    ("oddbump", "32"): ("784cd9451e9223342c6dcd956bcd5de4bbebd5fd8e44bbad8971008df81bef26",
+                        "0c4462fca38145e1eeb96b0ad86c0b6fcd0f3af0c8549d8ef92a091ced263de2"),
+    ("oddbump", "64"): ("6c9fa56e747bc0602dd48628a3f528226578997155dc0545e69703e160011ae1",
+                        "108908294ab2005e91b9119ca9f70ac0abe7bdd86ba5f6d21911944419949a6b"),
+    ("gevrey:3", "16"): ("261eeba1835f96a565ab61486bbb8128d1ebbdafd3a939231a26b881f495721e",
+                         "a36521bc677e6bfc249917766709bedc058ea78d9c98e726b6a44105b42542aa"),
+    ("gevrey:3", "32"): ("9b9ab40d4ad0d99be4e38d9a86a1eef4b839988f17c4e5d655586718ab40cf8c",
                          "d60f300a8333c1c137896161ff88a4e3f981b580d83d1c29d0c092ade08d2114"),
-    ("gevrey:3", "64"): ("3fa6bb07ddb59ae4375d35788b9b630285357cb5d4dd06cbbe22ea64e0fb1ec2",
-                         "0adcaf86e86e26a2099c7ef3d676b6209d37da36b31d86ea672fcbfaca7654d5"),
+    ("gevrey:3", "64"): ("d0f89b3944150ffc9396f7c31b0f2de9016684b4ec9967eb51fdf449c31b4ebe",
+                         "1e1384e4754225571b6b60e99194f641058e8d954b140853e61e9affd4c7a8ae"),
 }
 
 
 @pytest.mark.parametrize("wspec, extent", list(_SECTION_PINS),
                          ids=[f"{w}-{e}" for w, e in _SECTION_PINS])
 def test_framebounds_complete_sections_bytes_pinned(tmp_path, wspec, extent):
-    # recorded before complete columns became the only section rule
+    # recorded before complete columns became the only section rule,
+    # re-recorded for gesdd
     out = tmp_path / "fb.csv"
     assert run(["framebounds", "--window", wspec, "--alpha", "1.1",
                 "--beta", "0.6180339887498949", "--extent", extent,
@@ -1125,6 +1139,52 @@ def test_framebounds_complete_sections_bytes_pinned(tmp_path, wspec, extent):
     assert (hashlib.sha256(out.read_bytes()).hexdigest(),
             hashlib.sha256(summary.read_bytes()).hexdigest()) == \
         _SECTION_PINS[wspec, extent]
+
+
+# the sections themselves at every x of the framebounds runs above, recorded
+# while their CSVs still took dgejsv's singular values: column selection and
+# entry evaluation stay bit for bit whatever SVD reads them
+_SECTION_G_PINS = {    # (window, alpha, beta, extent): sha256 of the sections
+    ("bump", "1.3", "0.45", "16"):
+        "0af83a41a8f376a28bc48f513f8ee60f027b326b1c07a01470d477cae67a9a0e",
+    ("bump", "0.7", "0.45", "16"):
+        "557ddaaa7e1aabd499ba1a0e2144fe8ab20b3e9800cad0aebe2e92db54390757",
+    ("oddbump", "0.9", "0.6", "32"):
+        "790892170234256d4d3b43a3dae2bc26bb1f24c4aa42de2a35b13464de32b784",
+    ("gevrey:3", "1.1", "0.7", "64"):
+        "4df480a06f1e73628582243ac62031c4e8eb01203f8e6d10819ae4a46f2b2043",
+    ("bump", "1.1", "0.6180339887498949", "16"):
+        "f6c16a75d7e24d443177f039fd824ce3f22c50b74781cd0f1ef0f00637d7ae39",
+    ("bump", "1.1", "0.6180339887498949", "32"):
+        "9dd4e6156ea9d5ad0db52fe2c0ff362f49bd260e5e0f209a2d3841e7cc75362d",
+    ("bump", "1.1", "0.6180339887498949", "64"):
+        "e2faf5f8c2dc3fa6151f46eb162f9fde86df5a17c53a52cdb6409198c3d8714f",
+    ("oddbump", "1.1", "0.6180339887498949", "16"):
+        "15d6a5e605dbaf66a81e8881f1848c7a15364cda0fd1b5eb5e2990c7d5255359",
+    ("oddbump", "1.1", "0.6180339887498949", "32"):
+        "6109b0fc836e6020fa47e5959bcc6171c98d2189f7e2c5a390364811fd6413e4",
+    ("oddbump", "1.1", "0.6180339887498949", "64"):
+        "b5103fcf4fb8dece0c6e280e663dd5948289d3418504f6fda7fa8d3e73ecac9d",
+    ("gevrey:3", "1.1", "0.6180339887498949", "16"):
+        "d24e8b5b8173bb4976959bf87aa870c2dd414c87bae249b4185b509f462b0192",
+    ("gevrey:3", "1.1", "0.6180339887498949", "32"):
+        "9afc1bed49b12818a0af947e450b95e95b66701a18978eb48e1fee8545f8ce3a",
+    ("gevrey:3", "1.1", "0.6180339887498949", "64"):
+        "f84f09bcbf4f849e0f51d5840b23618318cf27fd5d77209fb9f55d1d7cc3e9c1",
+}
+
+
+@pytest.mark.parametrize("wspec, alpha, beta, extent", list(_SECTION_G_PINS),
+                         ids=["-".join(k) for k in _SECTION_G_PINS])
+def test_framebounds_sections_bytes_pinned(wspec, alpha, beta, extent):
+    params = lattice.LatticeParams(float(alpha), float(beta))
+    w = cli.parse_window(wspec)
+    digest = hashlib.sha256()
+    for x in framebound.estimate_bounds(params, w, int(extent), 16).per_x[:, 0]:
+        G = framebound.truncated_G(params, w, x, int(extent))
+        digest.update(repr((float(x), G.shape)).encode())
+        digest.update(G.tobytes())
+    assert digest.hexdigest() == _SECTION_G_PINS[wspec, alpha, beta, extent]
 
 
 @pytest.mark.parametrize("wspec, alpha, beta, sha, sha_before_scan_fields", [

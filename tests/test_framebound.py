@@ -7,6 +7,8 @@ import pytest
 
 from gaborcert import framebound as F
 from gaborcert import lattice as L
+from gaborcert import linalg
+from gaborcert import randwin as R
 from gaborcert import window as W
 
 SQRT2 = math.sqrt(2.0)
@@ -159,6 +161,14 @@ def test_sigma_max_below_schur_bound():
     assert est.sigma_min_inf <= est.sigma_max_sup
 
 
+def test_estimate_bounds_rejects_a_non_finite_section():
+    # (x - lo)(hi - x) overflows to inf inside a support of length 1e160
+    p = L.LatticeParams(5e159, 1e-160)
+    with np.errstate(over="ignore"), \
+            pytest.raises(ValueError, match=r"x=.* non-finite"):
+        F.estimate_bounds(p, W.poly_bump(0.0, 1e160), 4, 8)
+
+
 def test_estimate_bounds_rejects_tiny_grid():
     with pytest.raises(ValueError):
         F.estimate_bounds(L.LatticeParams(1.0, 1.0 / SQRT2), W.bump(), 8, 4)
@@ -171,3 +181,31 @@ def test_upper_bound_rowsum_examples():
                                 W.bump()) == pytest.approx(2.0 * math.exp(-1.0))
     assert F.upper_bound_rowsum(L.LatticeParams(0.7, 0.3),
                                 W.characteristic()) == 1.0
+
+
+@pytest.mark.parametrize("window, alpha, beta, extent", [
+    (W.bump, 1.3, 0.45, 16),
+    (W.bump, 1.3, 0.45, 256),
+    (W.odd_bump, 1.0, 0.5, 32),                 # rational lattice
+    (lambda: W.gevrey(3), 1.1, 0.7, 64),
+    (W.characteristic, 0.6, 1.5, 8),
+    (lambda: W.sampled([-1.0, 0.0, 1.0], [0.0, 100.0, 0.0]),
+     0.3903198224722208, 2.0, 64),
+    (lambda: R.synthesize_window(R.sample_path(0)), 0.8, 1.0 / SQRT2, 16),
+], ids=["bump-16", "bump-256", "oddbump-rational-32", "gevrey3-64", "char-8",
+        "hat-64", "random-16"])    # random-16: complex, sigma_min near 1e-13
+def test_section_extremes_within_backward_error_of_jacobi(window, alpha, beta,
+                                                          extent):
+    """Every section's sigma_min and sigma_max lie within
+    SCREEN_SLACK * max(m, n) * eps * ||G||_F of the Jacobi SVD's: both SVDs
+    are backward stable (see linalg.stack_sigma_min)."""
+    p = L.LatticeParams(alpha, beta)
+    w = window()
+    est = F.estimate_bounds(p, w, extent, 8)
+    for x, smin, smax in est.per_x:
+        G = F.truncated_G(p, w, x, extent)
+        ref = linalg.svdvals_accurate(G)
+        tol = (linalg.SCREEN_SLACK * max(G.shape) * np.finfo(float).eps
+               * np.linalg.norm(G))
+        assert abs(smin - ref[-1]) <= tol, (x, smin, ref[-1], tol)
+        assert abs(smax - ref[0]) <= tol, (x, smax, ref[0], tol)
