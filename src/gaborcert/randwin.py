@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._workers import map_blocks
+from . import _workers
 from .window import Window, evaluate, sampled
 
 __all__ = [
@@ -27,17 +27,6 @@ __all__ = [
 
 DEFAULT_DT = 2.0 ** -12
 DEFAULT_QUADRATURE_N = 2048
-
-#: bytes of trapezoid terms that synthesize_window holds at once, over all
-#: its threads, and as many of kernel times path: 32 x rows at the default
-#: dt, where the dense (x, t) grid took 128 MiB, and at least 1
-SYNTH_BLOCK_BYTES = 2 ** 21
-
-#: bytes one chunk of mc_path_integrals may hold: at most 64 per path and
-#: time step (the real increments, their complex sum, its cumsum and the
-#: path), so dt = 2^-8 keeps the full chunk of 8192 paths
-MC_CHUNK_BYTES = 2 ** 27
-_MC_CHUNK_PATHS = 8192
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,9 +63,11 @@ def _philox(seed: int, dt: float) -> tuple[np.random.Generator, int]:
 def _path_values(rng: np.random.Generator, n: int, scale: float,
                  paths: tuple = ()) -> np.ndarray:
     """Values at t = dt..n*dt of complex paths started at 1, shape paths + (n,),
-    each component's increments normal with standard deviation scale."""
-    inc = rng.normal(scale=scale, size=(2, *paths, n))
-    return 1.0 + np.cumsum(inc[0] + 1j * inc[1], axis=-1)
+    each component's increments normal with standard deviation scale.  Each
+    path takes the next 2n normals of the stream, so the values do not depend
+    on how many paths one call draws."""
+    inc = rng.normal(scale=scale, size=(*paths, 2, n))
+    return 1.0 + np.cumsum(inc[..., 0, :] + 1j * inc[..., 1, :], axis=-1)
 
 
 def sample_path(seed: int, dt: float = DEFAULT_DT,
@@ -103,56 +94,34 @@ def triangle_kernel(x, t):
 
 def synthesize_window(path: BrownianPath,
                       quadrature_n: int = DEFAULT_QUADRATURE_N) -> Window:
-    """g(x) = integral of B(t) h(x,t) dt, tabulated on quadrature_n >= 2
-    uniform nodes of [0, 1].
+    """g(x) = integral of B(t) h(x,t) dt, tabulated on quadrature_n >= 3
+    uniform nodes of [0, 1]; g is 0 at both ends, so two nodes would tabulate
+    the zero window.
 
     The kernel vanishes for t >= x, so trapezoid over the whole path grid up
-    to time 1 equals the integral over [0, x].
-
-    Rows of x go in blocks; SYNTH_BLOCK_BYTES of trapezoid terms is the total
-    over the threads of _workers.map_blocks, which split it.  A block
-    evaluates the kernel only on the columns with t below its largest x, plus
-    one column where the kernel is exactly 0, and writes the trapezoid terms
-    of that slice into its thread's zeroed buffer of full width.  A thread
-    takes its blocks in ascending x, so the slice only widens and its buffer
-    beyond the slice is still zero.  Each row then sums the same nonzero
-    terms in the same positions as the dense (x, t) trapezoid: every term
-    left out was a zero, and adding a zero to a partial sum is exact.  So the
-    values have the same bits as one dense grid, without its 2048 x 4097
-    arrays, whatever the block size and the thread count.
-
-    Each thread allocates its term buffer, and one of the same size for the
-    kernel times the path, once per call; every ufunc after the kernel
-    writes into them, with the operands and dtypes of the dense expression,
-    so a block allocates only its kernel and the bits stay those above.
+    to time 1 equals the integral over [0, x].  _workers.trapezoid_rows takes
+    the x rows in blocks, with the same bits as np.trapezoid over the dense
+    (x, t) grid, without its 2048 x 4097 arrays.  A block evaluates the kernel
+    only on the columns with t below its largest x, plus one column where the
+    kernel is exactly 0, and writes kernel times path there.
     """
-    if quadrature_n < 2:
-        raise ValueError(f"quadrature_n must be >= 2, got {quadrature_n}")
+    if quadrature_n < 3:
+        raise ValueError(f"quadrature_n must be >= 3, got {quadrature_n}: "
+                         f"the window is 0 at both ends of [0, 1], so two "
+                         f"nodes tabulate the zero window")
     times = path.times
     keep = times <= 1.0
     t = times[keep]
     B = path.values[keep]
-    d = np.diff(t)
     xs = np.linspace(0.0, 1.0, quadrature_n)
-    vals = np.empty(len(xs), dtype=complex)
 
-    def work(blocks):
-        buf = np.zeros((blocks.rows, len(d)), dtype=complex)
-        ybuf = np.empty((blocks.rows, len(t)), dtype=complex)
-        for lo, hi in blocks:
-            x = xs[lo:hi]
-            c = min(int(np.searchsorted(t, x[-1])) + 1, len(t))
-            # d * (Y[:, 1:] + Y[:, :-1]) / 2.0 with Y = kernel * B, one ufunc
-            # at a time with the same operands in order
-            Y = ybuf[:len(x), :c]
-            np.multiply(triangle_kernel(x[:, None], t[None, :c]), B[:c], out=Y)
-            terms = buf[:len(x), :c - 1]
-            np.add(Y[:, 1:], Y[:, :-1], out=terms)
-            np.multiply(d[:c - 1], terms, out=terms)
-            np.divide(terms, 2.0, out=terms)
-            vals[lo:hi] = np.add.reduce(buf[:len(x)], axis=1)
+    def fill(lo, hi, Y):
+        x = xs[lo:hi]
+        c = min(int(np.searchsorted(t, x[-1])) + 1, len(t))
+        np.multiply(triangle_kernel(x[:, None], t[None, :c]), B[:c], out=Y[:, :c])
+        return c
 
-    map_blocks(work, len(xs), max(1, SYNTH_BLOCK_BYTES // (16 * len(d))))
+    vals = _workers.trapezoid_rows(fill, len(xs), np.diff(t))
     vals[0] = 0.0
     vals[-1] = 0.0
     return sampled(xs, vals)
@@ -184,20 +153,20 @@ def mc_path_integrals(n_paths: int, dt: float, seed: int) -> np.ndarray:
     """int_0^1 B(t) dt for n_paths independent complex paths started at 1,
     with unit variance per component and unit time.
 
-    Batched Philox streams; per-path results match sample_path statistics.
-    A chunk holds at most _MC_CHUNK_PATHS paths and MC_CHUNK_BYTES of arrays."""
+    Path 0 is sample_path(seed, dt), and each further path takes the next
+    2n normals of the same stream.  Chunks of paths hold at most
+    _workers.BLOCK_BYTES at 64 bytes per path and time step (the real
+    increments, their complex sum, its cumsum and the path), at least one
+    path, and the chunk size moves no bit."""
     rng, n = _philox(seed, dt)
     if n_paths < 0:
         raise ValueError(f"n_paths must be >= 0, got {n_paths}")
     out = np.empty(n_paths, dtype=complex)
-    chunk = max(1, min(_MC_CHUNK_PATHS, MC_CHUNK_BYTES // (64 * n)))
-    done = 0
-    while done < n_paths:
-        k = min(chunk, n_paths - done)
-        B = _path_values(rng, n, math.sqrt(dt), (k,))
+    chunk = max(1, _workers.BLOCK_BYTES // (64 * n))
+    for done in range(0, n_paths, chunk):
+        B = _path_values(rng, n, math.sqrt(dt), (min(chunk, n_paths - done),))
         # trapezoid over values [1, B_1, ..., B_n] with spacing dt
-        out[done:done + k] = dt * (0.5 * 1.0 + np.sum(B[:, :-1], axis=1)
-                                   + 0.5 * B[:, -1])
+        out[done:done + len(B)] = dt * (0.5 * 1.0 + np.sum(B[:, :-1], axis=1)
+                                        + 0.5 * B[:, -1])
         del B                       # free this chunk before drawing the next
-        done += k
     return out

@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._workers import map_blocks
+from ._workers import trapezoid_rows
 from .errors import DegenerateFit, EmptyCore
 
 __all__ = [
@@ -38,10 +38,6 @@ __all__ = [
 ]
 
 FOURIER_QUAD_NODES = 2 ** 14
-
-#: frequencies that fourier_transform holds at once, over all its threads:
-#: two complex arrays of 2 MiB each at the default 2^14 nodes
-FOURIER_XI_BLOCK = 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -244,40 +240,25 @@ def fourier_transform(w: Window, xi):
     on FOURIER_QUAD_NODES points.
 
     The integrand is smooth and compactly supported, so trapezoid on the
-    support converges rapidly.  Frequencies go in blocks of rows;
-    FOURIER_XI_BLOCK rows is the total over the threads of
-    _workers.map_blocks, which split it.  Each thread allocates its phase and
-    term arrays once, of its share of those rows, and every ufunc of a block
-    writes into them, so no block allocates an array of its size and the
-    budget bounds what the call holds.  Each row is the same ufuncs, in the same order, on the same
-    operands and dtypes, and the same sum as np.trapezoid over one dense
-    (xi, x) grid, so neither the block size nor the thread count moves a bit
-    of the result.
+    support converges rapidly.  _workers.trapezoid_rows takes the frequencies
+    in blocks of rows, with the same bits as np.trapezoid over one dense
+    (xi, x) grid.  Each row is exp(-2j * np.pi * np.outer(xi, xs)) * gx, one
+    ufunc at a time with the same operands in order; gx is cast to complex
+    once, as numpy would cast it in every block.
     """
     xi_arr = np.asarray(xi, dtype=float).ravel()
     xs = np.linspace(w.support_lo, w.support_hi, FOURIER_QUAD_NODES)
-    gx = evaluate(w, xs)
-    d = np.diff(xs)
-    vals = np.empty(len(xi_arr), dtype=complex)
+    gx = np.asarray(evaluate(w, xs), dtype=complex)
 
-    def work(blocks):
-        phase_buf = np.empty((blocks.rows, len(xs)), dtype=complex)
-        term_buf = np.empty((blocks.rows, len(d)), dtype=complex)
-        for lo, hi in blocks:
-            # np.trapezoid(np.exp(-2j * np.pi * np.outer(xi, xs)) * gx, xs,
-            # axis=1), one ufunc at a time with the same operands in order
-            phases, terms = phase_buf[:hi - lo], term_buf[:hi - lo]
-            np.outer(xi_arr[lo:hi], xs, out=phases.real)
-            phases.imag = 0.0
-            np.multiply(-2j * np.pi, phases, out=phases)
-            np.exp(phases, out=phases)
-            np.multiply(phases, gx, out=phases)
-            np.add(phases[:, 1:], phases[:, :-1], out=terms)
-            np.multiply(d, terms, out=terms)
-            np.divide(terms, 2.0, out=terms)
-            vals[lo:hi] = terms.sum(axis=1)
+    def fill(lo, hi, Y):
+        np.outer(xi_arr[lo:hi], xs, out=Y.real)
+        Y.imag = 0.0
+        np.multiply(-2j * np.pi, Y, out=Y)
+        np.exp(Y, out=Y)
+        np.multiply(Y, gx, out=Y)
+        return len(xs)
 
-    map_blocks(work, len(xi_arr), FOURIER_XI_BLOCK)
+    vals = trapezoid_rows(fill, len(xi_arr), np.diff(xs))
     if np.ndim(xi) == 0:
         return complex(vals[0])
     return vals

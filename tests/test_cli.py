@@ -1279,9 +1279,10 @@ def test_unusable_floor_or_samples_exit_one(tmp_path, capsys, subcommand, via,
     assert not out.exists()
 
 
-@pytest.mark.parametrize("n", ["0", "1", "-1"])
+@pytest.mark.parametrize("n", ["0", "1", "-1", "2"])
 def test_random_window_too_few_quadrature_nodes_exits_one(tmp_path, capsys, n):
-    # 0 ended in an IndexError; 1 wrote a one-row CSV that certify rejects
+    # 0 ended in an IndexError; 1 wrote a one-row CSV that certify rejects;
+    # 2 wrote the zero window, both nodes being its forced zero ends
     out = tmp_path / "w.csv"
     assert run(["random-window", "--seed", "1", "--dt", "0.00390625",
                 "--quadrature-n", n, "--out", str(out)]) == 1

@@ -128,9 +128,13 @@ def test_synthesize_rejects_fewer_than_two_nodes():
     for n in (1, 0, -1):
         with pytest.raises(ValueError, match="quadrature_n"):
             R.synthesize_window(path, n)
-    w = R.synthesize_window(path, 2)
-    assert np.array_equal(w.grid_x, [0.0, 1.0])
-    assert np.array_equal(w.grid_vals, [0.0, 0.0])
+    # two nodes are the window's forced zero ends: the zero window
+    with pytest.raises(ValueError, match=r"quadrature_n must be >= 3, got 2: "
+                                         r"the window is 0 at both ends"):
+        R.synthesize_window(path, 2)
+    w = R.synthesize_window(path, 3)
+    assert np.array_equal(w.grid_x, [0.0, 0.5, 1.0])
+    assert w.grid_vals[1] != 0.0
 
 
 def test_synthesize_constant_path_matches_fine_quadrature():
@@ -212,21 +216,6 @@ def test_mc_path_integrals_match_moments():
     assert abs(np.mean(vals.imag)) < 4 * se
 
 
-def _mc_unbudgeted(n_paths, dt, seed, chunk=8192):
-    """mc_path_integrals before its byte budget: chunks of `chunk` paths."""
-    n = int(round(1.0 / dt))
-    scale = math.sqrt(dt)
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    out = np.empty(n_paths, dtype=complex)
-    for done in range(0, n_paths, chunk):
-        k = min(chunk, n_paths - done)
-        inc = rng.normal(scale=scale, size=(2, k, n))
-        B = np.cumsum(inc[0] + 1j * inc[1], axis=1) + 1.0
-        out[done:done + k] = dt * (0.5 * 1.0 + np.sum(B[:, :-1], axis=1)
-                                   + 0.5 * B[:, -1])
-    return out
-
-
 def _traced_peak(func, *args):
     tracemalloc.start()
     try:
@@ -236,17 +225,30 @@ def _traced_peak(func, *args):
         tracemalloc.stop()
 
 
-def test_mc_budget_keeps_full_chunks_at_dt_2_8():
-    # criterion 6 runs at dt = 2^-8: a smaller chunk would draw the normals
-    # in another order and change every value after the first chunk
-    vals = R.mc_path_integrals(9000, dt=2 ** -8, seed=20260823)
-    assert np.array_equal(vals.view(np.uint64),
-                          _mc_unbudgeted(9000, 2 ** -8, 20260823).view(np.uint64))
+@pytest.mark.parametrize("dt", [2 ** -8, 2 ** -12])
+def test_mc_values_do_not_depend_on_the_byte_budget(monkeypatch, dt):
+    # at 2^12 bytes every chunk is one path, at 2^27 one chunk holds them all
+    runs = []
+    for budget in (2 ** 12, 2 ** 21, 2 ** 27):
+        monkeypatch.setattr(_workers, "BLOCK_BYTES", budget)
+        runs.append(R.mc_path_integrals(300, dt, 20260823))
+    assert _same_bits(runs[0], runs[1]) and _same_bits(runs[1], runs[2])
+
+
+@pytest.mark.parametrize("seed", [0, 5, 20260823])
+def test_mc_path_zero_is_sample_path(seed):
+    dt = 2 ** -8
+    B = R.sample_path(seed, dt).values[1:]
+    want = dt * (0.5 * 1.0 + np.sum(B[:-1]) + 0.5 * B[-1])
+    assert _same_bits(R.mc_path_integrals(1, dt, seed), [want])
+    assert _same_bits(R.mc_path_integrals(40, dt, seed)[:1], [want])
 
 
 def test_mc_traced_peak_within_budget_at_dt_2_12():
+    # a chunk holds at most BLOCK_BYTES; the slack is the output and a first
+    # call's one-time allocations
     assert _traced_peak(R.mc_path_integrals, 2048, 2 ** -12, 1) \
-        < R.MC_CHUNK_BYTES
+        < _workers.BLOCK_BYTES + 2 ** 20
 
 
 def test_synthesize_window_traced_peak_under_7_mib(monkeypatch):
@@ -370,16 +372,16 @@ def test_synthesis_matches_dense_grid_on_special_paths():
     _assert_synthesis_bits(long_path, 256)
     # fewer rows than one block, and a block size that divides nothing
     _assert_synthesis_bits(R.sample_path(6, dt=2 ** -8), 7)
-    rows = R.SYNTH_BLOCK_BYTES // (16 * 2 ** 8)
+    rows = _workers.BLOCK_BYTES // (16 * 2 ** 8)
     _assert_synthesis_bits(R.sample_path(7, dt=2 ** -8), 2 * rows + 1)
 
 
 @pytest.mark.parametrize("log2_steps, rows", [(12, 32), (16, 2), (17, 1)])
 def test_synthesis_block_rows_follow_the_byte_budget(log2_steps, rows):
-    """SYNTH_BLOCK_BYTES of complex terms per block: 32 rows at the default
-    dt, and blocks of two rows and of one at finer steps, still bit for bit
-    the dense grid."""
-    assert max(1, R.SYNTH_BLOCK_BYTES // (16 * 2 ** log2_steps)) == rows
+    """BLOCK_BYTES of complex terms per block: 32 rows at the default dt, and
+    blocks of two rows and of one at finer steps, still bit for bit the dense
+    grid."""
+    assert max(1, _workers.BLOCK_BYTES // (16 * 2 ** log2_steps)) == rows
     if log2_steps > 12:
         _assert_synthesis_bits(R.sample_path(8, dt=2.0 ** -log2_steps), 5)
 
@@ -418,7 +420,7 @@ def _force_cpus(monkeypatch, k):
 
 _PATHS = {"default dt": (R.sample_path(9), R.DEFAULT_QUADRATURE_N),
           "one block": (R.sample_path(10, dt=2 ** -8), 256),
-          "two nodes": (R.sample_path(11, dt=2 ** -8), 2)}
+          "three nodes": (R.sample_path(11, dt=2 ** -8), 3)}
 
 
 @pytest.mark.parametrize("case", sorted(_PATHS))
@@ -438,7 +440,7 @@ def test_threaded_synthesis_matches_dense_grid_bitwise(monkeypatch, k):
     for seed, (dt, quadrature_n) in enumerate(
             [(2.0 ** -8, 256), (1e-3, 1000), (2.0 ** -10, 999)]):
         _assert_synthesis_bits(R.sample_path(seed, dt=dt), quadrature_n)
-    rows = R.SYNTH_BLOCK_BYTES // (16 * 2 ** 8)
+    rows = _workers.BLOCK_BYTES // (16 * 2 ** 8)
     _assert_synthesis_bits(R.sample_path(7, dt=2 ** -8), 2 * rows + 1)
     _assert_synthesis_bits(_constant_path(-1 - 1j, 2 ** -8), 2 * rows + 1)
 
@@ -447,22 +449,22 @@ def test_threaded_synthesis_matches_dense_grid_bitwise(monkeypatch, k):
     (12, 1, 32), (12, 2, 16), (12, 4, 8), (16, 1, 2), (16, 2, 1), (16, 4, 1)])
 def test_synthesis_blocks_split_the_byte_budget(monkeypatch, log2_steps, cpus,
                                                 rows):
-    """SYNTH_BLOCK_BYTES is the total over the threads: at most that many
-    rows of terms, summed over every thread's buffer, exist at once."""
+    """BLOCK_BYTES is the total over the threads: at most that many bytes
+    of terms, summed over every thread's buffer, exist at once."""
     _force_cpus(monkeypatch, cpus)
-    sizes = []
+    sizes, map_blocks = [], _workers.map_blocks
 
     def recording(work, n, budget):
         def spy(blocks):
             sizes.append(blocks.rows)
             work(blocks)
-        _workers.map_blocks(spy, n, budget)
+        map_blocks(spy, n, budget)
 
-    monkeypatch.setattr(R, "map_blocks", recording)
+    monkeypatch.setattr(_workers, "map_blocks", recording)
     path = _constant_path(1.0, 2.0 ** -log2_steps)
     R.synthesize_window(path, 64 if log2_steps > 12 else 2048)
     assert set(sizes) == {rows}
-    assert sum(sizes) * 16 * 2 ** log2_steps <= R.SYNTH_BLOCK_BYTES
+    assert sum(sizes) * 16 * 2 ** log2_steps <= _workers.BLOCK_BYTES
 
 
 def test_synthesis_traced_peak_with_four_threads(monkeypatch):

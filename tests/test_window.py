@@ -422,6 +422,10 @@ def test_fourier_decay_fit_degenerate():
         W.fourier_decay_fit(zero, 80.0, 200)
 
 
+#: frequency rows per block, over all threads: 8 at the default 2^14 nodes
+_XI_ROWS = _workers.BLOCK_BYTES // (16 * (W.FOURIER_QUAD_NODES - 1))
+
+
 def _dense_fourier(w, xi, quad_nodes=W.FOURIER_QUAD_NODES):
     """One trapezoid over the full (xi, x) phase grid."""
     xi_arr = np.atleast_1d(np.asarray(xi, dtype=float))
@@ -447,7 +451,7 @@ def test_fourier_transform_matches_dense_grid_bitwise(monkeypatch):
     walk = np.cumsum(rng.normal(size=(2, 2048)), axis=1)
     vals = np.sin(np.pi * xs) * (1.0 + 0.1 * (walk[0] + 1j * walk[1]))
     for w in (W.bump(), W.sampled(xs, vals), W.gevrey(2)):
-        for n_xi in (200, 1, W.FOURIER_XI_BLOCK, 3 * W.FOURIER_XI_BLOCK + 5):
+        for n_xi in (200, 1, _XI_ROWS, 3 * _XI_ROWS + 5):
             xis = np.linspace(1.0, 80.0, n_xi)
             assert _same_bits(W.fourier_transform(w, xis), _dense_fourier(w, xis))
         coarse = np.linspace(-3.0, 40.0, 37)
@@ -462,10 +466,10 @@ def test_fourier_transform_matches_dense_grid_bitwise(monkeypatch):
 
 
 def test_fourier_transform_traced_peak_within_its_buffers(monkeypatch):
-    """The threads' phase and term buffers are the two complex arrays of
-    FOURIER_XI_BLOCK rows; no block allocates beyond them and 1 MiB."""
+    """The threads' integrand and term buffers are the two complex arrays of
+    _XI_ROWS rows; no block allocates beyond them and 1 MiB."""
     xis = np.linspace(1.0, 80.0, 200)
-    bound = 2 * 16 * W.FOURIER_XI_BLOCK * W.FOURIER_QUAD_NODES + 2 ** 20
+    bound = 2 * 16 * _XI_ROWS * W.FOURIER_QUAD_NODES + 2 ** 20
     for k in (1, 2, 4):
         _force_cpus(monkeypatch, k)
         tracemalloc.start()
@@ -502,14 +506,14 @@ def test_fourier_bits_do_not_depend_on_the_thread_count(monkeypatch):
             _force_cpus(monkeypatch, k)
             for xi, want in zip(inputs, serial):
                 assert _same_bits(W.fourier_transform(w, xi), want)
-            xis = np.linspace(-3.0, 40.0, 3 * W.FOURIER_XI_BLOCK + 5)
+            xis = np.linspace(-3.0, 40.0, 3 * _XI_ROWS + 5)
             assert _same_bits(W.fourier_transform(w, xis),
                               _dense_fourier(w, xis))
 
 
 def test_fourier_traced_peak_with_four_threads(monkeypatch):
-    """FOURIER_XI_BLOCK is the total over the threads: four threads hold
-    no more than one thread, up to one block of complex phases."""
+    """BLOCK_BYTES is the total over the threads: four threads hold no more
+    than one thread, up to one block of complex phases."""
     xis = np.linspace(1.0, 80.0, 200)
     peaks = []
     for k in (1, 4):
@@ -520,7 +524,25 @@ def test_fourier_traced_peak_with_four_threads(monkeypatch):
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    assert peaks[1] <= peaks[0] + 16 * W.FOURIER_XI_BLOCK * W.FOURIER_QUAD_NODES
+    assert peaks[1] <= peaks[0] + 16 * _XI_ROWS * W.FOURIER_QUAD_NODES
+
+
+def test_fourier_traced_peak_does_not_grow_with_the_threads(monkeypatch):
+    """A real window's values and the node spacing are cast to complex once
+    per call, not in a 128 KiB ufunc buffer per thread: the peak at 8 threads
+    is within 64 KiB of the peak at one."""
+    xis = np.linspace(1.0, 80.0, 200)
+    peaks = []
+    for k in (1, 2, 4, 8):
+        _force_cpus(monkeypatch, k)
+        W.fourier_transform(W.bump(), xis[:1])
+        tracemalloc.start()
+        try:
+            W.fourier_transform(W.bump(), xis)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) - min(peaks) <= 2 ** 16, peaks
 
 
 def test_fourier_threads_end_with_the_call(monkeypatch):
@@ -550,7 +572,7 @@ def test_fourier_one_block_starts_no_thread(monkeypatch):
         raise AssertionError("a one-block transform started a thread")
 
     monkeypatch.setattr(threading.Thread, "start", refuse)
-    W.fourier_transform(W.bump(), np.linspace(1.0, 80.0, W.FOURIER_XI_BLOCK))
+    W.fourier_transform(W.bump(), np.linspace(1.0, 80.0, _XI_ROWS))
     W.fourier_transform(W.bump(), 2.0)
 
 

@@ -125,3 +125,34 @@ def test_a_runtime_warning_in_a_worker_fails(monkeypatch):
     with pytest.raises(RuntimeWarning):
         _workers.map_blocks(work, 8, 2)
     assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_trapezoid_rows_match_a_dense_trapezoid_bitwise(monkeypatch, cpus):
+    """A fill whose column count grows block by block, as the synthesis's
+    does, with the integrand -0 from column c - 1 on: every row has the bits
+    of np.trapezoid over the dense grid, in blocks of 5 rows in total that
+    divide nothing, and no column from c on is read."""
+    _force_cpus(monkeypatch, cpus)
+    monkeypatch.setattr(_workers, "BLOCK_BYTES", 16 * 40 * 5)
+    rng = np.random.default_rng(3)
+    x = np.sort(rng.uniform(0.0, 1.0, 41))
+    n = 23
+    dense = rng.normal(size=(n, 41)) + 1j * rng.normal(size=(n, 41))
+    width = np.minimum(2 + 2 * np.arange(n), 41)    # row i vanishes from here
+    for i, w in enumerate(width):
+        dense[i, w:] = complex(-0.0, -0.0)
+    counts = []
+
+    def fill(lo, hi, Y):
+        c = min(int(width[hi - 1]) + 1, 41)
+        Y[:, :c] = dense[lo:hi, :c]
+        Y[:, c:] = np.nan
+        counts.append(c)
+        return c
+
+    got = _workers.trapezoid_rows(fill, n, np.diff(x))
+    want = np.trapezoid(dense, x, axis=1)
+    assert got.dtype == want.dtype == complex
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert len(set(counts)) > 3 and max(counts) == 41
