@@ -19,10 +19,10 @@ import numpy as np
 
 from .errors import (BudgetExceeded, HopNotFound, HypothesisViolated,
                      TooCloseToForbiddenRatio)
-from .lattice import (BlockSpec, LatticeParams, _require_alpha_in_support,
-                      anchor_block, band_halfwidth, build_Mx, entry_args,
-                      epsilon, int_bounds, separator_row, size_bound,
-                      structure_fingerprint, structure_gaps)
+from .lattice import (BREAKPOINT_TOL, BlockSpec, LatticeParams,
+                      _require_alpha_in_support, anchor_block, band_halfwidth,
+                      build_Mx, entry_args, epsilon, int_bounds, off_breakpoints,
+                      separator_row, size_bound, structure_fingerprint, structure_gaps)
 from .linalg import banded_log_abs_det, stack_sigma_min
 from .window import Window, evaluate, inv_sup_on_core, sup_norm
 
@@ -215,7 +215,6 @@ def _chebyshev_nodes(edges: np.ndarray, k: int) -> np.ndarray:
 _ZERO_TOL = 1e-10           # rational_analysis: |det| below this is a zero
 _PERIOD_OVERSAMPLE = 8      # rational_analysis: period grid points per alpha/q
 _HOP_BOUND = 10_000         # _walk: rows tried per hop; an extent <= 9,999 ends it first
-_COVER_TOL = 1e-12          # _anchor_row_covered: longest bad overlap ignored
 
 
 def _one_structure(params: LatticeParams, w: Window, x, ends) -> BlockSpec:
@@ -410,7 +409,7 @@ def _anchor_row_covered(params: LatticeParams, w: Window) -> bool:
                                params.alpha)):
         lo = max(0.0, b + k * params.inv_beta)
         hi = min(params.alpha, a + (k + 1) * params.inv_beta)
-        if hi - lo > _COVER_TOL:
+        if hi - lo > BREAKPOINT_TOL:     # narrower is no interval
             return False
     return True
 
@@ -527,8 +526,7 @@ def rational_analysis(params: LatticeParams, w: Window, samples: int = 4096,
                 f"alpha*beta within {sep:.3g} of a forbidden ratio")
 
     edges = structure_gaps(params, w)
-    widths = np.diff(edges)
-    gi = int(np.argmax(widths))
+    gi = int(np.argmax(np.diff(edges)))
     j_lo, j_hi = float(edges[gi]), float(edges[gi + 1])
     margin = (j_hi - j_lo) / 1000.0
     xs = np.linspace(j_lo + margin, j_hi - margin, samples)
@@ -545,11 +543,7 @@ def rational_analysis(params: LatticeParams, w: Window, samples: int = 4096,
     threshold = (zero_count + 1) / (params.alpha * (j_hi - j_lo))
 
     step = params.alpha / (rc.q * _PERIOD_OVERSAMPLE)
-    grid = np.arange(0.5 * step, params.alpha, step)
-    # nudge off breakpoints; the determinant map is only defined between them
-    for bp in edges:
-        close = np.abs(grid - bp) < 1e-9
-        grid[close] += 1e-9
+    grid = off_breakpoints(edges, np.arange(0.5 * step, params.alpha, step))
     gaps = np.split(grid, np.searchsorted(grid, edges[1:-1]))
     period_min = _exp(_log_abs_dets(
         params, w, [part for part in gaps if len(part)])[1].min())

@@ -244,9 +244,9 @@ def _scan_point(task):
 
     Top level so ProcessPoolExecutor can pickle it; a per-row failure becomes
     an Error row plus a message and never aborts the sweep.  Numbers that
-    make no lattice are an Error; a lattice that is not subcritical is
-    Skipped.  w is the parsed window or the exception parsing raised, which
-    each point that is not skipped raises in turn.
+    make no lattice and allocations numpy refuses are an Error; a lattice
+    that is not subcritical is Skipped.  w is the parsed window or the
+    exception parsing raised, which each point that is not skipped raises.
     """
     w, alpha, beta, config = task
     point = f"{fmt(alpha)},{fmt(beta)}"
@@ -257,7 +257,7 @@ def _scan_point(task):
         if isinstance(w, Exception):
             raise w
         cert = certify.certify_frame(params, w, config)
-    except (GaborCertError, ValueError) as exc:
+    except (GaborCertError, MemoryError, ValueError) as exc:
         return f"{point},Error,,", f"alpha={fmt(alpha)} beta={fmt(beta)}: {exc}"
     verdict = "Certified" if cert.certified else "NotCertified"
     delta = "" if cert.delta is None else fmt(cert.delta)
@@ -410,7 +410,7 @@ def main(argv=None) -> int:
                 argv[:at] + [f"{_flag(k)}={v}" for k, v in pairs.items()]
                 + argv[at:])
         return args.func(args)
-    except (CliError, GaborCertError, OSError, ValueError) as exc:
+    except (CliError, GaborCertError, MemoryError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import LatticeParams, entry_args, int_bounds, structure_gaps
+from .lattice import (LatticeParams, entry_args, int_bounds, off_breakpoints,
+                      structure_gaps)
 from .window import Window, evaluate, sup_norm
 
 __all__ = [
@@ -36,26 +37,21 @@ def truncated_columns(params: LatticeParams, w: Window, x: float,
     """Columns m whose whole good-row set lies in rows [-extent, extent]: a
     column the truncation cuts gives spurious tiny singular values.
 
-    The columns with a good pair in a retained row form one range, from the
-    first good column of row -extent to the last of row +extent.  Row n's
-    good columns are int_bounds(x - alpha*n, 1/beta, a, b), whose start and
-    stop are nondecreasing in n and equal for a row without good columns.
-    Consecutive rows' real intervals overlap by (b-a-alpha)*beta > 0, so
-    each row starts no later than the previous row stops.  Both ends of a
-    column's good-row range, int_bounds(x + m/beta, -alpha, a, b), are
-    nondecreasing in m too, so the cut columns are trimmed from each end.
+    Row n's good columns are int_bounds(x - alpha*n, 1/beta, a, b), in
+    entry_args' rounding, [start(n), stop(n)): both ends are nondecreasing
+    in n, and rows' real intervals overlap by (b-a-alpha)*beta > 0, so the
+    retained rows' good columns run from start(-extent) to stop(extent).
+    A column's good rows are contiguous, so one of these is cut exactly
+    when row -extent-1 or row extent+1 holds it: the section keeps
+    [max(start(-extent), stop(-extent-1)), min(stop(extent), start(extent+1))).
     With alpha >= b-a the range also holds the columns without any good
     pair: zero columns of the Ron-Shen matrix, which are what the section
     should show there.
     """
-    a, b, alpha, inv_beta = w.support_lo, w.support_hi, params.alpha, params.inv_beta
-    lo = int_bounds(x + alpha * extent, inv_beta, a, b)[0]
-    hi = int_bounds(x - alpha * extent, inv_beta, a, b)[1]
-    while lo < hi and int_bounds(x + lo * inv_beta, -alpha, a, b)[0] < -extent:
-        lo += 1
-    while lo < hi and int_bounds(x + (hi - 1) * inv_beta, -alpha, a, b)[1] > extent + 1:
-        hi -= 1
-    return np.arange(lo, hi)
+    (_, above), (first, _), (_, last), (below, _) = (
+        int_bounds(x - params.alpha * n, params.inv_beta, w.support_lo, w.support_hi)
+        for n in (-extent - 1, -extent, extent, extent + 1))
+    return np.arange(max(first, above), min(last, below))
 
 
 def truncated_G(params: LatticeParams, w: Window, x: float,
@@ -83,12 +79,8 @@ def estimate_bounds(params: LatticeParams, w: Window, extent: int,
         raise ValueError("extent must be >= 0")
     if x_grid_size < 8:
         raise ValueError("x_grid_size must be >= 8")
-    edges = structure_gaps(params, w)
-    gap = np.min(np.diff(edges))
-    xs = params.alpha * (np.arange(x_grid_size) + 0.5) / x_grid_size
-    for bp in edges:
-        close = np.abs(xs - bp) < 1e-9 * gap
-        xs[close] += 1e-9 * gap
+    xs = off_breakpoints(structure_gaps(params, w),
+                         params.alpha * (np.arange(x_grid_size) + 0.5) / x_grid_size)
     table = np.empty((x_grid_size, 3))
     for i, x in enumerate(xs):
         G = truncated_G(params, w, x, extent)

@@ -37,6 +37,7 @@ __all__ = [
     "structure_fingerprint",
     "structure_breakpoints",
     "structure_gaps",
+    "off_breakpoints",
 ]
 
 RATIONAL_TOL = 1e-12
@@ -303,3 +304,13 @@ def structure_gaps(params: LatticeParams, w: Window) -> np.ndarray:
     (edges[i], edges[i+1]), wider than BREAKPOINT_TOL unless alpha is not."""
     return np.concatenate(([0.0], structure_breakpoints(params, w),
                            [params.alpha]))
+
+
+def off_breakpoints(edges: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """xs, each sample within 1e-9 times the narrowest gap of the edges (of
+    structure_gaps) moved up by that much, a rule no dilation changes.  The
+    edges are a gap apart: only the two around a sample can be near it."""
+    nudge = 1e-9 * np.min(np.diff(edges))
+    i = np.searchsorted(edges, xs).clip(1, len(edges) - 1)
+    near = np.minimum(np.abs(xs - edges[i - 1]), np.abs(xs - edges[i]))
+    return np.where(near < nudge, xs + nudge, xs)

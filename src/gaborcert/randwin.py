@@ -118,7 +118,10 @@ def synthesize_window(path: BrownianPath,
     def fill(lo, hi, Y):
         x = xs[lo:hi]
         c = min(int(np.searchsorted(t, x[-1])) + 1, len(t))
-        np.multiply(triangle_kernel(x[:, None], t[None, :c]), B[:c], out=Y[:, :c])
+        # no complex cast of the kernel per thread; k + 0j times B, same bits
+        Y.real[:, :c] = triangle_kernel(x[:, None], t[None, :c])
+        Y.imag[:, :c] = 0.0
+        Y[:, :c] *= B[:c]
         return c
 
     vals = _workers.trapezoid_rows(fill, len(xs), np.diff(t))

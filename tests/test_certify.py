@@ -895,6 +895,17 @@ def test_rational_analysis_odd_bump_not_supported():
     assert not rep.frame_supported
 
 
+def test_rational_analysis_reads_a_dilated_lattice_alike():
+    """(g, alpha, beta) -> (g(./c), c alpha, beta/c) keeps every hypothesis;
+    an absolute 1e-9 nudge of the period grid pushed its points past whole
+    gaps at c = 1e-9, and the anchor structure changed inside one."""
+    for c in (1.0, 1e-9):
+        p = L.LatticeParams(0.6 * c, (2.0 / 3.0) / 0.6 / c)
+        rep = C.rational_analysis(p, W.characteristic(0.0, c), samples=256,
+                                  delta_sep=0.0)
+        assert (rep.zero_count, rep.frame_supported) == (0, True), c
+
+
 def _rational_loops(params, w, samples):
     """Reference: the per-x determinant loops of rational_analysis before
     batching, with np.linalg.det as the determinant oracle;
@@ -913,9 +924,7 @@ def _rational_loops(params, w, samples):
         i, j = max(runs, key=lambda r: r[1] - r[0])
         sub = (float(xs[i]), float(xs[j - 1]))
     step = params.alpha / (params.rational_class.q * C._PERIOD_OVERSAMPLE)
-    grid = np.arange(0.5 * step, params.alpha, step)
-    for bp in edges:
-        grid[np.abs(grid - bp) < 1e-9] += 1e-9
+    grid = L.off_breakpoints(edges, np.arange(0.5 * step, params.alpha, step))
     period_min = min(abs(np.linalg.det(L.build_Mx(params, w, L.anchor_block(params, w, x))))
                      for x in grid)
     return len(C._runs(below)), sub, float(period_min)

@@ -1238,6 +1238,43 @@ def test_framebounds_section_without_complete_column_exits_one(tmp_path,
     assert not out.exists()
 
 
+def test_framebounds_at_a_huge_extent_exits_one():
+    """The complete columns come in closed form from four rows' ranges, so
+    numpy's refusal of the 1e20-row section comes at once; the trimming
+    loops that stepped one column at a time took about a minute."""
+    proc = subprocess.run([sys.executable, "-m", "gaborcert.cli", "framebounds",
+                           "--window", "bump", "--alpha", "1.0", "--beta", "0.5",
+                           "--extent", "100000000000000000000", "--x-grid-size", "8"],
+                          capture_output=True, text=True, timeout=20)
+    assert proc.returncode == 1 and proc.stderr.startswith("error: "), proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+# 2e14 + 1 int64 rows are 1.42 PiB, past the 128 TiB x86-64 user address
+# space: numpy's request fails at once under any overcommit policy
+HUGE_EXTENT = ["--alpha", "1.0", "--beta", "0.70710678", "--extent",
+               "100000000000000"]
+
+
+def test_allocation_numpy_refuses_exits_one(tmp_path, capsys):
+    out = tmp_path / "c.json"
+    assert run(["certify", *HUGE_EXTENT, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate") and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_allocation_numpy_refuses_is_a_scan_error_row(tmp_path, capsys):
+    out = tmp_path / "s.csv"
+    assert run(["scan", "--alpha-grid", "1.0,1.1", *HUGE_EXTENT[2:],
+                "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[1:] == [
+        "1,0.70710678000000005,Error,,",
+        "1.1000000000000001,0.70710678000000005,Error,,"]
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all("Unable to allocate" in e for e in err)
+
+
 # ---------------------------------------------------------------------------
 # determinant floor, samples per gap and quadrature nodes
 

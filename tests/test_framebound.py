@@ -58,17 +58,19 @@ def test_shift_covariance():
 
 
 def _columns_by_row_union(p, w, x, extent):
-    """Reference: the union of every retained row's good columns, and the
-    complete columns among them, as sorted arrays."""
-    cols = set()
-    for n in range(-extent, extent + 1):
-        cols.update(range(*L.int_bounds(x - p.alpha * n, p.inv_beta,
-                                        w.support_lo, w.support_hi)))
-    complete = {m for m in cols
-                if -extent <= (rows := L.int_bounds(x + m * p.inv_beta, -p.alpha,
-                                                    w.support_lo, w.support_hi))[0]
-                and rows[1] - 1 <= extent}
-    return np.array(sorted(cols)), np.array(sorted(complete))
+    """Reference: the columns from the first to the last good column of any
+    retained row, and the complete columns among them, whose good rows all
+    lie in [-extent, extent] (a column without good rows is complete), as
+    sorted arrays."""
+    starts, stops = zip(*(L.int_bounds(x - p.alpha * n, p.inv_beta,
+                                       w.support_lo, w.support_hi)
+                          for n in range(-extent, extent + 1)))
+    cols = range(min(starts), max(stops))
+    complete = [m for m in cols
+                if (rows := L.int_bounds(x + m * p.inv_beta, -p.alpha,
+                                         w.support_lo, w.support_hi))[1] <= rows[0]
+                or (-extent <= rows[0] and rows[1] - 1 <= extent)]
+    return np.array(cols), np.array(complete, dtype=int)
 
 
 # supports of length 2, 1, 0.7 and 5.6, centred and off-centre
@@ -77,27 +79,34 @@ _SUPPORTS = (W.bump(), W.characteristic(), W.characteristic(-0.35, 0.35),
 
 
 def test_truncated_columns_match_row_union_random():
+    """alpha runs past b - a, where the sections keep zero columns, and x
+    is sometimes alpha/2, a grid point of every even x_grid_size."""
     rng = np.random.default_rng(2024)
     edge = 1.0 - 1e-15
-    seen = {"empty end row": 0, "trimmed": 0, "no column": 0, "painless": 0}
+    seen = {"empty end row": 0, "trimmed": 0, "no column": 0, "painless": 0,
+            "zero column": 0, "x = alpha/2": 0}
     for _ in range(10_000):
         w = _SUPPORTS[rng.integers(len(_SUPPORTS))]
-        u = edge if rng.random() < 0.02 else rng.uniform(0.01, edge)
+        u = edge if rng.random() < 0.02 else rng.uniform(0.01, 1.6)
         d = edge if rng.random() < 0.02 else rng.uniform(0.01, edge)
         alpha = u * w.support_length
         p = L.LatticeParams(alpha, d / alpha)
-        x = float(rng.uniform(0.0, alpha))
+        x = alpha / 2 if rng.random() < 0.05 else float(rng.uniform(0.0, alpha))
         extent = int(rng.choice([0, 1, 2, 5, 16, 64]))
-        union, complete = _columns_by_row_union(p, w, x, extent)
+        spanned, complete = _columns_by_row_union(p, w, x, extent)
         got = F.truncated_columns(p, w, x, extent)
         assert got.dtype.kind == "i"
         assert np.array_equal(got, complete), (p, w.descriptor(), x, extent)
+        rows = np.arange(-extent, extent + 1)
+        good = L.is_good(p, w, x, rows[:, None], got[None, :])
         ends = (range(*L.int_bounds(x - alpha * n, p.inv_beta, w.support_lo,
                                     w.support_hi)) for n in (-extent, extent))
         seen["empty end row"] += not all(ends)
-        seen["trimmed"] += len(complete) < len(union)
-        seen["no column"] += len(union) == 0
+        seen["trimmed"] += len(complete) < len(spanned)
+        seen["no column"] += len(spanned) == 0
         seen["painless"] += p.beta * w.support_length < 1.0
+        seen["zero column"] += not np.all(np.any(good, axis=0))
+        seen["x = alpha/2"] += x == alpha / 2
     assert min(seen.values()) >= 50, seen
 
 

@@ -507,6 +507,27 @@ def test_gaps_partition_zero_to_alpha(kind, lo, length, u, density):
     assert np.array_equal(edges[1:-1], L.structure_breakpoints(p, w))
 
 
+def test_off_breakpoints_matches_the_loop_over_edges():
+    """Reference: each edge in turn moves the samples within 1e-9 times the
+    narrowest gap of it up by that much.  Samples sit on edges, just below
+    and above them, and between, with alpha near 1, 1e-9 and 1e3."""
+    rng = np.random.default_rng(5)
+    for scale in (1.0, 1e-9, 1e3):
+        for _ in range(200):
+            alpha = scale * rng.uniform(0.1, 2.0)
+            edges = np.concatenate(([0.0], np.sort(rng.uniform(
+                0.0, alpha, rng.integers(0, 6))), [alpha]))
+            nudge = 1e-9 * np.min(np.diff(edges))
+            xs = np.concatenate((rng.uniform(0.0, alpha, 20), edges,
+                                 edges + 0.5 * nudge, edges - 0.5 * nudge,
+                                 edges + 2 * nudge))
+            want = xs.copy()
+            for edge in edges:
+                want[np.abs(want - edge) < nudge] += nudge
+            assert np.array_equal(L.off_breakpoints(edges, xs), want)
+            assert not np.array_equal(want, xs)
+
+
 def test_fingerprint_constant_between_breakpoints():
     w = W.bump()
     p = params(1.0, 1.0 / SQRT2)
