@@ -298,7 +298,8 @@ def cmd_framebounds(args) -> int:
     params, w = _lattice(args)
     est = framebound.estimate_bounds(params, w, args.extent, args.x_grid_size)
     rows = ["x,sigma_min,sigma_max"]
-    rows += [f"{fmt(x)},{fmt(smin)},{fmt(smax)}" for x, smin, smax in est.per_x]
+    # the bytes of fmt: %-formatting a float at .17g is format(x, ".17g")
+    rows += ["%.17g,%.17g,%.17g" % tuple(row) for row in est.per_x.tolist()]
     summary = {"extent": args.extent,
                "sigma_min_inf": est.sigma_min_inf,
                "sigma_max_sup": est.sigma_max_sup,

@@ -187,19 +187,28 @@ def int_bounds(base, step: float, lo: float, hi: float):
     against that exact expression.  Even when the range is empty, start is
     the first k past the entry bound (lo for step > 0, hi for step < 0) and
     stop - 1 the last k before the exit bound.  A scalar base gives Python
-    ints, any other base (an array, a list) int arrays of its shape.
+    ints, any other base (an array, a list) int arrays of its shape.  The
+    arrays count in int64, so a base whose estimate (bound - base)/step
+    leaves int64 (or is NaN) raises ValueError naming its range.
     """
-    as_float, floor, ceil, any_ = _ops(base)
+    as_float, floor, ceil, any_ = ops = _ops(base)
     base = as_float(base)
+    q_lo, q_hi = (lo - base) / step, (hi - base) / step
+    if ops is _ARRAY_OPS and not (
+            inside := np.maximum(np.abs(q_lo), np.abs(q_hi)) < 2.0 ** 63).all():
+        raise ValueError(f"the integers k with {lo!r} < "
+                         f"{float(base[~inside][0])!r} + k*{step!r} < {hi!r} "
+                         "lie outside int64")
     if step < 0:
-        # rounding is odd-symmetric: -(base + k*step) == -base + k*(-step)
-        base, step, lo, hi = -base, -step, -hi, -lo
-    k_lo = floor((lo - base) / step) + 1
+        # rounding is odd-symmetric: -(base + k*step) == -base + k*(-step),
+        # and each flipped bound's estimate is the other's, up to a zero's sign
+        base, step, lo, hi, q_lo, q_hi = -base, -step, -hi, -lo, q_hi, q_lo
+    k_lo = floor(q_lo) + 1
     while any_(low := base + k_lo * step <= lo):
         k_lo += low
     while any_(high := base + (k_lo - 1) * step > lo):
         k_lo -= high
-    k_hi = ceil((hi - base) / step) - 1
+    k_hi = ceil(q_hi) - 1
     while any_(high := base + k_hi * step >= hi):
         k_hi -= high
     while any_(low := base + (k_hi + 1) * step < hi):

@@ -1239,15 +1239,29 @@ def test_framebounds_section_without_complete_column_exits_one(tmp_path,
 
 
 def test_framebounds_at_a_huge_extent_exits_one():
-    """The complete columns come in closed form from four rows' ranges, so
-    numpy's refusal of the 1e20-row section comes at once; the trimming
-    loops that stepped one column at a time took about a minute."""
+    """The section rows are built before anything reads them, so numpy's
+    refusal of the 1e20-row section comes at once; the trimming loops that
+    stepped one column at a time took about a minute."""
     proc = subprocess.run([sys.executable, "-m", "gaborcert.cli", "framebounds",
                            "--window", "bump", "--alpha", "1.0", "--beta", "0.5",
                            "--extent", "100000000000000000000", "--x-grid-size", "8"],
                           capture_output=True, text=True, timeout=20)
     assert proc.returncode == 1 and proc.stderr.startswith("error: "), proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["breakpoints", "framebounds"])
+def test_lattice_counting_past_int64_exits_one(command):
+    """A support at 1e15 puts the breakpoint candidates' column counts near
+    1e19, past int64: an error line naming the range, where the wrapped
+    cast made structure_breakpoints loop for ever."""
+    proc = subprocess.run([sys.executable, "-m", "gaborcert.cli", command,
+                           "--window", "char:1e15:1000000000000001",
+                           "--alpha", "0.0000707106781", "--beta", "10000"],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("error: the integers k with ")
+    assert proc.stderr.endswith(" lie outside int64\n")
 
 
 # 2e14 + 1 int64 rows are 1.42 PiB, past the 128 TiB x86-64 user address

@@ -1,6 +1,7 @@
 """Finite-section truncations and singular-value extremes."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -218,3 +219,125 @@ def test_section_extremes_within_backward_error_of_jacobi(window, alpha, beta,
                * np.linalg.norm(G))
         assert abs(smin - ref[-1]) <= tol, (x, smin, ref[-1], tol)
         assert abs(smax - ref[0]) <= tol, (x, smax, ref[0], tol)
+
+
+def _dense_estimate(p, w, extent, x_grid_size):
+    """Reference: each x's section built densely, every slot of the
+    (2*extent+1) x C section through entry_args and evaluate, its complete
+    columns from four scalar int_bounds rows, and one np.linalg.svd per x;
+    the first x in grid order that fails raises."""
+    xs = L.off_breakpoints(L.structure_gaps(p, w),
+                           p.alpha * (np.arange(x_grid_size) + 0.5) / x_grid_size)
+    rows = np.arange(-extent, extent + 1)
+    table = np.empty((x_grid_size, 3))
+    for i, x in enumerate(xs):
+        (_, above), (first, _), (_, last), (below, _) = (
+            L.int_bounds(x - p.alpha * n, p.inv_beta, w.support_lo, w.support_hi)
+            for n in (-extent - 1, -extent, extent, extent + 1))
+        cols = np.arange(max(first, above), min(last, below))
+        G = W.evaluate(w, L.entry_args(p, x, rows[:, None], cols[None, :]))
+        if not np.isfinite(G).all():
+            raise ValueError(f"the section at x={float(x)!r} has a non-finite "
+                             "entry")
+        sv = np.linalg.svd(G, compute_uv=False)
+        if len(sv) == 0:
+            raise ValueError(f"the section at x={float(x)!r} has no complete "
+                             f"column at extent {extent}")
+        table[i] = (x, sv[-1], sv[0])
+    return table
+
+
+_ORACLE_WINDOWS = {
+    "bump": W.bump, "oddbump": W.odd_bump, "gevrey3": lambda: W.gevrey(3),
+    "char": W.characteristic,
+    "hat": lambda: W.sampled([-1.0, 0.0, 1.0], [0.0, 100.0, 0.0]),
+    "random": lambda: R.synthesize_window(R.sample_path(0)),   # complex
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ORACLE_WINDOWS))
+def test_estimate_bounds_matches_dense_sections_bit_for_bit(name):
+    """Stacked sections built from the good-pair ranges give the bytes of
+    the dense per-x route: per_x, or the same error naming the same x.
+    Densities 0.3-0.95, u = alpha/(b-a) up to 1.5 (zero columns past 1)."""
+    w = _ORACLE_WINDOWS[name]()
+    rng = np.random.default_rng(sum(map(ord, name)))
+    seen = {"ok": 0, "error": 0, "zero column": 0, "widths differ": 0}
+    for u, d in [(1.2, 0.6), (1.5, 0.9)] + [
+            (rng.uniform(0.1, 1.0), rng.uniform(0.3, 0.95)) for _ in range(3)]:
+        alpha = u * w.support_length
+        p = L.LatticeParams(alpha, d / alpha)
+        for extent in (0, 1, 3, 16, 64):
+            for x_grid_size in (8, 64):
+                try:
+                    expect = _dense_estimate(p, w, extent, x_grid_size)
+                except ValueError as exc:
+                    with pytest.raises(ValueError) as got:
+                        F.estimate_bounds(p, w, extent, x_grid_size)
+                    assert str(got.value) == str(exc)
+                    seen["error"] += 1
+                    continue
+                per_x = F.estimate_bounds(p, w, extent, x_grid_size).per_x
+                assert per_x.tobytes() == expect.tobytes(), (p, extent, x_grid_size)
+                seen["ok"] += 1
+                seen["zero column"] += u > 1.0
+                widths = {len(F.truncated_columns(p, w, x, extent))
+                          for x in per_x[:, 0]}
+                seen["widths differ"] += len(widths) > 1
+    assert min(seen.values()) >= 1, seen
+
+
+@pytest.mark.parametrize("w, alpha, beta, extent, x_grid_size, budget", [
+    (W.bump(), 1.0, 1.0 / SQRT2, 128, 260, 1 << 15),    # 3 chunks of 126 x
+    (W.odd_bump(), 1.3, 0.45, 16, 64, 700),             # 20 x, one section a stack
+])
+def test_estimate_bounds_chunks_keep_the_bytes(monkeypatch, w, alpha, beta, extent,
+                                               x_grid_size, budget):
+    """The grid goes to the sections in chunks of _BATCH_ENTRIES // (2E+3)
+    x, and stacks hold _BATCH_ENTRIES entries: neither moves a byte."""
+    monkeypatch.setattr(F, "_BATCH_ENTRIES", budget)
+    p = L.LatticeParams(alpha, beta)
+    per_x = F.estimate_bounds(p, w, extent, x_grid_size).per_x
+    assert per_x.tobytes() == _dense_estimate(p, w, extent, x_grid_size).tobytes()
+
+
+@pytest.mark.parametrize("budget", [1 << 15, 6])        # 6: chunks of 2 x
+@pytest.mark.parametrize("order, named, reason", [
+    ([0.5, 0.6, 0.1, 0.65, 0.55, 0.2, 0.45, 0.35], 0.6, "a non-finite entry"),
+    ([0.5, 0.1, 0.6, 0.65, 0.55, 0.2, 0.45, 0.35], 0.1, "no complete column"),
+    ([0.5, 0.55, 0.65, 0.6, 0.1, 0.45, 0.35, 0.2], 0.6, "a non-finite entry"),
+    ([0.5, 0.55, 0.65, 0.1, 0.6, 0.45, 0.35, 0.2], 0.1, "no complete column"),
+])
+def test_estimate_bounds_names_first_failing_x_in_grid_order(monkeypatch, order,
+                                                             named, reason, budget):
+    """char on (0, 1) at (0.7, 1), extent 0: the one row's one good pair
+    has argument x, and the section has no complete column for x < 0.3.
+    Poisoning g at x = 0.6 makes that section non-finite; whichever
+    failure comes first in the grid's order, here the order given, is the
+    one named, also when the grid goes in chunks."""
+    monkeypatch.setattr(F, "_BATCH_ENTRIES", budget)
+    monkeypatch.setattr(F, "off_breakpoints", lambda edges, grid: np.array(order))
+    evaluate = F.evaluate
+    monkeypatch.setattr(F, "evaluate", lambda w, args: np.where(
+        args == 0.6, np.inf, evaluate(w, args)))
+    with pytest.raises(ValueError, match=re.escape(f"x={named!r} has {reason}")):
+        F.estimate_bounds(L.LatticeParams(0.7, 1.0), W.characteristic(), 0, 8)
+
+
+def test_estimate_bounds_evaluates_only_good_pairs(monkeypatch):
+    """Each row holds at most floor(beta(b-a))+1 good pairs, and only those
+    reach evaluate: the dense route evaluated every slot of each
+    (2*extent+1) x C section."""
+    points = []
+    evaluate = F.evaluate
+    monkeypatch.setattr(F, "evaluate",
+                        lambda w, x: points.append(np.size(x)) or evaluate(w, x))
+    for w, alpha, beta, extent, x_grid_size in [
+            (W.bump(), 1.0, 1.0 / SQRT2, 16, 64), (W.bump(), 0.39, 1.795, 64, 8),
+            (W.characteristic(), 0.7, 1.0, 32, 16),
+            (W.gevrey(3), 1.1, 0.7, 64, 64)]:
+        points.clear()
+        p = L.LatticeParams(alpha, beta)
+        F.estimate_bounds(p, w, extent, x_grid_size)
+        per_row = math.floor(p.beta * w.support_length) + 1
+        assert 0 < sum(points) <= x_grid_size * (2 * extent + 1) * per_row

@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -253,6 +255,22 @@ def test_int_range_open_at_exact_bounds():
     assert L.int_bounds(0.0, 0.5, 0.0, 1.0) == (1, 2)
     assert L.int_bounds(0.0, -0.5, 0.0, 1.0) == (-1, 0)
     assert L.int_bounds(0.0, 0.5, 0.0, 0.5) == (1, 1)
+
+
+def test_int_bounds_array_past_int64_raises():
+    """An array base whose estimate leaves int64 raises, naming its range;
+    the cast wrapped it, and the correction loops then stepped one k at a
+    time for ever.  In a subprocess, so a hang fails the test."""
+    code = ("import numpy as np\nfrom gaborcert.lattice import int_bounds\n"
+            "try:\n    int_bounds(np.array([1e20]), 1.0, 0.0, 1.0)\n"
+            "except ValueError as exc:\n    print(exc)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60)
+    assert proc.stdout == ("the integers k with 0.0 < 1e+20 + k*1.0 < 1.0 lie "
+                           "outside int64\n"), proc.stderr
+    # the scalar path counts in Python ints and answers
+    start, stop = L.int_bounds(1e20, 1.0, 0.0, 1.0)
+    assert stop <= start
 
 
 # ---------------------------------------------------------------------------
