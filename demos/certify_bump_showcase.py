@@ -55,7 +55,9 @@ def main():
     print(f"decomposition at x = {mid:.6f}: {len(decomp.blocks)} blocks "
           f"(sizes {min(sizes)}..{max(sizes)}), "
           f"{len(decomp.discarded_rows)} rows discarded")
-    print(f"smallest block singular value: {decomp.sigma_min:.6f}")
+    sigma, refused = decomp.sigma_min
+    print(f"smallest block singular value: {sigma:.6f}; "
+          f"{'no block' if refused is None else 'a block'} at rounding level")
 
     composite = certify.assemble_composite(params, w, decomp)
     det = complex(np.linalg.det(composite))

@@ -2,9 +2,10 @@
 
 The positive verdict rests on three computable facts: an interval I of x
 values where |det M_x| stays above a floor delta, a block decomposition of
-the row-reduced Ron-Shen matrix whose diagonal blocks all have positive
-smallest singular value, and the hypothesis checklist (density, support
-length, irrationality class, boundedness of g and 1/g on the core).
+the row-reduced Ron-Shen matrix whose diagonal blocks all have smallest
+singular value above rounding level (linalg.stack_sigma_min's margin), and
+the hypothesis checklist (density, support length, irrationality class,
+boundedness of g and 1/g on the core).
 """
 
 from __future__ import annotations
@@ -165,10 +166,16 @@ class BlockDecomposition:
         return sorted(blocks, key=lambda b: b.row_lo)
 
     @property
-    def sigma_min(self) -> float:
-        """Smallest singular value over the blocks, bit for bit svdvals_accurate's."""
-        return min(stack_sigma_min(self.anchors),
-                   stack_sigma_min(self.separators.reshape(-1, 1, 1)))
+    def sigma_min(self) -> tuple:
+        """(sigma, refused) over every block, as linalg.stack_sigma_min
+        gives them for one stack: the smallest singular-value estimate, and
+        None or (estimate, tolerance) of the block with the smallest
+        estimate of those its margin refuses."""
+        (a, a_refused), (s, s_refused) = (
+            stack_sigma_min(self.anchors),
+            stack_sigma_min(self.separators.reshape(-1, 1, 1)))
+        refused = [r for r in (a_refused, s_refused) if r is not None]
+        return min(a, s), min(refused, default=None)
 
 
 @dataclass(frozen=True)
@@ -463,9 +470,12 @@ def certify_frame(params: LatticeParams, w: Window,
         return FrameCertificate("not_certified", str(exc), report,
                                 interval_lo=found.lo, interval_hi=found.hi,
                                 delta=found.delta, profile=profile)
-    sigma = decomp.sigma_min
-    verdict = "certified" if sigma > 0.0 else "not_certified"
-    reason = None if sigma > 0.0 else "singular block in the decomposition"
+    sigma, refused = decomp.sigma_min
+    verdict, reason = "certified", None
+    if refused is not None:
+        verdict, sigma = "not_certified", None
+        reason = ("block singular to working precision: sigma {!r} against "
+                  "tolerance {!r}".format(*refused))
     return FrameCertificate(verdict, reason, report,
                             interval_lo=found.lo, interval_hi=found.hi,
                             delta=found.delta, block_sigma_min=sigma,

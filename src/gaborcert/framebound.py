@@ -154,9 +154,6 @@ def estimate_bounds(params: LatticeParams, w: Window, extent: int,
     sigma is within p(m, n) eps ||G||_2 of the exact one, for a modest p
     (the LAPACK Users' Guide bound).  That absolute accuracy is what a frame
     bound needs, since the optimal lower bound is inf sigma_min^2 itself.
-    Certificates keep dgejsv (linalg.stack_sigma_min): a block sigma_min
-    can lie many orders below its block's norm, where only the Jacobi SVD
-    keeps relative accuracy.
     """
     if extent < 0:
         raise ValueError("extent must be >= 0")

@@ -1,5 +1,16 @@
-"""Singular values with relative accuracy on matrices with tiny singular
-values, and log-determinants of stacks of banded matrices."""
+"""Block singular values behind a rounding margin, and log-determinants of
+stacks of banded matrices.
+
+A certificate's block sigma_min comes from LAPACK's gesdd, which is backward
+stable: its estimate of each block's sigma_min is within p(s) eps ||A||_F of
+the true value, so ``stack_sigma_min`` refuses every block whose estimate
+does not clear twice the tolerance SCREEN_SLACK * s * eps * ||A||_F that
+covers that error.  A block it passes has sigma_min above rounding level by
+a factor SCREEN_SLACK, and a real 1x1 block is its exact |a|.  The
+preconditioned Jacobi SVD (``dgejsv``, relative accuracy on graded matrices)
+is the tests' oracle for both gesdd paths, here and in the finite sections;
+no command calls it, so none imports SciPy for it.
+"""
 
 from __future__ import annotations
 
@@ -12,8 +23,9 @@ from .errors import BudgetExceeded
 __all__ = ["jacobi_svdvals", "svdvals_accurate", "stack_sigma_min",
            "banded_log_abs_det"]
 
-# stack_sigma_min: the screen's tolerance of an s x s block A is
-# SCREEN_SLACK * s * eps * ||A||_F
+# stack_sigma_min: the tolerance of an s x s block A is
+# SCREEN_SLACK * s * eps * ||A||_F; a block passes if its sigma_min estimate
+# exceeds twice that
 SCREEN_SLACK = 32
 # banded_log_abs_det's budgets: band entries evaluated at once (one row of a
 # stack, one slab of rows), and bytes of one stack's LU at 16 bytes
@@ -35,7 +47,8 @@ def jacobi_svdvals(A) -> np.ndarray:
     [[Re, -Im], [Im, Re]], which has each singular value of A twice; a
     complex matrix with zero imaginary part goes in as a real one.
     ``joba=0`` ('C') is used because the default ('A') sets small singular
-    values to zero.
+    values to zero.  No command calls it: it is the tests' oracle, and
+    ``perfbench/tracer.py`` wraps it and ``svdvals_accurate`` by name.
     """
     A = np.asarray(A)
     if A.ndim != 2:
@@ -51,7 +64,7 @@ def jacobi_svdvals(A) -> np.ndarray:
             repeat = 2
         else:
             A = A.real
-    from scipy.linalg import lapack   # here, so commands without an SVD skip it
+    from scipy.linalg import lapack   # here, so importing gaborcert loads no SciPy
 
     sva, _, _, work, _, info = lapack.dgejsv(A, joba=0, jobu=3, jobv=3)
     if info != 0:
@@ -69,45 +82,56 @@ def svdvals_accurate(A) -> np.ndarray:
     return jacobi_svdvals(A)
 
 
-def stack_sigma_min(stack) -> float:
-    """min over i of svdvals_accurate(stack[i])[-1], bit for bit, for an
-    (N, m, n) stack; inf for an empty one.
+def stack_sigma_min(stack) -> tuple:
+    """(sigma, refused) for an (N, m, n) stack: sigma is the smallest
+    singular-value estimate est_i over its blocks (inf for an empty stack),
+    and refused is None when every block passes the margin below, else
+    (est_i, tol_i) of the refused block with the smallest est_i.
 
-    A real-valued 1x1 block [a] gives |a|, exactly what ``dgejsv`` returns.
-    One batched LAPACK SVD (``gesdd``, in the stack's dtype) estimates every
-    other block's smallest singular value est_i, and only the candidates go
-    to ``svdvals_accurate``.  Both SVDs are backward stable: each returns
-    the singular values of A + E with ||E||_2 <= p(s) eps ||A||_2 for a
-    modest p of the size s = max(m, n) (the LAPACK Users' Guide bound;
-    ``dgejsv``'s real embedding of a complex block has the same 2-norm), so
-    by Weyl's inequality each is within p(s) eps ||A_i||_F of the true
-    sigma_min.  With
-    tol_i = SCREEN_SLACK * s * eps * ||A_i||_F covering both errors, est_i
-    and the accurate value J_i differ by at most tol_i.  If block k has the
-    smallest J, then est_k - tol_k <= J_k <= J_j <= est_j + tol_j for every
-    j: block k is a candidate, est_i - tol_i <= min_j (est_j + tol_j), and the
-    smallest J over the candidates is J_k.  Candidates with the same bytes
-    have the same J, so each is computed once.
+    A real-valued 1x1 block [a] gives its exact |a|, with tolerance 0.  One
+    batched LAPACK SVD (``gesdd``, in the stack's dtype) estimates every
+    other block's smallest singular value est_i.  It is backward stable: it
+    returns the singular values of A + E with ||E||_2 <= p(s) eps ||A||_2
+    for a modest p of the size s = max(m, n) (the LAPACK Users' Guide
+    bound), so by Weyl's inequality est_i is within p(s) eps ||A_i||_F of
+    the true sigma_min.  With tol_i = SCREEN_SLACK * s * eps * ||A_i||_F
+    covering that error, est_i - tol_i is a lower bound on it, and a block
+    passes only if est_i - tol_i > tol_i: its sigma_min then exceeds both
+    tol_i and est_i / 2, and est_i is within tol_i / sigma_min < 1 of it
+    relative (about 1/SCREEN_SLACK when p(s) <= s).  A block at
+    rounding level, whose sigma_min gesdd cannot tell from 0, is refused,
+    and so is one whose norm overflows (tol = inf).  The norm comes from
+    the same singular values (||A||_F^2 is their sum of squares), scaled by
+    the largest, so a tiny block keeps a positive tolerance.
     """
     A = np.asarray(stack)
     if A.ndim != 3:
         raise ValueError("expected a stack of matrices")
     if not np.isfinite(A).all():
         raise ValueError("matrix has a non-finite entry")
-    low = math.inf
+    est, tol = np.zeros(0), np.zeros(0)
     if A.shape[1:] == (1, 1):
         real = A.imag[:, 0, 0] == 0
-        low = float(np.abs(A.real[real]).min(initial=math.inf))
+        est = np.abs(A.real[real, 0, 0])
+        tol = np.zeros(len(est))
         A = A[~real]
-    if len(A) == 0:
-        return low
-    est = np.linalg.svd(A, compute_uv=False)[:, -1]
-    with np.errstate(over="ignore"):    # a norm past the largest double: tol = inf
-        tol = (SCREEN_SLACK * max(A.shape[1:]) * np.finfo(float).eps
-               * np.linalg.norm(A, axis=(1, 2)))
-    candidates = np.flatnonzero(est - tol <= (est + tol).min())
-    distinct = {A[i].tobytes(): A[i] for i in candidates.tolist()}
-    return min(low, float(min(svdvals_accurate(a)[-1] for a in distinct.values())))
+    if len(A):
+        sv = np.linalg.svd(A, compute_uv=False)
+        # ||A_i||_F from its singular values over the largest, so that no
+        # square underflows (a tiny block would get tol = 0) or overflows
+        top = sv[:, 0]
+        unit = sv / np.where(top > 0, top, 1.0)[:, None]
+        with np.errstate(over="ignore"):    # a norm past the largest double: tol = inf
+            frob = top * np.linalg.norm(unit, axis=1)
+        est = np.concatenate((est, sv[:, -1]))
+        tol = np.concatenate((tol, SCREEN_SLACK * max(A.shape[1:])
+                              * np.finfo(float).eps * frob))
+    sigma = float(est.min(initial=math.inf))
+    refused = np.flatnonzero(~(est - tol > tol))
+    if len(refused) == 0:
+        return sigma, None
+    worst = refused[np.argmin(est[refused])]
+    return sigma, (float(est[worst]), float(tol[worst]))
 
 
 def banded_log_abs_det(band, k: int, sizes) -> np.ndarray:

@@ -8,6 +8,7 @@ option or window form would otherwise break only the benchmark run.
 
 import importlib
 import importlib.util
+import json
 import math
 import sys
 from pathlib import Path
@@ -101,3 +102,21 @@ def test_tracer_sees_the_breakpoints_of_a_scan(tmp_path):
     assert rc == 0
     assert t.totals["lattice.structure_breakpoints.calls"] == 1
     assert t.totals["lattice.breakpoints"] > 0
+
+
+@pytest.mark.parametrize("workload", ["certify_critical", "certify_long_extent"])
+def test_seed0_certify_items_keep_their_reference_verdicts(tmp_path, workload):
+    """Every referenced seed-0 item of the certify workloads passes the
+    benchmark's own checks: its invariants, and its verdict, reason, interval,
+    delta and block_sigma_min against the reference (1e-9 relative).  Their
+    decomposition blocks clear the rounding margin by 10^8.5 or more, so
+    the margin refuses none of them."""
+    reference = json.loads((ROOT / "perfbench" / "reference"
+                            / f"{workload}.json").read_text())
+    verdicts = set()
+    for item, ref in zip(WORKLOADS.items(workload, 0), reference["items"]):
+        rc = cli.main(list(item.argv) + ["--out", str(tmp_path / item.out)])
+        summary = CHECKS.check_item(item, rc, tmp_path)
+        assert CHECKS.compare_reference(ref, item, summary) == [], item.argv
+        verdicts.add(summary["verdict"])
+    assert verdicts == {"Certified", "NotCertified"}

@@ -1105,25 +1105,40 @@ def test_separators_are_ron_shen_entries(w, alpha, beta):
 
 
 def _count_svd_calls(monkeypatch):
-    """The blocks stack_sigma_min hands to svdvals_accurate, as it calls it."""
+    """The blocks handed to svdvals_accurate, as it is called."""
     calls, svd = [], LA.svdvals_accurate
     monkeypatch.setattr(LA, "svdvals_accurate",
                         lambda a: calls.append(a) or svd(a))
     return calls
 
 
-def _per_block_sigma_min(dec):
-    """Reference: the smallest svdvals_accurate value over every block."""
-    return min(float(LA.svdvals_accurate(b.matrix)[-1]) for b in dec.blocks)
+def _per_block_rule(dec):
+    """Reference: (sigma, refused) by linalg.stack_sigma_min's documented
+    rule, block by block (a real 1x1 block is |a| with tolerance 0, any other
+    gesdd's smallest value with tolerance SCREEN_SLACK * s * eps * ||A||_F),
+    each block's value within its tolerance of svdvals_accurate's."""
+    est, tol = [], []
+    for a in (b.matrix for b in dec.blocks):
+        exact = a.shape == (1, 1) and a.imag[0, 0] == 0
+        est.append(float(abs(a.real[0, 0]) if exact
+                         else np.linalg.svd(a, compute_uv=False)[-1]))
+        tol.append(0.0 if exact else float(
+            LA.SCREEN_SLACK * len(a) * np.finfo(float).eps * np.linalg.norm(a)))
+        assert abs(est[-1] - LA.svdvals_accurate(a)[-1]) <= tol[-1]
+    refused = [(e, t) for e, t in zip(est, tol) if not e - t > t]
+    return min(est), min(refused, default=None)
 
 
-def _screen_candidates(stack):
-    """Indices of the blocks that stack_sigma_min's documented screen keeps."""
-    work = stack.real if not stack.imag.any() else stack
-    est = np.linalg.svd(work, compute_uv=False)[:, -1]
-    tol = (LA.SCREEN_SLACK * max(stack.shape[1:]) * np.finfo(float).eps
-           * np.linalg.norm(work, axis=(1, 2)))
-    return np.flatnonzero(est - tol <= (est + tol).min())
+def _assert_sigma_min(dec):
+    """dec.sigma_min has the bits of the per-block rule, but for the last
+    bits of a refused block's tolerance."""
+    (sigma, refused), (want, want_refused) = dec.sigma_min, _per_block_rule(dec)
+    assert type(sigma) is float and sigma.hex() == want.hex()
+    assert (refused is None) == (want_refused is None)
+    if refused is not None:
+        assert refused[0].hex() == want_refused[0].hex()
+        assert refused[1] == pytest.approx(want_refused[1], rel=1e-14)
+    return sigma, refused
 
 
 @_REPLAY_CASES
@@ -1131,22 +1146,16 @@ def test_sigma_min_matches_per_block_svd(monkeypatch, w, alpha, beta):
     p = L.LatticeParams(alpha, beta)
     lo, hi = _interval(p, w)
     dec = C.build_block_decomposition(p, w, 0.5 * (lo + hi), 1024, (lo, hi))
-    want = _per_block_sigma_min(dec)
     calls = _count_svd_calls(monkeypatch)
-    got = dec.sigma_min
-    assert type(got) is float and got.hex() == want.hex()
-    # the SVD runs once per distinct screened candidate, among the anchors
-    # and the complex separators only
+    sigma, refused = dec.sigma_min
+    # gesdd decides alone: no block goes to the Jacobi SVD
+    assert calls == [] and refused is None
     complex_seps = dec.separators[dec.separators.imag != 0]
     assert bool(len(complex_seps)) == (w.kind == "sampled")
-    distinct = {dec.anchors[i].tobytes()
-                for i in _screen_candidates(dec.anchors)}
-    if len(complex_seps):
-        stack = complex_seps[:, None, None]
-        distinct |= {stack[i].tobytes() for i in _screen_candidates(stack)}
-    assert len({a.tobytes() for a in calls}) == len(calls) <= len(distinct)
     if w.kind == "bump":
-        assert len(dec.anchors) > 200 and len(calls) < 5
+        assert len(dec.anchors) > 200
+    monkeypatch.undo()
+    assert _assert_sigma_min(dec) == (sigma, None)
 
 
 def test_sigma_min_rejects_a_non_finite_separator():
@@ -1189,7 +1198,8 @@ def test_decomposition_arrays_match_its_blocks(flagship):
 
 
 def test_singular_block_gives_the_singular_verdict(monkeypatch, flagship):
-    # a zero row makes one anchor block singular: dgejsv gives sigma 0.0
+    # a zero row makes one anchor block singular: gesdd's sigma is at
+    # rounding level, and the margin refuses it
     params, w, _ = flagship
     build = C.build_block_decomposition
 
@@ -1202,9 +1212,12 @@ def test_singular_block_gives_the_singular_verdict(monkeypatch, flagship):
     monkeypatch.setattr(C, "build_block_decomposition", singular)
     cert = C.certify_frame(params, w)
     assert cert.verdict == "not_certified"
-    assert cert.reason == "singular block in the decomposition"
-    assert cert.block_sigma_min == 0.0
+    assert cert.reason.startswith("block singular to working precision: "
+                                  "sigma ")
+    assert " against tolerance " in cert.reason
+    assert cert.block_sigma_min is None
     assert cert.n_blocks == 29
+    assert cert.interval_lo is not None and cert.delta is not None
 
 
 _WINDOW_KINDS = {
@@ -1222,7 +1235,8 @@ def test_sigma_min_matches_per_block_svd_on_random_lattices(kind, u, density,
                                                             extent):
     """alpha = u * support length and alpha*beta = density, over every
     window kind, anchored in the middle third of the widest breakpoint gap:
-    the screened sigma_min has every bit of the per-block loop."""
+    sigma_min has every bit of the per-block rule, each block within its
+    tolerance of the Jacobi SVD."""
     w = _WINDOW_KINDS[kind]
     alpha = u * w.support_length
     p = L.LatticeParams(alpha, density / alpha)
@@ -1236,7 +1250,7 @@ def test_sigma_min_matches_per_block_svd_on_random_lattices(kind, u, density,
                                           (lo, hi))
     except HopNotFound:
         assume(False)
-    assert dec.sigma_min.hex() == _per_block_sigma_min(dec).hex()
+    _assert_sigma_min(dec)
 
 
 def test_replay_calls_each_layer_once(monkeypatch, flagship):

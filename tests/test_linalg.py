@@ -1,7 +1,8 @@
 """Preconditioned Jacobi SVD: agreement with LAPACK, small-singular-value
-accuracy, and agreement with a one-sided Jacobi rotation loop.  The screened
-smallest singular value of a stack: the bits of the per-block loop.  Banded
-log-determinants: agreement with np.linalg.det."""
+accuracy, and agreement with a one-sided Jacobi rotation loop.  The smallest
+singular value of a stack behind its rounding margin: the bits of the
+per-block gesdd loop, each block within its tolerance of the Jacobi SVD.
+Banded log-determinants: agreement with np.linalg.det."""
 
 import math
 import tracemalloc
@@ -172,7 +173,8 @@ def _dgejsv_svdvals(A):
 
 def test_real_one_by_one_is_dgejsv_bit_for_bit():
     """stack_sigma_min answers a real-valued 1x1 block [v] by |v|: dgejsv's
-    bits, from 0 and -0 through subnormals to the largest double."""
+    bits, from 0 and -0 through subnormals to the largest double, refused
+    exactly when v is 0."""
     rng = np.random.default_rng(11)
     n = 4000
     values = np.concatenate([
@@ -184,8 +186,10 @@ def test_real_one_by_one_is_dgejsv_bit_for_bit():
     for v in values:
         A = np.array([[v]])
         want = _dgejsv_svdvals(A)[-1]
-        assert linalg.stack_sigma_min(A[None]).hex() == want.hex(), v
-        assert linalg.stack_sigma_min(A[None].astype(complex)).hex() == want.hex(), v
+        refused = None if v else (0.0, 0.0)
+        for stack in (A[None], A[None].astype(complex)):
+            sigma, got_refused = linalg.stack_sigma_min(stack)
+            assert sigma.hex() == want.hex() and got_refused == refused, v
         # jacobi_svdvals takes a real-valued complex 1x1 in as real
         assert linalg.jacobi_svdvals(A.astype(complex))[0].hex() == want.hex(), v
 
@@ -258,29 +262,69 @@ def test_decomposition_blocks_agree_with_rotation_loop():
 
 
 # ---------------------------------------------------------------------------
-# the screened smallest singular value of a stack
+# the smallest singular value of a stack, behind its rounding margin
 
 def _count_svd_calls(monkeypatch):
-    calls, svd = [], linalg.svdvals_accurate
+    """The matrices handed to svdvals_accurate and to np.linalg.svd, as
+    they are called."""
+    calls = {"accurate": [], "gesdd": []}
+    accurate, gesdd = linalg.svdvals_accurate, np.linalg.svd
     monkeypatch.setattr(linalg, "svdvals_accurate",
-                        lambda a: calls.append(a) or svd(a))
+                        lambda a: calls["accurate"].append(a) or accurate(a))
+    monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kwargs:
+                        calls["gesdd"].append(a) or gesdd(a, *args, **kwargs))
     return calls
 
 
+def _documented_rule(stack):
+    """(sigma, refused) by stack_sigma_min's docstring, block by block: a
+    real-valued 1x1 block is |a| with tolerance 0, any other block gesdd's
+    smallest value with tolerance SCREEN_SLACK * s * eps * ||A||_F, the norm
+    taken from the entries over the largest |Re| or |Im| and scaled back
+    (stack_sigma_min takes it from the singular values); a block
+    passes if its estimate minus its tolerance exceeds the tolerance.  Each
+    block's value is also checked against the Jacobi SVD, within that
+    tolerance (bit for bit for a real 1x1)."""
+    est, tol = [], []
+    for a in stack:
+        exact = a.shape == (1, 1) and a.imag[0, 0] == 0
+        est.append(abs(a.real[0, 0]) if exact
+                   else np.linalg.svd(a, compute_uv=False)[-1])
+        parts = np.concatenate((a.real, a.imag))
+        big = np.abs(parts).max(initial=0.0)
+        with np.errstate(over="ignore"):
+            tol.append(0.0 if exact else linalg.SCREEN_SLACK * max(a.shape)
+                       * np.finfo(float).eps * big
+                       * np.linalg.norm(parts / (big if big else 1.0)))
+        oracle = linalg.svdvals_accurate(a)[-1]
+        assert abs(est[-1] - oracle) <= tol[-1], (est[-1], oracle, tol[-1])
+    refused = [(float(e), float(t)) for e, t in zip(est, tol) if not e - t > t]
+    return float(min(est, default=math.inf)), min(refused, default=None)
+
+
 def _assert_stack_sigma_min(stack):
-    """stack_sigma_min has every bit of the per-block loop."""
-    want = min(float(linalg.svdvals_accurate(a)[-1]) for a in stack)
+    """stack_sigma_min has every bit of the documented per-block rule, but
+    for the last bits of the refused block's tolerance (its norm is summed
+    from other numbers)."""
+    want = _documented_rule(stack)
     got = linalg.stack_sigma_min(stack)
-    assert type(got) is float and got.hex() == want.hex()
+    assert type(got[0]) is float and got[0].hex() == want[0].hex()
+    assert (got[1] is None) == (want[1] is None)
+    if got[1] is not None:
+        assert got[1][0].hex() == want[1][0].hex()
+        assert got[1][1] == pytest.approx(want[1][1], rel=1e-14)
+    return got
 
 
 def test_stack_sigma_min_repeated_block_is_one_call(monkeypatch):
+    # one batched gesdd for the whole stack, and no Jacobi SVD
     block = np.array([[1.0, 0.5, 0.0], [0.25, 1.0, 0.5], [0.0, 0.25, 1.0]])
     stack = np.repeat(block[None].astype(complex), 200, axis=0)
-    want = float(linalg.svdvals_accurate(block)[-1])
+    want = np.linalg.svd(block, compute_uv=False)[-1]
+    assert abs(want - linalg.svdvals_accurate(block)[-1]) <= 1e-15
     calls = _count_svd_calls(monkeypatch)
-    assert linalg.stack_sigma_min(stack).hex() == want.hex()
-    assert len(calls) == 1
+    assert linalg.stack_sigma_min(stack) == (want, None)
+    assert calls["accurate"] == [] and len(calls["gesdd"]) == 1
 
 
 def _ulp_moves(part, steps):
@@ -292,8 +336,8 @@ def _ulp_moves(part, steps):
 @pytest.mark.parametrize("last", [False, True], ids=["anywhere", "last"])
 @pytest.mark.parametrize("dtype", [float, complex])
 def test_stack_sigma_min_near_ties_keep_every_bit(monkeypatch, dtype, last):
-    # copies of one block whose entries move by +-1 ulp all pass the screen,
-    # and their accurate values differ in the last bits
+    # copies of one block whose entries move by +-1 ulp: their gesdd values
+    # differ in the last bits, and the stack keeps the smallest one's bits
     rng = np.random.default_rng(5)
     block = rng.standard_normal((6, 6)) + np.eye(6)
     stack = _ulp_moves(block, rng.choice([-1, 0, 1], size=(40, 6, 6)))
@@ -301,41 +345,52 @@ def test_stack_sigma_min_near_ties_keep_every_bit(monkeypatch, dtype, last):
         imag = rng.standard_normal((6, 6))
         stack = stack + 1j * _ulp_moves(imag, rng.choice([-1, 0, 1],
                                                          size=(40, 6, 6)))
-    values = np.array([float(linalg.svdvals_accurate(a)[-1]) for a in stack])
+    values = np.linalg.svd(stack, compute_uv=False)[:, -1]
     low = values.min()
     assert (values > low).sum() > 10
     if last:
-        # the true minimum only in the last block
+        # the smallest value only in the last block
         stack = np.concatenate((stack[values > low],
                                 stack[np.flatnonzero(values == low)[:1]]))
+    sigma, refused = _assert_stack_sigma_min(stack)
+    assert sigma.hex() == float(low).hex() and refused is None
     calls = _count_svd_calls(monkeypatch)
-    assert linalg.stack_sigma_min(stack).hex() == float(low).hex()
-    assert len(calls) <= len({a.tobytes() for a in stack})
-    if last:
-        assert stack[-1].tobytes() in {a.tobytes() for a in calls}
+    linalg.stack_sigma_min(stack)
+    assert calls["accurate"] == []
 
 
 def test_stack_sigma_min_singular_block_gives_zero():
     stack = np.stack([np.eye(3), np.diag([2.0, 1.0, 0.0]), 3.0 * np.eye(3)])
-    assert linalg.stack_sigma_min(stack) == 0.0
+    tol = linalg.SCREEN_SLACK * 3 * np.finfo(float).eps * math.sqrt(5.0)
+    assert linalg.stack_sigma_min(stack) == (0.0, (0.0, tol))
     _assert_stack_sigma_min(stack)
 
 
 def test_stack_sigma_min_complex_and_graded_stacks():
     rng = np.random.default_rng(9)
     stack = rng.standard_normal((50, 5, 5)) + 1j * rng.standard_normal((50, 5, 5))
-    _assert_stack_sigma_min(stack)
-    # column-graded blocks, where only dgejsv keeps the tiny values
+    assert _assert_stack_sigma_min(stack)[1] is None
+    # column-graded blocks of sigma_min 10^-14 and less: gesdd keeps their
+    # tiny values only to within the tolerance, and the margin refuses them
     graded = np.stack([_graded(8, np.linspace(0, 14 + k, 8), k)[0]
                        for k in range(10)])
-    _assert_stack_sigma_min(graded)
-    _assert_stack_sigma_min(graded.astype(complex))
-    # complex 1x1 blocks go through dgejsv's real embedding
-    _assert_stack_sigma_min(stack[:, :1, :1])
+    for g in (graded, graded.astype(complex)):
+        for block in g:
+            sigma, refused = _assert_stack_sigma_min(block[None])
+            assert refused is not None and sigma < 2 * refused[1]
+        _assert_stack_sigma_min(g)
+    # a milder grading, sigma_min 10^-8, passes, to 1e-6 relative
+    mild, sv = _graded(8, np.linspace(0, 8, 8), 3)
+    sigma, refused = _assert_stack_sigma_min(mild[None])
+    assert refused is None and sigma == pytest.approx(sv[-1], rel=1e-6)
+    # complex 1x1 blocks go through gesdd too
+    assert _assert_stack_sigma_min(stack[:, :1, :1])[1] is None
 
 
 def test_stack_sigma_min_empty_stack_is_inf():
-    assert linalg.stack_sigma_min(np.zeros((0, 2, 2), dtype=complex)) == math.inf
+    assert linalg.stack_sigma_min(np.zeros((0, 2, 2), dtype=complex)) == \
+        (math.inf, None)
+    assert linalg.stack_sigma_min(np.zeros((0, 1, 1))) == (math.inf, None)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(1.0, np.inf)])
@@ -361,19 +416,25 @@ def _one_by_one_stacks():
 @pytest.mark.parametrize("name", ["mixed", "real", "real-as-complex", "complex",
                                   "empty", "extremes", "extremes-and-zeros"])
 def test_stack_sigma_min_of_1x1_blocks(monkeypatch, name):
-    """(M, 1, 1) stacks: the bits of the per-block loop, and the real-valued
-    entries [a] answered by |a| without an SVD; a complex entry near the
-    largest double raises no overflow warning."""
+    """(M, 1, 1) stacks: the bits of the documented per-block rule, the
+    real-valued entries [a] answered by |a| without an SVD, and only the
+    others through one gesdd; a complex entry near the largest double raises
+    no overflow warning, and one near the smallest keeps a positive
+    tolerance that covers gesdd's last-bit error."""
     entries = _one_by_one_stacks()[name]
     stack = entries.reshape(-1, 1, 1)
-    want = min((float(linalg.svdvals_accurate(a)[-1]) for a in stack),
-               default=math.inf)
     calls = _count_svd_calls(monkeypatch)
-    got = linalg.stack_sigma_min(stack)
-    assert type(got) is float and got.hex() == want.hex()
-    assert all(a.imag.any() for a in calls)
-    if not np.iscomplexobj(entries) or not entries.imag.any():
-        assert calls == []
+    got = _assert_stack_sigma_min(stack)
+    complex_ = entries.imag != 0 if np.iscomplexobj(entries) else entries < 0
+    assert got[1] == ((0.0, 0.0) if name == "extremes-and-zeros" else None)
+    # _documented_rule's own gesdd calls take one block each, the stack's one
+    # call takes every complex-valued entry at once
+    stacked = [a for a in calls["gesdd"] if a.ndim == 3]
+    if complex_.any() and np.iscomplexobj(entries):
+        assert len(stacked) == 1 and np.array_equal(stacked[0][:, 0, 0],
+                                                    entries[complex_])
+    else:
+        assert stacked == []
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(1.0, np.inf)])
